@@ -40,7 +40,7 @@ from .explain import (
     write_report,
 )
 from .gradcheck import finite_diff_check
-from .model import ABLATION_FLAGS, JointModel, ModelConfig, config_from_flags
+from .model import ABLATION_FLAGS, JointModel, ModelConfig
 from .synth import default_grammar, generate_synthetic_corpus
 from .train import (
     RunConfig,
@@ -261,14 +261,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         include_optimizer=args.save_optimizer,
     )
     write_report(curve_to_tsv(result.curve), out / "train_curve.tsv")
-    train_metrics = evaluate(result.model, corpus, maps, vocab, run.max_len,
-                             run.batch_size)
+    train_metrics = evaluate(result.model, corpus, maps, vocab,
+                             batch_size=run.batch_size)
     write_report(metrics_to_tsv(train_metrics), out / "train_metrics.tsv")
     print(f"train: intent_accuracy={train_metrics.intent_accuracy:.4f} "
           f"slot_f1={train_metrics.slot_f1:.4f}")
     if test is not None:
-        test_metrics = evaluate(result.model, test, maps, vocab, run.max_len,
-                                run.batch_size)
+        test_metrics = evaluate(result.model, test, maps, vocab,
+                                batch_size=run.batch_size)
         write_report(metrics_to_tsv(test_metrics), out / "test_metrics.tsv")
         print(f"test: intent_accuracy={test_metrics.intent_accuracy:.4f} "
               f"slot_f1={test_metrics.slot_f1:.4f}")
@@ -312,8 +312,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     lines = ["type\ti\tj\tweight"]
     for t in maps.slot_types:
         m = bundle.matrices[t]
-        for i in range(len(tokens)):
-            for j in range(len(tokens)):
+        for i in range(bundle.length):
+            for j in range(bundle.length):
                 lines.append(f"{t}\t{i}\t{j}\t{m[i, j]:.10g}")
     write_report("\n".join(lines) + "\n", out / "bundle.tsv")
     print(f"wrote {len(wanted)} heatmaps and bundle.tsv to {out}")
@@ -352,8 +352,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                 + ", ".join(ABLATION_FLAGS)
             )
         result = train_model(corpus, maps, vocab, run, dev_corpus=dev)
-        metrics = evaluate(result.model, eval_corpus, maps, vocab, run.max_len,
-                           run.batch_size)
+        metrics = evaluate(result.model, eval_corpus, maps, vocab,
+                           batch_size=run.batch_size)
         rows.append((mode, metrics.intent_accuracy, metrics.slot_f1,
                      result.model.n_params()))
     lines = [f"mode\tintent_accuracy\tslot_f1\tn_params\t# scored on {eval_name}"]

@@ -198,10 +198,7 @@ def load_corpus(path: str | Path) -> list[Utterance]:
             )
         if not tokens:
             raise CorpusFormatError(f"line {lineno}: empty utterance")
-        try:
-            validate_bio(tags, where=f"utterance {lineno}: ")
-        except BioValidationError:
-            raise
+        validate_bio(tags, where=f"utterance {lineno}: ")
         corpus.append(Utterance(tokens=tokens, intent=intent.strip(), bio_tags=tags))
     return corpus
 

@@ -2,8 +2,10 @@
 
 Token plus learned absolute position embeddings, a learned classification
 vector prepended at position 0, and a stack of post-norm encoder layers
-(residual then layer norm). Each utterance is encoded unpadded, so valid
-outputs never depend on batch composition.
+(residual then layer norm). A batch is encoded in one pass over padded
+(B, L, d) tensors, with multi-head attention split by reshaping; pad
+positions are masked out as attention keys, so valid outputs never depend
+on batch composition.
 """
 
 from __future__ import annotations
@@ -12,22 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Batch, Vocab
+from .data import Batch
 from .optim import ParamSet, xavier_uniform
 from .tensor import (
     Tensor,
     add,
     affine,
-    concat_last,
+    concat,
     dropout,
     gather_rows,
     layer_norm,
     matmul,
     relu,
-    scale,
+    reshape,
     softmax_masked,
     transpose,
-    vstack,
 )
 
 EMBED_INIT_SCALE = 0.02
@@ -54,24 +55,6 @@ class EncoderConfig:
     @property
     def head_dim(self) -> int:
         return self.d // self.n_heads
-
-
-@dataclass
-class EncodedUtterance:
-    """Per-token states (CLS excluded) and the CLS context vector."""
-
-    u_e: Tensor  # (l, d)
-    u_c: Tensor  # (d,)
-    mask: np.ndarray  # (l,) all-ones validity vector
-
-    @property
-    def length(self) -> int:
-        return self.u_e.shape[0]
-
-
-def tokenize(tokens: list[str], vocab: Vocab) -> np.ndarray:
-    """Lowercased per-word id lookup with UNK fallback."""
-    return np.array([vocab.lookup(t) for t in tokens], dtype=np.int64)
 
 
 def init_encoder_params(
@@ -107,49 +90,31 @@ def init_encoder_params(
             params.add(f"{p}.{ln}.bias", np.zeros(d, dtype=dtype))
 
 
-def _self_attention(x: Tensor, params: ParamSet, prefix: str, config: EncoderConfig) -> Tensor:
-    q = affine(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k = affine(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v = affine(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    n = x.shape[0]
-    valid = np.ones(n, dtype=np.float64)
-    dk = config.head_dim
-    heads = []
-    for h in range(config.n_heads):
-        cols = slice(h * dk, (h + 1) * dk)
-        scores = scale(matmul(q[:, cols], transpose(k[:, cols])), 1.0 / np.sqrt(dk))
-        alpha = softmax_masked(scores, valid)
-        heads.append(matmul(alpha, v[:, cols]))
-    return affine(concat_last(heads), params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+def project_heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
+    """Project ``x`` (B, L, d) by ``w`` (d, n_heads * d_k) and split the
+    result into heads: (B, n_heads, L, d_k)."""
+    B, L, _ = x.shape
+    return transpose(reshape(affine(x, w, b), (B, L, n_heads, -1)), (0, 2, 1, 3))
 
 
-def _encode_ids(
-    ids: np.ndarray,
-    config: EncoderConfig,
-    params: ParamSet,
-    training: bool,
-    rng: np.random.Generator | None,
-) -> tuple[Tensor, Tensor]:
-    n = len(ids) + 1  # classification position prepended
-    if n > config.max_positions:
-        raise ValueError(
-            f"utterance needs {n} positions but max_positions is {config.max_positions}"
-        )
-    tok = gather_rows(params["encoder.tok_emb"], ids)
-    pos = gather_rows(params["encoder.pos_emb"], np.arange(n))
-    x = add(vstack([params["encoder.cls_emb"], tok]), pos)
-    x = dropout(x, config.dropout_rate, training, rng)
-    for i in range(config.n_layers):
-        prefix = f"encoder.layer{i}"
-        attn = _self_attention(x, params, f"{prefix}.attn", config)
-        x = layer_norm(add(x, attn), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
-        ffn = affine(
-            relu(affine(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"])),
-            params[f"{prefix}.ffn.w2"],
-            params[f"{prefix}.ffn.b2"],
-        )
-        x = layer_norm(add(x, ffn), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
-    return x[1:, :], x[0]
+def attend(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention over the last two axes; ``key_mask``
+    broadcasts against the scores and hides pad keys.  Returns the
+    attended values and the attention weights."""
+    alpha = softmax_masked(matmul(q, transpose(k)), key_mask, 1.0 / np.sqrt(q.shape[-1]))
+    return matmul(alpha, v), alpha
+
+
+def _self_attention(x: Tensor, key_mask: np.ndarray, params: ParamSet, prefix: str,
+                    config: EncoderConfig) -> Tensor:
+    B, n, d = x.shape
+    q, k, v = (
+        project_heads(x, params[f"{prefix}.w{p}"], params[f"{prefix}.b{p}"], config.n_heads)
+        for p in "qkv"
+    )
+    heads, _ = attend(q, k, v, key_mask)
+    joined = reshape(transpose(heads, (0, 2, 1, 3)), (B, n, d))
+    return affine(joined, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def encode(
@@ -158,12 +123,35 @@ def encode(
     params: ParamSet,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> list[EncodedUtterance]:
-    """Encode every utterance in the batch at its true (unpadded) length."""
-    out = []
-    for b in range(batch.size):
-        length = int(batch.lengths[b])
-        ids = batch.token_ids[b, :length]
-        u_e, u_c = _encode_ids(ids, config, params, training, rng)
-        out.append(EncodedUtterance(u_e=u_e, u_c=u_c, mask=np.ones(length, dtype=np.float32)))
-    return out
+) -> tuple[Tensor, Tensor]:
+    """Encode the padded batch in one pass.
+
+    Returns the per-token states (B, L, d), classification position
+    excluded, and the classification vectors (B, d).  Pad positions are
+    hidden as attention keys, so valid states do not depend on batch
+    composition; the pad rows themselves carry no meaning.
+    """
+    B, L = batch.token_ids.shape
+    n = L + 1  # classification position prepended
+    if n > config.max_positions:
+        raise ValueError(
+            f"utterance needs {n} positions but max_positions is {config.max_positions}"
+        )
+    cls = reshape(params["encoder.cls_emb"], (1, 1, config.d))
+    tok = gather_rows(params["encoder.tok_emb"], batch.token_ids)
+    pos = gather_rows(params["encoder.pos_emb"], np.arange(n))
+    x = add(concat([cls, tok], axis=1), pos)
+    x = dropout(x, config.dropout_rate, training, rng, lengths=batch.lengths + 1)
+    key_mask = np.ones((B, 1, 1, n), dtype=bool)
+    key_mask[:, 0, 0, 1:] = batch.mask > 0
+    for i in range(config.n_layers):
+        prefix = f"encoder.layer{i}"
+        attn = _self_attention(x, key_mask, params, f"{prefix}.attn", config)
+        x = layer_norm(add(x, attn), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
+        ffn = affine(
+            relu(affine(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"])),
+            params[f"{prefix}.ffn.w2"],
+            params[f"{prefix}.ffn.b2"],
+        )
+        x = layer_norm(add(x, ffn), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
+    return x[:, 1:], x[:, 0]

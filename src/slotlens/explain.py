@@ -64,30 +64,31 @@ def extract_attentions(
 ) -> AttentionBundle:
     """Run one inference pass and collect every slot type's attention map.
 
-    Positive types come from the gold tags; an utterance with no tagged
-    slot falls back to the model's predicted tags. "O" joins the negative
-    set only when ``include_outside`` is set.
+    The utterance is truncated to the model's maximum length, and the
+    bundle covers the kept tokens. Positive types come from the gold tags;
+    an utterance with no tagged slot falls back to the tags the same pass
+    predicts (argmax, ties to the lower index). "O" joins the negative set
+    only when ``include_outside`` is set.
     """
-    batch = encode_batch([utterance], maps, vocab)
+    batch = encode_batch([utterance], maps, vocab, model.config.max_positions - 1)
     out = model.forward(batch)
     if out.attentions is None:
         raise ValueError("model was built without the slot-type attention network")
-    n = utterance.length
+    n = int(batch.lengths[0])
     matrices = {
         kind: out.attentions[0, i, :n, :n].copy()
         for i, kind in enumerate(maps.slot_types)
     }
-    positive = utterance.slot_types_present()
-    if not positive:
-        _, slot_ids = model.predict(batch)
-        predicted = [maps.bio_labels[j] for j in slot_ids[0]]
-        positive = {t[2:] for t in predicted if t != OUTSIDE}
+    tags = utterance.bio_tags[:n]
+    if all(t == OUTSIDE for t in tags):
+        tags = [maps.bio_labels[j] for j in out.slot_logits[0, :n].argmax(axis=1)]
+    positive = {t[2:] for t in tags if t != OUTSIDE}
     analyzed = set(maps.slot_types)
     if not include_outside:
         analyzed.discard(OUTSIDE)
         positive.discard(OUTSIDE)
     return AttentionBundle(
-        tokens=list(utterance.tokens),
+        tokens=list(utterance.tokens[:n]),
         matrices=matrices,
         positive_types=frozenset(positive),
         negative_types=frozenset(analyzed - positive),

@@ -15,24 +15,21 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Batch
-from .encoder import EncoderConfig, EncodedUtterance, encode, init_encoder_params
+from .encoder import EncoderConfig, attend, encode, init_encoder_params, project_heads
 from .optim import ParamSet, xavier_uniform
 from .tensor import (
     Tensor,
     add,
-    add_n,
     affine,
     binary_cross_entropy,
-    concat_last,
-    cross_entropy,
+    concat,
     cross_entropy_rows,
     dropout,
     layer_norm,
     matmul,
-    mean_of,
+    reshape,
     scale,
-    softmax_masked,
-    tile_rows,
+    stack,
     transpose,
 )
 
@@ -166,17 +163,18 @@ def type_generator_param_count(config: ModelConfig) -> int:
     return config.n_slot_types * per_type
 
 
-# single-utterance sub-networks ------------------------------------------------
+# sub-networks, each over the whole padded batch ------------------------------
 
 
 def intent_head(u_c: Tensor, params: ParamSet) -> Tensor:
-    """Intent logits from the context vector."""
+    """Intent logits from the context vectors."""
     return affine(u_c, params["intent.w"], params["intent.b"])
 
 
 def intent_fusion(
     u_e: Tensor,
     g_intent: Tensor,
+    mask: np.ndarray,
     params: ParamSet,
     config: ModelConfig,
     training: bool = False,
@@ -184,66 +182,62 @@ def intent_fusion(
 ) -> Tensor:
     """Fuse intent logits into token states via a single-head self
     attention over the normalized, projected concatenation; the residual
-    uses the clean token states."""
-    n = u_e.shape[0]
-    x = dropout(u_e, config.dropout_rate, training, rng)
+    uses the clean token states.  ``mask`` (B, L) marks the valid tokens."""
+    B = u_e.shape[0]
+    x = dropout(u_e, config.dropout_rate, training, rng, lengths=mask.sum(axis=1).astype(int))
     if not config.no_intent_concat:
-        x = concat_last([x, tile_rows(g_intent, n)])
+        x = concat([x, reshape(g_intent, (B, 1, config.n_intents))])
     x = layer_norm(x, params["fusion.ln.gain"], params["fusion.ln.bias"])
     x = affine(x, params["fusion.ll.w"], params["fusion.ll.b"])
-    q = affine(x, params["fusion.sa.q.w"], params["fusion.sa.q.b"])
-    k = affine(x, params["fusion.sa.k.w"], params["fusion.sa.k.b"])
-    v = affine(x, params["fusion.sa.v.w"], params["fusion.sa.v.b"])
-    valid = np.ones(n, dtype=np.float64)
-    alpha = softmax_masked(scale(matmul(q, transpose(k)), 1.0 / np.sqrt(config.d)), valid)
-    u_sa = matmul(alpha, v)
+    q, k, v = (affine(x, params[f"fusion.sa.{p}.w"], params[f"fusion.sa.{p}.b"]) for p in "qkv")
+    u_sa, _ = attend(q, k, v, mask[:, None, :])
     return layer_norm(
         add(u_e, u_sa), params["fusion.post_ln.gain"], params["fusion.post_ln.bias"]
     )
 
 
 def slot_type_attention(
-    u_hat: Tensor, params: ParamSet, config: ModelConfig
-) -> tuple[list[Tensor], list[Tensor]]:
-    """One single-head attention per slot type at width d_h.
+    u_hat: Tensor, mask: np.ndarray, params: ParamSet, config: ModelConfig
+) -> tuple[Tensor, Tensor]:
+    """All |T| single-head attentions at width d_h as one attention whose
+    heads are the slot types (the per-type weights are laid side by side).
 
-    Returns (attended features h, attention maps alpha), each a list of
-    |T| tensors. Frozen-uniform mode replaces the softmax with a constant
-    1/l map; the value path stays learned.
+    Returns attended features h (B, |T|, L, d_h) and attention maps alpha
+    (B, |T|, L, L). Frozen-uniform mode replaces the softmax with a
+    constant 1/l map over the valid keys; the value path stays learned.
     """
-    n = u_hat.shape[0]
-    valid = np.ones(n, dtype=np.float64)
-    hs, alphas = [], []
-    for i in range(config.n_slot_types):
-        prefix = f"type_gen.t{i}"
-        v = affine(u_hat, params[f"{prefix}.v.w"], params[f"{prefix}.v.b"])
-        if config.frozen_uniform_type_attention:
-            alpha = Tensor(np.full((n, n), 1.0 / n, dtype=u_hat.dtype))
-        else:
-            q = affine(u_hat, params[f"{prefix}.q.w"], params[f"{prefix}.q.b"])
-            k = affine(u_hat, params[f"{prefix}.k.w"], params[f"{prefix}.k.b"])
-            scores = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(config.d_h))
-            alpha = softmax_masked(scores, valid)
-        hs.append(matmul(alpha, v))
-        alphas.append(alpha)
-    return hs, alphas
+    T = config.n_slot_types
+
+    def project(p: str) -> Tensor:
+        w = concat([params[f"type_gen.t{i}.{p}.w"] for i in range(T)])
+        b = concat([params[f"type_gen.t{i}.{p}.b"] for i in range(T)])
+        return project_heads(u_hat, w, b, T)
+
+    v = project("v")
+    keys = mask[:, None, None, :] > 0
+    if not config.frozen_uniform_type_attention:
+        return attend(project("q"), project("k"), v, keys)
+    uniform = (keys / keys.sum(axis=-1, keepdims=True)).astype(u_hat.dtype)
+    alpha = Tensor(np.broadcast_to(uniform, (*v.shape[:-1], v.shape[-2])))
+    return matmul(alpha, v), alpha
 
 
-def slot_type_heads(hs: list[Tensor], params: ParamSet, config: ModelConfig) -> Tensor:
-    """Per-type binary logits; column i comes from type i's d_h->1 head."""
-    columns = [
-        affine(h, params[f"type_gen.t{i}.head.w"], params[f"type_gen.t{i}.head.b"])
-        for i, h in enumerate(hs)
-    ]
-    return concat_last(columns)
+def slot_type_heads(h: Tensor, params: ParamSet, config: ModelConfig) -> Tensor:
+    """Per-type binary logits (B, L, |T|); column i comes from type i's
+    d_h->1 head over h[:, i]."""
+    T = config.n_slot_types
+    B, _, L, _ = h.shape
+    w = stack([params[f"type_gen.t{i}.head.w"] for i in range(T)])
+    b = concat([params[f"type_gen.t{i}.head.b"] for i in range(T)])
+    return add(reshape(transpose(matmul(h, w), (0, 2, 1, 3)), (B, L, T)), b)
 
 
 def fusion_cross_attention(
-    u_e: Tensor, g_type: Tensor, params: ParamSet, config: ModelConfig
+    u_e: Tensor, g_type: Tensor | None, mask: np.ndarray, params: ParamSet,
+    config: ModelConfig,
 ) -> Tensor:
     """Cross attention: queries from token states, keys and values from
     the projected type logits; then residual, norm, and a final linear."""
-    n = u_e.shape[0]
     if config.no_cross_attention or config.no_aux_network:
         fused = u_e
     else:
@@ -251,11 +245,8 @@ def fusion_cross_attention(
         q = affine(u_e, params["cross.q.w"], params["cross.q.b"])
         k = affine(g_p, params["cross.k.w"], params["cross.k.b"])
         v = affine(g_p, params["cross.v.w"], params["cross.v.b"])
-        valid = np.ones(n, dtype=np.float64)
-        alpha = softmax_masked(
-            scale(matmul(q, transpose(k)), 1.0 / np.sqrt(config.d)), valid
-        )
-        fused = add(u_e, matmul(alpha, v))
+        attended, _ = attend(q, k, v, mask[:, None, :])
+        fused = add(u_e, attended)
     normed = layer_norm(fused, params["slot_out.ln.gain"], params["slot_out.ln.bias"])
     return affine(normed, params["slot_out.ll.w"], params["slot_out.ll.b"])
 
@@ -268,6 +259,11 @@ def slot_head(u_slot: Tensor, params: ParamSet) -> Tensor:
 # batched forward ---------------------------------------------------------------
 
 
+def _zero_pad(data: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``data`` with the cells outside ``valid`` zeroed."""
+    return np.where(valid, data, 0).astype(np.float64, copy=False)
+
+
 def forward(
     batch: Batch,
     config: ModelConfig,
@@ -275,57 +271,37 @@ def forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardOutput:
-    """Run the full network utterance by utterance and assemble padded
+    """Run the full network once over the padded batch and return padded
     batch outputs plus mean-over-batch losses."""
-    B, L = batch.size, batch.max_len
-    T = config.n_slot_types
-    encoded = encode(batch, config.encoder_config, params, training, rng)
+    B = batch.size
+    valid = batch.mask[..., None] > 0  # (B, L, 1)
+    u_e, u_c = encode(batch, config.encoder_config, params, training, rng)
+    g_intent = intent_head(u_c, params)
+    loss_intent = cross_entropy_rows(g_intent, batch.intent_targets, B)
 
-    intent_logits = np.zeros((B, config.n_intents), dtype=np.float64)
-    slot_logits = np.zeros((B, L, config.n_bio_labels), dtype=np.float64)
-    aux_logits = np.zeros((B, L, T), dtype=np.float64) if config.has_aux_network else None
-    attentions = np.zeros((B, T, L, L), dtype=np.float64) if config.has_aux_network else None
+    g_type = aux_logits = attentions = None
+    loss_type = Tensor(0.0)
+    if config.has_aux_network:
+        u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, training, rng)
+        h, alpha = slot_type_attention(u_hat, batch.mask, params, config)
+        g_type = slot_type_heads(h, params, config)
+        n_type_cells = int(batch.lengths.sum()) * config.n_slot_types
+        loss_type = binary_cross_entropy(g_type, batch.aux_targets, n_type_cells, valid)
+        aux_logits = _zero_pad(g_type.data, valid)
+        attentions = _zero_pad(alpha.data, valid[:, None])
 
-    intent_losses, slot_losses, type_terms = [], [], []
-    n_type_cells = int(batch.lengths.sum()) * T
+    u_slot = fusion_cross_attention(u_e, g_type, batch.mask, params, config)
+    g_slot = slot_head(u_slot, params)
+    loss_slot = cross_entropy_rows(g_slot, batch.slot_targets, B)
 
-    for b in range(B):
-        n = int(batch.lengths[b])
-        e: EncodedUtterance = encoded[b]
-        g_intent = intent_head(e.u_c, params)
-        intent_logits[b] = g_intent.data
-        intent_losses.append(cross_entropy(g_intent, int(batch.intent_targets[b])))
-
-        g_type = None
-        if config.has_aux_network:
-            u_hat = intent_fusion(e.u_e, g_intent, params, config, training, rng)
-            hs, alphas = slot_type_attention(u_hat, params, config)
-            g_type = slot_type_heads(hs, params, config)
-            aux_logits[b, :n] = g_type.data
-            for i, alpha in enumerate(alphas):
-                attentions[b, i, :n, :n] = alpha.data
-            type_terms.append(
-                binary_cross_entropy(g_type, batch.aux_targets[b, :n], n_type_cells)
-            )
-
-        u_slot = fusion_cross_attention(e.u_e, g_type, params, config)
-        g_slot = slot_head(u_slot, params)
-        slot_logits[b, :n] = g_slot.data
-        slot_losses.append(cross_entropy_rows(g_slot, batch.slot_targets[b, :n]))
-
-    loss_intent = mean_of(intent_losses)
-    loss_slot = mean_of(slot_losses)
-    loss_type = add_n(type_terms) if type_terms else Tensor(0.0)
-
-    terms = [scale(loss_intent, config.alpha)]
+    loss_total = scale(loss_intent, config.alpha)
     if config.aux_loss_weight > 0:
-        terms.append(scale(loss_type, config.aux_loss_weight))
-    terms.append(scale(loss_slot, config.gamma))
-    loss_total = add_n(terms)
+        loss_total = add(loss_total, scale(loss_type, config.aux_loss_weight))
+    loss_total = add(loss_total, scale(loss_slot, config.gamma))
 
     return ForwardOutput(
-        intent_logits=intent_logits,
-        slot_logits=slot_logits,
+        intent_logits=g_intent.data.astype(np.float64),
+        slot_logits=_zero_pad(g_slot.data, valid),
         aux_logits=aux_logits,
         attentions=attentions,
         loss_intent=loss_intent,

@@ -13,7 +13,7 @@ checking (the dtype of a graph is inherited from its leaves).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,23 +138,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def add_n(tensors: Sequence[Tensor]) -> Tensor:
-    """Sum of same-shaped tensors as a single graph node."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ValueError("add_n requires at least one tensor")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ShapeError(f"add_n: shapes {shape} and {t.shape} differ")
-    data = tensors[0].data.copy()
-    for t in tensors[1:]:
-        data += t.data
-    out = Tensor._node(data, tuple(tensors), "add_n")
-    out._backward = lambda g: tuple(g for _ in tensors)
-    return out
-
-
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -180,73 +163,102 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product: 2-D @ 2-D or 1-D @ 2-D."""
+    """Matrix product over the last two axes; leading axes broadcast as in
+    numpy."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if b.data.ndim != 2 or a.data.ndim not in (1, 2):
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = Tensor._node(a.data @ b.data, (a, b), "matmul")
-    if a.data.ndim == 2:
-        out._backward = lambda g: (g @ b.data.T, a.data.T @ g)
-    else:
-        out._backward = lambda g: (g @ b.data.T, np.outer(a.data, g))
+    try:
+        data = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
+    out = Tensor._node(data, (a, b), "matmul")
+    out._backward = lambda g: (
+        _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
+        _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape),
+    )
     return out
 
 
-def transpose(x: Tensor) -> Tensor:
-    """2-D transpose."""
+def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes like ``np.transpose``; by default swap the last two."""
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D tensor, got shape {x.shape}")
-    out = Tensor._node(x.data.T, (x,), "transpose")
-    out._backward = lambda g: (g.T,)
+    if axes is None:
+        if x.data.ndim < 2:
+            raise ShapeError(f"transpose: expected at least 2 dims, got shape {x.shape}")
+        axes = (*range(x.data.ndim - 2), x.data.ndim - 1, x.data.ndim - 2)
+    out = Tensor._node(x.data.transpose(axes), (x,), "transpose")
+    out._backward = lambda g: (g.transpose(np.argsort(axes)),)
     return out
 
 
-def concat_last(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last dimension; other dims must match."""
-    tensors = [_as_tensor(t) for t in tensors]
-    lead = tensors[0].shape[:-1]
-    for t in tensors[1:]:
-        if t.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat-last-dim: leading dims differ, {tensors[0].shape} vs {t.shape}"
-            )
-    widths = [t.shape[-1] for t in tensors]
-    out = Tensor._node(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors), "concat")
-    splits = np.cumsum(widths)[:-1]
-
-    def _bw(g):
-        return tuple(np.split(g, splits, axis=-1))
-
-    out._backward = _bw
+def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    """The same elements in a new shape."""
+    x = _as_tensor(x)
+    out = Tensor._node(x.data.reshape(shape), (x,), "reshape")
+    out._backward = lambda g: (g.reshape(x.data.shape),)
     return out
 
 
-def vstack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack along the first dimension; 1-D inputs become single rows."""
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Join same-shaped tensors along a new leading axis; backward splits it."""
     tensors = [_as_tensor(t) for t in tensors]
-    rows = [1 if t.data.ndim == 1 else t.data.shape[0] for t in tensors]
-    out = Tensor._node(np.vstack([t.data for t in tensors]), tuple(tensors), "vstack")
-    bounds = np.cumsum(rows)
+    try:
+        data = np.stack([t.data for t in tensors])
+    except ValueError:
+        raise ShapeError(f"stack: shapes differ, {[t.shape for t in tensors]}")
+    out = Tensor._node(data, tuple(tensors), "stack")
+    out._backward = tuple  # iterating g yields one slice per input
+    return out
+
+
+def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+    """Concatenate same-rank tensors along ``axis``; the other axes
+    broadcast as in numpy."""
+    tensors = [_as_tensor(t) for t in tensors]
+    ndim = tensors[0].data.ndim
+    if any(t.data.ndim != ndim for t in tensors):
+        raise ShapeError(f"concat: ranks differ, {[t.shape for t in tensors]}")
+    axis %= ndim
+    others = [t.shape[:axis] + (1,) + t.shape[axis + 1:] for t in tensors]
+    try:
+        other = np.broadcast_shapes(*set(others))
+    except ValueError:
+        raise ShapeError(f"concat: other dims do not broadcast, {[t.shape for t in tensors]}")
+    parts = [t.data if o == other
+             else np.broadcast_to(t.data, other[:axis] + t.shape[axis:axis + 1] + other[axis + 1:])
+             for t, o in zip(tensors, others)]
+    out = Tensor._node(np.concatenate(parts, axis=axis), tuple(tensors), "concat")
 
     def _bw(g):
-        grads = []
-        start = 0
-        for t, stop in zip(tensors, bounds):
-            piece = g[start:stop]
-            grads.append(piece[0] if t.data.ndim == 1 else piece)
-            start = stop
-        return tuple(grads)
+        splits = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+        return tuple(_unbroadcast(piece, t.data.shape)
+                     for piece, t in zip(np.split(g, splits, axis=axis), tensors))
 
     out._backward = _bw
     return out
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` — the linear-layer primitive."""
-    return add(matmul(x, w), b)
+    """``x @ w + b`` for a 2-D ``w`` — the linear-layer primitive, as one
+    graph node holding one output array."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: shapes {x.shape} @ {w.shape} + {b.shape} do not conform")
+    k, n = w.data.shape
+    flat = x.data.reshape(-1, k)
+    data = flat @ w.data
+    data += b.data
+    out = Tensor._node(data.reshape(x.data.shape[:-1] + (n,)), (x, w, b), "affine")
+
+    def _bw(g):
+        g = g.reshape(-1, n)
+        return (g @ w.data.T).reshape(x.data.shape), flat.T @ g, g.sum(axis=0)
+
+    out._backward = _bw
+    return out
 
 
 def take(x: Tensor, idx) -> Tensor:
@@ -264,31 +276,21 @@ def take(x: Tensor, idx) -> Tensor:
 
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]`` for an integer id vector (embedding fetch)."""
+    """Row lookup ``table[ids]`` for an integer id array (embedding fetch)."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or table.data.ndim != 2:
-        raise ShapeError(f"gather_rows: need 1-D ids and 2-D table, got {ids.shape}, {table.shape}")
+    if table.data.ndim != 2:
+        raise ShapeError(f"gather_rows: need a 2-D table, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"gather_rows: id out of range for table with {table.data.shape[0]} rows")
     out = Tensor._node(table.data[ids], (table,), "gather")
 
     def _bw(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
         return (gt,)
 
     out._backward = _bw
-    return out
-
-
-def tile_rows(v: Tensor, n: int) -> Tensor:
-    """Copy a vector into ``n`` identical rows (expand-and-repeat)."""
-    v = _as_tensor(v)
-    if v.data.ndim != 1:
-        raise ShapeError(f"tile_rows: expected a vector, got shape {v.shape}")
-    out = Tensor._node(np.tile(v.data, (n, 1)), (v,), "tile_rows")
-    out._backward = lambda g: (g.sum(axis=0),)
     return out
 
 
@@ -307,37 +309,48 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
-def mean_of(tensors: Sequence[Tensor]) -> Tensor:
-    """Arithmetic mean of same-shaped tensors (batch reduction helper)."""
-    return scale(add_n(tensors), 1.0 / len(tensors))
-
-
 # normalization, masking, regularization ------------------------------------
 
 
-def softmax_masked(x: Tensor, mask) -> Tensor:
-    """Row softmax over the last dimension restricted to valid positions.
+def softmax_masked(x: Tensor, mask, scale: float = 1.0) -> Tensor:
+    """Softmax of ``scale * x`` over the last dimension, restricted to valid
+    positions.
 
-    ``mask`` is a validity vector over the last dimension (shared by all
-    rows): 1/True marks valid positions.  Masked positions are exactly zero
-    in the output and receive zero gradient.  Raises if no position is
-    valid (the distribution would be undefined).
+    ``mask`` broadcasts against ``x``: a validity vector over the last
+    dimension shared by all rows, or a key-padding mask such as
+    ``(B, 1, 1, L)`` for ``(B, H, L, L)`` scores.  1/True marks valid
+    positions.  Masked positions are exactly zero in the output and receive
+    zero gradient.  Raises if some row has no valid position (its
+    distribution would be undefined).
     """
     x = _as_tensor(x)
+    scale = float(scale)
     valid = np.asarray(mask).astype(bool)
-    if valid.shape != (x.data.shape[-1],):
+    try:
+        conforms = np.broadcast_shapes(valid.shape, x.shape) == x.shape
+    except ValueError:
+        conforms = False
+    if not conforms:
         raise ShapeError(
-            f"softmax_masked: mask length {valid.shape} does not match last dim of {x.shape}"
+            f"softmax_masked: mask shape {valid.shape} does not broadcast to {x.shape}"
         )
-    if not valid.any():
+    if not valid.any(axis=-1).all():
         raise ValueError("softmax_masked: all positions masked, distribution undefined")
-    vals = x.data[..., valid]
-    shifted = x.data - vals.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    e[..., ~valid] = 0.0
-    p = e / e.sum(axis=-1, keepdims=True)
+    # one array, updated in place: attention scores are the largest tensors
+    p = x.data * scale
+    np.copyto(p, -np.inf, where=~valid)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     out = Tensor._node(p, (x,), "softmax")
-    out._backward = lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+
+    def _bw(g):
+        gx = g * p
+        gx -= p * gx.sum(axis=-1, keepdims=True)
+        gx *= scale
+        return (gx,)
+
+    out._backward = _bw
     return out
 
 
@@ -372,9 +385,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(
+    x: Tensor,
+    rate: float,
+    training: bool,
+    rng: np.random.Generator | None = None,
+    lengths: Sequence[int] | None = None,
+) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` and rescale survivors
-    by ``1/(1-rate)`` during training; identity at inference."""
+    by ``1/(1-rate)`` during training; identity at inference.
+
+    With ``lengths``, ``x`` is a padded batch ``(B, L, ...)``: utterance b
+    draws its mask over its first ``lengths[b]`` rows, in batch order, so
+    its mask does not depend on the rest of the batch.  Pad rows are zeroed.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     x = _as_tensor(x)
@@ -382,8 +406,13 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         return x
     if rng is None:
         raise ValueError("dropout in training mode requires a seeded rng")
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    keep = keep.astype(x.data.dtype)
+    if lengths is None:
+        keep = rng.random(x.data.shape) >= rate
+    else:
+        keep = np.zeros(x.data.shape, dtype=bool)
+        for b, n in enumerate(lengths):
+            keep[b, :n] = rng.random((n, *x.data.shape[2:])) >= rate
+    keep = (keep / (1.0 - rate)).astype(x.data.dtype)
     out = Tensor._node(x.data * keep, (x,), "dropout")
     out._backward = lambda g: (g * keep,)
     return out
@@ -392,64 +421,38 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 # losses --------------------------------------------------------------------
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log softmax probability of ``target`` for a 1-D logit vector."""
-    logits = _as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy: expected 1-D logits, got shape {logits.shape}")
-    n = logits.data.shape[0]
-    target = int(target)
-    if not 0 <= target < n:
-        raise IndexError(f"cross_entropy: target {target} out of range for {n} classes")
-    shifted = logits.data - logits.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    loss = lse - shifted[target]
-    p = np.exp(shifted - lse)
-    out = Tensor._node(np.asarray(loss, dtype=logits.data.dtype), (logits,), "cross_entropy")
+def cross_entropy_rows(logits: Tensor, targets, n: float = 1.0) -> Tensor:
+    """Sum of per-row cross entropies over the last dimension, divided by ``n``.
 
-    def _bw(g):
-        gx = p.copy()
-        gx[target] -= 1.0
-        return (gx * g,)
-
-    out._backward = _bw
-    return out
-
-
-def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Sum of per-row cross entropies for 2-D logits and an int target per row."""
+    ``targets`` holds one class index per row (shape ``logits.shape[:-1]``);
+    a target of -1 marks a pad row, which contributes nothing.
+    """
     logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
-    if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
+    if logits.data.ndim < 1 or targets.shape != logits.data.shape[:-1]:
         raise ShapeError(
             f"cross_entropy_rows: logits {logits.shape} need one target per row, got {targets.shape}"
         )
-    n = logits.data.shape[1]
-    if targets.size and (targets.min() < 0 or targets.max() >= n):
-        raise IndexError(f"cross_entropy_rows: target out of range for {n} classes")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.arange(targets.shape[0])
-    loss = (lse[rows, 0] - shifted[rows, targets]).sum()
+    n_classes = logits.data.shape[-1]
+    if targets.size and (targets.min() < -1 or targets.max() >= n_classes):
+        raise IndexError(f"cross_entropy_rows: target out of range for {n_classes} classes")
+    hot = targets[..., None] == np.arange(n_classes)  # all False on pad rows
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    loss = ((lse - shifted) * hot).sum() / n
     p = np.exp(shifted - lse)
     out = Tensor._node(np.asarray(loss, dtype=logits.data.dtype), (logits,), "cross_entropy_rows")
-
-    def _bw(g):
-        gx = p.copy()
-        gx[rows, targets] -= 1.0
-        return (gx * g,)
-
-    out._backward = _bw
+    out._backward = lambda g: ((p - hot) * (targets >= 0)[..., None] * (g / n),)
     return out
 
 
-def binary_cross_entropy(logits: Tensor, targets, n: int) -> Tensor:
+def binary_cross_entropy(logits: Tensor, targets, n: int, mask=None) -> Tensor:
     """Sigmoid binary cross entropy summed over all elements, divided by ``n``.
 
     Computed in the numerically stable form ``softplus(x) - x*y`` so large
     logits never produce log-of-zero.  ``n`` is the number of contributing
-    elements and may cover a whole batch (callers add per-utterance terms
-    that share one divisor).
+    elements and may cover a whole batch.  ``mask`` broadcasts against the
+    logits; elements where it is 0 (padding) contribute nothing.
     """
     logits = _as_tensor(logits)
     y = np.asarray(targets, dtype=logits.data.dtype)
@@ -458,12 +461,13 @@ def binary_cross_entropy(logits: Tensor, targets, n: int) -> Tensor:
     if n <= 0:
         raise ValueError(f"binary_cross_entropy: element count must be positive, got {n}")
     x = logits.data
-    loss = (np.logaddexp(0.0, x) - x * y).sum() / n
+    keep = np.ones((), dtype=x.dtype) if mask is None else np.asarray(mask, dtype=x.dtype)
+    loss = ((np.logaddexp(0.0, x) - x * y) * keep).sum() / n
     out = Tensor._node(np.asarray(loss, dtype=x.dtype), (logits,), "bce")
 
     def _bw(g):
         sig = 1.0 / (1.0 + np.exp(-x))
-        return ((sig - y) * (g / n),)
+        return ((sig - y) * keep * (g / n),)
 
     out._backward = _bw
     return out

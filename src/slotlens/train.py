@@ -152,7 +152,7 @@ def train_model(
             )
         dev_acc = dev_f1 = None
         if dev_corpus:
-            dev = evaluate(model, dev_corpus, maps, vocab, run.max_len, run.batch_size)
+            dev = evaluate(model, dev_corpus, maps, vocab, batch_size=run.batch_size)
             dev_acc, dev_f1 = dev.intent_accuracy, dev.slot_f1
         curve.append(
             EpochStats(
@@ -173,12 +173,18 @@ def evaluate(
     corpus: list[Utterance],
     maps: LabelMaps,
     vocab: Vocab,
-    max_len: int = 50,
+    max_len: int | None = None,
     batch_size: int = 32,
 ) -> Metrics:
-    """Intent accuracy plus exact-span-match micro precision/recall/F1."""
+    """Intent accuracy plus exact-span-match micro precision/recall/F1.
+
+    Utterances are truncated to ``max_len`` tokens, by default the longest
+    the model takes (``max_positions - 1``).
+    """
     if not corpus:
         raise ValueError("cannot evaluate an empty corpus")
+    if max_len is None:
+        max_len = model.config.max_positions - 1
     correct = 0
     gold_spans, pred_spans = [], []
     for start in range(0, len(corpus), batch_size):

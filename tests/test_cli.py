@@ -147,6 +147,34 @@ class TestExplain:
         assert capsys.readouterr().err.startswith("usage error:")
 
 
+class TestShortMaxLen:
+    """A model trained with --max-len 8 serves eval, analyze and explain on
+    longer utterances by truncating them to its own length."""
+
+    @pytest.fixture(scope="class")
+    def short_run(self, corpus_dir):
+        out = corpus_dir / "short"
+        assert main(["train", "--train", str(corpus_dir / "train"), "--out", str(out),
+                     *TINY, "--epochs", "1", "--max-len", "8"]) == 0
+        long = [Utterance(u.tokens[:11], u.intent, u.bio_tags[:11])
+                for u in load_corpus(corpus_dir / "train") if u.length >= 11]
+        assert long
+        write_corpus(long, out / "long")
+        return out
+
+    def test_eval_analyze_and_explain_exit_zero(self, short_run, tmp_path):
+        ckpt = str(short_run / "checkpoint.ckpt")
+        data = str(short_run / "long")
+        assert main(["eval", "--checkpoint", ckpt, "--data", data]) == 0
+        assert main(["analyze", "--checkpoint", ckpt, "--data", data]) == 0
+        text = " ".join(load_corpus(short_run / "long")[0].tokens)
+        assert len(text.split()) == 11
+        out = tmp_path / "ex"
+        assert main(["explain", "--checkpoint", ckpt, "--text", text, "--out", str(out)]) == 0
+        lines = (out / "bundle.tsv").read_text().splitlines()
+        assert len(lines) == 1 + 5 * 8 * 8
+
+
 class TestAnalyze:
     def test_default_k_list_gives_three_rows(self, corpus_dir, trained_dir,
                                              capsys, tmp_path):

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from slotlens.data import UNK_ID, Utterance, Vocab, build_label_maps, encode_batch
-from slotlens.encoder import (
-    EncoderConfig,
-    encode,
-    init_encoder_params,
-    tokenize,
-)
+from slotlens.data import Utterance, Vocab, build_label_maps, encode_batch
+from slotlens.encoder import EncoderConfig, encode, init_encoder_params
 from slotlens.gradcheck import finite_diff_check
 from slotlens.optim import ParamSet
 from slotlens.tensor import add, backward, scale, sum_all
@@ -43,56 +38,43 @@ class TestConfig:
         assert EncoderConfig(vocab_size=10, d=64, n_heads=4).head_dim == 16
 
 
-class TestTokenize:
-    def test_lookup_and_unk(self):
-        corpus, _, vocab, _, _ = make_setting()
-        ids = tokenize(["fly", "warp"], vocab)
-        assert ids[0] == vocab.lookup("fly")
-        assert ids[1] == UNK_ID
-
-    def test_case_folding(self):
-        _, _, vocab, _, _ = make_setting()
-        assert (tokenize(["Boston"], vocab) == tokenize(["boston"], vocab)).all()
-
-
 class TestEncode:
     def test_output_shapes(self):
         corpus, maps, vocab, config, params = make_setting()
         batch = encode_batch(corpus, maps, vocab)
-        encoded = encode(batch, config, params)
-        assert [e.u_e.shape for e in encoded] == [(3, 16), (5, 16), (1, 16)]
-        assert all(e.u_c.shape == (16,) for e in encoded)
-        assert all(e.mask.all() for e in encoded)
+        u_e, u_c = encode(batch, config, params)
+        assert u_e.shape == (3, 5, 16)
+        assert u_c.shape == (3, 16)
 
     def test_identical_utterances_encode_identically(self):
         corpus, maps, vocab, config, params = make_setting()
         batch = encode_batch([corpus[0], corpus[0]], maps, vocab)
-        a, b = encode(batch, config, params)
-        np.testing.assert_array_equal(a.u_e.data, b.u_e.data)
-        np.testing.assert_array_equal(a.u_c.data, b.u_c.data)
+        u_e, u_c = encode(batch, config, params)
+        np.testing.assert_array_equal(u_e.data[0], u_e.data[1])
+        np.testing.assert_array_equal(u_c.data[0], u_c.data[1])
 
     def test_padding_invariance(self):
         """Batch composition (hence padding) never changes an utterance's code."""
         corpus, maps, vocab, config, params = make_setting()
-        alone = encode(encode_batch([corpus[0]], maps, vocab), config, params)[0]
-        padded = encode(encode_batch(corpus, maps, vocab), config, params)[0]
-        np.testing.assert_allclose(alone.u_e.data, padded.u_e.data, atol=1e-5)
-        np.testing.assert_allclose(alone.u_c.data, padded.u_c.data, atol=1e-5)
+        alone_e, alone_c = encode(encode_batch([corpus[0]], maps, vocab), config, params)
+        padded_e, padded_c = encode(encode_batch(corpus, maps, vocab), config, params)
+        np.testing.assert_allclose(alone_e.data[0], padded_e.data[0, :3], atol=1e-5)
+        np.testing.assert_allclose(alone_c.data[0], padded_c.data[0], atol=1e-5)
 
     def test_deterministic_in_eval_mode(self):
         corpus, maps, vocab, config, params = make_setting()
         batch = encode_batch(corpus, maps, vocab)
-        a = encode(batch, config, params)[0]
-        b = encode(batch, config, params)[0]
-        np.testing.assert_array_equal(a.u_e.data, b.u_e.data)
+        a, _ = encode(batch, config, params)
+        b, _ = encode(batch, config, params)
+        np.testing.assert_array_equal(a.data, b.data)
 
     def test_dropout_only_in_training(self):
         corpus, maps, vocab, config, params = make_setting()
         batch = encode_batch([corpus[0]], maps, vocab)
-        eval_out = encode(batch, config, params)[0]
-        train_out = encode(batch, config, params, training=True,
-                           rng=np.random.default_rng(3))[0]
-        assert not np.allclose(eval_out.u_e.data, train_out.u_e.data)
+        eval_out, _ = encode(batch, config, params)
+        train_out, _ = encode(batch, config, params, training=True,
+                              rng=np.random.default_rng(3))
+        assert not np.allclose(eval_out.data, train_out.data)
 
     def test_position_overflow_rejected(self):
         corpus, maps, vocab, config, params = make_setting(max_positions=3)
@@ -104,17 +86,17 @@ class TestEncode:
         """Final sublayer is a layer norm with unit gain at init."""
         corpus, maps, vocab, config, params = make_setting()
         batch = encode_batch(corpus, maps, vocab)
-        e = encode(batch, config, params)[1]
-        np.testing.assert_allclose(e.u_e.data.mean(axis=-1), 0.0, atol=1e-6)
-        np.testing.assert_allclose(e.u_e.data.var(axis=-1), 1.0, atol=1e-3)
+        u_e, _ = encode(batch, config, params)
+        np.testing.assert_allclose(u_e.data[1].mean(axis=-1), 0.0, atol=1e-6)
+        np.testing.assert_allclose(u_e.data[1].var(axis=-1), 1.0, atol=1e-3)
 
     def test_position_embeddings_matter(self):
         corpus, maps, vocab, config, params = make_setting()
         u = Utterance(["fly", "boston"], "book_flight", ["O", "B-city"])
         r = Utterance(["boston", "fly"], "book_flight", ["B-city", "O"])
-        eu = encode(encode_batch([u], maps, vocab), config, params)[0]
-        er = encode(encode_batch([r], maps, vocab), config, params)[0]
-        assert not np.allclose(eu.u_e.data[0], er.u_e.data[1], atol=1e-6)
+        eu, _ = encode(encode_batch([u], maps, vocab), config, params)
+        er, _ = encode(encode_batch([r], maps, vocab), config, params)
+        assert not np.allclose(eu.data[0, 0], er.data[0, 1], atol=1e-6)
 
 
 class TestEncoderGradients:
@@ -125,8 +107,8 @@ class TestEncoderGradients:
         batch = encode_batch([corpus[0]], maps, vocab)
 
         def loss():
-            e = encode(batch, config, params)[0]
-            return add(scale(sum_all(e.u_e), 1.0 / e.u_e.size), sum_all(e.u_c))
+            u_e, u_c = encode(batch, config, params)
+            return add(scale(sum_all(u_e), 1.0 / u_e.size), sum_all(u_c))
 
         report = finite_diff_check(loss, params, h=1e-6, tol=1e-4)
         assert report.passed, report.format()
@@ -135,7 +117,7 @@ class TestEncoderGradients:
         corpus, maps, vocab, config, params = make_setting()
         batch = encode_batch([corpus[0]], maps, vocab)
         params.zero_grads()
-        backward(sum_all(encode(batch, config, params)[0].u_e))
+        backward(sum_all(encode(batch, config, params)[0]))
         tok_grad = params["encoder.tok_emb"].grad
         used = set(batch.token_ids[0])
         assert any(np.abs(tok_grad[i]).sum() > 0 for i in used)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from slotlens.data import Utterance, Vocab, build_label_maps
+from slotlens import model as model_module
+from slotlens.data import Utterance, Vocab, build_label_maps, encode_batch
 from slotlens.explain import (
     AttentionBundle,
     ConsistencyReport,
@@ -165,6 +166,46 @@ class TestBundle:
         model, corpus, maps, vocab = small_setting()
         b = extract_attentions(model, corpus[1], maps, vocab)
         assert b.positive_types | b.negative_types == {"airline", "city", "day", "hotel"}
+
+    def test_one_forward_per_utterance_and_predict_positives(self, monkeypatch):
+        """The fallback reads the extraction pass's own slot logits: one
+        forward per utterance, and the positive types predict() implies."""
+        model, corpus, maps, vocab = small_setting()
+        model.params["slot.b"].data[maps.bio_index["B-day"]] += 5.0
+        calls = []
+        real_forward = model_module.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return real_forward(*args, **kwargs)
+
+        outside = [Utterance(["hello", "there"], "greet", ["O", "O"]),
+                   Utterance(["fly", "to", "denver", "today"], "book_flight", ["O"] * 4)]
+        for u in outside:
+            monkeypatch.setattr(model_module, "forward", counting_forward)
+            bundle = extract_attentions(model, u, maps, vocab)
+            monkeypatch.setattr(model_module, "forward", real_forward)
+            _, slots = model.predict(encode_batch([u], maps, vocab))
+            predicted = {maps.bio_labels[j][2:] for j in slots[0]} - {""}
+            assert bundle.positive_types == predicted
+            assert "day" in bundle.positive_types
+        assert len(calls) == len(outside)
+
+    def test_model_length_keeps_long_utterances_whole(self):
+        """A model with 61 positions keeps all 55 tokens (no fixed 50 cap)."""
+        model, corpus, maps, vocab = small_setting(max_positions=61)
+        words = [w for u in corpus for w in u.tokens]
+        u = Utterance((words * 7)[:55], "greet", ["O"] * 55)
+        bundle = extract_attentions(model, u, maps, vocab, include_outside=True)
+        assert bundle.length == 55
+        assert all(m.shape == (55, 55) for m in bundle.matrices.values())
+
+    def test_bundle_covers_kept_tokens_only(self):
+        model, corpus, maps, vocab = small_setting()  # max_positions=10: 9 tokens
+        words = [w for u in corpus for w in u.tokens] * 2
+        u = Utterance(words[:11], "greet", ["O"] * 11)
+        bundle = extract_attentions(model, u, maps, vocab)
+        assert bundle.tokens == words[:9]
 
     def test_no_aux_network_cannot_extract(self):
         model, corpus, maps, vocab = small_setting(no_aux_network=True)

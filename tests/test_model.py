@@ -21,7 +21,7 @@ from slotlens.model import (
     type_generator_param_count,
 )
 from slotlens.optim import ParamSet, adam_step, xavier_uniform
-from slotlens.tensor import Tensor, backward, tile_rows
+from slotlens.tensor import Tensor, backward, concat, reshape
 
 
 def tiny_corpus():
@@ -60,6 +60,11 @@ def make_model(dtype=np.float32, seed=0, **kw):
 
 def rand_tensor(rng, shape, dtype=np.float64):
     return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+
+def all_valid(n):
+    """Validity mask of a one-utterance batch of length n."""
+    return np.ones((1, n), dtype=np.float32)
 
 
 class TestConfig:
@@ -117,16 +122,17 @@ class TestIntentHead:
 
 class TestIntentFusion:
     def test_logit_row_copy_expansion(self):
-        g = Tensor(np.array([3.0, -1.0]))
-        np.testing.assert_array_equal(tile_rows(g, 3).data, [[3, -1]] * 3)
+        g = Tensor(np.array([[3.0, -1.0]]))
+        x = concat([Tensor(np.zeros((1, 3, 1))), reshape(g, (1, 1, 2))])
+        np.testing.assert_array_equal(x.data[0, :, 1:], [[3, -1]] * 3)
 
     def test_shape_contract(self):
         model, batch, _, _ = make_model()
         for n in (1, 4):
-            u_e = rand_tensor(np.random.default_rng(n), (n, 8), np.float32)
-            g = rand_tensor(np.random.default_rng(n + 1), 2, np.float32)
-            out = intent_fusion(u_e, g, model.params, model.config)
-            assert out.shape == (n, 8)
+            u_e = rand_tensor(np.random.default_rng(n), (1, n, 8), np.float32)
+            g = rand_tensor(np.random.default_rng(n + 1), (1, 2), np.float32)
+            out = intent_fusion(u_e, g, all_valid(n), model.params, model.config)
+            assert out.shape == (1, n, 8)
 
     def test_zero_value_projection_reduces_to_layer_norm(self):
         model, _, _, _ = make_model()
@@ -137,9 +143,9 @@ class TestIntentFusion:
             p[f"{ln}.gain"].data[:] = 1
             p[f"{ln}.bias"].data[:] = 0
         rng = np.random.default_rng(5)
-        u_e = rand_tensor(rng, (4, 8), np.float32)
-        g = rand_tensor(rng, 2, np.float32)
-        got = intent_fusion(u_e, g, model.params, model.config).data
+        u_e = rand_tensor(rng, (1, 4, 8), np.float32)
+        g = rand_tensor(rng, (1, 2), np.float32)
+        got = intent_fusion(u_e, g, all_valid(4), model.params, model.config).data
         x = u_e.data
         mu = x.mean(-1, keepdims=True)
         want = (x - mu) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
@@ -174,25 +180,26 @@ class TestSlotTypeAttention:
         for i in range(model.config.n_slot_types):
             model.params[f"type_gen.t{i}.q.w"].data[:] = 0
             model.params[f"type_gen.t{i}.q.b"].data[:] = 0
-        u = rand_tensor(np.random.default_rng(2), (5, 8), np.float32)
-        _, alphas = slot_type_attention(u, model.params, model.config)
-        for alpha in alphas:
-            np.testing.assert_allclose(alpha.data, 0.2, atol=1e-7)
+        u = rand_tensor(np.random.default_rng(2), (1, 5, 8), np.float32)
+        _, alpha = slot_type_attention(u, all_valid(5), model.params, model.config)
+        assert alpha.shape == (1, model.config.n_slot_types, 5, 5)
+        np.testing.assert_allclose(alpha.data, 0.2, atol=1e-7)
 
     def test_matches_naive_attention_oracle(self):
         model, _, _, _ = make_model(dtype=np.float64)
-        u = rand_tensor(np.random.default_rng(3), (4, 8))
-        hs, alphas = slot_type_attention(u, model.params, model.config)
+        u = rand_tensor(np.random.default_rng(3), (1, 4, 8))
+        h, alpha = slot_type_attention(u, all_valid(4), model.params, model.config)
         for i in range(model.config.n_slot_types):
             p = lambda n: model.params[f"type_gen.t{i}.{n}"].data
-            q = u.data @ p("q.w") + p("q.b")
-            k = u.data @ p("k.w") + p("k.b")
-            v = u.data @ p("v.w") + p("v.b")
+            x = u.data[0]
+            q = x @ p("q.w") + p("q.b")
+            k = x @ p("k.w") + p("k.b")
+            v = x @ p("v.w") + p("v.b")
             scores = q @ k.T / np.sqrt(model.config.d_h)
             e = np.exp(scores - scores.max(-1, keepdims=True))
             a = e / e.sum(-1, keepdims=True)
-            np.testing.assert_allclose(alphas[i].data, a, atol=1e-10)
-            np.testing.assert_allclose(hs[i].data, a @ v, atol=1e-10)
+            np.testing.assert_allclose(alpha.data[0, i], a, atol=1e-10)
+            np.testing.assert_allclose(h.data[0, i], a @ v, atol=1e-10)
 
 
 class TestSlotTypeHeads:
@@ -201,11 +208,11 @@ class TestSlotTypeHeads:
         for i in range(model.config.n_slot_types):
             model.params[f"type_gen.t{i}.head.w"].data[:] = 0
             model.params[f"type_gen.t{i}.head.b"].data[:] = float(i)
-        hs = [rand_tensor(np.random.default_rng(i), (3, 4), np.float32)
-              for i in range(model.config.n_slot_types)]
-        g = slot_type_heads(hs, model.params, model.config)
+        h = rand_tensor(np.random.default_rng(0), (1, model.config.n_slot_types, 3, 4),
+                        np.float32)
+        g = slot_type_heads(h, model.params, model.config)
         for i in range(model.config.n_slot_types):
-            np.testing.assert_allclose(g.data[:, i], float(i))
+            np.testing.assert_allclose(g.data[0, :, i], float(i))
 
     def test_single_type_degenerates_to_binary_tagger(self):
         params = ParamSet()
@@ -214,21 +221,21 @@ class TestSlotTypeHeads:
         params.add("type_gen.t0.head.b", rng.standard_normal(1))
         config = ModelConfig(vocab_size=5, n_intents=2, n_slot_types=1,
                              n_bio_labels=1, d=8, d_h=4)
-        h = rand_tensor(rng, (3, 4))
-        g = slot_type_heads([h], params, config)
-        assert g.shape == (3, 1)
-        want = h.data @ params["type_gen.t0.head.w"].data + params["type_gen.t0.head.b"].data
-        np.testing.assert_allclose(g.data, want, rtol=1e-12)
+        h = rand_tensor(rng, (1, 1, 3, 4))
+        g = slot_type_heads(h, params, config)
+        assert g.shape == (1, 3, 1)
+        want = h.data[0, 0] @ params["type_gen.t0.head.w"].data + params["type_gen.t0.head.b"].data
+        np.testing.assert_allclose(g.data[0], want, rtol=1e-12)
 
     def test_matches_per_type_oracle(self):
         model, _, _, _ = make_model(dtype=np.float64)
         rng = np.random.default_rng(9)
-        hs = [rand_tensor(rng, (5, 4)) for _ in range(model.config.n_slot_types)]
-        g = slot_type_heads(hs, model.params, model.config)
-        for i, h in enumerate(hs):
+        h = rand_tensor(rng, (2, model.config.n_slot_types, 5, 4))
+        g = slot_type_heads(h, model.params, model.config)
+        for i in range(model.config.n_slot_types):
             w = model.params[f"type_gen.t{i}.head.w"].data
             b = model.params[f"type_gen.t{i}.head.b"].data
-            np.testing.assert_allclose(g.data[:, i], (h.data @ w + b)[:, 0], atol=1e-12)
+            np.testing.assert_allclose(g.data[..., i], (h.data[:, i] @ w + b)[..., 0], atol=1e-12)
 
 
 class TestLosses:
@@ -301,6 +308,27 @@ class TestLosses:
         )
         assert (together.slot_logits[1, 3:] == 0).all()
         assert (together.aux_logits[1, 3:] == 0).all()
+
+    def test_short_utterance_beside_a_long_one_matches_its_solo_run(self):
+        """Lengths 2 and 40 in one batch: the short utterance's outputs equal
+        its solo run, and its 38 pad rows and columns are zero."""
+        corpus = tiny_corpus()
+        maps = build_label_maps(corpus)
+        vocab = Vocab.build(corpus)
+        model, _, _, _ = make_model(max_positions=41)
+        words = [w for u in corpus for w in u.tokens]
+        long_u = Utterance((words * 4)[:40], "book_flight", ["O"] * 40)
+        short_u = Utterance(["rain", "monday"], "get_weather", ["O", "B-day"])
+        alone = model.forward(encode_batch([short_u], maps, vocab))
+        both = model.forward(encode_batch([long_u, short_u], maps, vocab))
+        np.testing.assert_allclose(both.intent_logits[1], alone.intent_logits[0], atol=1e-6)
+        for got, want in ((both.slot_logits, alone.slot_logits),
+                          (both.aux_logits, alone.aux_logits)):
+            np.testing.assert_allclose(got[1, :2], want[0], atol=1e-6)
+            assert (got[1, 2:] == 0).all()
+        np.testing.assert_allclose(both.attentions[1, :, :2, :2], alone.attentions[0], atol=1e-6)
+        assert (both.attentions[1, :, 2:, :] == 0).all()
+        assert (both.attentions[1, :, :, 2:] == 0).all()
 
 
 class TestForwardShapes:
@@ -376,36 +404,36 @@ class TestFusionCrossAttention:
         model.params["cross.q.w"].data[:] = 0
         model.params["cross.q.b"].data[:] = 0
         rng = np.random.default_rng(4)
-        u_e = rand_tensor(rng, (5, 8))
-        g_type = rand_tensor(rng, (5, 3))
-        got = fusion_cross_attention(u_e, g_type, model.params, model.config)
-        g_p = g_type.data @ model.params["cross.proj.w"].data + model.params["cross.proj.b"].data
+        u_e = rand_tensor(rng, (1, 5, 8))
+        g_type = rand_tensor(rng, (1, 5, 3))
+        got = fusion_cross_attention(u_e, g_type, all_valid(5), model.params, model.config)
+        g_p = g_type.data[0] @ model.params["cross.proj.w"].data + model.params["cross.proj.b"].data
         v = g_p @ model.params["cross.v.w"].data + model.params["cross.v.b"].data
-        fused = u_e.data + v.mean(axis=0)
+        fused = u_e.data[0] + v.mean(axis=0)
         mu = fused.mean(-1, keepdims=True)
         normed = (fused - mu) / np.sqrt(fused.var(-1, keepdims=True) + 1e-5)
         want = normed @ model.params["slot_out.ll.w"].data + model.params["slot_out.ll.b"].data
-        np.testing.assert_allclose(got.data, want, atol=1e-10)
+        np.testing.assert_allclose(got.data[0], want, atol=1e-10)
 
     def test_matches_naive_oracle(self):
         model, _, _, _ = make_model(dtype=np.float64)
         rng = np.random.default_rng(8)
-        u_e = rand_tensor(rng, (4, 8))
-        g_type = rand_tensor(rng, (4, 3))
-        got = fusion_cross_attention(u_e, g_type, model.params, model.config)
+        u_e = rand_tensor(rng, (1, 4, 8))
+        g_type = rand_tensor(rng, (1, 4, 3))
+        got = fusion_cross_attention(u_e, g_type, all_valid(4), model.params, model.config)
         p = lambda n: model.params[n].data
-        g_p = g_type.data @ p("cross.proj.w") + p("cross.proj.b")
-        q = u_e.data @ p("cross.q.w") + p("cross.q.b")
+        g_p = g_type.data[0] @ p("cross.proj.w") + p("cross.proj.b")
+        q = u_e.data[0] @ p("cross.q.w") + p("cross.q.b")
         k = g_p @ p("cross.k.w") + p("cross.k.b")
         v = g_p @ p("cross.v.w") + p("cross.v.b")
         s = q @ k.T / np.sqrt(8)
         e = np.exp(s - s.max(-1, keepdims=True))
         a = e / e.sum(-1, keepdims=True)
-        fused = u_e.data + a @ v
+        fused = u_e.data[0] + a @ v
         mu = fused.mean(-1, keepdims=True)
         normed = (fused - mu) / np.sqrt(fused.var(-1, keepdims=True) + 1e-5)
         want = normed @ p("slot_out.ll.w") + p("slot_out.ll.b")
-        np.testing.assert_allclose(got.data, want, atol=1e-9)
+        np.testing.assert_allclose(got.data[0], want, atol=1e-9)
 
     def test_slot_head_bias_only(self):
         model, _, _, _ = make_model()

@@ -31,12 +31,33 @@ class TestElementary:
 
     def test_concat_last_dim_widths(self):
         l, d, k = 4, 6, 3
-        out = T.concat_last([Tensor(np.ones((l, d))), Tensor(np.zeros((l, k)))])
+        out = T.concat([Tensor(np.ones((l, d))), Tensor(np.zeros((l, k)))])
         assert out.shape == (l, d + k)
 
     def test_concat_leading_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            T.concat_last([Tensor(np.ones((4, 2))), Tensor(np.ones((3, 2)))])
+            T.concat([Tensor(np.ones((4, 2))), Tensor(np.ones((3, 2)))])
+
+    def test_concat_broadcasts_other_axes(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        row = Tensor(np.array([[[7.0, 8.0]], [[5.0, 6.0]]]))  # (2, 1, 2)
+        out = T.concat([x, row])
+        assert out.shape == (2, 3, 6)
+        np.testing.assert_array_equal(out.data[1, :, 4:], [[5, 6]] * 3)
+
+    def test_batched_matmul_and_transpose(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(3, 5, 2))
+        np.testing.assert_allclose(T.matmul(a, b).data, a @ b)
+        np.testing.assert_array_equal(T.transpose(a).data, a.swapaxes(-1, -2))
+        np.testing.assert_array_equal(T.transpose(a, (2, 0, 3, 1)).data, a.transpose(2, 0, 3, 1))
+
+    def test_stack_and_reshape(self):
+        parts = [Tensor(np.full((2, 3), float(i))) for i in range(4)]
+        out = T.stack(parts)
+        assert out.shape == (4, 2, 3)
+        np.testing.assert_array_equal(out.data[2], 2.0)
+        assert T.reshape(out, (8, 3)).shape == (8, 3)
 
     def test_add_broadcast_bias(self):
         x = Tensor(np.zeros((2, 3)))
@@ -74,6 +95,20 @@ class TestSoftmaxMasked:
     def test_all_masked_raises(self):
         with pytest.raises(ValueError, match="masked"):
             T.softmax_masked(Tensor(np.zeros((2, 3))), np.zeros(3))
+
+    def test_key_padding_mask_broadcasts(self):
+        lengths = np.array([2, 4])
+        keys = np.arange(4) < lengths[:, None]  # (B, L)
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 4, 4)))
+        p = T.softmax_masked(x, keys[:, None, None, :])
+        np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-12)
+        assert (p.data[0, ..., 2:] == 0).all()
+        solo = T.softmax_masked(Tensor(x.data[0, :, :, :2]), np.ones(2))
+        np.testing.assert_allclose(p.data[0, :, :, :2], solo.data, atol=1e-12)
+
+    def test_mask_that_does_not_broadcast(self):
+        with pytest.raises(ShapeError):
+            T.softmax_masked(Tensor(np.zeros((2, 3))), np.ones(4))
 
     def test_rows_sum_to_one_and_masked_exactly_zero(self):
         rng = np.random.default_rng(7)
@@ -143,28 +178,39 @@ class TestDropout:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss = T.cross_entropy(Tensor(np.zeros(4)), 1)
+        loss = T.cross_entropy_rows(Tensor(np.zeros(4)), 1)
         assert loss.item() == pytest.approx(math.log(4.0), abs=1e-6)
 
     def test_confident_prediction_near_zero(self):
         logits = np.array([50.0, 0.0, 0.0])
-        assert T.cross_entropy(Tensor(logits), 0).item() == pytest.approx(0.0, abs=1e-6)
+        assert T.cross_entropy_rows(Tensor(logits), 0).item() == pytest.approx(0.0, abs=1e-6)
 
     def test_hand_computed_value(self):
-        loss = T.cross_entropy(Tensor(np.array([1.0, 0.0])), 0)
+        loss = T.cross_entropy_rows(Tensor(np.array([1.0, 0.0])), 0)
         assert loss.item() == pytest.approx(0.31326168751822286, abs=1e-6)
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
-            T.cross_entropy(Tensor(np.zeros(3)), 3)
+            T.cross_entropy_rows(Tensor(np.zeros(3)), 3)
+        with pytest.raises(IndexError):
+            T.cross_entropy_rows(Tensor(np.zeros((1, 3))), [-2])
 
     def test_row_sum_matches_per_row_calls(self):
         rng = np.random.default_rng(9)
         logits = rng.normal(size=(5, 4))
         targets = rng.integers(0, 4, size=5)
         total = T.cross_entropy_rows(Tensor(logits), targets).item()
-        expected = sum(T.cross_entropy(Tensor(logits[i]), targets[i]).item() for i in range(5))
+        expected = sum(T.cross_entropy_rows(Tensor(logits[i]), targets[i]).item() for i in range(5))
         assert total == pytest.approx(expected, rel=1e-6)
+
+    def test_pad_rows_ignored_and_divisor(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(2, 3, 4))
+        targets = np.array([[1, 2, -1], [0, -1, -1]])
+        got = T.cross_entropy_rows(Tensor(logits), targets, n=2).item()
+        want = sum(T.cross_entropy_rows(Tensor(logits[b, i]), targets[b, i]).item()
+                   for b, i in [(0, 0), (0, 1), (1, 0)]) / 2
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestBinaryCrossEntropy:
@@ -186,6 +232,13 @@ class TestBinaryCrossEntropy:
     def test_zero_count_raises(self):
         with pytest.raises(ValueError, match="count"):
             T.binary_cross_entropy(Tensor(np.zeros(2)), np.zeros(2), n=0)
+
+    def test_mask_drops_pad_cells(self):
+        x = np.array([[0.5, -1.0], [30.0, 7.0]])
+        y = np.array([[1.0, 0.0], [0.0, 0.0]])
+        masked = T.binary_cross_entropy(Tensor(x), y, n=2, mask=np.array([[1.0], [0.0]]))
+        unmasked_rows = T.binary_cross_entropy(Tensor(x[:1]), y[:1], n=2)
+        assert masked.item() == pytest.approx(unmasked_rows.item())
 
     def test_stable_at_extreme_logits(self):
         loss = T.binary_cross_entropy(Tensor(np.array([500.0, -500.0])), np.array([0.0, 1.0]), n=2)
@@ -223,23 +276,37 @@ class TestBackward:
 
 
 def _random_composed_loss(params: ParamSet, seed: int):
-    """A small randomized graph exercising every primitive the network uses."""
+    """A small randomized graph exercising every primitive the network uses:
+    a padded batch of two sequences (lengths 4 and 2) through embeddings,
+    an affine layer, a reshape into two heads, batched matmul and transposes, a key-padding
+    softmax, stacked per-head weights, and both losses with pad targets."""
     rng = np.random.default_rng(seed)
-    w1, w2, gain, bias, emb = (params[k] for k in ("w1", "w2", "gain", "bias", "emb"))
-    ids = rng.integers(0, emb.shape[0], size=4)
-    mask = np.ones(4)
-    targets = rng.integers(0, 2, size=(4, w2.shape[1])).astype(np.float64)
+    w1, b1, w2, gain, bias, emb = (params[k] for k in ("w1", "b1", "w2", "gain", "bias", "emb"))
+    B, L, d = 2, 4, w1.shape[0]
+    ids = rng.integers(0, emb.shape[0], size=(B, L))
+    lengths = np.array([4, 2])
+    keys = np.arange(L) < lengths[:, None]  # (B, L)
+    n_out = w2.shape[1]
+    slot_targets = np.where(keys, rng.integers(0, n_out, size=(B, L)), -1)
+    targets = rng.integers(0, 2, size=(B, L, n_out)).astype(np.float64)
 
     def f():
-        x = T.gather_rows(emb, ids)
-        h = T.layer_norm(T.matmul(x, w1), gain, bias)
-        h = T.relu(h)
-        att = T.softmax_masked(T.matmul(h, T.transpose(h)), mask)
-        mixed = T.matmul(att, h)
-        joined = T.concat_last([mixed, T.tile_rows(h[0], 4)])
-        logits = T.matmul(joined, T.vstack([w2, w2]))
-        ce = T.cross_entropy_rows(logits, np.arange(4) % logits.shape[1])
-        bce = T.binary_cross_entropy(logits, targets, n=logits.size)
+        x = T.gather_rows(emb, ids)  # (B, L, d)
+        h = T.relu(T.layer_norm(T.affine(x, w1, b1), gain, bias))
+        split = T.reshape(h, (B, L, 2, d // 2))
+        heads = T.transpose(split, (0, 2, 1, 3))  # (B, 2, L, d/2)
+        # keys (B, 2, d/2, L) through a permutation that is not its own inverse
+        keys_t = T.transpose(T.matmul(split, w1[: d // 2, : d // 2]), (0, 2, 3, 1))
+        att = T.softmax_masked(T.matmul(heads, keys_t), keys[:, None, None, :], 0.7)
+        mixed = T.matmul(att, heads)  # (B, 2, L, d/2)
+        per_head = T.matmul(mixed, T.stack([w2[: d // 2], w2[d // 2 :]]))  # (B, 2, L, n_out)
+        joined = T.concat([T.reshape(T.transpose(per_head, (0, 2, 1, 3)), (B, L, 2 * n_out)),
+                           T.reshape(h[:, 0, :n_out], (B, 1, n_out))])
+        logits = T.add(T.take(joined, (slice(None), slice(None), slice(0, n_out))),
+                       T.take(joined, (slice(None), slice(None), slice(2 * n_out, None))))
+        ce = T.cross_entropy_rows(logits, slot_targets, n=B)
+        bce = T.binary_cross_entropy(logits, targets, n=int(lengths.sum()) * n_out,
+                                     mask=keys[..., None])
         return T.add(T.scale(ce, 0.25), bce)
 
     return f
@@ -249,9 +316,10 @@ def _random_composed_loss(params: ParamSet, seed: int):
 def test_composed_graphs_match_finite_differences(seed):
     rng = np.random.default_rng(100 + seed)
     params = ParamSet()
-    d = 5
+    d = 6
     params.add("emb", rng.normal(size=(7, d)).astype(np.float64))
     params.add("w1", rng.normal(size=(d, d)).astype(np.float64))
+    params.add("b1", rng.normal(size=d).astype(np.float64))
     params.add("w2", rng.normal(size=(d, 3)).astype(np.float64))
     params.add("gain", np.ones(d, dtype=np.float64))
     params.add("bias", np.zeros(d, dtype=np.float64))

@@ -106,6 +106,27 @@ class TestTrainModel:
 
 
 class TestEvaluate:
+    def test_default_length_comes_from_the_model(self, corpus_setting, monkeypatch):
+        """With 61 positions, a 55-token utterance is scored whole."""
+        import slotlens.train as train_module
+
+        corpus, maps, vocab = corpus_setting
+        model = train_model(corpus, maps, vocab, tiny_run(epochs=0, max_len=60)).model
+        u = corpus[0]
+        long_u = Utterance((u.tokens * 55)[:55], u.intent, ["O"] * 55)
+        seen = []
+        real = train_module.encode_batch
+
+        def spy(*args, **kwargs):
+            batch = real(*args, **kwargs)
+            seen.append(batch)
+            return batch
+
+        monkeypatch.setattr(train_module, "encode_batch", spy)
+        evaluate(model, [long_u], maps, vocab)
+        assert [b.lengths.tolist() for b in seen] == [[55]]
+        assert seen[0].truncated == 0
+
     def test_perfect_agreement_scores_one(self, corpus_setting):
         """Scoring a model's own predictions as gold is exact."""
         corpus, maps, vocab = corpus_setting
