@@ -52,6 +52,7 @@ from .explain import (
     compare_attention_consistency,
     consistency_analysis,
     entropy,
+    extract_attention_bundles,
     extract_attentions,
     render_heatmap,
     topk_entropy_analysis,
@@ -122,6 +123,7 @@ __all__ = [
     "compare_attention_consistency",
     "consistency_analysis",
     "entropy",
+    "extract_attention_bundles",
     "extract_attentions",
     "render_heatmap",
     "topk_entropy_analysis",

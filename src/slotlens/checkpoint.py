@@ -8,9 +8,11 @@ serializes to the same bytes, so determinism can be asserted on files.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -111,6 +113,44 @@ def save_checkpoint(
     return path
 
 
+def _require_keys(table, keys: tuple[str, ...], path, where: str) -> None:
+    if not isinstance(table, dict):
+        raise CheckpointFormatError(f"{path}: {where} is not a JSON object")
+    for key in keys:
+        if key not in table:
+            raise CheckpointFormatError(f"{path}: {where} has no {key!r} key")
+
+
+@functools.cache
+def _config_types() -> dict[str, type]:
+    return get_type_hints(ModelConfig)  # resolving annotations takes ~0.25 ms
+
+
+def _config_from_manifest(raw_config, path) -> ModelConfig:
+    """Build the config, naming the first missing, unknown or mistyped key."""
+    _require_keys(raw_config, (), path, "config")
+    unknown = set(raw_config) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise CheckpointFormatError(f"{path}: unknown config keys {sorted(unknown)}")
+    hints = _config_types()
+    for f in fields(ModelConfig):
+        if f.name not in raw_config:
+            if f.default is MISSING:
+                raise CheckpointFormatError(f"{path}: config has no {f.name!r} key")
+            continue
+        value, want = raw_config[f.name], hints[f.name]
+        # JSON has one number type: a float field may hold an integer
+        ok = isinstance(value, (int, float) if want is float else want)
+        if not ok or (isinstance(value, bool) and want is not bool):
+            raise CheckpointFormatError(
+                f"{path}: config key {f.name!r} is {value!r}, expected {want.__name__}"
+            )
+    try:
+        return ModelConfig(**raw_config)
+    except ValueError as e:
+        raise CheckpointFormatError(f"{path}: invalid config: {e}") from e
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and validate a checkpoint; every tensor round-trips bit-exactly."""
     data = Path(path).read_bytes()
@@ -125,6 +165,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         manifest = json.loads(data[header_end:manifest_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointFormatError(f"{path}: unreadable manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CheckpointFormatError(f"{path}: manifest is not a JSON object")
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
@@ -132,9 +174,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: file format version {version}, this reader expects {FORMAT_VERSION}"
         )
 
+    _require_keys(manifest, ("params", "config", "label_maps", "vocab"), path, "manifest")
     blob = data[manifest_end:]
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest["params"]:
+        _require_keys(entry, ("name", "shape", "dtype", "offset", "nbytes"), path,
+                      "params entry")
         start, nbytes = entry["offset"], entry["nbytes"]
         if start + nbytes > len(blob):
             raise CheckpointCorruptError(
@@ -150,14 +195,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             )
         tensors[entry["name"]] = arr.reshape(shape).astype(dtype.newbyteorder("="))
 
-    config_fields = {f.name for f in fields(ModelConfig)}
-    raw_config = manifest["config"]
-    unknown = set(raw_config) - config_fields
-    if unknown:
-        raise CheckpointFormatError(f"{path}: unknown config keys {sorted(unknown)}")
-    config = ModelConfig(**raw_config)
+    config = _config_from_manifest(manifest["config"], path)
 
     lm = manifest["label_maps"]
+    _require_keys(lm, ("intents", "slot_types", "bio_labels"), path, "label_maps")
     maps = LabelMaps(
         intents=lm["intents"], slot_types=lm["slot_types"], bio_labels=lm["bio_labels"]
     )

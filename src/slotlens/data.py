@@ -179,7 +179,10 @@ def load_corpus(path: str | Path) -> list[Utterance]:
         f = path / name
         if not f.is_file():
             raise CorpusFormatError(f"missing corpus file: {f}")
-        contents[name] = f.read_text(encoding="utf-8").splitlines()
+        try:
+            contents[name] = f.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            raise CorpusFormatError(f"{f}: not UTF-8 text: {e}") from e
     n_tok, n_tag, n_int = (len(contents[k]) for k in (TOKENS_FILE, TAGS_FILE, INTENT_FILE))
     if not n_tok == n_tag == n_int:
         raise CorpusFormatError(

@@ -55,6 +55,53 @@ class AttentionBundle:
         return len(self.tokens)
 
 
+EXTRACT_CHUNK = 32  # utterances per extraction forward pass
+
+
+def extract_attention_bundles(
+    model: JointModel,
+    utterances: list[Utterance],
+    maps: LabelMaps,
+    vocab: Vocab,
+    include_outside: bool = False,
+) -> list[AttentionBundle]:
+    """Collect every slot type's attention map for each utterance, one
+    inference pass per chunk of ``EXTRACT_CHUNK`` utterances.
+
+    Each utterance is truncated to the model's maximum length, and its
+    bundle covers the kept tokens. Positive types come from the gold tags;
+    an utterance with no tagged slot falls back to the tags the same pass
+    predicts for it (argmax, ties to the lower index). "O" joins the
+    negative set only when ``include_outside`` is set.
+    """
+    analyzed = set(maps.slot_types)
+    if not include_outside:
+        analyzed.discard(OUTSIDE)
+    bundles = []
+    for start in range(0, len(utterances), EXTRACT_CHUNK):
+        chunk = utterances[start : start + EXTRACT_CHUNK]
+        batch = encode_batch(chunk, maps, vocab, model.config.max_positions - 1)
+        out = model.forward(batch)
+        if out.attentions is None:
+            raise ValueError("model was built without the slot-type attention network")
+        for b, utterance in enumerate(chunk):
+            n = int(batch.lengths[b])
+            block = out.attentions[b, :, :n, :n].copy()  # (T, n, n)
+            tags = utterance.bio_tags[:n]
+            if all(t == OUTSIDE for t in tags):
+                tags = [maps.bio_labels[j] for j in out.slot_logits[b, :n].argmax(axis=1)]
+            positive = {t[2:] for t in tags if t != OUTSIDE} & analyzed
+            bundles.append(
+                AttentionBundle(
+                    tokens=list(utterance.tokens[:n]),
+                    matrices=dict(zip(maps.slot_types, block)),
+                    positive_types=frozenset(positive),
+                    negative_types=frozenset(analyzed - positive),
+                )
+            )
+    return bundles
+
+
 def extract_attentions(
     model: JointModel,
     utterance: Utterance,
@@ -62,37 +109,9 @@ def extract_attentions(
     vocab: Vocab,
     include_outside: bool = False,
 ) -> AttentionBundle:
-    """Run one inference pass and collect every slot type's attention map.
-
-    The utterance is truncated to the model's maximum length, and the
-    bundle covers the kept tokens. Positive types come from the gold tags;
-    an utterance with no tagged slot falls back to the tags the same pass
-    predicts (argmax, ties to the lower index). "O" joins the negative set
-    only when ``include_outside`` is set.
-    """
-    batch = encode_batch([utterance], maps, vocab, model.config.max_positions - 1)
-    out = model.forward(batch)
-    if out.attentions is None:
-        raise ValueError("model was built without the slot-type attention network")
-    n = int(batch.lengths[0])
-    matrices = {
-        kind: out.attentions[0, i, :n, :n].copy()
-        for i, kind in enumerate(maps.slot_types)
-    }
-    tags = utterance.bio_tags[:n]
-    if all(t == OUTSIDE for t in tags):
-        tags = [maps.bio_labels[j] for j in out.slot_logits[0, :n].argmax(axis=1)]
-    positive = {t[2:] for t in tags if t != OUTSIDE}
-    analyzed = set(maps.slot_types)
-    if not include_outside:
-        analyzed.discard(OUTSIDE)
-        positive.discard(OUTSIDE)
-    return AttentionBundle(
-        tokens=list(utterance.tokens[:n]),
-        matrices=matrices,
-        positive_types=frozenset(positive),
-        negative_types=frozenset(analyzed - positive),
-    )
+    """One utterance's bundle from one inference pass; see
+    :func:`extract_attention_bundles`."""
+    return extract_attention_bundles(model, [utterance], maps, vocab, include_outside)[0]
 
 
 # entropy ----------------------------------------------------------------------
@@ -113,25 +132,45 @@ def entropy(weights) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _top_fraction(values: np.ndarray, k: float) -> np.ndarray:
-    """Largest max(1, floor(k*n/100)) entries, descending."""
-    flat = np.sort(values.reshape(-1))[::-1]
-    keep = max(1, int(np.floor(k * flat.size / 100.0)))
-    return flat[:keep]
+def _topk_entropies(
+    matrices: np.ndarray, k_list: list[float], granularity: str = "matrix"
+) -> np.ndarray:
+    """Top-k% entropy of each matrix in a ``(M, l, l)`` stack, for every k:
+    returns a ``(len(k_list), M)`` array.
+
+    The top k% of n weights are the largest max(1, floor(k*n/100)). "matrix"
+    flattens each map before taking them (the default reading); "rows"
+    scores each row separately and averages, the alternative aggregation
+    left switchable on purpose. Each weight list is sorted once, and every
+    k reads a prefix of that order.
+    """
+    values = np.asarray(matrices, dtype=np.float64)
+    if granularity == "matrix":
+        values = values.reshape(values.shape[0], 1, -1)
+    elif granularity != "rows":
+        raise ValueError(f"unknown granularity {granularity!r}")
+    if values.size == 0:
+        raise ValueError("entropy of an empty weight list")
+    if (values < 0).any():
+        raise ValueError("attention weights must be non-negative")
+    desc = -np.sort(-values, axis=-1)
+    n = desc.shape[-1]
+    out = np.empty((len(k_list), values.shape[0]))
+    for i, k in enumerate(k_list):
+        top = desc[..., : max(1, int(np.floor(k * n / 100.0)))]
+        total = top.sum(axis=-1, keepdims=True)
+        if (total <= 0).any():
+            raise ValueError("entropy undefined for an all-zero weight list")
+        p = top / total
+        log_p = np.zeros_like(p)
+        np.log2(p, out=log_p, where=p > 0)
+        out[i] = -(p * log_p).sum(axis=-1).mean(axis=-1)
+    return out
 
 
 def type_entropy(matrix: np.ndarray, k: float, granularity: str = "matrix") -> float:
-    """Top-k% entropy of one type's attention.
-
-    "matrix" flattens the full map before taking the top k% (the default
-    reading); "rows" scores each row separately and averages, the
-    alternative aggregation left switchable on purpose.
-    """
-    if granularity == "matrix":
-        return entropy(_top_fraction(matrix, k))
-    if granularity == "rows":
-        return float(np.mean([entropy(_top_fraction(row, k)) for row in matrix]))
-    raise ValueError(f"unknown granularity {granularity!r}")
+    """Top-k% entropy of one type's attention; see :func:`_topk_entropies`."""
+    return float(_topk_entropies(np.asarray(matrix)[None], [k], granularity)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -169,29 +208,34 @@ def entropy_report_from_bundles(
     then across utterances, for each k."""
     if not bundles:
         raise ValueError("no utterances to analyze")
-    rows = []
-    for k in k_list:
-        pos_means, neg_means = [], []
-        for b in bundles:
-            pos = [type_entropy(b.matrices[t], k, granularity) for t in sorted(b.positive_types)]
-            neg = [type_entropy(b.matrices[t], k, granularity) for t in sorted(b.negative_types)]
-            if pos:
-                pos_means.append(float(np.mean(pos)))
-            if neg:
-                neg_means.append(float(np.mean(neg)))
-        if not pos_means:
-            raise ValueError("no positive slot types anywhere in the corpus")
-        if not neg_means:
-            raise ValueError("no negative slot types anywhere in the corpus")
-        rows.append(
-            EntropyRow(
-                k=float(k),
-                pos_entropy=float(np.mean(pos_means)),
-                neg_entropy=float(np.mean(neg_means)),
-                n_pos_utterances=len(pos_means),
-                n_neg_utterances=len(neg_means),
-            )
+    pos_means: list[np.ndarray] = []  # (len(k_list),) per utterance
+    neg_means: list[np.ndarray] = []
+    for b in bundles:
+        pos, neg = sorted(b.positive_types), sorted(b.negative_types)
+        if not pos + neg:
+            continue
+        h = _topk_entropies(np.stack([b.matrices[t] for t in pos + neg]), k_list,
+                           granularity)
+        if pos:
+            pos_means.append(h[:, : len(pos)].mean(axis=1))
+        if neg:
+            neg_means.append(h[:, len(pos) :].mean(axis=1))
+    if not pos_means:
+        raise ValueError("no positive slot types anywhere in the corpus")
+    if not neg_means:
+        raise ValueError("no negative slot types anywhere in the corpus")
+    pos_entropy = np.mean(pos_means, axis=0)
+    neg_entropy = np.mean(neg_means, axis=0)
+    rows = [
+        EntropyRow(
+            k=float(k),
+            pos_entropy=float(pos_entropy[i]),
+            neg_entropy=float(neg_entropy[i]),
+            n_pos_utterances=len(pos_means),
+            n_neg_utterances=len(neg_means),
         )
+        for i, k in enumerate(k_list)
+    ]
     return EntropyReport(rows=rows, n_utterances=len(bundles), granularity=granularity)
 
 
@@ -205,10 +249,7 @@ def topk_entropy_analysis(
     include_outside: bool = False,
 ) -> EntropyReport:
     """Extract attention for every utterance and aggregate top-k% entropy."""
-    bundles = [
-        extract_attentions(model, u, maps, vocab, include_outside=include_outside)
-        for u in corpus
-    ]
+    bundles = extract_attention_bundles(model, corpus, maps, vocab, include_outside)
     return entropy_report_from_bundles(bundles, k_list, granularity)
 
 
@@ -238,13 +279,12 @@ def compare_attention_consistency(
                 f"lengths differ ({a.shape[0]} vs {b.shape[0]}); pass an alignment"
             )
         alignment = [(i, i) for i in range(a.shape[0])]
-    cols_a = [i for i, _ in alignment]
-    cols_b = [j for _, j in alignment]
-    sims = []
-    for i, j in alignment:
-        x, y = a[i, cols_a], b[j, cols_b]
-        denom = np.linalg.norm(x) * np.linalg.norm(y)
-        sims.append(float(x @ y / denom) if denom > 0 else 0.0)
+    pos_a, pos_b = np.asarray(alignment, dtype=np.intp).reshape(-1, 2).T
+    x = a[np.ix_(pos_a, pos_a)]  # aligned rows over aligned columns
+    y = b[np.ix_(pos_b, pos_b)]
+    dots = np.einsum("ij,ij->i", x, y)
+    denom = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     return float(np.clip(np.mean(sims), 0.0, 1.0))
 
 
@@ -282,10 +322,10 @@ def consistency_analysis(
     """Score each (original, modified, category) pair by the mean
     consistency over the original's positive types (all analyzed types
     when it has none)."""
+    originals = extract_attention_bundles(model, [p[0] for p in pairs], maps, vocab)
+    modified = extract_attention_bundles(model, [p[1] for p in pairs], maps, vocab)
     scored = []
-    for pair_id, (orig, mod, category) in enumerate(pairs):
-        ba = extract_attentions(model, orig, maps, vocab)
-        bb = extract_attentions(model, mod, maps, vocab)
+    for pair_id, (ba, bb, (_, _, category)) in enumerate(zip(originals, modified, pairs)):
         types = sorted(ba.positive_types) or sorted(ba.analyzed_types)
         score = float(
             np.mean([compare_attention_consistency(ba, bb, t) for t in types])

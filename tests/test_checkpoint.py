@@ -31,6 +31,19 @@ def setting():
     return corpus, maps, vocab, model
 
 
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to the manifest of the checkpoint at ``path`` in place."""
+    data = path.read_bytes()
+    n = int(np.frombuffer(data[8:12], dtype="<u4")[0])
+    manifest = json.loads(data[12 : 12 + n])
+    edit(manifest)
+    enc = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(
+        MAGIC + np.array(len(enc), dtype="<u4").tobytes() + enc + data[12 + n :]
+    )
+    return path
+
+
 class TestRoundTrip:
     def test_parameters_bit_exact(self, setting, tmp_path):
         corpus, maps, vocab, model = setting
@@ -165,3 +178,52 @@ class TestErrorKinds:
         ckpt.params.pop("slot.w")
         with pytest.raises(CheckpointFormatError, match="slot.w"):
             model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("key", ["params", "config", "label_maps", "vocab"])
+    def test_missing_manifest_key_names_it(self, setting, tmp_path, key):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m.pop(key))
+        with pytest.raises(CheckpointFormatError, match=f"no '{key}' key") as e:
+            load_checkpoint(path)
+        assert str(path) in str(e.value)
+
+    def test_missing_params_entry_key_names_it(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m["params"][0].pop("offset"))
+        with pytest.raises(CheckpointFormatError, match="no 'offset' key"):
+            load_checkpoint(path)
+
+    def test_missing_required_config_key_names_it(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m["config"].pop("vocab_size"))
+        with pytest.raises(CheckpointFormatError, match="no 'vocab_size' key"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("d", "64"), ("d", 64.0), ("n_heads", True), ("dropout_rate", "0.1"),
+        ("no_aux_loss", 1),
+    ])
+    def test_mistyped_config_value_names_key(self, setting, tmp_path, key, value):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m["config"].update({key: value}))
+        with pytest.raises(CheckpointFormatError, match=f"config key '{key}'") as e:
+            load_checkpoint(path)
+        assert str(path) in str(e.value)
+
+    def test_integer_loss_weight_is_accepted(self, setting, tmp_path):
+        """JSON writes 1.0 as 1 in hand-edited files; a float field takes it."""
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m["config"].update({"alpha": 1}))
+        assert load_checkpoint(path).config.alpha == 1
+
+    def test_inconsistent_config_is_a_format_error(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m["config"].update({"n_bio_labels": 4}))
+        with pytest.raises(CheckpointFormatError, match="BIO labels"):
+            load_checkpoint(path)

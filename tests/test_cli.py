@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line surface via main()."""
 
+import json
+
+import numpy as np
 import pytest
 
+from slotlens.checkpoint import MAGIC
 from slotlens.cli import main, parse_config_file
 from slotlens.data import load_corpus, write_corpus, Utterance
 
@@ -105,6 +109,37 @@ class TestEval:
                    "--data", str(corpus_dir / "test")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("checkpoint error:")
+
+    def test_non_utf8_corpus_is_a_data_error(self, trained_dir, capsys, tmp_path):
+        write_corpus([Utterance(["hello"], "greet", ["O"])], tmp_path / "bad")
+        seq_in = tmp_path / "bad" / "seq.in"
+        seq_in.write_bytes(b"\xff\xfe" + seq_in.read_bytes())
+        rc = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                   "--data", str(tmp_path / "bad")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(seq_in) in err
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda m: m.pop("params"), "params"),
+        (lambda m: m["config"].update(d="64"), "d"),
+    ])
+    def test_malformed_manifest_is_a_checkpoint_error(self, corpus_dir, trained_dir,
+                                                      capsys, tmp_path, edit, key):
+        data = (trained_dir / "checkpoint.ckpt").read_bytes()
+        n = int(np.frombuffer(data[8:12], dtype="<u4")[0])
+        manifest = json.loads(data[12 : 12 + n])
+        edit(manifest)
+        enc = json.dumps(manifest).encode()
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(MAGIC + np.array(len(enc), dtype="<u4").tobytes() + enc
+                         + data[12 + n :])
+        rc = main(["eval", "--checkpoint", str(path), "--data", str(corpus_dir / "test")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and err.count("\n") == 1
+        assert f"'{key}'" in err
 
 
 class TestExplain:

@@ -4,6 +4,7 @@ import pytest
 from slotlens import model as model_module
 from slotlens.data import Utterance, Vocab, build_label_maps, encode_batch
 from slotlens.explain import (
+    _topk_entropies,
     AttentionBundle,
     ConsistencyReport,
     PairScore,
@@ -11,6 +12,7 @@ from slotlens.explain import (
     consistency_analysis,
     entropy,
     entropy_report_from_bundles,
+    extract_attention_bundles,
     extract_attentions,
     render_heatmap,
     topk_entropy_analysis,
@@ -34,6 +36,44 @@ def point_mass_matrix(l, col=0):
     m = np.zeros((l, l))
     m[:, col] = 1.0
     return m
+
+
+def _top_fraction(values, k):
+    """Largest max(1, floor(k*n/100)) entries, descending: the loop reference."""
+    flat = np.sort(np.asarray(values).reshape(-1))[::-1]
+    return flat[: max(1, int(np.floor(k * flat.size / 100.0)))]
+
+
+def mixed_utterances(n, seed=0):
+    """``n`` utterances over the small_setting vocabulary, cycling through
+    lengths 2 to 9; every third one is all-O, the rest carry gold slots."""
+    rng = np.random.default_rng(seed)
+    words = ["fly", "to", "boston", "today", "hello", "there", "rain", "in", "denver"]
+    out = []
+    for i in range(n):
+        l = 2 + i % 8
+        tokens = [str(w) for w in rng.choice(words, size=l)]
+        tags = ["O"] * l
+        if i % 3:
+            kind = ("city", "day", "airline", "hotel")[i % 4]
+            start = int(rng.integers(0, l))
+            tags[start] = f"B-{kind}"
+            if start + 1 < l:
+                tags[start + 1] = f"I-{kind}"
+        out.append(Utterance(tokens, "book_flight", tags))
+    return out
+
+
+def count_forwards(monkeypatch):
+    calls = []
+    real_forward = model_module.forward
+
+    def counting_forward(*args, **kwargs):
+        calls.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "forward", counting_forward)
+    return calls
 
 
 def small_setting(**config_kw):
@@ -113,6 +153,35 @@ class TestTypeEntropy:
     def test_unknown_granularity(self):
         with pytest.raises(ValueError, match="granularity"):
             type_entropy(np.ones((2, 2)), 100, "columns")
+
+
+class TestSortedOnceEntropy:
+    @pytest.mark.parametrize("granularity", ["matrix", "rows"])
+    def test_matches_direct_reference(self, granularity):
+        rng = np.random.default_rng(0)
+        ks = [0.5, 5, 10, 33.3, 100]
+        for l in (1, 2, 3, 7, 12):
+            m = rng.random((4, l, l)) ** 3
+            m[0, 0] = 0.0  # exact zeros inside a kept prefix
+            m[0, 0, 0] = 1.0
+            got = _topk_entropies(m, ks, granularity)
+            assert got.shape == (len(ks), 4)
+            for i, k in enumerate(ks):
+                for t in range(4):
+                    if granularity == "matrix":
+                        want = entropy(_top_fraction(m[t], k))
+                    else:
+                        want = np.mean([entropy(_top_fraction(r, k)) for r in m[t]])
+                    assert got[i, t] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    assert type_entropy(m[t], k, granularity) == got[i, t]
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _topk_entropies(-np.ones((1, 2, 2)), [100])
+        with pytest.raises(ValueError, match="all-zero"):
+            _topk_entropies(np.zeros((1, 2, 2)), [50], "rows")
+        with pytest.raises(ValueError, match="granularity"):
+            _topk_entropies(np.ones((1, 2, 2)), [100], "columns")
 
 
 class TestBundle:
@@ -211,6 +280,64 @@ class TestBundle:
         model, corpus, maps, vocab = small_setting(no_aux_network=True)
         with pytest.raises(ValueError, match="without the slot-type attention"):
             extract_attentions(model, corpus[0], maps, vocab)
+
+
+class TestBatchedExtraction:
+    def test_matches_single_utterance_extraction(self):
+        model, _, maps, vocab = small_setting()
+        utterances = mixed_utterances(20)
+        assert {u.length for u in utterances} == set(range(2, 10))
+        for include_outside in (False, True):
+            batched = extract_attention_bundles(model, utterances, maps, vocab,
+                                                include_outside)
+            assert len(batched) == len(utterances)
+            for u, got in zip(utterances, batched):
+                want = extract_attentions(model, u, maps, vocab, include_outside)
+                assert got.tokens == want.tokens
+                assert set(got.matrices) == set(want.matrices)
+                for t in want.matrices:
+                    np.testing.assert_allclose(got.matrices[t], want.matrices[t],
+                                               atol=1e-6)
+                if any(tag != "O" for tag in u.bio_tags):
+                    assert got.positive_types == want.positive_types
+                    assert got.negative_types == want.negative_types
+
+    def test_type_matrices_share_one_copy(self):
+        model, corpus, maps, vocab = small_setting()
+        for b in extract_attention_bundles(model, corpus, maps, vocab):
+            # views of one (T, n, n) block, not of the whole batch's array
+            bases = [m.base for m in b.matrices.values()]
+            assert all(base is bases[0] for base in bases)
+            assert bases[0].shape == (maps.n_slot_types, b.length, b.length)
+
+    def test_empty_list_gives_no_bundles(self):
+        model, _, maps, vocab = small_setting()
+        assert extract_attention_bundles(model, [], maps, vocab) == []
+
+    @pytest.mark.parametrize("n,forwards", [(25, 1), (32, 1), (40, 2)])
+    def test_analysis_runs_one_forward_per_chunk(self, monkeypatch, n, forwards):
+        model, _, maps, vocab = small_setting()
+        calls = count_forwards(monkeypatch)
+        report = topk_entropy_analysis(model, mixed_utterances(n), [5, 100], maps, vocab)
+        assert report.n_utterances == n
+        assert len(calls) == forwards
+
+    def test_consistency_runs_one_forward_per_side(self, monkeypatch):
+        model, _, maps, vocab = small_setting()
+        originals = mixed_utterances(10, seed=1)
+        pairs = [(u, Utterance(["denver"] + u.tokens[1:], u.intent, u.bio_tags), "slot")
+                 for u in originals]
+        calls = count_forwards(monkeypatch)
+        report = consistency_analysis(model, pairs, maps, vocab)
+        assert len(calls) == 2
+        assert len(report.pairs) == 10
+        monkeypatch.undo()
+        for score, (orig, mod, _) in zip(report.pairs, pairs):
+            ba = extract_attentions(model, orig, maps, vocab)
+            bb = extract_attentions(model, mod, maps, vocab)
+            types = sorted(ba.positive_types) or sorted(ba.analyzed_types)
+            want = np.mean([compare_attention_consistency(ba, bb, t) for t in types])
+            assert score.score == pytest.approx(want, abs=1e-6)
 
 
 class TestEntropyReport:
@@ -312,6 +439,48 @@ class TestConsistency:
             compare_attention_consistency(a, b, "city")
         score = compare_attention_consistency(a, b, "city", alignment=[(0, 0), (2, 3)])
         assert 0.0 <= score <= 1.0
+
+    @staticmethod
+    def row_reference(a, b, alignment):
+        """Per-row loop: cosine of aligned rows over aligned columns."""
+        cols_a = [i for i, _ in alignment]
+        cols_b = [j for _, j in alignment]
+        sims = []
+        for i, j in alignment:
+            x, y = a[i, cols_a], b[j, cols_b]
+            denom = np.linalg.norm(x) * np.linalg.norm(y)
+            sims.append(float(x @ y / denom) if denom > 0 else 0.0)
+        return float(np.clip(np.mean(sims), 0.0, 1.0))
+
+    def test_vectorized_matches_row_reference(self):
+        rng = np.random.default_rng(3)
+
+        def bundle(l):
+            m = rng.random((l, l)) ** 4
+            m /= m.sum(-1, keepdims=True)
+            return AttentionBundle(["w"] * l, {"city": m}, frozenset({"city"}),
+                                   frozenset())
+
+        for l in (1, 3, 6):
+            a, b = bundle(l), bundle(l)
+            want = self.row_reference(a.matrices["city"], b.matrices["city"],
+                                      [(i, i) for i in range(l)])
+            assert compare_attention_consistency(a, b, "city") == pytest.approx(
+                want, abs=1e-12)
+        a, b = bundle(5), bundle(7)
+        alignment = [(4, 0), (0, 6), (2, 2), (1, 5)]  # non-monotone
+        want = self.row_reference(a.matrices["city"], b.matrices["city"], alignment)
+        assert compare_attention_consistency(a, b, "city", alignment) == pytest.approx(
+            want, abs=1e-12)
+
+    def test_zero_aligned_row_scores_zero(self):
+        # row 0 puts all its weight on an unaligned column: its aligned
+        # sub-row is all zero, so it scores 0.0 and halves the mean
+        m = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        a = AttentionBundle(["w"] * 3, {"city": m}, frozenset({"city"}), frozenset())
+        score = compare_attention_consistency(a, a, "city", [(0, 0), (1, 1)])
+        assert score == pytest.approx(0.5)
+        assert score == pytest.approx(self.row_reference(m, m, [(0, 0), (1, 1)]))
 
     def test_pair_analysis_over_synthetic_modifications(self):
         g = default_grammar()
