@@ -3,12 +3,13 @@ contributes, (b) how stable the attention maps are under small controlled
 edits to an utterance (slot value swap, carrier-word synonym, or both).
 """
 
+from dataclasses import replace
+
 from slotlens import (
     ABLATION_FLAGS,
     RunConfig,
     Vocab,
     build_label_maps,
-    config_from_flags,
     consistency_analysis,
     default_grammar,
     evaluate,
@@ -32,7 +33,7 @@ full_n = JointModel(full_config).n_params()
 print(f"{'mode':34s} {'params':>8s}  {'delta':>7s}")
 print(f"{'full':34s} {full_n:8d}  {0:7d}")
 for flag in ABLATION_FLAGS:
-    n = JointModel(config_from_flags(full_config, **{flag: True})).n_params()
+    n = JointModel(replace(full_config, **{flag: True})).n_params()
     print(f"{flag:34s} {n:8d}  {n - full_n:7d}")
 
 # quick trained comparison of the structural ablations

@@ -42,7 +42,6 @@ from .model import (
     ForwardOutput,
     JointModel,
     ModelConfig,
-    config_from_flags,
     type_generator_param_count,
 )
 from .explain import (
@@ -115,7 +114,6 @@ __all__ = [
     "ForwardOutput",
     "JointModel",
     "ModelConfig",
-    "config_from_flags",
     "type_generator_param_count",
     "AttentionBundle",
     "ConsistencyReport",

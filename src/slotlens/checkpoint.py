@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -121,6 +122,23 @@ def _require_keys(table, keys: tuple[str, ...], path, where: str) -> None:
             raise CheckpointFormatError(f"{path}: {where} has no {key!r} key")
 
 
+_LABEL_KEYS = ("intents", "slot_types", "bio_labels")
+_DTYPES = ("float16", "float32", "float64")
+
+
+def _check(ok: bool, path, where: str, value, expected: str) -> None:
+    if not ok:
+        raise CheckpointFormatError(f"{path}: {where} is {value!r:.80}, expected {expected}")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @functools.cache
 def _config_types() -> dict[str, type]:
     return get_type_hints(ModelConfig)  # resolving annotations takes ~0.25 ms
@@ -141,14 +159,40 @@ def _config_from_manifest(raw_config, path) -> ModelConfig:
         value, want = raw_config[f.name], hints[f.name]
         # JSON has one number type: a float field may hold an integer
         ok = isinstance(value, (int, float) if want is float else want)
-        if not ok or (isinstance(value, bool) and want is not bool):
-            raise CheckpointFormatError(
-                f"{path}: config key {f.name!r} is {value!r}, expected {want.__name__}"
-            )
+        _check(ok and (want is bool or not isinstance(value, bool)), path,
+               f"config key {f.name!r}", value, want.__name__)
     try:
         return ModelConfig(**raw_config)
     except ValueError as e:
         raise CheckpointFormatError(f"{path}: invalid config: {e}") from e
+
+
+def _check_manifest(manifest, path) -> None:
+    """Check the type of every manifest field the loader reads, naming the
+    first bad key, before any tensor is built."""
+    _require_keys(manifest, ("params", "config", "label_maps", "vocab"), path, "manifest")
+    _check(isinstance(manifest["params"], list), path, "manifest key 'params'",
+           manifest["params"], "a list")
+    for entry in manifest["params"]:
+        _require_keys(entry, ("name", "shape", "dtype", "offset", "nbytes"), path,
+                      "params entry")
+        name = entry["name"]
+        _check(isinstance(name, str), path, "params entry key 'name'", name, "a string")
+        where = f"params entry {name!r} key"
+        _check(entry["dtype"] in _DTYPES, path, f"{where} 'dtype'", entry["dtype"],
+               "one of " + ", ".join(_DTYPES))
+        _check(isinstance(entry["shape"], list) and all(map(_is_count, entry["shape"])),
+               path, f"{where} 'shape'", entry["shape"], "a list of non-negative integers")
+        for key in ("offset", "nbytes"):
+            _check(_is_count(entry[key]), path, f"{where} {key!r}", entry[key],
+                   "a non-negative integer")
+    lm = manifest["label_maps"]
+    _require_keys(lm, _LABEL_KEYS, path, "label_maps")
+    for key in _LABEL_KEYS:
+        _check(_is_str_list(lm[key]), path, f"label_maps key {key!r}", lm[key],
+               "a list of strings")
+    _check(_is_str_list(manifest["vocab"]), path, "manifest key 'vocab'",
+           manifest["vocab"], "a list of strings")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -174,35 +218,33 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: file format version {version}, this reader expects {FORMAT_VERSION}"
         )
 
-    _require_keys(manifest, ("params", "config", "label_maps", "vocab"), path, "manifest")
+    _check_manifest(manifest, path)
     blob = data[manifest_end:]
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest["params"]:
-        _require_keys(entry, ("name", "shape", "dtype", "offset", "nbytes"), path,
-                      "params entry")
         start, nbytes = entry["offset"], entry["nbytes"]
         if start + nbytes > len(blob):
             raise CheckpointCorruptError(
                 f"{path}: tensor {entry['name']!r} extends past end of file"
             )
         dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-        arr = np.frombuffer(blob[start : start + nbytes], dtype=dtype)
         shape = tuple(entry["shape"])
-        if arr.size != int(np.prod(shape, dtype=np.int64)):
+        want = math.prod(shape) * dtype.itemsize
+        if nbytes != want:
             raise CheckpointFormatError(
-                f"{path}: tensor {entry['name']!r} has {arr.size} values "
-                f"but shape {shape}"
+                f"{path}: tensor {entry['name']!r} has {nbytes} bytes "
+                f"but shape {shape} of {entry['dtype']} takes {want}"
             )
+        arr = np.frombuffer(blob[start : start + nbytes], dtype=dtype)
         tensors[entry["name"]] = arr.reshape(shape).astype(dtype.newbyteorder("="))
 
     config = _config_from_manifest(manifest["config"], path)
 
-    lm = manifest["label_maps"]
-    _require_keys(lm, ("intents", "slot_types", "bio_labels"), path, "label_maps")
-    maps = LabelMaps(
-        intents=lm["intents"], slot_types=lm["slot_types"], bio_labels=lm["bio_labels"]
-    )
-    vocab = Vocab(manifest["vocab"][2:])  # constructor re-adds pad/unk
+    try:
+        maps = LabelMaps(**{key: manifest["label_maps"][key] for key in _LABEL_KEYS})
+        vocab = Vocab(manifest["vocab"][2:])  # constructor re-adds pad/unk
+    except ValueError as e:
+        raise CheckpointFormatError(f"{path}: invalid label maps or vocab: {e}") from e
 
     optimizer = None
     if manifest.get("optimizer"):

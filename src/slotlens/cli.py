@@ -12,6 +12,7 @@ import argparse
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -54,8 +55,6 @@ from .train import (
 DEFAULT_K_LIST = [5.0, 10.0, 100.0]
 DEFAULT_ABLATION_MODES = ["full", *ABLATION_FLAGS[:3], ABLATION_FLAGS[4]]
 
-_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-
 ERROR_CATEGORIES: list[tuple[type[Exception], str]] = [
     (CorpusFormatError, "data error"),
     (BioValidationError, "data error"),
@@ -70,34 +69,26 @@ ERROR_CATEGORIES: list[tuple[type[Exception], str]] = [
 ]
 
 
-def _add_model_size_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, default=_RUN_DEFAULTS["d"])
-    p.add_argument("--d-h", type=int, default=_RUN_DEFAULTS["d_h"])
-    p.add_argument("--n-layers", type=int, default=_RUN_DEFAULTS["n_layers"])
-    p.add_argument("--n-heads", type=int, default=_RUN_DEFAULTS["n_heads"])
-    p.add_argument("--ffn-dim", type=int, default=_RUN_DEFAULTS["ffn_dim"])
+# RunConfig fields whose flag is not the field name: flag, extra add_argument keywords
+_RENAMED_FLAGS = {
+    "train_path": ("train", {"required": True, "help": "training corpus directory"}),
+    "dev_path": ("dev", {"help": "dev corpus directory (reporting only)"}),
+    "test_path": ("test", {"help": "held-out corpus directory"}),
+    "output_dir": ("out", {"help": "output directory"}),
+}
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train", required=True, help="training corpus directory")
-    p.add_argument("--dev", default="", help="dev corpus directory (reporting only)")
-    p.add_argument("--test", default="", help="held-out corpus directory")
-    p.add_argument("--out", default=_RUN_DEFAULTS["output_dir"], help="output directory")
-    p.add_argument("--seed", type=int, default=_RUN_DEFAULTS["seed"])
-    p.add_argument("--epochs", type=int, default=_RUN_DEFAULTS["epochs"])
-    p.add_argument("--batch-size", type=int, default=_RUN_DEFAULTS["batch_size"])
-    p.add_argument("--lr", type=float, default=_RUN_DEFAULTS["lr"])
-    p.add_argument("--dropout", type=float, default=_RUN_DEFAULTS["dropout"])
-    _add_model_size_flags(p)
-    p.add_argument("--alpha", type=float, default=_RUN_DEFAULTS["alpha"])
-    p.add_argument("--beta", type=float, default=_RUN_DEFAULTS["beta"])
-    p.add_argument("--gamma", type=float, default=_RUN_DEFAULTS["gamma"])
-    p.add_argument("--max-len", type=int, default=_RUN_DEFAULTS["max_len"])
-
-
-def _add_ablation_flags(p: argparse.ArgumentParser) -> None:
-    for flag in ABLATION_FLAGS:
-        p.add_argument(f"--{flag.replace('_', '-')}", action="store_true")
+def _add_run_flags(p: argparse.ArgumentParser, ablation: bool) -> None:
+    """One flag per ``RunConfig`` field, in field order; bool fields become
+    switches, and only when ``ablation`` is set."""
+    types = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        dest, extra = _RENAMED_FLAGS.get(f.name, (f.name, {}))
+        flag = "--" + dest.replace("_", "-")
+        if types[f.name] is not bool:
+            p.add_argument(flag, type=types[f.name], default=f.default, **extra)
+        elif ablation:
+            p.add_argument(flag, action="store_true")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -109,8 +100,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     commands: dict[str, argparse.ArgumentParser] = {}
 
     p = commands["train"] = sub.add_parser("train", help="train a model")
-    _add_train_flags(p)
-    _add_ablation_flags(p)
+    _add_run_flags(p, ablation=True)
     p.add_argument("--save-optimizer", action="store_true",
                    help="persist Adam state in the checkpoint")
     p.add_argument("--config", default="", help="key=value config file")
@@ -145,7 +135,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = commands["ablate"] = sub.add_parser(
         "ablate", help="train one model per ablation mode and tabulate"
     )
-    _add_train_flags(p)
+    _add_run_flags(p, ablation=False)
     p.add_argument("--modes", nargs="+", default=DEFAULT_ABLATION_MODES,
                    help='"full" or ablation flag names')
     p.add_argument("--config", default="")
@@ -212,29 +202,9 @@ def _apply_config_file(subparser: argparse.ArgumentParser, raw: dict[str, str]) 
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    kw = dict(
-        train_path=args.train,
-        dev_path=args.dev,
-        test_path=args.test,
-        output_dir=args.out,
-        seed=args.seed,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        dropout=args.dropout,
-        d=args.d,
-        d_h=args.d_h,
-        n_layers=args.n_layers,
-        n_heads=args.n_heads,
-        ffn_dim=args.ffn_dim,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        max_len=args.max_len,
-    )
-    for flag in ABLATION_FLAGS:
-        kw[flag] = getattr(args, flag, False)
-    return RunConfig(**kw)
+    dests = {f.name: _RENAMED_FLAGS.get(f.name, (f.name,))[0] for f in fields(RunConfig)}
+    return RunConfig(**{name: getattr(args, dest) for name, dest in dests.items()
+                        if hasattr(args, dest)})
 
 
 def _load_training_data(run: RunConfig):

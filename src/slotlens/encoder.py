@@ -45,6 +45,11 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
+        for name in ("d", "n_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.d % self.n_heads != 0:
             raise ValueError(
                 f"model dimension {self.d} not divisible by {self.n_heads} heads"

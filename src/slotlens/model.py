@@ -33,15 +33,6 @@ from .tensor import (
     transpose,
 )
 
-ABLATION_FLAGS = (
-    "no_aux_network",
-    "no_cross_attention",
-    "no_intent_concat",
-    "no_aux_loss",
-    "frozen_uniform_type_attention",
-)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Network sizes, loss weights, and ablation switches."""
@@ -67,6 +58,7 @@ class ModelConfig:
     frozen_uniform_type_attention: bool = False
 
     def __post_init__(self):
+        self.encoder_config  # runs the encoder's size checks
         if self.d_h < 1:
             raise ValueError("d_h must be at least 1")
         if min(self.alpha, self.beta, self.gamma) < 0:
@@ -79,15 +71,8 @@ class ModelConfig:
 
     @property
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=self.vocab_size,
-            d=self.d,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            ffn_dim=self.ffn_dim,
-            max_positions=self.max_positions,
-            dropout_rate=self.dropout_rate,
-        )
+        """The encoder's fields, which ``ModelConfig`` declares under the same names."""
+        return EncoderConfig(**{f.name: getattr(self, f.name) for f in fields(EncoderConfig)})
 
     @property
     def has_aux_network(self) -> bool:
@@ -99,6 +84,10 @@ class ModelConfig:
         if self.no_aux_network or self.no_aux_loss:
             return 0.0
         return self.beta
+
+
+# the switches are the config's bool fields, in declaration order
+ABLATION_FLAGS = tuple(f.name for f in fields(ModelConfig) if isinstance(f.default, bool))
 
 
 @dataclass
@@ -344,13 +333,3 @@ class JointModel:
 
     def n_params(self, prefix: str = "") -> int:
         return self.params.size(prefix)
-
-
-def config_from_flags(base: ModelConfig, **flags: bool) -> ModelConfig:
-    """Copy a config with some ablation flags switched on."""
-    unknown = set(flags) - set(ABLATION_FLAGS)
-    if unknown:
-        raise ValueError(f"unknown ablation flags: {sorted(unknown)}")
-    values = {f.name: getattr(base, f.name) for f in fields(base)}
-    values.update(flags)
-    return ModelConfig(**values)

@@ -50,27 +50,27 @@ class RunConfig:
     no_aux_loss: bool = False
     frozen_uniform_type_attention: bool = False
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+
     def model_config(self, vocab_size: int, maps: LabelMaps) -> ModelConfig:
+        """The model half of the run: every field shared with ``ModelConfig``
+        by name, plus the sizes the data fixes."""
+        own = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name in own}
         return ModelConfig(
             vocab_size=vocab_size,
             n_intents=maps.n_intents,
             n_slot_types=maps.n_slot_types,
             n_bio_labels=maps.n_bio_labels,
-            d=self.d,
-            d_h=self.d_h,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            ffn_dim=self.ffn_dim,
             max_positions=self.max_len + 1,
             dropout_rate=self.dropout,
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            no_aux_network=self.no_aux_network,
-            no_cross_attention=self.no_cross_attention,
-            no_intent_concat=self.no_intent_concat,
-            no_aux_loss=self.no_aux_loss,
-            frozen_uniform_type_attention=self.frozen_uniform_type_attention,
+            **shared,
         )
 
 

@@ -221,6 +221,34 @@ class TestErrorKinds:
                                 lambda m: m["config"].update({"alpha": 1}))
         assert load_checkpoint(path).config.alpha == 1
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_heads", 3, "divisible"), ("max_positions", 1, "max_positions"),
+        ("dropout_rate", 1.5, "dropout_rate"), ("d", 0, "d must be"),
+    ])
+    def test_invalid_config_value_is_a_format_error(self, setting, tmp_path, key,
+                                                    value, message):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m["config"].update({key: value}))
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,where", [
+        (lambda m: m["params"][0].update(offset="0"), "key 'offset'"),
+        (lambda m: m["label_maps"].update(intents=5), "label_maps key 'intents'"),
+        (lambda m: m.update(vocab=7), "manifest key 'vocab'"),
+        (lambda m: m["params"][1].update(offset=-8), "key 'offset' is -8"),
+        (lambda m: m["params"][0].update(dtype="object"), "key 'dtype' is 'object'"),
+    ], ids=["string-offset", "number-intents", "number-vocab", "negative-offset",
+            "object-dtype"])
+    def test_mistyped_manifest_field_names_key(self, setting, tmp_path, edit, where):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                edit)
+        with pytest.raises(CheckpointFormatError, match=where) as e:
+            load_checkpoint(path)
+        assert str(path) in str(e.value)
+
     def test_inconsistent_config_is_a_format_error(self, setting, tmp_path):
         corpus, maps, vocab, model = setting
         path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),

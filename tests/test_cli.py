@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line surface via main()."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from slotlens import cli
 from slotlens.checkpoint import MAGIC
 from slotlens.cli import main, parse_config_file
 from slotlens.data import load_corpus, write_corpus, Utterance
+from slotlens.train import RunConfig
 
 
 TINY = [
@@ -79,6 +82,97 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             main(["train"])
         assert exc.value.code != 0
+
+
+class TestRunFlags:
+    """The train and ablate flags are the RunConfig fields, one each."""
+
+    FLAGS = {
+        "train_path": "--train", "dev_path": "--dev", "test_path": "--test",
+        "output_dir": "--out", "seed": "--seed", "epochs": "--epochs",
+        "batch_size": "--batch-size", "lr": "--lr", "dropout": "--dropout",
+        "d": "--d", "d_h": "--d-h", "n_layers": "--n-layers", "n_heads": "--n-heads",
+        "ffn_dim": "--ffn-dim", "alpha": "--alpha", "beta": "--beta",
+        "gamma": "--gamma", "max_len": "--max-len",
+        "no_aux_network": "--no-aux-network",
+        "no_cross_attention": "--no-cross-attention",
+        "no_intent_concat": "--no-intent-concat", "no_aux_loss": "--no-aux-loss",
+        "frozen_uniform_type_attention": "--frozen-uniform-type-attention",
+    }
+    NON_DEFAULT = RunConfig(
+        train_path="tr", dev_path="dv", test_path="te", output_dir="o", seed=5,
+        epochs=3, batch_size=7, lr=0.25, dropout=0.5, d=12, d_h=5, n_layers=3,
+        n_heads=3, ffn_dim=9, alpha=0.5, beta=2.0, gamma=3.0, max_len=9,
+        no_aux_network=True, no_cross_attention=True, no_intent_concat=True,
+        no_aux_loss=True, frozen_uniform_type_attention=True,
+    )
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Run main() with the train command replaced by one that records
+        the RunConfig it would train."""
+        runs = []
+        monkeypatch.setitem(cli.COMMANDS, "train",
+                            lambda args: runs.append(cli._run_config_from_args(args)) or 0)
+        return runs
+
+    def test_every_field_has_a_flag_and_a_non_default_value(self):
+        assert list(self.FLAGS) == [f.name for f in fields(RunConfig)]
+        for f in fields(RunConfig):
+            assert getattr(self.NON_DEFAULT, f.name) != f.default, f.name
+
+    def test_required_flag_alone_gives_the_defaults(self, parsed):
+        assert main(["train", "--train", "X"]) == 0
+        assert parsed == [RunConfig(train_path="X")]
+
+    def test_every_field_round_trips_through_its_flag(self, parsed):
+        argv = ["train"]
+        for name, flag in self.FLAGS.items():
+            value = getattr(self.NON_DEFAULT, name)
+            argv += [flag] if value is True else [flag, str(value)]
+        assert main(argv) == 0
+        assert parsed == [self.NON_DEFAULT]
+
+    @pytest.mark.parametrize("batch_key", ["batch-size", "batch_size"])
+    def test_every_field_round_trips_through_its_config_key(self, parsed, tmp_path,
+                                                           batch_key):
+        # --train is required, so train_path can only come from the flag
+        lines = []
+        for name, flag in self.FLAGS.items():
+            if name != "train_path":
+                key = batch_key if name == "batch_size" else flag[2:]
+                lines.append(f"{key}={getattr(self.NON_DEFAULT, name)}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--train", "tr", "--config", str(cfg)]) == 0
+        assert parsed == [self.NON_DEFAULT]
+
+    def test_ablate_has_no_ablation_flags(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--train", "X", "--no-aux-loss"])
+        assert exc.value.code != 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no-aux-loss=true\n")
+        capsys.readouterr()
+        assert main(["ablate", "--train", "X", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "no-aux-loss" in err
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--n-heads", "0", "n_heads"), ("--d", "0", "d"), ("--ffn-dim", "0", "ffn_dim"),
+        ("--dropout", "1.0", "dropout_rate"), ("--batch-size", "0", "batch_size"),
+        ("--batch-size", "-1", "batch_size"), ("--epochs", "-2", "epochs"),
+        ("--lr", "-1", "lr"),
+    ])
+    def test_bad_value_is_one_usage_error_line(self, corpus_dir, capsys, tmp_path,
+                                               flag, value, field):
+        rc = main(["train", "--train", str(corpus_dir / "train"),
+                   "--out", str(tmp_path / "r"), *TINY, flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert field in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestEval:

@@ -9,7 +9,6 @@ from slotlens.model import (
     ABLATION_FLAGS,
     JointModel,
     ModelConfig,
-    config_from_flags,
     forward,
     fusion_cross_attention,
     intent_fusion,
@@ -82,16 +81,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="inconsistent"):
             ModelConfig(vocab_size=5, n_intents=2, n_slot_types=3, n_bio_labels=4)
 
-    def test_unknown_flag_rejected(self):
-        model, _, _, _ = make_model()
-        with pytest.raises(ValueError, match="unknown ablation"):
-            config_from_flags(model.config, no_everything=True)
+    def test_ablation_flags_are_the_bool_fields_in_order(self):
+        assert ABLATION_FLAGS == ("no_aux_network", "no_cross_attention",
+                                  "no_intent_concat", "no_aux_loss",
+                                  "frozen_uniform_type_attention")
 
-    def test_flag_copy(self):
-        model, _, _, _ = make_model()
-        c = config_from_flags(model.config, no_aux_loss=True)
-        assert c.no_aux_loss and not model.config.no_aux_loss
-        assert c.d == model.config.d
+    @pytest.mark.parametrize("kw,name", [
+        (dict(d=0), "d must be"), (dict(n_heads=0), "n_heads"), (dict(ffn_dim=0), "ffn_dim"),
+        (dict(dropout_rate=-0.1), "dropout_rate"), (dict(dropout_rate=1.0), "dropout_rate"),
+        (dict(dropout_rate=1.5), "dropout_rate"), (dict(d=8, n_heads=3), "divisible"),
+        (dict(max_positions=1), "max_positions"),
+    ], ids=["d0", "heads0", "ffn0", "dropout-neg", "dropout1", "dropout1.5",
+            "heads-not-dividing", "positions1"])
+    def test_encoder_sizes_checked_at_construction(self, kw, name):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(vocab_size=5, n_intents=2, n_slot_types=2, n_bio_labels=3, **kw)
 
 
 class TestIntentHead:

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from slotlens.data import Span, Utterance, Vocab, build_label_maps
+from slotlens.model import ModelConfig
 from slotlens.synth import default_grammar, generate_synthetic_corpus
 from slotlens.train import (
     EpochStats,
@@ -48,6 +51,33 @@ class TestRunConfigDefaults:
         assert mc.n_intents == maps.n_intents
         assert mc.max_positions == 51
         assert mc.vocab_size == len(vocab)
+
+    def test_model_config_carries_every_shared_field(self, corpus_setting):
+        _, maps, vocab = corpus_setting
+        run = RunConfig(dropout=0.25, d=12, d_h=5, n_layers=3, n_heads=3, ffn_dim=7,
+                        alpha=0.5, beta=2.0, gamma=3.0, max_len=9, no_aux_network=True,
+                        no_cross_attention=True, no_intent_concat=True,
+                        no_aux_loss=True, frozen_uniform_type_attention=True)
+        mc = run.model_config(len(vocab), maps)
+        from_data = {"vocab_size": len(vocab), "n_intents": maps.n_intents,
+                     "n_slot_types": maps.n_slot_types,
+                     "n_bio_labels": maps.n_bio_labels}
+        renamed = {"max_positions": 10, "dropout_rate": 0.25}
+        for f in fields(ModelConfig):
+            want = from_data.get(f.name, renamed.get(f.name))
+            if want is None:
+                want = getattr(run, f.name)
+                assert want != f.default, f.name
+            assert getattr(mc, f.name) == want, f.name
+
+    @pytest.mark.parametrize("kw", [
+        dict(batch_size=0), dict(batch_size=-1), dict(epochs=-2), dict(lr=0.0),
+        dict(lr=-1.0), dict(lr=float("nan")),
+    ], ids=["batch0", "batch-neg", "epochs-neg", "lr0", "lr-neg", "lr-nan"])
+    def test_rejects_bad_optimizer_settings(self, kw):
+        (name,) = kw
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**kw)
 
 
 class TestTrainModel:
