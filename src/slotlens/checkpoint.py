@@ -12,12 +12,13 @@ import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .data import LabelMaps, Vocab
+from .data import PAD_TOKEN, UNK_TOKEN, LabelMaps, Vocab
 from .model import JointModel, ModelConfig
 
 MAGIC = b"SLOTLENS"
@@ -131,6 +132,14 @@ def _check(ok: bool, path, where: str, value, expected: str) -> None:
         raise CheckpointFormatError(f"{path}: {where} is {value!r:.80}, expected {expected}")
 
 
+def _check_entry(ok: bool, path, entry: dict, key: str, expected: str) -> None:
+    """``_check`` for one key of a ``params`` entry, which names the entry only
+    on failure: a load checks every key of every tensor."""
+    if not ok:
+        _check(False, path, f"params entry {entry['name']!r} key {key!r}", entry[key],
+               expected)
+
+
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
@@ -176,23 +185,47 @@ def _check_manifest(manifest, path) -> None:
     for entry in manifest["params"]:
         _require_keys(entry, ("name", "shape", "dtype", "offset", "nbytes"), path,
                       "params entry")
-        name = entry["name"]
-        _check(isinstance(name, str), path, "params entry key 'name'", name, "a string")
-        where = f"params entry {name!r} key"
-        _check(entry["dtype"] in _DTYPES, path, f"{where} 'dtype'", entry["dtype"],
-               "one of " + ", ".join(_DTYPES))
-        _check(isinstance(entry["shape"], list) and all(map(_is_count, entry["shape"])),
-               path, f"{where} 'shape'", entry["shape"], "a list of non-negative integers")
+        _check(isinstance(entry["name"], str), path, "params entry key 'name'",
+               entry["name"], "a string")
+        _check_entry(entry["dtype"] in _DTYPES, path, entry, "dtype",
+                     "one of " + ", ".join(_DTYPES))
+        _check_entry(isinstance(entry["shape"], list) and all(map(_is_count, entry["shape"])),
+                     path, entry, "shape", "a list of non-negative integers")
         for key in ("offset", "nbytes"):
-            _check(_is_count(entry[key]), path, f"{where} {key!r}", entry[key],
-                   "a non-negative integer")
+            _check_entry(_is_count(entry[key]), path, entry, key, "a non-negative integer")
+    end, last = 0, None
+    for entry in sorted(manifest["params"], key=itemgetter("offset", "nbytes")):
+        if entry["offset"] < end:
+            raise CheckpointFormatError(
+                f"{path}: params entry {entry['name']!r} key 'offset' is {entry['offset']}, "
+                f"inside tensor {last!r}, which ends at {end}"
+            )
+        end, last = entry["offset"] + entry["nbytes"], entry["name"]
     lm = manifest["label_maps"]
     _require_keys(lm, _LABEL_KEYS, path, "label_maps")
     for key in _LABEL_KEYS:
         _check(_is_str_list(lm[key]), path, f"label_maps key {key!r}", lm[key],
                "a list of strings")
-    _check(_is_str_list(manifest["vocab"]), path, "manifest key 'vocab'",
-           manifest["vocab"], "a list of strings")
+    vocab = manifest["vocab"]
+    _check(_is_str_list(vocab), path, "manifest key 'vocab'", vocab, "a list of strings")
+    _check(vocab[:2] == [PAD_TOKEN, UNK_TOKEN], path, "the start of manifest key 'vocab'",
+           vocab[:2], repr([PAD_TOKEN, UNK_TOKEN]))
+    optimizer = manifest.get("optimizer")
+    if optimizer:
+        _require_keys(optimizer, ("step_count", "m", "v"), path, "optimizer")
+        _check(_is_count(optimizer["step_count"]), path, "optimizer key 'step_count'",
+               optimizer["step_count"], "a non-negative integer")
+        stored = {entry["name"] for entry in manifest["params"]}
+        for kind in ("m", "v"):
+            names = optimizer[kind]
+            _check(_is_str_list(names) and len(set(names)) == len(names), path,
+                   f"optimizer key {kind!r}", names, "a list of distinct strings")
+            for name in names:
+                if f"adam.{kind}.{name}" not in stored:
+                    raise CheckpointFormatError(
+                        f"{path}: optimizer key {kind!r} names {name!r}, "
+                        f"which has no stored 'adam.{kind}.' tensor"
+                    )
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -219,7 +252,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
 
     _check_manifest(manifest, path)
-    blob = data[manifest_end:]
+    blob = memoryview(data)[manifest_end:]  # slices below copy nothing
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest["params"]:
         start, nbytes = entry["offset"], entry["nbytes"]

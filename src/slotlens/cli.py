@@ -179,7 +179,8 @@ _FALSY = {"0", "false", "no", "off"}
 
 
 def _apply_config_file(subparser: argparse.ArgumentParser, raw: dict[str, str]) -> None:
-    """Install config-file values as subparser defaults so flags still win."""
+    """Install config-file values as subparser defaults so flags still win.
+    A flag the file supplies is no longer required on the command line."""
     actions = {a.dest: a for a in subparser._actions}
     overrides = {}
     for key, value in raw.items():
@@ -187,6 +188,7 @@ def _apply_config_file(subparser: argparse.ArgumentParser, raw: dict[str, str]) 
         if dest not in actions or dest in ("help", "config"):
             raise ValueError(f"unknown config key {key!r}")
         action = actions[dest]
+        action.required = False
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
             low = value.lower()
             if low not in _TRUTHY | _FALSY:
@@ -279,13 +281,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for t in wanted:
         render_heatmap(bundle, t, out / f"attention_{t}.html")
-    lines = ["type\ti\tj\tweight"]
+    cols = [f"{j}\t%.10g" for j in range(bundle.length)]
+    rows = []
     for t in maps.slot_types:
-        m = bundle.matrices[t]
-        for i in range(bundle.length):
-            for j in range(bundle.length):
-                lines.append(f"{t}\t{i}\t{j}\t{m[i, j]:.10g}")
-    write_report("\n".join(lines) + "\n", out / "bundle.tsv")
+        for i, weights in enumerate(bundle.matrices[t].tolist()):
+            head = f"\n{t}\t{i}\t".replace("%", "%%")
+            rows.append((head + head.join(cols)) % tuple(weights))
+    write_report("type\ti\tj\tweight" + "".join(rows) + "\n", out / "bundle.tsv")
     print(f"wrote {len(wanted)} heatmaps and bundle.tsv to {out}")
     return 0
 

@@ -24,7 +24,8 @@ ROW_SUM_TOLERANCE = 1e-6
 @dataclass
 class AttentionBundle:
     """Per-type attention maps for one utterance, split into positive
-    types (present in the tags) and negative types (the rest)."""
+    types (present in the tags) and negative types (the rest). The bundle
+    keeps its own copy of the matrices."""
 
     tokens: list[str]
     matrices: dict[str, np.ndarray]  # slot type -> (l, l)
@@ -43,8 +44,19 @@ class AttentionBundle:
         for kind, m in self.matrices.items():
             if m.shape != (l, l):
                 raise ValueError(f"{kind} matrix shape {m.shape} for {l} tokens")
-            if np.abs(m.sum(axis=-1) - 1.0).max() > ROW_SUM_TOLERANCE:
+        if not self.matrices:
+            return
+        # the bundle's own (T, l, l) copy, checked for every type at once
+        block = np.stack(list(self.matrices.values()))
+        self.matrices = dict(zip(self.matrices, block))
+        # written so that NaN fails: every comparison with it is False
+        rows_ok = np.abs(block.sum(axis=-1) - 1.0).max(axis=-1) <= ROW_SUM_TOLERANCE
+        signs_ok = block.min(axis=(1, 2)) >= 0
+        for kind, rows, signs in zip(self.matrices, rows_ok, signs_ok):
+            if not rows:
                 raise ValueError(f"{kind} attention rows do not sum to 1")
+            if not signs:
+                raise ValueError(f"{kind} attention has negative weights")
 
     @property
     def analyzed_types(self) -> frozenset[str]:
@@ -86,7 +98,7 @@ def extract_attention_bundles(
             raise ValueError("model was built without the slot-type attention network")
         for b, utterance in enumerate(chunk):
             n = int(batch.lengths[b])
-            block = out.attentions[b, :, :n, :n].copy()  # (T, n, n)
+            block = out.attentions[b, :, :n, :n]  # (T, n, n), copied by the bundle
             tags = utterance.bio_tags[:n]
             if all(t == OUTSIDE for t in tags):
                 tags = [maps.bio_labels[j] for j in out.slot_logits[b, :n].argmax(axis=1)]
@@ -336,6 +348,65 @@ def consistency_analysis(
 
 # heatmap rendering ---------------------------------------------------------------
 
+_CELL = '<td class="swatch" style="opacity:%.6f" title="%.6f"></td>'
+_CELL_BYTES = (_CELL % (0, 0)).encode("ascii")
+_CELL_WIDTH = len(_CELL_BYTES)
+# byte offsets of the cell's two numbers, each 8 characters for x in [0, 10)
+_OPACITY_AT = _CELL_BYTES.index(b"0.000000")
+_TITLE_AT = _CELL_BYTES.index(b"0.000000", _OPACITY_AT + 8)
+# Non-negative doubles order like their bit patterns, and a sign bit, inf or
+# NaN sorts above every finite one: a value is in [0, 9.9999995), where
+# "%.6f" gives 8 characters, exactly when its bits are below this.
+_FIXED_WIDTH_LIMIT = np.float64(9.9999995).view(np.uint64)
+# float64 rounds x * 1e6 (below 1e7) by under 1e-9, so rint matches the exact
+# decimal rounding of "%.6f" unless the product sits this close to a .5 tie
+_TIE_MARGIN = 1e-6
+
+
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables for the 8 bytes of ``"%.6f" % (k / 1e6)``, k < 1e7, as
+    little-endian words: ``high[k // 1000] + low[k % 1000]``."""
+    three = np.frombuffer(b"".join(b"%03d" % k for k in range(1000)), np.uint8)
+    high = np.zeros((10, 1000, 8), np.uint8)
+    high[..., 0] = np.arange(ord("0"), ord("9") + 1)[:, None]
+    high[..., 1] = ord(".")
+    high[..., 2:5] = three.reshape(1000, 3)
+    low = np.zeros((1000, 8), np.uint8)
+    low[:, 5:] = three.reshape(1000, 3)
+    return high.reshape(-1, 8).view("<u8").ravel(), low.view("<u8").ravel()
+
+
+_HIGH_DIGITS, _LOW_DIGITS = _digit_words()
+
+
+def _cell_rows(scaled: np.ndarray, m: np.ndarray) -> list[str]:
+    """The heatmap's table cells, one string per row, with opacity from
+    ``scaled`` and hover title from ``m``, each formatted as ``%.6f``.
+
+    Every value in [0, 9.9999995) away from a rounding tie is written as
+    digits into a copy of the fixed-width cell template; a matrix holding
+    any other value is formatted cell by cell.
+    """
+    n = len(m)
+    v = np.empty((n, n, 2))
+    v[..., 0] = scaled
+    v[..., 1] = m
+    if v.view(np.uint64).max() < _FIXED_WIDTH_LIMIT:
+        f = v * 1e6
+        k = np.rint(f)
+        f -= k
+        if np.abs(f, out=f).max() < 0.5 - _TIE_MARGIN:
+            buf = bytearray(_CELL_BYTES * (n * n))
+            words = np.ndarray((n, n, 2), "<u8", buffer=buf, offset=_OPACITY_AT,
+                               strides=(n * _CELL_WIDTH, _CELL_WIDTH, _TITLE_AT - _OPACITY_AT))
+            high, low = np.divmod(k.astype(np.intp), 1000)
+            np.add(_HIGH_DIGITS[high], _LOW_DIGITS[low], out=words)
+            text = buf.decode("ascii")
+            step = n * _CELL_WIDTH
+            return [text[i : i + step] for i in range(0, n * step, step)]
+    row = _CELL * n
+    return [row % tuple(values) for values in v.reshape(n, 2 * n).tolist()]
+
 
 def render_heatmap(bundle: AttentionBundle, slot_type: str, path: str | Path) -> Path:
     """Write a self-contained HTML heatmap of one type's attention map.
@@ -366,13 +437,8 @@ def render_heatmap(bundle: AttentionBundle, slot_type: str, path: str | Path) ->
         "<table>",
         "<tr><th></th>" + "".join(f"<th>{t}</th>" for t in esc) + "</tr>",
     ]
-    for i, row in enumerate(scaled):
-        cells = "".join(
-            f'<td class="swatch" style="opacity:{row[j]:.6f}" '
-            f'title="{m[i, j]:.6f}"></td>'
-            for j in range(len(esc))
-        )
-        parts.append(f"<tr><th>{esc[i]}</th>{cells}</tr>")
+    for token, cells in zip(esc, _cell_rows(scaled, m)):
+        parts.append(f"<tr><th>{token}</th>{cells}</tr>")
     parts.append("</table></body></html>")
 
     path = Path(path)

@@ -249,6 +249,30 @@ class TestErrorKinds:
             load_checkpoint(path)
         assert str(path) in str(e.value)
 
+    @pytest.mark.parametrize("edit,where", [
+        (lambda m: m["params"][1].update(offset=m["params"][0]["offset"]), "key 'offset'"),
+        (lambda m: m["params"][2].update(offset=m["params"][1]["offset"] + 4),
+         "inside tensor"),
+        (lambda m: m.update(vocab=m["vocab"][2:]), "start of manifest key 'vocab'"),
+        (lambda m: m.update(vocab=m["vocab"][::-1]), "start of manifest key 'vocab'"),
+        (lambda m: m["optimizer"].pop("step_count"), "no 'step_count' key"),
+        (lambda m: m["optimizer"].update(step_count=-1), "key 'step_count' is -1"),
+        (lambda m: m["optimizer"].update(step_count="3"), "key 'step_count'"),
+        (lambda m: m["optimizer"].update(m="slot.w"), "optimizer key 'm'"),
+        (lambda m: m["optimizer"]["v"].append(m["optimizer"]["v"][0]), "optimizer key 'v'"),
+        (lambda m: m["optimizer"]["m"].append("no.such.param"), "'no.such.param'"),
+        (lambda m: m.update(optimizer=[1]), "optimizer is not a JSON object"),
+    ], ids=["same-offset", "inside", "no-reserved-tokens", "reserved-tokens-moved",
+            "no-step-count", "negative-step-count", "string-step-count", "string-m",
+            "repeated-v", "m-without-tensor", "list-optimizer"])
+    def test_inconsistent_manifest_names_key(self, setting, tmp_path, edit, where):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
+                                                include_optimizer=True), edit)
+        with pytest.raises(CheckpointFormatError, match=where) as e:
+            load_checkpoint(path)
+        assert str(path) in str(e.value)
+
     def test_inconsistent_config_is_a_format_error(self, setting, tmp_path):
         corpus, maps, vocab, model = setting
         path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from slotlens import cli
-from slotlens.checkpoint import MAGIC
+from slotlens.checkpoint import MAGIC, load_checkpoint, model_from_checkpoint
 from slotlens.cli import main, parse_config_file
 from slotlens.data import load_corpus, write_corpus, Utterance
+from slotlens.explain import extract_attentions
 from slotlens.train import RunConfig
 
 
@@ -218,6 +219,10 @@ class TestEval:
     @pytest.mark.parametrize("edit,key", [
         (lambda m: m.pop("params"), "params"),
         (lambda m: m["config"].update(d="64"), "d"),
+        (lambda m: m.update(vocab=m["vocab"][2:]), "vocab"),
+        (lambda m: m["params"][1].update(offset=m["params"][0]["offset"]), "offset"),
+        (lambda m: m.update(optimizer={"m": [], "v": []}), "step_count"),
+        (lambda m: m.update(optimizer={"step_count": 1, "m": ["slot.w"], "v": []}), "m"),
     ])
     def test_malformed_manifest_is_a_checkpoint_error(self, corpus_dir, trained_dir,
                                                       capsys, tmp_path, edit, key):
@@ -274,6 +279,28 @@ class TestExplain:
                    "--text", "   ", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+
+    def test_bundle_tsv_matches_per_weight_reference(self, tmp_path):
+        corpus = [Utterance(["up", "10", "pct"], "raise", ["O", "B-p%d", "I-p%d"]),
+                  Utterance(["down", "5"], "lower", ["O", "B-p%d"])]
+        write_corpus(corpus, tmp_path / "c")
+        ckpt_path = tmp_path / "r" / "checkpoint.ckpt"
+        assert main(["train", "--train", str(tmp_path / "c"), "--out", str(tmp_path / "r"),
+                     *TINY]) == 0
+        tokens = ["up", "%s", "10", "pct"]
+        assert main(["explain", "--checkpoint", str(ckpt_path), "--text", " ".join(tokens),
+                     "--out", str(tmp_path / "ex")]) == 0
+        ckpt = load_checkpoint(ckpt_path)
+        maps = ckpt.label_maps
+        bundle = extract_attentions(model_from_checkpoint(ckpt),
+                                    Utterance(tokens, maps.intents[0], ["O"] * 4),
+                                    maps, ckpt.vocab, include_outside=True)
+        lines = ["type\ti\tj\tweight"] + [
+            f"{t}\t{i}\t{j}\t{bundle.matrices[t][i, j]:.10g}"
+            for t in maps.slot_types for i in range(4) for j in range(4)]
+        assert "p%d" in maps.slot_types
+        assert (tmp_path / "ex" / "bundle.tsv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestShortMaxLen:
@@ -382,6 +409,17 @@ class TestConfigFile:
         curve = (out / "train_curve.tsv").read_text().splitlines()
         # flag --epochs 1 beats config epochs=5; sizes come from the file
         assert len(curve) == 1 + 1
+
+    def test_config_file_supplies_required_flag(self, corpus_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={tmp_path / 'r'}\nd=8\nd-h=4\nn-layers=1\nn-heads=2\n"
+                       "ffn-dim=12\nepochs=1\nbatch-size=4\n")
+        with pytest.raises(SystemExit) as e:  # argparse still wants --train
+            main(["train", "--config", str(cfg)])
+        assert e.value.code == 2
+        cfg.write_text(cfg.read_text() + f"train={corpus_dir / 'train'}\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "r" / "checkpoint.ckpt").exists()
 
     def test_boolean_key(self, corpus_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,5 @@
+import html
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,45 @@ def _top_fraction(values, k):
     """Largest max(1, floor(k*n/100)) entries, descending: the loop reference."""
     flat = np.sort(np.asarray(values).reshape(-1))[::-1]
     return flat[: max(1, int(np.floor(k * flat.size / 100.0)))]
+
+
+def _per_cell_heatmap(bundle, slot_type):
+    """The HTML that ``render_heatmap`` writes, formatted one cell at a time
+    with an f-string per number: the byte reference."""
+    m = bundle.matrices[slot_type]
+    peak = float(m.max())
+    scaled = m / peak if peak > 0 else m
+    esc = [html.escape(t) for t in bundle.tokens]
+    parts = [
+        "<!DOCTYPE html>",
+        '<html lang="en"><head><meta charset="utf-8">',
+        f"<title>attention: {html.escape(slot_type)}</title>",
+        "<style>",
+        "body{font:14px monospace;margin:2em}",
+        "table{border-collapse:collapse}",
+        "td{width:2.2em;height:2.2em;border:1px solid #ddd;text-align:center}",
+        "th{padding:2px 8px;font-weight:normal;color:#333}",
+        ".swatch{background-color:rgb(31,119,180)}",
+        "</style></head><body>",
+        f"<h1>slot type: {html.escape(slot_type)}</h1>",
+        f"<p>utterance: {' '.join(esc)}</p>",
+        "<table>",
+        "<tr><th></th>" + "".join(f"<th>{t}</th>" for t in esc) + "</tr>",
+    ]
+    for i, row in enumerate(scaled):
+        cells = "".join(
+            f'<td class="swatch" style="opacity:{row[j]:.6f}" '
+            f'title="{m[i, j]:.6f}"></td>'
+            for j in range(len(esc))
+        )
+        parts.append(f"<tr><th>{esc[i]}</th>{cells}</tr>")
+    parts.append("</table></body></html>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def escaped_tokens(l):
+    """``l`` tokens that need HTML escaping, several of them non-ASCII."""
+    return [("<w>", "a&b", "tök", '"q"', "日本")[i % 5] + str(i) for i in range(l)]
 
 
 def mixed_utterances(n, seed=0):
@@ -205,6 +246,28 @@ class TestBundle:
                 tokens=["a", "b"], matrices={"city": np.ones((2, 2))},
                 positive_types=frozenset({"city"}), negative_types=frozenset(),
             )
+
+    @pytest.mark.parametrize("m,message", [
+        (np.full((2, 2), np.nan), "city attention rows do not sum to 1"),
+        (np.array([[1.5, -0.5], [0.5, 0.5]]), "city attention has negative weights"),
+    ], ids=["nan", "negative"])
+    def test_non_finite_and_negative_weights_rejected(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            AttentionBundle(
+                tokens=["a", "b"], matrices={"day": np.eye(2), "city": m},
+                positive_types=frozenset({"city"}), negative_types=frozenset(),
+            )
+
+    def test_keeps_its_own_copy(self):
+        source = np.full((2, 3, 3), 0.5)
+        source[:, :2, :2] = np.eye(2)
+        b = AttentionBundle(
+            tokens=["a", "b"], matrices=dict(zip(("city", "day"), source[:, :2, :2])),
+            positive_types=frozenset({"city"}), negative_types=frozenset({"day"}),
+        )
+        source[:] = 0.0
+        for m in b.matrices.values():
+            np.testing.assert_array_equal(m, np.eye(2))
 
     def test_extraction_partitions_types(self):
         model, corpus, maps, vocab = small_setting()
@@ -555,6 +618,38 @@ class TestHeatmap:
         text = render_heatmap(b, "city", tmp_path / "h.html").read_text(encoding="utf-8")
         assert 'title="0.750000"' in text
         assert 'title="0.250000"' in text
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["identity", "uniform", "random"])
+    @pytest.mark.parametrize("l", [1, 2, 13, 47, 60])
+    def test_bytes_match_per_cell_reference(self, tmp_path, l, kind, dtype):
+        if kind == "identity":
+            m = np.eye(l)
+        elif kind == "uniform":
+            m = np.full((l, l), 1.0 / l)
+        else:
+            m = np.random.default_rng(l).random((l, l)) ** 4
+            m /= m.sum(axis=1, keepdims=True)
+        b = AttentionBundle(escaped_tokens(l), {"city": m.astype(dtype)},
+                            frozenset({"city"}), frozenset())
+        out = render_heatmap(b, "city", tmp_path / "h.html")
+        assert out.read_bytes() == _per_cell_heatmap(b, "city")
+
+    @pytest.mark.parametrize("rows", [
+        [[1 / 128, 127 / 128], [0.5, 0.5]],  # exact .5 ties at six places
+        [[2.25e-05, 1 - 2.25e-05], [5.05e-05, 1 - 5.05e-05]],  # x * 1e6 rounds onto a tie
+        [[-0.0, 1.0], [0.25, 0.75]],  # sign bit: "-0.000000"
+        [[0.0, 0.0], [0.0, 0.0]],  # peak 0 leaves the matrix unscaled
+        [[np.nan, np.inf], [0.5, 0.5]],
+        [[9.9999995, 12.5], [0.5, 0.5]],  # "%.6f" wider than 8 characters
+    ], ids=["tie", "near-tie", "negative-zero", "all-zero", "non-finite", "wide"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_off_the_fixed_width_grid_match_reference(self, tmp_path, rows, dtype):
+        b = AttentionBundle(escaped_tokens(2), {"city": np.eye(2)},
+                            frozenset({"city"}), frozenset())
+        b.matrices["city"] = np.array(rows, dtype=dtype)  # past the bundle's checks
+        out = render_heatmap(b, "city", tmp_path / "h.html")
+        assert out.read_bytes() == _per_cell_heatmap(b, "city")
 
     def test_missing_type_errors(self, tmp_path):
         b = uniform_bundle()
