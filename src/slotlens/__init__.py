@@ -36,7 +36,7 @@ from .synth import (
     modification_pairs,
     modify_utterance,
 )
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .encoder import encode, init_encoder_params
 from .model import (
     ABLATION_FLAGS,
     ForwardOutput,
@@ -107,7 +107,6 @@ __all__ = [
     "generate_synthetic_corpus",
     "modification_pairs",
     "modify_utterance",
-    "EncoderConfig",
     "encode",
     "init_encoder_params",
     "ABLATION_FLAGS",

@@ -10,7 +10,7 @@ on batch composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,40 +31,15 @@ from .tensor import (
     transpose,
 )
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 EMBED_INIT_SCALE = 0.02
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    vocab_size: int
-    d: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    ffn_dim: int = 128
-    max_positions: int = 51
-    dropout_rate: float = 0.1
-
-    def __post_init__(self):
-        for name in ("d", "n_heads", "ffn_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.d % self.n_heads != 0:
-            raise ValueError(
-                f"model dimension {self.d} not divisible by {self.n_heads} heads"
-            )
-        if self.max_positions < 2:
-            raise ValueError("max_positions must cover at least one token plus CLS")
-
-    @property
-    def head_dim(self) -> int:
-        return self.d // self.n_heads
 
 
 def init_encoder_params(
     params: ParamSet,
-    config: EncoderConfig,
+    config: ModelConfig,
     rng: np.random.Generator,
     dtype=np.float32,
 ) -> None:
@@ -111,7 +86,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> tuple[Tenso
 
 
 def _self_attention(x: Tensor, key_mask: np.ndarray, params: ParamSet, prefix: str,
-                    config: EncoderConfig) -> Tensor:
+                    config: ModelConfig) -> Tensor:
     B, n, d = x.shape
     q, k, v = (
         project_heads(x, params[f"{prefix}.w{p}"], params[f"{prefix}.b{p}"], config.n_heads)
@@ -124,7 +99,7 @@ def _self_attention(x: Tensor, key_mask: np.ndarray, params: ParamSet, prefix: s
 
 def encode(
     batch: Batch,
-    config: EncoderConfig,
+    config: ModelConfig,
     params: ParamSet,
     training: bool = False,
     rng: np.random.Generator | None = None,

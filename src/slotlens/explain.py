@@ -154,8 +154,11 @@ def _topk_entropies(
     flattens each map before taking them (the default reading); "rows"
     scores each row separately and averages, the alternative aggregation
     left switchable on purpose. Each weight list is sorted once, and every
-    k reads a prefix of that order.
+    k reads a prefix of that order. Every k must lie in (0, 100].
     """
+    for k in k_list:
+        if not 0 < k <= 100:
+            raise ValueError(f"top-k percentage must be in (0, 100], got {k:g}")
     values = np.asarray(matrices, dtype=np.float64)
     if granularity == "matrix":
         values = values.reshape(values.shape[0], 1, -1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -12,7 +13,10 @@ from .tensor import Tensor, backward
 
 
 def relative_error(a: float, b: float) -> float:
-    """|a - b| / max(|a|, |b|, 1): relative for large values, absolute below 1."""
+    """|a - b| / max(|a|, |b|, 1): relative for large values, absolute below 1.
+    Infinite when either value is not finite, so such an entry ranks worst."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
@@ -70,7 +74,12 @@ def finite_diff_check(
     ``f`` must rebuild and return the scalar loss on every call, be
     deterministic (no live dropout), and close over the tensors in
     ``params``.  Run the model in float64 for meaningful tolerances.
+    ``h`` must be finite and positive, ``tol`` non-negative.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"perturbation h must be finite and positive, got {h}")
+    if not tol >= 0:
+        raise ValueError(f"tolerance tol must be non-negative, got {tol}")
     params.zero_grads()
     loss = f()
     backward(loss)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Batch
-from .encoder import EncoderConfig, attend, encode, init_encoder_params, project_heads
+from .encoder import attend, encode, init_encoder_params, project_heads
 from .optim import ParamSet, xavier_uniform
 from .tensor import (
     Tensor,
@@ -58,7 +58,17 @@ class ModelConfig:
     frozen_uniform_type_attention: bool = False
 
     def __post_init__(self):
-        self.encoder_config  # runs the encoder's size checks
+        for name in ("d", "n_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.d % self.n_heads != 0:
+            raise ValueError(
+                f"model dimension {self.d} not divisible by {self.n_heads} heads"
+            )
+        if self.max_positions < 2:
+            raise ValueError("max_positions must cover at least one token plus CLS")
         if self.d_h < 1:
             raise ValueError("d_h must be at least 1")
         if min(self.alpha, self.beta, self.gamma) < 0:
@@ -68,11 +78,6 @@ class ModelConfig:
                 f"{self.n_bio_labels} BIO labels inconsistent with "
                 f"{self.n_slot_types} slot types"
             )
-
-    @property
-    def encoder_config(self) -> EncoderConfig:
-        """The encoder's fields, which ``ModelConfig`` declares under the same names."""
-        return EncoderConfig(**{f.name: getattr(self, f.name) for f in fields(EncoderConfig)})
 
     @property
     def has_aux_network(self) -> bool:
@@ -112,7 +117,7 @@ def init_model_params(
     dtype=np.float32,
 ) -> None:
     """Register encoder and head parameters (draw order is fixed)."""
-    init_encoder_params(params, config.encoder_config, rng, dtype=dtype)
+    init_encoder_params(params, config, rng, dtype=dtype)
     d, d_h = config.d, config.d_h
 
     def lin(prefix, fan_in, fan_out):
@@ -264,7 +269,7 @@ def forward(
     batch outputs plus mean-over-batch losses."""
     B = batch.size
     valid = batch.mask[..., None] > 0  # (B, L, 1)
-    u_e, u_c = encode(batch, config.encoder_config, params, training, rng)
+    u_e, u_c = encode(batch, config, params, training, rng)
     g_intent = intent_head(u_c, params)
     loss_intent = cross_entropy_rows(g_intent, batch.intent_targets, B)
 

@@ -352,6 +352,19 @@ class TestAnalyze:
         lines = out_file.read_text().splitlines()
         assert len(lines) == 1 + 2
 
+    @pytest.mark.parametrize("ks,shown", [(["-5", "0", "250"], "-5"), (["10", "250"], "250"),
+                                          (["nan"], "nan")])
+    def test_k_outside_percent_range_is_a_usage_error(self, corpus_dir, trained_dir,
+                                                      capsys, ks, shown):
+        rc = main(["analyze", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                   "--data", str(corpus_dir / "test"), "--k", *ks])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+        assert captured.err.rstrip("\n").endswith(f"got {shown}")
+        assert captured.err.count("\n") == 1
+
 
 class TestAblate:
     def test_two_mode_table(self, corpus_dir, capsys, tmp_path):
@@ -387,6 +400,16 @@ class TestGradcheck:
         assert "result: PASS" in text
         assert "parameter" in text
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [("--h", "0"), ("--h", "-1e-6"), ("--h", "nan"),
+                                            ("--h", "inf"), ("--tol", "-1"), ("--tol", "nan")])
+    def test_bad_h_or_tol_is_a_usage_error(self, capsys, flag, value):
+        assert main(["gradcheck", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+        assert captured.err.count("\n") == 1
+        assert flag[2:] in captured.err
 
 
 class TestConfigFile:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from slotlens.data import Utterance, Vocab, build_label_maps, encode_batch
-from slotlens.encoder import EncoderConfig, encode, init_encoder_params
+from slotlens.encoder import encode, init_encoder_params
 from slotlens.gradcheck import finite_diff_check
+from slotlens.model import ModelConfig
 from slotlens.optim import ParamSet
 from slotlens.tensor import add, backward, scale, sum_all
 
@@ -16,26 +17,14 @@ def make_setting(dtype=np.float32, seed=0, **config_kw):
     ]
     maps = build_label_maps(corpus)
     vocab = Vocab.build(corpus)
-    kw = dict(vocab_size=len(vocab), d=16, n_layers=2, n_heads=2, ffn_dim=24,
-              max_positions=12, dropout_rate=0.1)
+    kw = dict(vocab_size=len(vocab), n_intents=maps.n_intents,
+              n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels,
+              d=16, n_layers=2, n_heads=2, ffn_dim=24, max_positions=12, dropout_rate=0.1)
     kw.update(config_kw)
-    config = EncoderConfig(**kw)
+    config = ModelConfig(**kw)
     params = ParamSet()
     init_encoder_params(params, config, np.random.default_rng(seed), dtype=dtype)
     return corpus, maps, vocab, config, params
-
-
-class TestConfig:
-    def test_head_divisibility_enforced(self):
-        with pytest.raises(ValueError, match="divisible"):
-            EncoderConfig(vocab_size=10, d=10, n_heads=4)
-
-    def test_minimum_positions(self):
-        with pytest.raises(ValueError, match="max_positions"):
-            EncoderConfig(vocab_size=10, d=8, n_heads=2, max_positions=1)
-
-    def test_head_dim(self):
-        assert EncoderConfig(vocab_size=10, d=64, n_heads=4).head_dim == 16
 
 
 class TestEncode:

@@ -224,6 +224,12 @@ class TestSortedOnceEntropy:
         with pytest.raises(ValueError, match="granularity"):
             _topk_entropies(np.ones((1, 2, 2)), [100], "columns")
 
+    @pytest.mark.parametrize("k,shown", [(-5, "-5"), (0, "0"), (250, "250"),
+                                         (100.5, "100.5"), (float("nan"), "nan")])
+    def test_k_outside_percent_range_rejected(self, k, shown):
+        with pytest.raises(ValueError, match=rf"\(0, 100\], got {shown}$"):
+            _topk_entropies(np.ones((1, 2, 2)), [50, k])
+
 
 class TestBundle:
     def test_partition_enforced(self):

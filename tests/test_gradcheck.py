@@ -4,7 +4,7 @@ import numpy as np
 
 from slotlens.gradcheck import finite_diff_check, relative_error
 from slotlens.optim import ParamSet
-from slotlens.tensor import add, mul, scale, sum_all
+from slotlens.tensor import Tensor, add, mul, scale, sum_all
 
 
 def test_quadratic_is_exact_for_central_differences():
@@ -39,6 +39,24 @@ def test_report_flags_wrong_gradients():
     assert not report.passed
 
 
+def test_nan_gradient_fails_the_audit():
+    """NaN compares false with every bound, so it must not slip past as 'no error'."""
+    ps = ParamSet()
+    a = ps.add("a", np.array([1.0, 2.0], dtype=np.float64))
+    b = ps.add("b", np.array([3.0], dtype=np.float64))
+
+    def nan_backward(x):
+        out = Tensor._node(x.data.copy(), (x,), "nan_backward")
+        out._backward = lambda g: (np.full_like(x.data, np.nan),)
+        return out
+
+    report = finite_diff_check(lambda: add(sum_all(nan_backward(a)), sum_all(mul(b, b))), ps)
+    assert report.passed is False
+    assert report.checks[0].max_rel_err == np.inf
+    assert report.checks[1].max_rel_err < 1e-6
+    assert "result: FAIL" in report.format()
+
+
 def test_report_format_lists_every_parameter():
     ps = ParamSet()
     a = ps.add("layer.a", np.array([1.0], dtype=np.float64))
@@ -53,3 +71,4 @@ def test_relative_error_floors_at_unit_scale():
     assert relative_error(0.0, 0.0) == 0.0
     assert relative_error(1e-9, 0.0) == 1e-9  # absolute regime below 1
     assert relative_error(200.0, 100.0) == 0.5
+    assert relative_error(float("nan"), 1.0) == relative_error(1.0, float("inf")) == np.inf

@@ -1,9 +1,10 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from slotlens.data import Span, Utterance, Vocab, build_label_maps
+from slotlens.data import Span, Utterance, Vocab, build_label_maps, encode_batch
 from slotlens.model import ModelConfig
 from slotlens.synth import default_grammar, generate_synthetic_corpus
 from slotlens.train import (
@@ -44,6 +45,16 @@ class TestRunConfigDefaults:
         assert run.batch_size == 32
         assert run.max_len == 50
         assert run.epochs == 20
+
+    def test_default_model_config_is_model_config_default(self, corpus_setting):
+        """RunConfig restates two model defaults under other names (max_len
+        for max_positions, dropout for dropout_rate) and the batch encoder
+        restates max_len; all three must agree."""
+        _, maps, vocab = corpus_setting
+        assert RunConfig().model_config(len(vocab), maps) == ModelConfig(
+            vocab_size=len(vocab), n_intents=maps.n_intents,
+            n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels)
+        assert inspect.signature(encode_batch).parameters["max_len"].default == RunConfig().max_len
 
     def test_model_config_projection(self, corpus_setting):
         _, maps, vocab = corpus_setting
