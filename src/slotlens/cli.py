@@ -9,6 +9,7 @@ Exit status is 0 on success, 1 with a categorized stderr message otherwise.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -91,8 +92,17 @@ def _add_run_flags(p: argparse.ArgumentParser, ablation: bool) -> None:
             p.add_argument(flag, action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes ``-1e-3`` for a negative number, as it does ``-0.001``, so a
+    bad value reaches the range checks instead of failing as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slotlens",
         description="Explainable joint intent detection and slot filling.",
     )

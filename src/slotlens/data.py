@@ -316,6 +316,41 @@ def encode_batch(
     )
 
 
+# A cut that turns one inference pass into two pays when it saves more padded
+# token positions than this. Measured with the default d=64 model on 2 vCPUs
+# (numpy 2.4, one BLAS thread): a pass has about 1 ms of fixed cost (a
+# 1-utterance batch takes 0.8-1.5 ms), and each padded token position costs
+# about 10 us in a 13-token batch and 25 us in a 47-token one; splitting
+# 25-utterance batches broke even near 100 saved positions.
+SPLIT_MIN_SAVED = 100
+
+
+def length_groups(utterances: list[Utterance], max_len: int, size: int) -> list[np.ndarray]:
+    """Indices of ``utterances`` in inference batches that pay little for
+    padding: stably sorted by truncated length, cut into groups of at most
+    ``size``, and each group split once more at the cut that saves the most
+    padded positions when that saves more than ``SPLIT_MIN_SAVED``.
+
+    Each group lists its indices in ascending order, so a call that fits
+    one group runs the very batch it would run unsorted (float32 results
+    depend on a row's place in the batch in the last bits). Callers put
+    the results back at these indices to keep their own order."""
+    lengths = np.array([min(u.length, max_len) for u in utterances], dtype=np.int64)
+    order = np.argsort(lengths, kind="stable")
+    groups = []
+    for start in range(0, len(order), size):
+        idx = order[start : start + size]
+        l = lengths[idx]
+        # cutting before position k pads the k shorter ones to l[k-1], not l[-1]
+        saved = np.arange(1, len(l)) * (l[-1] - l[:-1])
+        if saved.size and saved.max() > SPLIT_MIN_SAVED:
+            k = int(saved.argmax()) + 1
+            groups += [np.sort(idx[:k]), np.sort(idx[k:])]
+        else:
+            groups.append(np.sort(idx))
+    return groups
+
+
 # span extraction and exact-match F1 ------------------------------------------
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabelMaps, OUTSIDE, Utterance, Vocab, encode_batch
+from .data import LabelMaps, OUTSIDE, Utterance, Vocab, encode_batch, length_groups
 from .model import JointModel
 
 ROW_SUM_TOLERANCE = 1e-6
@@ -25,7 +25,7 @@ ROW_SUM_TOLERANCE = 1e-6
 class AttentionBundle:
     """Per-type attention maps for one utterance, split into positive
     types (present in the tags) and negative types (the rest). The bundle
-    keeps its own copy of the matrices."""
+    keeps its own float64 copy of the matrices."""
 
     tokens: list[str]
     matrices: dict[str, np.ndarray]  # slot type -> (l, l)
@@ -47,7 +47,7 @@ class AttentionBundle:
         if not self.matrices:
             return
         # the bundle's own (T, l, l) copy, checked for every type at once
-        block = np.stack(list(self.matrices.values()))
+        block = np.stack(list(self.matrices.values()), dtype=np.float64)
         self.matrices = dict(zip(self.matrices, block))
         # written so that NaN fails: every comparison with it is False
         rows_ok = np.abs(block.sum(axis=-1) - 1.0).max(axis=-1) <= ROW_SUM_TOLERANCE
@@ -67,7 +67,7 @@ class AttentionBundle:
         return len(self.tokens)
 
 
-EXTRACT_CHUNK = 32  # utterances per extraction forward pass
+EXTRACT_CHUNK = 32  # utterances per extraction inference pass, at most
 
 
 def extract_attention_bundles(
@@ -77,8 +77,9 @@ def extract_attention_bundles(
     vocab: Vocab,
     include_outside: bool = False,
 ) -> list[AttentionBundle]:
-    """Collect every slot type's attention map for each utterance, one
-    inference pass per chunk of ``EXTRACT_CHUNK`` utterances.
+    """Collect every slot type's attention map for each utterance, in the
+    caller's order, from one graph-free inference pass per length group of
+    at most ``EXTRACT_CHUNK`` utterances (see :func:`length_groups`).
 
     Each utterance is truncated to the model's maximum length, and its
     bundle covers the kept tokens. Positive types come from the gold tags;
@@ -89,27 +90,25 @@ def extract_attention_bundles(
     analyzed = set(maps.slot_types)
     if not include_outside:
         analyzed.discard(OUTSIDE)
-    bundles = []
-    for start in range(0, len(utterances), EXTRACT_CHUNK):
-        chunk = utterances[start : start + EXTRACT_CHUNK]
-        batch = encode_batch(chunk, maps, vocab, model.config.max_positions - 1)
-        out = model.forward(batch)
-        if out.attentions is None:
+    max_len = model.config.max_positions - 1
+    bundles: list[AttentionBundle | None] = [None] * len(utterances)
+    for idx in length_groups(utterances, max_len, EXTRACT_CHUNK):
+        batch = encode_batch([utterances[i] for i in idx], maps, vocab, max_len)
+        _, slot_logits, attentions = model.infer(batch)
+        if attentions is None:
             raise ValueError("model was built without the slot-type attention network")
-        for b, utterance in enumerate(chunk):
+        for b, i in enumerate(idx):
             n = int(batch.lengths[b])
-            block = out.attentions[b, :, :n, :n]  # (T, n, n), copied by the bundle
-            tags = utterance.bio_tags[:n]
+            tags = utterances[i].bio_tags[:n]
             if all(t == OUTSIDE for t in tags):
-                tags = [maps.bio_labels[j] for j in out.slot_logits[b, :n].argmax(axis=1)]
+                tags = [maps.bio_labels[j] for j in slot_logits[b, :n].argmax(axis=1)]
             positive = {t[2:] for t in tags if t != OUTSIDE} & analyzed
-            bundles.append(
-                AttentionBundle(
-                    tokens=list(utterance.tokens[:n]),
-                    matrices=dict(zip(maps.slot_types, block)),
-                    positive_types=frozenset(positive),
-                    negative_types=frozenset(analyzed - positive),
-                )
+            bundles[i] = AttentionBundle(
+                tokens=list(utterances[i].tokens[:n]),
+                # views into the batch; the bundle copies them to float64
+                matrices=dict(zip(maps.slot_types, attentions[b, :, :n, :n])),
+                positive_types=frozenset(positive),
+                negative_types=frozenset(analyzed - positive),
             )
     return bundles
 
@@ -144,6 +143,14 @@ def entropy(weights) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _check_topk(k_list: list[float], granularity: str) -> None:
+    for k in k_list:
+        if not 0 < k <= 100:
+            raise ValueError(f"top-k percentage must be in (0, 100], got {k:g}")
+    if granularity not in ("matrix", "rows"):
+        raise ValueError(f"unknown granularity {granularity!r}")
+
+
 def _topk_entropies(
     matrices: np.ndarray, k_list: list[float], granularity: str = "matrix"
 ) -> np.ndarray:
@@ -156,14 +163,10 @@ def _topk_entropies(
     left switchable on purpose. Each weight list is sorted once, and every
     k reads a prefix of that order. Every k must lie in (0, 100].
     """
-    for k in k_list:
-        if not 0 < k <= 100:
-            raise ValueError(f"top-k percentage must be in (0, 100], got {k:g}")
+    _check_topk(k_list, granularity)
     values = np.asarray(matrices, dtype=np.float64)
     if granularity == "matrix":
         values = values.reshape(values.shape[0], 1, -1)
-    elif granularity != "rows":
-        raise ValueError(f"unknown granularity {granularity!r}")
     if values.size == 0:
         raise ValueError("entropy of an empty weight list")
     if (values < 0).any():
@@ -263,7 +266,9 @@ def topk_entropy_analysis(
     granularity: str = "matrix",
     include_outside: bool = False,
 ) -> EntropyReport:
-    """Extract attention for every utterance and aggregate top-k% entropy."""
+    """Extract attention for every utterance and aggregate top-k% entropy.
+    ``k_list`` and ``granularity`` are checked before any inference runs."""
+    _check_topk(k_list, granularity)
     bundles = extract_attention_bundles(model, corpus, maps, vocab, include_outside)
     return entropy_report_from_bundles(bundles, k_list, granularity)
 

@@ -27,6 +27,7 @@ from .tensor import (
     dropout,
     layer_norm,
     matmul,
+    no_grad,
     reshape,
     scale,
     stack,
@@ -258,6 +259,28 @@ def _zero_pad(data: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.where(valid, data, 0).astype(np.float64, copy=False)
 
 
+def _network(
+    batch: Batch,
+    config: ModelConfig,
+    params: ParamSet,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> tuple[Tensor, Tensor | None, Tensor | None, Tensor]:
+    """The network body over the padded batch: intent logits, per-type
+    logits and attention maps (both None without the aux network), and
+    slot logits. Each sub-network is looked up as a module global, so a
+    wrapper installed on this module sees every call."""
+    u_e, u_c = encode(batch, config, params, training, rng)
+    g_intent = intent_head(u_c, params)
+    g_type = alpha = None
+    if config.has_aux_network:
+        u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, training, rng)
+        h, alpha = slot_type_attention(u_hat, batch.mask, params, config)
+        g_type = slot_type_heads(h, params, config)
+    u_slot = fusion_cross_attention(u_e, g_type, batch.mask, params, config)
+    return g_intent, g_type, alpha, slot_head(u_slot, params)
+
+
 def forward(
     batch: Batch,
     config: ModelConfig,
@@ -269,23 +292,17 @@ def forward(
     batch outputs plus mean-over-batch losses."""
     B = batch.size
     valid = batch.mask[..., None] > 0  # (B, L, 1)
-    u_e, u_c = encode(batch, config, params, training, rng)
-    g_intent = intent_head(u_c, params)
+    g_intent, g_type, alpha, g_slot = _network(batch, config, params, training, rng)
     loss_intent = cross_entropy_rows(g_intent, batch.intent_targets, B)
 
-    g_type = aux_logits = attentions = None
+    aux_logits = attentions = None
     loss_type = Tensor(0.0)
     if config.has_aux_network:
-        u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, training, rng)
-        h, alpha = slot_type_attention(u_hat, batch.mask, params, config)
-        g_type = slot_type_heads(h, params, config)
         n_type_cells = int(batch.lengths.sum()) * config.n_slot_types
         loss_type = binary_cross_entropy(g_type, batch.aux_targets, n_type_cells, valid)
         aux_logits = _zero_pad(g_type.data, valid)
         attentions = _zero_pad(alpha.data, valid[:, None])
 
-    u_slot = fusion_cross_attention(u_e, g_type, batch.mask, params, config)
-    g_slot = slot_head(u_slot, params)
     loss_slot = cross_entropy_rows(g_slot, batch.slot_targets, B)
 
     loss_total = scale(loss_intent, config.alpha)
@@ -305,17 +322,29 @@ def forward(
     )
 
 
+def infer(
+    batch: Batch, config: ModelConfig, params: ParamSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One graph-free inference pass over the padded batch: the intent
+    logits (B, |I|), slot logits (B, L, |S|) and per-type attention maps
+    (B, |T|, L, L), None without the aux network, in the parameters'
+    dtype. Pad cells are not zeroed; on valid cells the values are
+    exactly ``forward``'s."""
+    with no_grad():
+        g_intent, _, alpha, g_slot = _network(batch, config, params)
+    return g_intent.data, g_slot.data, None if alpha is None else alpha.data
+
+
 def predict(
     batch: Batch, config: ModelConfig, params: ParamSet
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Argmax decoding; ties break toward the lower index."""
-    out = forward(batch, config, params, training=False)
-    intents = out.intent_logits.argmax(axis=1)
+    intent_logits, slot_logits, _ = infer(batch, config, params)
     slots = [
-        out.slot_logits[b, : int(batch.lengths[b])].argmax(axis=1)
+        slot_logits[b, : int(batch.lengths[b])].argmax(axis=1)
         for b in range(batch.size)
     ]
-    return intents, slots
+    return intent_logits.argmax(axis=1), slots
 
 
 class JointModel:
@@ -332,6 +361,9 @@ class JointModel:
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardOutput:
         return forward(batch, self.config, self.params, training, rng)
+
+    def infer(self, batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        return infer(batch, self.config, self.params)
 
     def predict(self, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:
         return predict(batch, self.config, self.params)

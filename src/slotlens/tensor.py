@@ -8,14 +8,30 @@ scalar tensor walks the graph in reverse topological order and accumulates
 
 The op set is deliberately small: exactly the primitives the network needs.
 Float32 is the training dtype; float64 graphs are supported for gradient
-checking (the dtype of a graph is inherited from its leaves).
+checking (the dtype of a graph is inherited from its leaves).  Inside
+:func:`no_grad` the same ops record no graph, for inference.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Sequence
 
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: op outputs keep no parents and no
+    backward closure, so each intermediate is freed once consumed."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class ShapeError(ValueError):
@@ -45,14 +61,19 @@ class Tensor:
         self._backward = None
 
     @classmethod
-    def _node(cls, data: np.ndarray, parents: tuple["Tensor", ...], op: str) -> "Tensor":
+    def _node(cls, data: np.ndarray, parents: tuple["Tensor", ...], op: str,
+              backward=None) -> "Tensor":
+        """An op's output. Under :func:`no_grad` it keeps neither its parents
+        nor the ``backward`` closure, which would hold the inputs alive."""
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
         out.op = op
+        if not _grad_enabled:
+            parents, backward = (), None
+        out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = parents
-        out._backward = None
+        out._backward = backward
         return out
 
     @property
@@ -133,9 +154,10 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-    out = Tensor._node(data, (a, b), "add")
-    out._backward = lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-    return out
+    return Tensor._node(
+        data, (a, b), "add",
+        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+    )
 
 
 def mul(a, b) -> Tensor:
@@ -145,21 +167,20 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-    out = Tensor._node(data, (a, b), "mul")
-    out._backward = lambda g: (
-        _unbroadcast(g * b.data, a.data.shape),
-        _unbroadcast(g * a.data, b.data.shape),
+    return Tensor._node(
+        data, (a, b), "mul",
+        lambda g: (
+            _unbroadcast(g * b.data, a.data.shape),
+            _unbroadcast(g * a.data, b.data.shape),
+        ),
     )
-    return out
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     x = _as_tensor(x)
     c = float(c)
-    out = Tensor._node(x.data * c, (x,), "scale")
-    out._backward = lambda g: (g * c,)
-    return out
+    return Tensor._node(x.data * c, (x,), "scale", lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:
@@ -174,12 +195,13 @@ def matmul(a, b) -> Tensor:
         data = a.data @ b.data
     except ValueError:
         raise ShapeError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
-    out = Tensor._node(data, (a, b), "matmul")
-    out._backward = lambda g: (
-        _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
-        _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape),
+    return Tensor._node(
+        data, (a, b), "matmul",
+        lambda g: (
+            _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
+            _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape),
+        ),
     )
-    return out
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -189,17 +211,15 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         if x.data.ndim < 2:
             raise ShapeError(f"transpose: expected at least 2 dims, got shape {x.shape}")
         axes = (*range(x.data.ndim - 2), x.data.ndim - 1, x.data.ndim - 2)
-    out = Tensor._node(x.data.transpose(axes), (x,), "transpose")
-    out._backward = lambda g: (g.transpose(np.argsort(axes)),)
-    return out
+    return Tensor._node(x.data.transpose(axes), (x,), "transpose",
+                        lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     """The same elements in a new shape."""
     x = _as_tensor(x)
-    out = Tensor._node(x.data.reshape(shape), (x,), "reshape")
-    out._backward = lambda g: (g.reshape(x.data.shape),)
-    return out
+    return Tensor._node(x.data.reshape(shape), (x,), "reshape",
+                        lambda g: (g.reshape(x.data.shape),))
 
 
 def stack(tensors: Sequence[Tensor]) -> Tensor:
@@ -209,9 +229,8 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
         data = np.stack([t.data for t in tensors])
     except ValueError:
         raise ShapeError(f"stack: shapes differ, {[t.shape for t in tensors]}")
-    out = Tensor._node(data, tuple(tensors), "stack")
-    out._backward = tuple  # iterating g yields one slice per input
-    return out
+    # iterating g yields one slice per input
+    return Tensor._node(data, tuple(tensors), "stack", tuple)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -230,15 +249,13 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     parts = [t.data if o == other
              else np.broadcast_to(t.data, other[:axis] + t.shape[axis:axis + 1] + other[axis + 1:])
              for t, o in zip(tensors, others)]
-    out = Tensor._node(np.concatenate(parts, axis=axis), tuple(tensors), "concat")
 
     def _bw(g):
         splits = np.cumsum([t.shape[axis] for t in tensors[:-1]])
         return tuple(_unbroadcast(piece, t.data.shape)
                      for piece, t in zip(np.split(g, splits, axis=axis), tensors))
 
-    out._backward = _bw
-    return out
+    return Tensor._node(np.concatenate(parts, axis=axis), tuple(tensors), "concat", _bw)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -251,28 +268,24 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     flat = x.data.reshape(-1, k)
     data = flat @ w.data
     data += b.data
-    out = Tensor._node(data.reshape(x.data.shape[:-1] + (n,)), (x, w, b), "affine")
 
     def _bw(g):
         g = g.reshape(-1, n)
         return (g @ w.data.T).reshape(x.data.shape), flat.T @ g, g.sum(axis=0)
 
-    out._backward = _bw
-    return out
+    return Tensor._node(data.reshape(x.data.shape[:-1] + (n,)), (x, w, b), "affine", _bw)
 
 
 def take(x: Tensor, idx) -> Tensor:
     """Basic indexing (ints and slices) with gradient scatter-back."""
     x = _as_tensor(x)
-    out = Tensor._node(x.data[idx], (x,), "take")
 
     def _bw(g):
         gx = np.zeros_like(x.data)
         gx[idx] = g
         return (gx,)
 
-    out._backward = _bw
-    return out
+    return Tensor._node(x.data[idx], (x,), "take", _bw)
 
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -283,30 +296,27 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError(f"gather_rows: need a 2-D table, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"gather_rows: id out of range for table with {table.data.shape[0]} rows")
-    out = Tensor._node(table.data[ids], (table,), "gather")
 
     def _bw(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
         return (gt,)
 
-    out._backward = _bw
-    return out
+    return Tensor._node(table.data[ids], (table,), "gather", _bw)
 
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor._node(np.maximum(x.data, 0), (x,), "relu")
-    out._backward = lambda g: (g * (x.data > 0),)
-    return out
+    return Tensor._node(np.maximum(x.data, 0), (x,), "relu", lambda g: (g * (x.data > 0),))
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of every element, as a scalar tensor."""
     x = _as_tensor(x)
-    out = Tensor._node(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), "sum")
-    out._backward = lambda g: (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False),)
-    return out
+    return Tensor._node(
+        np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), "sum",
+        lambda g: (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False),),
+    )
 
 
 # normalization, masking, regularization ------------------------------------
@@ -342,7 +352,6 @@ def softmax_masked(x: Tensor, mask, scale: float = 1.0) -> Tensor:
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor._node(p, (x,), "softmax")
 
     def _bw(g):
         gx = g * p
@@ -350,8 +359,7 @@ def softmax_masked(x: Tensor, mask, scale: float = 1.0) -> Tensor:
         gx *= scale
         return (gx,)
 
-    out._backward = _bw
-    return out
+    return Tensor._node(p, (x,), "softmax", _bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -367,7 +375,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = x.data.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv_std
-    out = Tensor._node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm")
 
     def _bw(g):
         reduce_axes = tuple(range(g.ndim - 1))
@@ -381,8 +388,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         )
         return gx, g_gain, g_bias
 
-    out._backward = _bw
-    return out
+    return Tensor._node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", _bw)
 
 
 def dropout(
@@ -413,9 +419,7 @@ def dropout(
         for b, n in enumerate(lengths):
             keep[b, :n] = rng.random((n, *x.data.shape[2:])) >= rate
     keep = (keep / (1.0 - rate)).astype(x.data.dtype)
-    out = Tensor._node(x.data * keep, (x,), "dropout")
-    out._backward = lambda g: (g * keep,)
-    return out
+    return Tensor._node(x.data * keep, (x,), "dropout", lambda g: (g * keep,))
 
 
 # losses --------------------------------------------------------------------
@@ -441,9 +445,10 @@ def cross_entropy_rows(logits: Tensor, targets, n: float = 1.0) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     loss = ((lse - shifted) * hot).sum() / n
     p = np.exp(shifted - lse)
-    out = Tensor._node(np.asarray(loss, dtype=logits.data.dtype), (logits,), "cross_entropy_rows")
-    out._backward = lambda g: ((p - hot) * (targets >= 0)[..., None] * (g / n),)
-    return out
+    return Tensor._node(
+        np.asarray(loss, dtype=logits.data.dtype), (logits,), "cross_entropy_rows",
+        lambda g: ((p - hot) * (targets >= 0)[..., None] * (g / n),),
+    )
 
 
 def binary_cross_entropy(logits: Tensor, targets, n: int, mask=None) -> Tensor:
@@ -463,14 +468,12 @@ def binary_cross_entropy(logits: Tensor, targets, n: int, mask=None) -> Tensor:
     x = logits.data
     keep = np.ones((), dtype=x.dtype) if mask is None else np.asarray(mask, dtype=x.dtype)
     loss = ((np.logaddexp(0.0, x) - x * y) * keep).sum() / n
-    out = Tensor._node(np.asarray(loss, dtype=x.dtype), (logits,), "bce")
 
     def _bw(g):
         sig = 1.0 / (1.0 + np.exp(-x))
         return ((sig - y) * keep * (g / n),)
 
-    out._backward = _bw
-    return out
+    return Tensor._node(np.asarray(loss, dtype=x.dtype), (logits,), "bce", _bw)
 
 
 # backward engine ------------------------------------------------------------

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import LabelMaps, Utterance, Vocab, encode_batch, extract_spans, span_f1
+from .data import (
+    LabelMaps, Utterance, Vocab, encode_batch, extract_spans, length_groups, span_f1,
+)
 from .model import JointModel, ModelConfig
 from .optim import adam_step
 from .tensor import backward
@@ -179,7 +181,8 @@ def evaluate(
     """Intent accuracy plus exact-span-match micro precision/recall/F1.
 
     Utterances are truncated to ``max_len`` tokens, by default the longest
-    the model takes (``max_positions - 1``).
+    the model takes (``max_positions - 1``), and run in length groups of at
+    most ``batch_size`` (see :func:`length_groups`).
     """
     if not corpus:
         raise ValueError("cannot evaluate an empty corpus")
@@ -187,8 +190,8 @@ def evaluate(
         max_len = model.config.max_positions - 1
     correct = 0
     gold_spans, pred_spans = [], []
-    for start in range(0, len(corpus), batch_size):
-        chunk = corpus[start : start + batch_size]
+    for idx in length_groups(corpus, max_len, batch_size):
+        chunk = [corpus[i] for i in idx]
         batch = encode_batch(chunk, maps, vocab, max_len)
         intents, slots = model.predict(batch)
         for b, u in enumerate(chunk):

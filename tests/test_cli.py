@@ -163,7 +163,7 @@ class TestRunFlags:
         ("--n-heads", "0", "n_heads"), ("--d", "0", "d"), ("--ffn-dim", "0", "ffn_dim"),
         ("--dropout", "1.0", "dropout_rate"), ("--batch-size", "0", "batch_size"),
         ("--batch-size", "-1", "batch_size"), ("--epochs", "-2", "epochs"),
-        ("--lr", "-1", "lr"),
+        ("--lr", "-1", "lr"), ("--lr", "-1e-3", "lr"),
     ])
     def test_bad_value_is_one_usage_error_line(self, corpus_dir, capsys, tmp_path,
                                                flag, value, field):
@@ -366,6 +366,22 @@ class TestAnalyze:
         assert captured.err.count("\n") == 1
 
 
+    def test_bad_k_is_rejected_before_any_inference(self, corpus_dir, trained_dir,
+                                                    capsys, monkeypatch):
+        from slotlens import model as model_module
+
+        passes = []
+        real_infer = model_module.infer
+        monkeypatch.setattr(model_module, "infer",
+                            lambda *a, **kw: passes.append(1) or real_infer(*a, **kw))
+        rc = main(["analyze", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                   "--data", str(corpus_dir / "test"), "--k", "250"])
+        assert rc == 1
+        assert passes == []
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 class TestAblate:
     def test_two_mode_table(self, corpus_dir, capsys, tmp_path):
         out = tmp_path / "ab"
@@ -410,6 +426,16 @@ class TestGradcheck:
         assert captured.err.startswith("usage error:")
         assert captured.err.count("\n") == 1
         assert flag[2:] in captured.err
+
+    @pytest.mark.parametrize("flag,value", [("--h", "-1e-6"), ("--tol", "-1e-3")])
+    def test_negative_exponent_after_a_space_reaches_the_range_check(self, capsys, flag,
+                                                                      value):
+        assert main(["gradcheck", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+        assert captured.err.count("\n") == 1
+        assert captured.err.rstrip("\n").endswith(f"got {float(value)}")
 
 
 class TestConfigFile:

@@ -16,6 +16,7 @@ from slotlens.data import (
     encode_batch,
     extract_spans,
     generate_aux_targets,
+    length_groups,
     load_corpus,
     span_f1,
     spans_to_bio,
@@ -260,6 +261,39 @@ class TestEncodeBatch:
         _, maps, vocab = setting
         with pytest.raises(ValueError, match="empty batch"):
             encode_batch([], maps, vocab)
+
+
+def of_lengths(lengths):
+    return [Utterance(["w"] * l, "i", ["O"] * l) for l in lengths]
+
+
+class TestLengthGroups:
+    def test_desk_lengths_make_one_group(self):
+        lengths = [6 + i % 8 for i in range(25)]  # 6-13, three or four of each
+        groups = length_groups(of_lengths(lengths), 50, 32)
+        assert len(groups) == 1
+        np.testing.assert_array_equal(groups[0], np.arange(25))  # the caller's order
+
+    def test_bimodal_mix_makes_two_groups(self):
+        rng = np.random.default_rng(0)
+        lengths = [int(rng.integers(2, 5)) if i % 2 else int(rng.integers(33, 48))
+                   for i in range(25)]
+        groups = length_groups(of_lengths(lengths), 50, 32)
+        assert len(groups) == 2
+        assert max(lengths[i] for i in groups[0]) <= 4
+        assert min(lengths[i] for i in groups[1]) >= 33
+
+    def test_groups_cover_every_index_in_length_order_and_bounded_size(self):
+        lengths = np.random.default_rng(1).integers(1, 60, size=70)
+        groups = length_groups(of_lengths(lengths), 50, 32)
+        truncated = np.minimum(lengths, 50)
+        np.testing.assert_array_equal(np.sort(np.concatenate(groups)), np.arange(70))
+        assert all(1 <= len(g) <= 32 and (np.diff(g) > 0).all() for g in groups)
+        for a, b in zip(groups, groups[1:]):
+            assert truncated[a].max() <= truncated[b].min()
+
+    def test_no_utterances_no_groups(self):
+        assert length_groups([], 50, 32) == []
 
 
 class TestSpans:

@@ -85,14 +85,14 @@ def escaped_tokens(l):
     return [("<w>", "a&b", "tök", '"q"', "日本")[i % 5] + str(i) for i in range(l)]
 
 
-def mixed_utterances(n, seed=0):
+def mixed_utterances(n, seed=0, lengths=range(2, 10)):
     """``n`` utterances over the small_setting vocabulary, cycling through
-    lengths 2 to 9; every third one is all-O, the rest carry gold slots."""
+    ``lengths``; every third one is all-O, the rest carry gold slots."""
     rng = np.random.default_rng(seed)
     words = ["fly", "to", "boston", "today", "hello", "there", "rain", "in", "denver"]
     out = []
     for i in range(n):
-        l = 2 + i % 8
+        l = lengths[i % len(lengths)]
         tokens = [str(w) for w in rng.choice(words, size=l)]
         tags = ["O"] * l
         if i % 3:
@@ -105,15 +105,16 @@ def mixed_utterances(n, seed=0):
     return out
 
 
-def count_forwards(monkeypatch):
+def count_passes(monkeypatch):
+    """Record the batch size of every inference pass."""
     calls = []
-    real_forward = model_module.forward
+    real_infer = model_module.infer
 
-    def counting_forward(*args, **kwargs):
-        calls.append(1)
-        return real_forward(*args, **kwargs)
+    def counting_infer(batch, *args, **kwargs):
+        calls.append(batch.size)
+        return real_infer(batch, *args, **kwargs)
 
-    monkeypatch.setattr(model_module, "forward", counting_forward)
+    monkeypatch.setattr(model_module, "infer", counting_infer)
     return calls
 
 
@@ -307,27 +308,23 @@ class TestBundle:
 
     def test_one_forward_per_utterance_and_predict_positives(self, monkeypatch):
         """The fallback reads the extraction pass's own slot logits: one
-        forward per utterance, and the positive types predict() implies."""
+        inference pass per utterance, and the positive types predict()
+        implies."""
         model, corpus, maps, vocab = small_setting()
         model.params["slot.b"].data[maps.bio_index["B-day"]] += 5.0
-        calls = []
-        real_forward = model_module.forward
-
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return real_forward(*args, **kwargs)
-
         outside = [Utterance(["hello", "there"], "greet", ["O", "O"]),
                    Utterance(["fly", "to", "denver", "today"], "book_flight", ["O"] * 4)]
+        passes = []
         for u in outside:
-            monkeypatch.setattr(model_module, "forward", counting_forward)
+            calls = count_passes(monkeypatch)
             bundle = extract_attentions(model, u, maps, vocab)
-            monkeypatch.setattr(model_module, "forward", real_forward)
+            monkeypatch.undo()
+            passes.append(len(calls))
             _, slots = model.predict(encode_batch([u], maps, vocab))
             predicted = {maps.bio_labels[j][2:] for j in slots[0]} - {""}
             assert bundle.positive_types == predicted
             assert "day" in bundle.positive_types
-        assert len(calls) == len(outside)
+        assert passes == [1] * len(outside)
 
     def test_model_length_keeps_long_utterances_whole(self):
         """A model with 61 positions keeps all 55 tokens (no fixed 50 cap)."""
@@ -371,6 +368,22 @@ class TestBatchedExtraction:
                     assert got.positive_types == want.positive_types
                     assert got.negative_types == want.negative_types
 
+    def test_length_groups_keep_the_callers_order(self):
+        """Lengths 2-47 run in several length groups: each bundle sits at its
+        utterance's index and matches that utterance's solo run."""
+        model, _, maps, vocab = small_setting(max_positions=48)
+        utterances = mixed_utterances(70, seed=2, lengths=[*range(2, 48, 3), 47])
+        batched = extract_attention_bundles(model, utterances, maps, vocab)
+        assert len(batched) == len(utterances)
+        for u, got in zip(utterances, batched):
+            want = extract_attentions(model, u, maps, vocab)
+            assert got.tokens == want.tokens == u.tokens
+            for t in want.matrices:
+                assert got.matrices[t].dtype == np.float64
+                np.testing.assert_allclose(got.matrices[t], want.matrices[t], atol=1e-6)
+            assert got.positive_types == want.positive_types
+            assert got.negative_types == want.negative_types
+
     def test_type_matrices_share_one_copy(self):
         model, corpus, maps, vocab = small_setting()
         for b in extract_attention_bundles(model, corpus, maps, vocab):
@@ -385,18 +398,30 @@ class TestBatchedExtraction:
 
     @pytest.mark.parametrize("n,forwards", [(25, 1), (32, 1), (40, 2)])
     def test_analysis_runs_one_forward_per_chunk(self, monkeypatch, n, forwards):
+        """Same-length utterances: one inference pass per EXTRACT_CHUNK."""
         model, _, maps, vocab = small_setting()
-        calls = count_forwards(monkeypatch)
-        report = topk_entropy_analysis(model, mixed_utterances(n), [5, 100], maps, vocab)
+        calls = count_passes(monkeypatch)
+        report = topk_entropy_analysis(model, mixed_utterances(n, lengths=[5]), [5, 100],
+                                       maps, vocab)
         assert report.n_utterances == n
         assert len(calls) == forwards
 
+    def test_bimodal_lengths_run_two_passes(self, monkeypatch):
+        """25 utterances of lengths 2-4 and 33-47 run as two passes, one
+        per mode, instead of padding the short ones to 47."""
+        model, _, maps, vocab = small_setting(max_positions=48)
+        utterances = mixed_utterances(25, lengths=[2, 40, 3, 33, 4, 47, 36])
+        calls = count_passes(monkeypatch)
+        report = topk_entropy_analysis(model, utterances, [5, 100], maps, vocab)
+        assert report.n_utterances == 25
+        assert sorted(calls) == [11, 14]
+
     def test_consistency_runs_one_forward_per_side(self, monkeypatch):
         model, _, maps, vocab = small_setting()
-        originals = mixed_utterances(10, seed=1)
+        originals = mixed_utterances(10, seed=1, lengths=[6])
         pairs = [(u, Utterance(["denver"] + u.tokens[1:], u.intent, u.bio_tags), "slot")
                  for u in originals]
-        calls = count_forwards(monkeypatch)
+        calls = count_passes(monkeypatch)
         report = consistency_analysis(model, pairs, maps, vocab)
         assert len(calls) == 2
         assert len(report.pairs) == 10

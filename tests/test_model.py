@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from slotlens import model as model_module
 from slotlens.data import Utterance, build_label_maps, encode_batch, Vocab
 from slotlens.gradcheck import finite_diff_check
 from slotlens.model import (
@@ -446,6 +447,51 @@ class TestFusionCrossAttention:
         u = rand_tensor(np.random.default_rng(1), (3, 8), np.float32)
         g = slot_head(u, model.params)
         np.testing.assert_allclose(g.data, np.tile(np.arange(5.0), (3, 1)), atol=1e-6)
+
+
+SUB_NETWORKS = ("encode", "intent_head", "intent_fusion", "slot_type_attention",
+                "slot_type_heads", "fusion_cross_attention", "slot_head")
+
+
+class TestInfer:
+    @pytest.mark.parametrize("kw", [{}, {"frozen_uniform_type_attention": True},
+                                    {"no_aux_network": True}],
+                             ids=["full", "frozen", "no_aux"])
+    def test_matches_forward_bit_for_bit_on_valid_cells(self, kw):
+        model, _, maps, vocab = make_model(**kw)
+        words = [w for u in tiny_corpus() for w in u.tokens]
+        batch = encode_batch(tiny_corpus() + [Utterance(words[:9], "get_weather", ["O"] * 9)],
+                             maps, vocab)
+        out = model.forward(batch)
+        intent, slot, attentions = model.infer(batch)
+        assert intent.dtype == slot.dtype == np.float32
+        valid = batch.mask[..., None] > 0
+        np.testing.assert_array_equal(intent, out.intent_logits)
+        np.testing.assert_array_equal(np.where(valid, slot, 0), out.slot_logits)
+        if out.attentions is None:
+            assert attentions is None
+        else:
+            assert attentions.dtype == np.float32
+            np.testing.assert_array_equal(np.where(valid[:, None], attentions, 0),
+                                          out.attentions)
+
+    def test_builds_no_graph_through_the_module_sub_networks(self, monkeypatch):
+        """Every sub-network is reached through the module (so a wrapper sees
+        it), and none of their outputs holds a parent or a backward closure."""
+        model, batch, _, _ = make_model()
+        seen = {}
+        for name in SUB_NETWORKS:
+            def spy(*args, _real=getattr(model_module, name), _name=name, **kwargs):
+                out = _real(*args, **kwargs)
+                seen[_name] = out if isinstance(out, tuple) else (out,)
+                return out
+
+            monkeypatch.setattr(model_module, name, spy)
+        outputs = model.infer(batch)
+        assert all(isinstance(o, np.ndarray) for o in outputs)
+        assert set(seen) == set(SUB_NETWORKS)
+        for t in (t for ts in seen.values() for t in ts):
+            assert t._parents == () and t._backward is None and not t.requires_grad
 
 
 class TestPredict:

@@ -275,6 +275,35 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
 
+class TestNoGrad:
+    def test_ops_record_no_graph_and_compute_the_same_values(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        mask = np.array([[1, 1, 0], [1, 1, 1]], dtype=bool)[:, None, :]
+
+        def f():
+            h = T.relu(T.affine(x, w, b))
+            return T.softmax_masked(T.matmul(h, T.transpose(h, (0, 2, 1))), mask)
+
+        want = f()
+        assert want._parents and want.requires_grad
+        with T.no_grad():
+            got = f()
+        assert got._parents == () and got._backward is None
+        assert not got.requires_grad
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_graph_recording_resumes_after_the_block(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        backward(T.sum_all(T.mul(w, w)))
+        np.testing.assert_array_equal(w.grad, 2.0)
+
+
 def _random_composed_loss(params: ParamSet, seed: int):
     """A small randomized graph exercising every primitive the network uses:
     a padded batch of two sequences (lengths 4 and 2) through embeddings,

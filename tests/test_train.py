@@ -168,6 +168,34 @@ class TestEvaluate:
         assert [b.lengths.tolist() for b in seen] == [[55]]
         assert seen[0].truncated == 0
 
+    def test_length_groups_match_single_utterance_runs(self, corpus_setting, monkeypatch):
+        """Lengths 2-47 in shuffled order score exactly as one utterance per
+        pass does, while running as a few multi-utterance length groups."""
+        import slotlens.train as train_module
+
+        corpus, maps, vocab = corpus_setting
+        model = train_model(corpus, maps, vocab, tiny_run(epochs=0, max_len=47)).model
+        rng = np.random.default_rng(4)
+        mixed = []
+        for n in rng.permutation([*range(2, 48, 3), 47] * 3):
+            parts = [corpus[int(i)] for i in rng.integers(0, len(corpus), 8)]
+            tokens = [w for u in parts for w in u.tokens]
+            tags = [t for u in parts for t in u.bio_tags]
+            mixed.append(Utterance(tokens[:n], parts[0].intent, tags[:n]))
+        groups = []
+        real = train_module.encode_batch
+
+        def spy(utterances, *args, **kwargs):
+            groups.append([u.length for u in utterances])
+            return real(utterances, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "encode_batch", spy)
+        grouped = evaluate(model, mixed, maps, vocab)
+        assert 1 < len(groups) < len(mixed) / 4
+        assert all(max(a) <= min(b) for a, b in zip(groups, groups[1:]))
+        assert grouped == evaluate(model, mixed, maps, vocab, batch_size=1)
+        assert grouped.slot_precision > 0
+
     def test_perfect_agreement_scores_one(self, corpus_setting):
         """Scoring a model's own predictions as gold is exact."""
         corpus, maps, vocab = corpus_setting
