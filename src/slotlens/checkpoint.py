@@ -299,8 +299,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> JointModel:
-    """Rebuild a model and overwrite its parameters with the saved values."""
-    model = JointModel(ckpt.config, rng=np.random.default_rng(0))
+    """Rebuild a model in the stored parameters' dtype and overwrite its
+    parameters with the saved values."""
+    dtypes = {arr.dtype for arr in ckpt.params.values()}
+    if len(dtypes) > 1:
+        raise CheckpointFormatError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+    dtype = dtypes.pop() if dtypes else np.float32
+    model = JointModel(ckpt.config, rng=np.random.default_rng(0), dtype=dtype)
     saved = set(ckpt.params)
     expected = set(model.params.names())
     if saved != expected:

@@ -272,21 +272,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
     maps = ckpt.label_maps
     tokens = args.text.split()
     if not tokens:
         raise ValueError("utterance text is empty")
-    utterance = Utterance(tokens=tokens, intent=maps.intents[0],
-                          bio_tags=["O"] * len(tokens))
-    bundle = extract_attentions(model, utterance, maps, ckpt.vocab,
-                                include_outside=True)
     wanted = args.types if args.types else maps.slot_types
     unknown = [t for t in wanted if t not in maps.slot_types]
     if unknown:
         raise ValueError(
             f"unknown slot types {unknown}; valid types: {maps.slot_types}"
         )
+    utterance = Utterance(tokens=tokens, intent=maps.intents[0],
+                          bio_tags=["O"] * len(tokens))
+    bundle = extract_attentions(model_from_checkpoint(ckpt), utterance, maps, ckpt.vocab,
+                                include_outside=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for t in wanted:

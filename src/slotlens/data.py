@@ -277,11 +277,14 @@ def encode_batch(
     utterances: list[Utterance],
     maps: LabelMaps,
     vocab: Vocab,
-    max_len: int = 50,
+    max_len: int | None = None,
 ) -> Batch:
-    """Index, truncate to ``max_len``, and pad a batch of utterances."""
+    """Index, truncate to ``max_len`` (None keeps every token), and pad a
+    batch of utterances."""
     if not utterances:
         raise ValueError("cannot encode an empty batch")
+    if max_len is None:
+        max_len = max(u.length for u in utterances)
     truncated = sum(1 for u in utterances if u.length > max_len)
     lengths = np.array([min(u.length, max_len) for u in utterances], dtype=np.int64)
     L = int(lengths.max())

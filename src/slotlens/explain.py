@@ -94,7 +94,7 @@ def extract_attention_bundles(
     bundles: list[AttentionBundle | None] = [None] * len(utterances)
     for idx in length_groups(utterances, max_len, EXTRACT_CHUNK):
         batch = encode_batch([utterances[i] for i in idx], maps, vocab, max_len)
-        _, slot_logits, attentions = model.infer(batch)
+        _, _, attentions, slot_logits = model.infer(batch)
         if attentions is None:
             raise ValueError("model was built without the slot-type attention network")
         for b, i in enumerate(idx):

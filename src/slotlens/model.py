@@ -98,13 +98,9 @@ ABLATION_FLAGS = tuple(f.name for f in fields(ModelConfig) if isinstance(f.defau
 
 @dataclass
 class ForwardOutput:
-    """Batched logits (padded numpy arrays), per-type attention maps, and
-    the four loss terms as graph tensors; pad cells are zero everywhere."""
+    """The four loss terms of one training pass, as graph tensors; the
+    network's outputs are read through :func:`infer`."""
 
-    intent_logits: np.ndarray  # (B, |I|)
-    slot_logits: np.ndarray  # (B, L, |S|)
-    aux_logits: np.ndarray | None  # (B, L, |T|)
-    attentions: np.ndarray | None  # (B, |T|, L, L)
     loss_intent: Tensor
     loss_type: Tensor
     loss_slot: Tensor
@@ -254,11 +250,6 @@ def slot_head(u_slot: Tensor, params: ParamSet) -> Tensor:
 # batched forward ---------------------------------------------------------------
 
 
-def _zero_pad(data: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """A float64 copy of ``data`` with the cells outside ``valid`` zeroed."""
-    return np.where(valid, data, 0).astype(np.float64, copy=False)
-
-
 def _network(
     batch: Batch,
     config: ModelConfig,
@@ -288,20 +279,18 @@ def forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardOutput:
-    """Run the full network once over the padded batch and return padded
-    batch outputs plus mean-over-batch losses."""
+    """Run the full network once over the padded batch and return the
+    mean-over-batch losses against the batch's gold labels."""
     B = batch.size
-    valid = batch.mask[..., None] > 0  # (B, L, 1)
-    g_intent, g_type, alpha, g_slot = _network(batch, config, params, training, rng)
+    g_intent, g_type, _, g_slot = _network(batch, config, params, training, rng)
     loss_intent = cross_entropy_rows(g_intent, batch.intent_targets, B)
 
-    aux_logits = attentions = None
     loss_type = Tensor(0.0)
     if config.has_aux_network:
         n_type_cells = int(batch.lengths.sum()) * config.n_slot_types
-        loss_type = binary_cross_entropy(g_type, batch.aux_targets, n_type_cells, valid)
-        aux_logits = _zero_pad(g_type.data, valid)
-        attentions = _zero_pad(alpha.data, valid[:, None])
+        loss_type = binary_cross_entropy(
+            g_type, batch.aux_targets, n_type_cells, batch.mask[..., None] > 0
+        )
 
     loss_slot = cross_entropy_rows(g_slot, batch.slot_targets, B)
 
@@ -309,37 +298,29 @@ def forward(
     if config.aux_loss_weight > 0:
         loss_total = add(loss_total, scale(loss_type, config.aux_loss_weight))
     loss_total = add(loss_total, scale(loss_slot, config.gamma))
-
-    return ForwardOutput(
-        intent_logits=g_intent.data.astype(np.float64),
-        slot_logits=_zero_pad(g_slot.data, valid),
-        aux_logits=aux_logits,
-        attentions=attentions,
-        loss_intent=loss_intent,
-        loss_type=loss_type,
-        loss_slot=loss_slot,
-        loss_total=loss_total,
-    )
+    return ForwardOutput(loss_intent, loss_type, loss_slot, loss_total)
 
 
-def infer(
-    batch: Batch, config: ModelConfig, params: ParamSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One graph-free inference pass over the padded batch: the intent
-    logits (B, |I|), slot logits (B, L, |S|) and per-type attention maps
-    (B, |T|, L, L), None without the aux network, in the parameters'
-    dtype. Pad cells are not zeroed; on valid cells the values are
-    exactly ``forward``'s."""
+Outputs = tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]
+
+
+def infer(batch: Batch, config: ModelConfig, params: ParamSet) -> Outputs:
+    """One graph-free pass over the padded batch: the network's outputs in
+    the parameters' dtype, intent logits (B, |I|), per-type logits
+    (B, L, |T|), per-type attention maps (B, |T|, L, L), and slot logits
+    (B, L, |S|); the two per-type arrays are None without the aux network.
+    Pad cells hold unspecified values, except that attention puts zero
+    weight on pad keys."""
     with no_grad():
-        g_intent, _, alpha, g_slot = _network(batch, config, params)
-    return g_intent.data, g_slot.data, None if alpha is None else alpha.data
+        outputs = _network(batch, config, params)
+    return tuple(None if t is None else t.data for t in outputs)
 
 
 def predict(
     batch: Batch, config: ModelConfig, params: ParamSet
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Argmax decoding; ties break toward the lower index."""
-    intent_logits, slot_logits, _ = infer(batch, config, params)
+    intent_logits, _, _, slot_logits = infer(batch, config, params)
     slots = [
         slot_logits[b, : int(batch.lengths[b])].argmax(axis=1)
         for b in range(batch.size)
@@ -362,7 +343,7 @@ class JointModel:
                 rng: np.random.Generator | None = None) -> ForwardOutput:
         return forward(batch, self.config, self.params, training, rng)
 
-    def infer(self, batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def infer(self, batch: Batch) -> Outputs:
         return infer(batch, self.config, self.params)
 
     def predict(self, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:

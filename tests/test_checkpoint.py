@@ -14,6 +14,7 @@ from slotlens.checkpoint import (
     save_checkpoint,
 )
 from slotlens.data import Vocab, build_label_maps, encode_batch
+from slotlens.model import JointModel
 from slotlens.optim import adam_step
 from slotlens.synth import generate_synthetic_corpus
 from slotlens.tensor import backward
@@ -61,10 +62,8 @@ class TestRoundTrip:
         path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab)
         restored = model_from_checkpoint(load_checkpoint(path))
         batch = encode_batch(corpus, maps, vocab)
-        before = model.forward(batch)
-        after = restored.forward(batch)
-        np.testing.assert_array_equal(before.intent_logits, after.intent_logits)
-        np.testing.assert_array_equal(before.slot_logits, after.slot_logits)
+        for before, after in zip(model.infer(batch), restored.infer(batch)):
+            np.testing.assert_array_equal(before, after)
         i_a, s_a = model.predict(batch)
         i_b, s_b = restored.predict(batch)
         np.testing.assert_array_equal(i_a, i_b)
@@ -119,6 +118,15 @@ class TestDeterminism:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_float64_model_resaves_to_the_same_bytes(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        wide = JointModel(model.config, rng=3, dtype=np.float64)
+        first = save_checkpoint(tmp_path / "a.ckpt", wide, maps, vocab)
+        restored = model_from_checkpoint(load_checkpoint(first))
+        assert {t.data.dtype for _, t in restored.params.items()} == {np.dtype(np.float64)}
+        second = save_checkpoint(tmp_path / "b.ckpt", restored, maps, vocab)
+        assert first.read_bytes() == second.read_bytes()
+
 
 class TestErrorKinds:
     def test_not_a_checkpoint(self, tmp_path):
@@ -170,6 +178,13 @@ class TestErrorKinds:
         )
         with pytest.raises(CheckpointFormatError, match="shape"):
             load_checkpoint(path)
+
+    def test_mixed_parameter_dtypes_rejected(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        ckpt = load_checkpoint(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab))
+        ckpt.params["slot.w"] = ckpt.params["slot.w"].astype(np.float64)
+        with pytest.raises(CheckpointFormatError, match="mix dtypes.*float32.*float64"):
+            model_from_checkpoint(ckpt)
 
     def test_config_param_mismatch_detected(self, setting, tmp_path):
         corpus, maps, vocab, model = setting

@@ -274,6 +274,22 @@ class TestExplain:
         assert err.startswith("usage error:")
         assert "bogus" in err and "city" in err
 
+    def test_unknown_type_is_rejected_before_any_inference(self, trained_dir, capsys,
+                                                           monkeypatch, tmp_path):
+        from slotlens import model as model_module
+
+        passes = []
+        real_infer = model_module.infer
+        monkeypatch.setattr(model_module, "infer",
+                            lambda *a, **kw: passes.append(1) or real_infer(*a, **kw))
+        rc = main(["explain", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                   "--text", "fly to boston", "--types", "city", "bogus",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert passes == []
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_empty_text_is_an_error(self, trained_dir, capsys, tmp_path):
         rc = main(["explain", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
                    "--text", "   ", "--out", str(tmp_path / "x")])

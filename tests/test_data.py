@@ -231,6 +231,9 @@ class TestEncodeBatch:
         assert batch.max_len == 50
         assert batch.truncated == 1
         assert encode_batch(corpus, maps, vocab, max_len=50).truncated == 0
+        kept = encode_batch([long_u], maps, vocab)
+        assert kept.max_len == 60
+        assert kept.truncated == 0
 
     def test_unknown_token_maps_to_unk(self, setting):
         corpus, maps, vocab = setting

@@ -10,7 +10,6 @@ from slotlens.model import (
     ABLATION_FLAGS,
     JointModel,
     ModelConfig,
-    forward,
     fusion_cross_attention,
     intent_fusion,
     intent_head,
@@ -21,7 +20,9 @@ from slotlens.model import (
     type_generator_param_count,
 )
 from slotlens.optim import ParamSet, adam_step, xavier_uniform
-from slotlens.tensor import Tensor, backward, concat, reshape
+from slotlens.tensor import (
+    Tensor, add, backward, binary_cross_entropy, concat, cross_entropy_rows, reshape, scale,
+)
 
 
 def tiny_corpus():
@@ -104,15 +105,13 @@ class TestIntentHead:
         model, batch, _, _ = make_model()
         model.params["intent.w"].data[:] = 0
         model.params["intent.b"].data[:] = 0
-        out = model.forward(batch)
-        np.testing.assert_array_equal(out.intent_logits, 0)
+        np.testing.assert_array_equal(model.infer(batch)[0], 0)
 
     def test_bias_only(self):
         model, batch, maps, _ = make_model()
         model.params["intent.w"].data[:] = 0
         model.params["intent.b"].data[:] = [1.0, 2.0]
-        out = model.forward(batch)
-        np.testing.assert_allclose(out.intent_logits, [[1.0, 2.0]] * batch.size)
+        np.testing.assert_allclose(model.infer(batch)[0], [[1.0, 2.0]] * batch.size)
 
     def test_matches_matvec_oracle(self):
         rng = np.random.default_rng(0)
@@ -167,18 +166,17 @@ class TestIntentFusion:
 class TestSlotTypeAttention:
     def test_rows_sum_to_one(self):
         model, batch, _, _ = make_model()
-        out = model.forward(batch)
+        _, _, attentions, _ = model.infer(batch)
         for b in range(batch.size):
             n = int(batch.lengths[b])
-            sums = out.attentions[b, :, :n, :n].sum(axis=-1)
+            sums = attentions[b, :, :n, :n].sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
-            assert (out.attentions[b, :, n:, :] == 0).all()
 
     def test_frozen_uniform_rows(self):
         model, batch, _, _ = make_model(frozen_uniform_type_attention=True)
-        out = model.forward(batch)
+        _, _, attentions, _ = model.infer(batch)
         n = int(batch.lengths[0])
-        np.testing.assert_allclose(out.attentions[0, :, :n, :n], 1.0 / n, atol=1e-7)
+        np.testing.assert_allclose(attentions[0, :, :n, :n], 1.0 / n, atol=1e-7)
 
     def test_zero_query_gives_uniform(self):
         model, _, _, _ = make_model()
@@ -257,11 +255,12 @@ class TestLosses:
         """Lengths 4+3+3 and |T|=3 divide the summed cell losses by 30."""
         model, batch, _, _ = make_model()
         out = model.forward(batch)
+        _, aux_logits, _, _ = model.infer(batch)
         total = 0.0
         T = model.config.n_slot_types
         for b in range(batch.size):
             n = int(batch.lengths[b])
-            x = out.aux_logits[b, :n]
+            x = aux_logits[b, :n]
             y = batch.aux_targets[b, :n]
             total += (np.logaddexp(0, x) - x * y).sum()
         n_cells = int(batch.lengths.sum()) * T
@@ -306,17 +305,13 @@ class TestLosses:
         maps = build_label_maps(corpus)
         vocab = Vocab.build(corpus)
         model, _, _, _ = make_model()
-        alone = forward(encode_batch([corpus[1]], maps, vocab), model.config, model.params)
-        together = forward(encode_batch(corpus, maps, vocab), model.config, model.params)
-        np.testing.assert_allclose(
-            together.slot_logits[1, :3], alone.slot_logits[0], atol=1e-6
-        )
-        assert (together.slot_logits[1, 3:] == 0).all()
-        assert (together.aux_logits[1, 3:] == 0).all()
+        *_, alone = model.infer(encode_batch([corpus[1]], maps, vocab))
+        *_, together = model.infer(encode_batch(corpus, maps, vocab))
+        np.testing.assert_allclose(together[1, :3], alone[0], atol=1e-6)
 
     def test_short_utterance_beside_a_long_one_matches_its_solo_run(self):
         """Lengths 2 and 40 in one batch: the short utterance's outputs equal
-        its solo run, and its 38 pad rows and columns are zero."""
+        its solo run, and its attention puts no weight on the 38 pad keys."""
         corpus = tiny_corpus()
         maps = build_label_maps(corpus)
         vocab = Vocab.build(corpus)
@@ -324,34 +319,31 @@ class TestLosses:
         words = [w for u in corpus for w in u.tokens]
         long_u = Utterance((words * 4)[:40], "book_flight", ["O"] * 40)
         short_u = Utterance(["rain", "monday"], "get_weather", ["O", "B-day"])
-        alone = model.forward(encode_batch([short_u], maps, vocab))
-        both = model.forward(encode_batch([long_u, short_u], maps, vocab))
-        np.testing.assert_allclose(both.intent_logits[1], alone.intent_logits[0], atol=1e-6)
-        for got, want in ((both.slot_logits, alone.slot_logits),
-                          (both.aux_logits, alone.aux_logits)):
-            np.testing.assert_allclose(got[1, :2], want[0], atol=1e-6)
-            assert (got[1, 2:] == 0).all()
-        np.testing.assert_allclose(both.attentions[1, :, :2, :2], alone.attentions[0], atol=1e-6)
-        assert (both.attentions[1, :, 2:, :] == 0).all()
-        assert (both.attentions[1, :, :, 2:] == 0).all()
+        intent, aux, attentions, slot = model.infer(encode_batch([long_u, short_u], maps, vocab))
+        a_intent, a_aux, a_attentions, a_slot = model.infer(encode_batch([short_u], maps, vocab))
+        np.testing.assert_allclose(intent[1], a_intent[0], atol=1e-6)
+        np.testing.assert_allclose(slot[1, :2], a_slot[0], atol=1e-6)
+        np.testing.assert_allclose(aux[1, :2], a_aux[0], atol=1e-6)
+        np.testing.assert_allclose(attentions[1, :, :2, :2], a_attentions[0], atol=1e-6)
+        assert (attentions[1, :, :, 2:] == 0).all()
 
 
 class TestForwardShapes:
     def test_batched_output_shapes(self):
         model, batch, maps, _ = make_model()
-        out = model.forward(batch)
+        intent, aux, attentions, slot = model.infer(batch)
         B, L = batch.size, batch.max_len
-        assert out.intent_logits.shape == (B, maps.n_intents)
-        assert out.slot_logits.shape == (B, L, maps.n_bio_labels)
-        assert out.aux_logits.shape == (B, L, maps.n_slot_types)
-        assert out.attentions.shape == (B, maps.n_slot_types, L, L)
+        assert intent.shape == (B, maps.n_intents)
+        assert aux.shape == (B, L, maps.n_slot_types)
+        assert attentions.shape == (B, maps.n_slot_types, L, L)
+        assert slot.shape == (B, L, maps.n_bio_labels)
 
     def test_no_aux_network_omits_aux_outputs(self):
         model, batch, _, _ = make_model(no_aux_network=True)
-        out = model.forward(batch)
-        assert out.aux_logits is None
-        assert out.attentions is None
-        assert out.loss_type.item() == 0.0
+        _, aux, attentions, _ = model.infer(batch)
+        assert aux is None
+        assert attentions is None
+        assert model.forward(batch).loss_type.item() == 0.0
 
     @pytest.mark.parametrize(
         "flags",
@@ -458,22 +450,34 @@ class TestInfer:
                                     {"no_aux_network": True}],
                              ids=["full", "frozen", "no_aux"])
     def test_matches_forward_bit_for_bit_on_valid_cells(self, kw):
+        """Bit for bit: forward's four losses equal the same loss ops
+        applied to infer's outputs."""
         model, _, maps, vocab = make_model(**kw)
         words = [w for u in tiny_corpus() for w in u.tokens]
         batch = encode_batch(tiny_corpus() + [Utterance(words[:9], "get_weather", ["O"] * 9)],
                              maps, vocab)
         out = model.forward(batch)
-        intent, slot, attentions = model.infer(batch)
+        intent, aux, attentions, slot = model.infer(batch)
+        config, B = model.config, batch.size
         assert intent.dtype == slot.dtype == np.float32
-        valid = batch.mask[..., None] > 0
-        np.testing.assert_array_equal(intent, out.intent_logits)
-        np.testing.assert_array_equal(np.where(valid, slot, 0), out.slot_logits)
-        if out.attentions is None:
+        loss_intent = cross_entropy_rows(Tensor(intent), batch.intent_targets, B)
+        loss_slot = cross_entropy_rows(Tensor(slot), batch.slot_targets, B)
+        loss_type = Tensor(0.0)
+        if aux is None:
             assert attentions is None
         else:
-            assert attentions.dtype == np.float32
-            np.testing.assert_array_equal(np.where(valid[:, None], attentions, 0),
-                                          out.attentions)
+            assert aux.dtype == attentions.dtype == np.float32
+            n_cells = int(batch.lengths.sum()) * config.n_slot_types
+            loss_type = binary_cross_entropy(Tensor(aux), batch.aux_targets, n_cells,
+                                             batch.mask[..., None] > 0)
+        total = scale(loss_intent, config.alpha)
+        if config.aux_loss_weight > 0:
+            total = add(total, scale(loss_type, config.aux_loss_weight))
+        total = add(total, scale(loss_slot, config.gamma))
+        for got, want in ((out.loss_intent, loss_intent), (out.loss_type, loss_type),
+                          (out.loss_slot, loss_slot), (out.loss_total, total)):
+            assert got.data.dtype == want.data.dtype
+            np.testing.assert_array_equal(got.data, want.data)
 
     def test_builds_no_graph_through_the_module_sub_networks(self, monkeypatch):
         """Every sub-network is reached through the module (so a wrapper sees
@@ -498,8 +502,7 @@ class TestPredict:
     def test_unique_maxima(self):
         model, batch, _, _ = make_model()
         intents, slots = model.predict(batch)
-        out = model.forward(batch)
-        np.testing.assert_array_equal(intents, out.intent_logits.argmax(1))
+        np.testing.assert_array_equal(intents, model.infer(batch)[0].argmax(1))
         for b, s in enumerate(slots):
             assert len(s) == int(batch.lengths[b])
 

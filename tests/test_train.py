@@ -1,4 +1,3 @@
-import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -48,13 +47,11 @@ class TestRunConfigDefaults:
 
     def test_default_model_config_is_model_config_default(self, corpus_setting):
         """RunConfig restates two model defaults under other names (max_len
-        for max_positions, dropout for dropout_rate) and the batch encoder
-        restates max_len; all three must agree."""
+        for max_positions, dropout for dropout_rate); both must agree."""
         _, maps, vocab = corpus_setting
         assert RunConfig().model_config(len(vocab), maps) == ModelConfig(
             vocab_size=len(vocab), n_intents=maps.n_intents,
             n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels)
-        assert inspect.signature(encode_batch).parameters["max_len"].default == RunConfig().max_len
 
     def test_model_config_projection(self, corpus_setting):
         _, maps, vocab = corpus_setting
@@ -200,13 +197,11 @@ class TestEvaluate:
         """Scoring a model's own predictions as gold is exact."""
         corpus, maps, vocab = corpus_setting
         model = train_model(corpus, maps, vocab, tiny_run(epochs=0)).model
-        from slotlens.data import encode_batch
-
         relabeled = []
         for u in corpus:
             batch = encode_batch([u], maps, vocab)
             _, slots = model.predict(batch)
-            intent_id = model.forward(batch).intent_logits[0].argmax()
+            intent_id = model.infer(batch)[0][0].argmax()
             relabeled.append(
                 Utterance(
                     tokens=u.tokens,
