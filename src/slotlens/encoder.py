@@ -43,31 +43,44 @@ def init_encoder_params(
     rng: np.random.Generator,
     dtype=np.float32,
 ) -> None:
-    """Register all encoder parameters under the ``encoder.`` namespace."""
+    """Register all encoder parameters and allocate them, drawn from ``rng``."""
+    declare_encoder_params(params, config, rng, dtype)
+    params.allocate(dtype)
+
+
+def declare_encoder_params(
+    params: ParamSet,
+    config: ModelConfig,
+    rng: np.random.Generator | None,
+    dtype=np.float32,
+) -> None:
+    """Declare all encoder parameters under the ``encoder.`` namespace; the
+    allocation draws them from ``rng`` in this order."""
     d, ffn = config.d, config.ffn_dim
 
-    def emb(shape):
-        return (EMBED_INIT_SCALE * rng.standard_normal(shape)).astype(dtype)
+    def emb(name, shape):
+        params.declare(name, shape, lambda: EMBED_INIT_SCALE * rng.standard_normal(shape))
 
-    def lin(fan_in, fan_out):
-        return xavier_uniform(rng, fan_in, fan_out, dtype=dtype)
+    def lin(name, fan_in, fan_out):
+        params.declare(name, (fan_in, fan_out),
+                       lambda: xavier_uniform(rng, fan_in, fan_out, dtype=dtype))
 
-    params.add("encoder.tok_emb", emb((config.vocab_size, d)))
-    params.add("encoder.pos_emb", emb((config.max_positions, d)))
-    params.add("encoder.cls_emb", emb(d))
+    emb("encoder.tok_emb", (config.vocab_size, d))
+    emb("encoder.pos_emb", (config.max_positions, d))
+    emb("encoder.cls_emb", (d,))
     for i in range(config.n_layers):
         p = f"encoder.layer{i}"
         for name in ("wq", "wk", "wv", "wo"):
-            params.add(f"{p}.attn.{name}", lin(d, d))
+            lin(f"{p}.attn.{name}", d, d)
         for name in ("bq", "bk", "bv", "bo"):
-            params.add(f"{p}.attn.{name}", np.zeros(d, dtype=dtype))
-        params.add(f"{p}.ffn.w1", lin(d, ffn))
-        params.add(f"{p}.ffn.b1", np.zeros(ffn, dtype=dtype))
-        params.add(f"{p}.ffn.w2", lin(ffn, d))
-        params.add(f"{p}.ffn.b2", np.zeros(d, dtype=dtype))
+            params.declare(f"{p}.attn.{name}", (d,), 0.0)
+        lin(f"{p}.ffn.w1", d, ffn)
+        params.declare(f"{p}.ffn.b1", (ffn,), 0.0)
+        lin(f"{p}.ffn.w2", ffn, d)
+        params.declare(f"{p}.ffn.b2", (d,), 0.0)
         for ln in ("ln1", "ln2"):
-            params.add(f"{p}.{ln}.gain", np.ones(d, dtype=dtype))
-            params.add(f"{p}.{ln}.bias", np.zeros(d, dtype=dtype))
+            params.declare(f"{p}.{ln}.gain", (d,), 1.0)
+            params.declare(f"{p}.{ln}.bias", (d,), 0.0)
 
 
 def project_heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Batch
-from .encoder import attend, encode, init_encoder_params, project_heads
+from .encoder import attend, declare_encoder_params, encode, project_heads
 from .optim import ParamSet, xavier_uniform
 from .tensor import (
     Tensor,
@@ -107,23 +107,25 @@ class ForwardOutput:
     loss_total: Tensor
 
 
-def init_model_params(
+def declare_model_params(
     params: ParamSet,
     config: ModelConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     dtype=np.float32,
 ) -> None:
-    """Register encoder and head parameters (draw order is fixed)."""
-    init_encoder_params(params, config, rng, dtype=dtype)
+    """Declare encoder and head parameters; the allocation draws them from
+    ``rng`` in this order."""
+    declare_encoder_params(params, config, rng, dtype)
     d, d_h = config.d, config.d_h
 
     def lin(prefix, fan_in, fan_out):
-        params.add(f"{prefix}.w", xavier_uniform(rng, fan_in, fan_out, dtype=dtype))
-        params.add(f"{prefix}.b", np.zeros(fan_out, dtype=dtype))
+        params.declare(f"{prefix}.w", (fan_in, fan_out),
+                       lambda: xavier_uniform(rng, fan_in, fan_out, dtype=dtype))
+        params.declare(f"{prefix}.b", (fan_out,), 0.0)
 
     def norm(prefix, width):
-        params.add(f"{prefix}.gain", np.ones(width, dtype=dtype))
-        params.add(f"{prefix}.bias", np.zeros(width, dtype=dtype))
+        params.declare(f"{prefix}.gain", (width,), 1.0)
+        params.declare(f"{prefix}.bias", (width,), 0.0)
 
     lin("intent", d, config.n_intents)
     if config.has_aux_network:
@@ -331,13 +333,18 @@ def predict(
 class JointModel:
     """Bundles a configuration with its parameter set."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | int = 0,
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | int | None = 0,
                  dtype=np.float32):
+        """``rng=None`` declares the parameters without drawing or allocating
+        them, for a caller that allocates them around stored arenas
+        (:meth:`ParamSet.allocate`)."""
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(rng)
         self.config = config
         self.params = ParamSet()
-        init_model_params(self.params, config, rng, dtype=dtype)
+        declare_model_params(self.params, config, rng, dtype)
+        if rng is not None:
+            self.params.allocate(dtype)
 
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardOutput:

@@ -1,7 +1,17 @@
-"""Named parameter registry, initialization helpers, and Adam."""
+"""Named parameter registry, initialization helpers, and Adam.
+
+A :class:`ParamSet` keeps its state in four flat arrays of one dtype, its
+arenas: parameters (``data``), gradients (``grad``) and Adam's first and
+second moments (``m``, ``v``).  Each arena is laid out in sorted-name
+order, and every parameter's ``data`` and ``grad`` is a reshaped view of
+its segment, so Adam, gradient zeroing and checkpoint I/O each run over
+whole arrays.
+"""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Iterator
 
 import numpy as np
@@ -15,26 +25,121 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
+def arena_layout(shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, int], int]:
+    """Each named array's offset in an arena holding them back to back in
+    sorted-name order, and the arena's length."""
+    starts, total = {}, 0
+    for name in sorted(shapes):
+        starts[name] = total
+        total += math.prod(shapes[name])
+    return starts, total
+
+
+class Param(Tensor):
+    """A :class:`ParamSet` leaf: ``data`` is a view of the set's parameter
+    arena, and ``grad``, once :meth:`ParamSet.zero_grads` or the first
+    ``backward`` binds it, the same segment of its gradient arena."""
+
+    __slots__ = ("_grads", "_start")  # the gradient arena, the segment's offset
+
+    def _segment(self, arena: np.ndarray) -> np.ndarray:
+        return arena[self._start : self._start + self.data.size].reshape(self.data.shape)
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = self._segment(self._grads)
+            self.grad[...] = g
+        else:
+            self.grad += g
+
+    def zero_grad(self) -> None:
+        self.grad = self._segment(self._grads)
+        self.grad.fill(0.0)
+
+
 class ParamSet:
     """Ordered map from parameter path to leaf tensor, plus Adam state.
 
-    Parameter names are unique.  The optimizer's step count is shared by
-    all parameters in the set; first/second moment buffers are allocated
-    lazily on the first :func:`adam_step`.
+    Parameter names are unique.  Parameters are declared with a shape and an
+    initialiser and then allocated together (:meth:`allocate`); :meth:`add`
+    does both for one parameter.  The optimizer's step count is shared by
+    all parameters in the set; the moment arenas are allocated on the first
+    :func:`adam_step` or by :meth:`load_optimizer_state`.
     """
 
     def __init__(self):
-        self._params: dict[str, Tensor] = {}
+        self._params: dict[str, Param] = {}  # declaration order
+        self._pending: dict[str, tuple[tuple[int, ...], object]] = {}
+        self._starts: dict[str, int] = {}  # arena offset, in sorted-name order
+        self.dtype: np.dtype | None = None
+        self.data = self.grad = self.m = self.v = None
+        self._work = None  # adam_step's two scratch arenas
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+
+    def declare(self, name: str, shape: tuple[int, ...], init) -> None:
+        """Register a parameter for the next :meth:`allocate`.  ``init`` is
+        its value (an array or a fill value) or a function of no arguments
+        returning it, called only if that allocation initialises (it is
+        not given arenas)."""
+        if name in self._params or name in self._pending:
+            raise ValueError(f"duplicate parameter name: {name}")
+        self._pending[name] = (tuple(shape), init)
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(data), requires_grad=True)
-        self._params[name] = t
-        return t
+        """Register and allocate one parameter holding ``data``."""
+        data = np.asarray(data)
+        self.declare(name, data.shape, data)
+        if self.dtype is not None:
+            self.allocate(self.dtype)
+        else:
+            self.allocate(data.dtype if data.dtype.kind == "f" else np.float32)
+        return self._params[name]
+
+    def allocate(self, dtype=np.float32, arenas: dict[str, np.ndarray] | None = None) -> None:
+        """Lay every parameter out in arenas of ``dtype`` (see :func:`arena_layout`).
+
+        Allocated parameters keep their tensors, values, gradients and
+        moments.  Declared ones are set from their initialisers in
+        declaration order, so seeded draws do not depend on the layout.
+        Given ``arenas`` (``data``, and ``m`` and ``v`` if there are
+        moments, each one flat array of the layout's length and ``dtype``),
+        the set is built around them instead and initialises nothing.
+        """
+        dtype = np.dtype(dtype)
+        if self.dtype is not None and self.dtype != dtype:
+            raise ValueError(f"parameter dtype {dtype} differs from the set's {self.dtype}")
+        shapes = {n: t.shape for n, t in self._params.items()}
+        shapes.update((n, shape) for n, (shape, _) in self._pending.items())
+        starts, total = arena_layout(shapes)
+        kept = [np.arange(starts[n], starts[n] + t.size) for n, t in sorted(self._params.items())]
+        kept = np.concatenate(kept) if kept else slice(0, 0)
+        given = arenas or {}
+        for key in ("data", "grad", "m", "v"):
+            old, new = getattr(self, key), given.get(key)
+            if new is None and (old is not None or key in ("data", "grad")):
+                new = np.zeros(total, dtype)
+                if old is not None:
+                    new[kept] = old
+            elif new is not None and (new.dtype != dtype or new.shape != (total,)):
+                raise ValueError(f"arena {key!r} holds {new.size} {new.dtype} values, "
+                                 f"the parameters take {total} {dtype}")
+            setattr(self, key, new)
+        self.dtype, self._starts, self._work = dtype, starts, None
+        for name, t in self._params.items():
+            t._grads, t._start = self.grad, starts[name]
+            t.data = t._segment(self.data)
+            if t.grad is not None:
+                t.grad = t._segment(self.grad)
+        pending, self._pending = self._pending, {}
+        for name, (shape, _) in pending.items():
+            start = starts[name]
+            t = Param(self.data[start : start + math.prod(shape)].reshape(shape),
+                      requires_grad=True)
+            t._grads, t._start = self.grad, start
+            self._params[name] = t
+        if arenas is None:
+            for name, (_, init) in pending.items():
+                self._params[name].data[...] = init() if callable(init) else init
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -46,41 +151,71 @@ class ParamSet:
         return len(self._params)
 
     def names(self) -> list[str]:
-        return list(self._params)
+        """Every registered name, allocated or only declared."""
+        return [*self._params, *self._pending]
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
+
+    def layout(self) -> Iterator[tuple[str, int]]:
+        """``(name, arena offset)`` in arena order, which is sorted-name order."""
+        return iter(self._starts.items())
+
+    def name_at(self, index: int) -> str:
+        """The parameter whose segment holds arena element ``index``."""
+        names = list(self._starts)
+        return names[bisect_right(list(self._starts.values()), index) - 1]
 
     def size(self, prefix: str = "") -> int:
         """Total scalar count, optionally restricted to a name prefix."""
         return sum(t.size for n, t in self._params.items() if n.startswith(prefix))
 
     def zero_grads(self) -> None:
+        if self.grad is None:
+            return
+        self.grad.fill(0.0)
         for t in self._params.values():
-            t.zero_grad()
+            if t.grad is None:
+                t.grad = t._segment(self.grad)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._params.items()}
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
+    def _fill(self, arena: np.ndarray, state: dict[str, np.ndarray]) -> None:
         for name, arr in state.items():
-            t = self._params[name]
-            if t.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {t.data.shape} vs {arr.shape}")
-            t.data = np.asarray(arr, dtype=t.data.dtype).copy()
+            t = self._params.get(name)
+            if t is None:
+                raise ValueError(f"no parameter named {name!r}")
+            view = t.data if arena is self.data else t._segment(arena)
+            if view.shape != arr.shape:
+                raise ValueError(f"shape mismatch for {name}: {view.shape} vs {arr.shape}")
+            view[...] = arr
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy saved values into the parameters, in the set's dtype."""
+        self._fill(self.data, state)
 
     def optimizer_state(self) -> dict:
         """Adam moment buffers and the shared step count."""
-        return {
-            "step_count": self.step_count,
-            "m": {n: a.copy() for n, a in self._m.items()},
-            "v": {n: a.copy() for n, a in self._v.items()},
-        }
+        def copies(arena):
+            if arena is None:
+                return {}
+            return {n: t._segment(arena).copy() for n, t in self._params.items()}
+
+        return {"step_count": self.step_count, "m": copies(self.m), "v": copies(self.v)}
 
     def load_optimizer_state(self, state: dict) -> None:
+        """Set the step count and copy in the listed moments.  A state that
+        lists none drops the moments; a moment it leaves out keeps its value,
+        zero in a set that had no moments."""
         self.step_count = int(state["step_count"])
-        self._m = {n: np.array(a) for n, a in state["m"].items()}
-        self._v = {n: np.array(a) for n, a in state["v"].items()}
+        if not (state["m"] or state["v"]):
+            self.m = self.v = None
+            return
+        if self.m is None:
+            self.m, self.v = (np.zeros(self.data.size, self.dtype) for _ in "mv")
+        self._fill(self.m, state["m"])
+        self._fill(self.v, state["v"])
 
 
 def adam_step(
@@ -93,7 +228,10 @@ def adam_step(
 
     Every parameter must have a populated gradient buffer (zeros count);
     a ``None`` gradient means backward never ran and is reported as an
-    error naming the parameter.
+    error naming the parameter.  The update is elementwise, so it runs
+    once over the whole arenas, in the scalar order of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``data -= lr * (m/bias1) / (sqrt(v/bias2) + eps)``.
     """
     b1, b2 = betas
     for name, t in params.items():
@@ -103,19 +241,21 @@ def adam_step(
     step = params.step_count
     bias1 = 1.0 - b1**step
     bias2 = 1.0 - b2**step
-    for name, t in params.items():
-        g = t.grad
-        m = params._m.get(name)
-        if m is None:
-            m = params._m[name] = np.zeros_like(t.data)
-        v = params._v.get(name)
-        if v is None:
-            v = params._v[name] = np.zeros_like(t.data)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        t.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(t.data.dtype, copy=False)
-        g.fill(0.0)
+    if params.m is None:
+        params.m, params.v = (np.zeros(params.data.size, params.dtype) for _ in "mv")
+    if params._work is None:
+        params._work = np.empty((2, params.data.size), params.dtype)
+    g, m, v = params.grad, params.m, params.v
+    s, r = params._work
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=s)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=s)
+    v += np.multiply(s, g, out=s)
+    np.divide(m, bias1, out=s)
+    np.divide(v, bias2, out=r)
+    np.sqrt(r, out=r)
+    r += eps
+    np.multiply(s, lr, out=s)
+    params.data -= np.divide(s, r, out=s)
+    g.fill(0.0)

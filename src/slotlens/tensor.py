@@ -98,6 +98,13 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add a leaf gradient from :func:`backward` into the buffer."""
+        if self.grad is None:
+            self.grad = np.array(g, copy=True)
+        else:
+            self.grad += g
+
     def __repr__(self) -> str:
         tag = f", op={self.op!r}" if self.op else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
@@ -519,7 +526,4 @@ def backward(loss: Tensor) -> None:
                 else:
                     grads[key] = pg
         elif node.requires_grad:
-            if node.grad is None:
-                node.grad = np.array(g, copy=True)
-            else:
-                node.grad += g
+            node._accumulate(g)

@@ -21,7 +21,7 @@ from .tensor import backward
 
 
 class TrainingDivergedError(RuntimeError):
-    """The total loss became non-finite."""
+    """The total loss or a parameter's gradient became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,12 @@ def train_model(
                     f"non-finite loss {total} at epoch {epoch + 1}"
                 )
             backward(out.loss_total)
+            grad = model.params.grad
+            if not np.isfinite(grad).all():
+                name = model.params.name_at(int(np.argmin(np.isfinite(grad))))
+                raise TrainingDivergedError(
+                    f"non-finite gradient for parameter {name!r} at epoch {epoch + 1}"
+                )
             adam_step(model.params, lr=run.lr)
             sums += len(idx) * np.array(
                 [out.loss_intent.item(), out.loss_type.item(),

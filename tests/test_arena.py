@@ -1,0 +1,220 @@
+"""The flat arenas behind a ParamSet: whole-arena Adam, views that stay
+views, and a checkpoint load that draws no initialisation."""
+
+import json
+
+import numpy as np
+import pytest
+
+from slotlens import encoder, model as model_mod, optim
+from slotlens.checkpoint import (
+    MAGIC, load_checkpoint, model_from_checkpoint, save_checkpoint,
+)
+from slotlens.data import Vocab, build_label_maps, encode_batch
+from slotlens.model import JointModel, ModelConfig
+from slotlens.optim import ParamSet, adam_step
+from slotlens.synth import generate_synthetic_corpus
+from slotlens.tensor import backward, mul, sum_all
+
+
+def reference_adam(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter Adam update this package ran before the arenas,
+    copied as it was: ``m`` and ``v`` are dicts filled on the first step."""
+    bias1 = 1.0 - b1**step
+    bias2 = 1.0 - b2**step
+    for name, data in params.items():
+        g = grads[name]
+        if name not in m:
+            m[name] = np.zeros_like(data)
+            v[name] = np.zeros_like(data)
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(data.dtype, copy=False)
+
+
+def tiny_config(**kw):
+    corpus = generate_synthetic_corpus(seed=5, n=8)
+    maps = build_label_maps(generate_synthetic_corpus(seed=5, n=300))
+    vocab = Vocab.build(corpus)
+    config = ModelConfig(vocab_size=len(vocab), n_intents=maps.n_intents,
+                         n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels,
+                         d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, **kw)
+    return corpus, maps, vocab, config
+
+
+def is_segment(view: np.ndarray, arena: np.ndarray, start: int) -> bool:
+    """``view`` is a view of exactly ``arena[start : start + view.size]``."""
+    address = arena[start:].__array_interface__["data"][0]
+    return view.__array_interface__["data"][0] == address and np.shares_memory(view, arena)
+
+
+def assert_views(params: ParamSet):
+    """Every parameter and bound gradient is its arena segment."""
+    for name, start in params.layout():
+        t = params[name]
+        assert is_segment(t.data, params.data, start), name
+        if t.grad is not None:
+            assert is_segment(t.grad, params.grad, start), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_whole_arena_adam_matches_per_parameter_loop_bit_for_bit(dtype):
+    _, _, _, config = tiny_config()
+    model = JointModel(config, rng=3, dtype=dtype)
+    params = model.params
+    ref = {name: t.data.copy() for name, t in params.items()}
+    m, v = {}, {}
+    rng = np.random.default_rng(0)
+    params.zero_grads()
+    for step in range(1, 6):
+        grads = {name: (rng.standard_normal(t.shape) * 10.0**rng.integers(-6, 2)).astype(dtype)
+                 for name, t in params.items()}
+        for name, g in grads.items():
+            params[name].grad[...] = g
+        adam_step(params, lr=1e-3)
+        reference_adam(ref, grads, m, v, step, lr=1e-3)
+        for name, t in params.items():
+            assert t.data.tobytes() == ref[name].tobytes(), (step, name)
+    state = params.optimizer_state()
+    for name in ref:
+        assert state["m"][name].tobytes() == m[name].tobytes()
+        assert state["v"][name].tobytes() == v[name].tobytes()
+
+
+def test_arena_takes_the_sets_dtype_and_sorted_name_order():
+    ps = ParamSet()
+    ps.add("z", np.ones(2))
+    ps.add("a", np.zeros((2, 2)))
+    assert ps.data.dtype == np.float64 and ps.data.size == 6
+    assert list(ps.layout()) == [("a", 0), ("z", 4)]
+    np.testing.assert_array_equal(ps.data, [0, 0, 0, 0, 1, 1])
+    assert ps.name_at(3) == "a" and ps.name_at(4) == "z"
+
+
+def test_parameters_and_gradients_stay_views_through_every_state_change(tmp_path):
+    corpus, maps, vocab, config = tiny_config()
+    model = JointModel(config, rng=1)
+    params = model.params
+    assert_views(params)
+    params.zero_grads()
+    assert_views(params)
+    assert all(t.grad is not None for _, t in params.items())
+    batch = encode_batch(corpus[:4], maps, vocab)
+    backward(model.forward(batch).loss_total)
+    assert_views(params)
+    assert np.abs(params.grad).sum() > 0
+    adam_step(params, lr=1e-3)
+    assert_views(params)
+    assert not params.grad.any()
+    params.load_state(params.state_dict())
+    assert_views(params)
+    params.load_optimizer_state(params.optimizer_state())
+    assert_views(params)
+    path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab, include_optimizer=True)
+    restored = model_from_checkpoint(load_checkpoint(path))
+    assert_views(restored.params)
+    restored.params.zero_grads()
+    backward(restored.forward(batch).loss_total)
+    assert_views(restored.params)
+
+
+def test_backward_binds_an_unbound_gradient_to_its_segment():
+    ps = ParamSet()
+    w = ps.add("w", np.array([1.0, 2.0]))
+    ps.add("u", np.array([5.0]))
+    backward(sum_all(mul(w, w)))
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+    assert np.shares_memory(w.grad, ps.grad)
+    assert ps["u"].grad is None
+    with pytest.raises(ValueError, match="'u'"):
+        adam_step(ps, lr=0.1)
+
+
+def test_model_from_checkpoint_draws_no_initialisation(tmp_path, monkeypatch):
+    corpus, maps, vocab, config = tiny_config()
+    model = JointModel(config, rng=2)
+    path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an initialiser ran")
+
+    for module in (optim, encoder, model_mod):
+        monkeypatch.setattr(module, "xavier_uniform", no_draws)
+    restored = model_from_checkpoint(load_checkpoint(path))
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(restored.params[name].data, t.data)
+    with pytest.raises(AssertionError, match="initialiser"):
+        JointModel(config, rng=2)
+
+
+def test_first_model_takes_the_arenas_and_a_second_gets_its_own(tmp_path):
+    corpus, maps, vocab, config = tiny_config()
+    path = save_checkpoint(tmp_path / "m.ckpt", JointModel(config, rng=4), maps, vocab)
+    ckpt = load_checkpoint(path)
+    first = model_from_checkpoint(ckpt)
+    assert ckpt.arenas is None
+    assert np.shares_memory(ckpt.params["slot.w"], first.params.data)
+    second = model_from_checkpoint(ckpt)
+    assert not np.shares_memory(second.params.data, first.params.data)
+    np.testing.assert_array_equal(second.params.data, first.params.data)
+
+
+def test_optimizer_entry_before_any_step_lists_no_moments(tmp_path):
+    corpus, maps, vocab, config = tiny_config()
+    model = JointModel(config, rng=4)
+    path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab, include_optimizer=True)
+    ckpt = load_checkpoint(path)
+    assert ckpt.optimizer == {"step_count": 0, "m": {}, "v": {}}
+    assert not any(name.startswith("adam.") for name in ckpt.params)
+    restored = model_from_checkpoint(ckpt)
+    assert restored.params.m is None
+    again = save_checkpoint(tmp_path / "again.ckpt", restored, maps, vocab,
+                            include_optimizer=True)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_partial_moments_load_as_zero_and_resave_in_full(tmp_path):
+    """A hand-made file may list only some moments; the rest load as zero,
+    and a re-save writes every moment."""
+    corpus, maps, vocab, config = tiny_config()
+    model = JointModel(config, rng=4)
+    model.params.zero_grads()
+    backward(model.forward(encode_batch(corpus[:4], maps, vocab)).loss_total)
+    adam_step(model.params, lr=1e-3)
+    path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab, include_optimizer=True)
+    data = path.read_bytes()
+    n = int.from_bytes(data[8:12], "little")
+    manifest = json.loads(data[12 : 12 + n])
+    kept = "slot.w"
+    manifest["optimizer"]["m"] = manifest["optimizer"]["v"] = [kept]
+    manifest["params"] = [e for e in manifest["params"]
+                          if not e["name"].startswith("adam.") or e["name"].endswith(kept)]
+    enc = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + len(enc).to_bytes(4, "little") + enc + data[12 + n :])
+    restored = model_from_checkpoint(load_checkpoint(path))
+    state = restored.params.optimizer_state()
+    want = model.params.optimizer_state()
+    np.testing.assert_array_equal(state["m"][kept], want["m"][kept])
+    assert not state["v"]["slot.b"].any()
+    resaved = load_checkpoint(save_checkpoint(tmp_path / "r.ckpt", restored, maps, vocab,
+                                              include_optimizer=True))
+    assert sorted(resaved.optimizer["m"]) == sorted(model.params.names())
+
+
+@pytest.mark.parametrize("n_types", [5, 13])
+@pytest.mark.parametrize("flags", [{}, {"no_aux_network": True},
+                                   {"no_cross_attention": True}])
+def test_blob_order_is_sorted_name_order(n_types, flags):
+    """The writer puts the m, v and parameter arenas back to back and lists
+    them in that order; that is the sorted order of all stored names (the
+    per-tensor writer's order) because every parameter sorts after
+    ``adam.v.``."""
+    config = ModelConfig(vocab_size=30, n_intents=4, n_slot_types=n_types,
+                         n_bio_labels=2 * n_types - 1, **flags)
+    names = sorted(JointModel(config, rng=None).params.names())
+    blob = [f"adam.m.{n}" for n in names] + [f"adam.v.{n}" for n in names] + names
+    assert blob == sorted(blob)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,12 @@ class TestDeterminism:
         assert {t.data.dtype for _, t in restored.params.items()} == {np.dtype(np.float64)}
         second = save_checkpoint(tmp_path / "b.ckpt", restored, maps, vocab)
         assert first.read_bytes() == second.read_bytes()
+
+
+def _transpose_a_moment(manifest):
+    entry = next(e for e in manifest["params"]
+                 if e["name"].startswith("adam.m.") and len(set(e["shape"])) == 2)
+    entry["shape"] = entry["shape"][::-1]
 
 
 class TestErrorKinds:
@@ -277,9 +284,16 @@ class TestErrorKinds:
         (lambda m: m["optimizer"]["v"].append(m["optimizer"]["v"][0]), "optimizer key 'v'"),
         (lambda m: m["optimizer"]["m"].append("no.such.param"), "'no.such.param'"),
         (lambda m: m.update(optimizer=[1]), "optimizer is not a JSON object"),
+        (lambda m: m["params"][-1].update(name=m["params"][-2]["name"]),
+         "repeats a tensor name"),
+        (lambda m: m["params"][-1].update(dtype="float16",
+                                          shape=[m["params"][-1]["nbytes"] // 2]),
+         "tensors mix dtypes"),
+        (_transpose_a_moment, "but parameter"),
     ], ids=["same-offset", "inside", "no-reserved-tokens", "reserved-tokens-moved",
             "no-step-count", "negative-step-count", "string-step-count", "string-m",
-            "repeated-v", "m-without-tensor", "list-optimizer"])
+            "repeated-v", "m-without-tensor", "list-optimizer", "repeated-name",
+            "mixed-dtypes", "moment-shape"])
     def test_inconsistent_manifest_names_key(self, setting, tmp_path, edit, where):
         corpus, maps, vocab, model = setting
         path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
@@ -294,3 +308,64 @@ class TestErrorKinds:
                                 lambda m: m["config"].update({"n_bio_labels": 4}))
         with pytest.raises(CheckpointFormatError, match="BIO labels"):
             load_checkpoint(path)
+
+
+FIXTURE = Path(__file__).parent / "data" / "v1_tiny_with_optimizer.ckpt"
+
+
+def stored_arrays(path):
+    """Every tensor of a checkpoint, read straight from its offset table."""
+    data = path.read_bytes()
+    n = int.from_bytes(data[8:12], "little")
+    manifest = json.loads(data[12 : 12 + n])
+    blob = data[12 + n :]
+    return manifest, {
+        e["name"]: np.frombuffer(blob[e["offset"] : e["offset"] + e["nbytes"]],
+                                 dtype=np.dtype(e["dtype"]).newbyteorder("<"))
+        .reshape(e["shape"])
+        for e in manifest["params"]
+    }
+
+
+class TestFormatVersion1Fixture:
+    """A ``FORMAT_VERSION`` 1 file with Adam state, written by the per-tensor
+    writer this package had before its parameter arenas (commit 155205f):
+
+        corpus = generate_synthetic_corpus(seed=2, n=12)
+        maps = build_label_maps(generate_synthetic_corpus(seed=2, n=300))
+        vocab = Vocab.build(corpus)
+        run = RunConfig(d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_len=16,
+                        epochs=2, batch_size=4, seed=7)
+        model = train_model(corpus, maps, vocab, run).model
+        intents, slots = model.predict(encode_batch(corpus, maps, vocab, 16))
+        save_checkpoint(path, model, maps, vocab, include_optimizer=True, metadata={
+            "seed": 7, "epoch": 2, "predicted_intents": [...], "predicted_slots": [...]})
+    """
+
+    def test_loads_the_stored_parameters_and_moments(self):
+        manifest, arrays = stored_arrays(FIXTURE)
+        ckpt = load_checkpoint(FIXTURE)
+        model = model_from_checkpoint(ckpt)
+        names = model.params.names()
+        assert sorted(manifest["optimizer"]["m"]) == sorted(names)
+        state = model.params.optimizer_state()
+        assert state["step_count"] == manifest["optimizer"]["step_count"] > 0
+        for name in names:
+            assert model.params[name].data.tobytes() == arrays[name].tobytes()
+            assert state["m"][name].tobytes() == arrays[f"adam.m.{name}"].tobytes()
+            assert state["v"][name].tobytes() == arrays[f"adam.v.{name}"].tobytes()
+
+    def test_predicts_what_the_writer_predicted(self):
+        ckpt = load_checkpoint(FIXTURE)
+        model = model_from_checkpoint(ckpt)
+        corpus = generate_synthetic_corpus(seed=2, n=12)
+        intents, slots = model.predict(encode_batch(corpus, ckpt.label_maps, ckpt.vocab, 16))
+        assert intents.tolist() == ckpt.metadata["predicted_intents"]
+        assert [s.tolist() for s in slots] == ckpt.metadata["predicted_slots"]
+
+    def test_resaves_to_identical_bytes(self, tmp_path):
+        ckpt = load_checkpoint(FIXTURE)
+        model = model_from_checkpoint(ckpt)
+        path = save_checkpoint(tmp_path / "again.ckpt", model, ckpt.label_maps, ckpt.vocab,
+                               metadata=ckpt.metadata, include_optimizer=True)
+        assert path.read_bytes() == FIXTURE.read_bytes()

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from slotlens import cli
+from slotlens import cli, train
 from slotlens.checkpoint import MAGIC, load_checkpoint, model_from_checkpoint
 from slotlens.cli import main, parse_config_file
 from slotlens.data import load_corpus, write_corpus, Utterance
@@ -71,6 +71,29 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "intent_accuracy=" in out
         assert "checkpoint:" in out
+
+    def test_non_finite_gradient_is_one_training_error_line(self, corpus_dir, capsys,
+                                                            tmp_path, monkeypatch):
+        models = []
+
+        class Recorded(train.JointModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self)
+
+        def poisoned(loss):
+            real_backward(loss)
+            models[-1].params["fusion.ll.w"].grad[0, 0] = np.nan
+
+        real_backward = train.backward
+        monkeypatch.setattr(train, "JointModel", Recorded)
+        monkeypatch.setattr(train, "backward", poisoned)
+        rc = main(["train", "--train", str(corpus_dir / "train"),
+                   "--out", str(tmp_path / "r"), *TINY])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("training error: non-finite gradient for parameter "
+                       "'fusion.ll.w' at epoch 1\n")
 
     def test_missing_corpus_is_categorized(self, capsys, tmp_path):
         rc = main(["train", "--train", str(tmp_path / "nope"),
@@ -239,6 +262,22 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and err.count("\n") == 1
         assert f"'{key}'" in err
+
+    def test_config_disagreeing_with_parameters_names_the_file(self, corpus_dir,
+                                                               trained_dir, capsys,
+                                                               tmp_path):
+        data = (trained_dir / "checkpoint.ckpt").read_bytes()
+        n = int.from_bytes(data[8:12], "little")
+        manifest = json.loads(data[12 : 12 + n])
+        manifest["config"]["no_cross_attention"] = True
+        enc = json.dumps(manifest).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(MAGIC + len(enc).to_bytes(4, "little") + enc + data[12 + n :])
+        rc = main(["eval", "--checkpoint", str(path), "--data", str(corpus_dir / "test")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"checkpoint error: {path}: parameter names disagree")
+        assert err.count("\n") == 1 and "'cross.q.w'" in err
 
 
 class TestExplain:

@@ -3,8 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from slotlens import train
 from slotlens.data import Span, Utterance, Vocab, build_label_maps, encode_batch
-from slotlens.model import ModelConfig
+from slotlens.model import JointModel, ModelConfig
 from slotlens.synth import default_grammar, generate_synthetic_corpus
 from slotlens.train import (
     EpochStats,
@@ -23,6 +24,26 @@ def tiny_run(**kw):
                     epochs=2, batch_size=4, seed=3)
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def poison_gradients(monkeypatch, names):
+    """Make every ``backward`` in ``train_model`` leave an inf in the
+    gradient of each named parameter."""
+    models = []
+
+    class Recorded(JointModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    def poisoned(loss):
+        real_backward(loss)
+        for name in names:
+            models[-1].params[name].grad.flat[0] = np.inf
+
+    real_backward = train.backward
+    monkeypatch.setattr(train, "JointModel", Recorded)
+    monkeypatch.setattr(train, "backward", poisoned)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +156,15 @@ class TestTrainModel:
             assert s.dev_intent_accuracy is not None
             assert 0.0 <= s.dev_intent_accuracy <= 1.0
             assert s.dev_slot_f1 is not None
+
+    def test_non_finite_gradient_names_the_first_parameter(self, corpus_setting,
+                                                           monkeypatch):
+        corpus, maps, vocab = corpus_setting
+        poison_gradients(monkeypatch, ["slot.w", "encoder.tok_emb"])
+        with pytest.raises(TrainingDivergedError,
+                           match="non-finite gradient for parameter 'encoder.tok_emb' "
+                                 "at epoch 1"):
+            train_model(corpus, maps, vocab, tiny_run())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self, corpus_setting):
