@@ -256,9 +256,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if len(head) < len(MAGIC) + 4 or head[: len(MAGIC)] != MAGIC:
             raise CheckpointFormatError(f"{path}: not a checkpoint file")
         manifest_len = int.from_bytes(head[len(MAGIC) :], "little")
-        raw = f.read(manifest_len)
-        if len(raw) < manifest_len:
+        # checked before reading, so a damaged length asks for no large buffer
+        if manifest_len > os.fstat(f.fileno()).st_size - len(head):
             raise CheckpointCorruptError(f"{path}: manifest truncated")
+        raw = f.read(manifest_len)
         try:
             manifest = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:

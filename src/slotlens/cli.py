@@ -32,6 +32,7 @@ from .data import (
     Utterance,
     Vocab,
     build_label_maps,
+    encode_batch,
     load_corpus,
     write_corpus,
 )
@@ -44,6 +45,7 @@ from .explain import (
 from .gradcheck import finite_diff_check
 from .model import ABLATION_FLAGS, JointModel, ModelConfig
 from .synth import default_grammar, generate_synthetic_corpus
+from .tensor import add
 from .train import (
     RunConfig,
     TrainingDivergedError,
@@ -204,12 +206,17 @@ def _apply_config_file(subparser: argparse.ArgumentParser, raw: dict[str, str]) 
             if low not in _TRUTHY | _FALSY:
                 raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
             overrides[dest] = low in _TRUTHY
-        elif action.nargs in ("+", "*"):
-            overrides[dest] = [action.type(v) if action.type else v for v in value.split()]
-        elif action.type is not None:
-            overrides[dest] = action.type(value)
         else:
-            overrides[dest] = value
+            convert = action.type or str
+            try:
+                if action.nargs in ("+", "*"):
+                    overrides[dest] = [convert(v) for v in value.split()]
+                else:
+                    overrides[dest] = convert(value)
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r} expects {convert.__name__} values, got {value!r}"
+                ) from None
     subparser.set_defaults(**overrides)
 
 
@@ -232,6 +239,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     run = _run_config_from_args(args)
     corpus, maps, vocab, dev, test = _load_training_data(run)
     result = train_model(corpus, maps, vocab, run, dev_corpus=dev)
+    if result.truncated:
+        print(f"truncated {result.truncated} training utterances to max_len {run.max_len}")
     out = Path(run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
@@ -349,28 +358,35 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    corpus = [
+    # the loss sums two batches: the first runs as one graph, the second (ten
+    # 1-token utterances beside a 12-token one) as two length-sorted sub-batches
+    pair = [
         Utterance(["fly", "to", "boston", "now"], "book_flight",
                   ["O", "O", "B-city", "O"]),
         Utterance(["rain", "on", "monday"], "get_weather",
                   ["O", "O", "B-day"]),
     ]
-    maps = build_label_maps(corpus)
-    vocab = Vocab.build(corpus)
+    words = [("boston", "B-city"), ("monday", "B-day"), ("rain", "O"), ("now", "O")]
+    mixed = [Utterance([w], "get_weather", [tag]) for w, tag in (words * 3)[:10]] + [
+        Utterance("fly to boston on monday now or to boston on monday rain".split(),
+                  "book_flight",
+                  ["O", "O", "B-city", "O", "B-day", "O", "O", "O", "B-city", "O",
+                   "B-day", "O"]),
+    ]
+    maps = build_label_maps(pair + mixed)
+    vocab = Vocab.build(pair + mixed)
     config = ModelConfig(
         vocab_size=len(vocab), n_intents=maps.n_intents,
         n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels,
-        d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_positions=8,
+        d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_positions=13,
         dropout_rate=0.0,
     )
     model = JointModel(config, rng=np.random.default_rng(args.seed),
                        dtype=np.float64)
-    from .data import encode_batch
-
-    batch = encode_batch(corpus, maps, vocab)
+    batches = [encode_batch(pair, maps, vocab), encode_batch(mixed, maps, vocab)]
 
     def loss():
-        return model.forward(batch).loss_total
+        return add(*(model.forward(batch).loss_total for batch in batches))
 
     report = finite_diff_check(loss, model.params, h=args.h, tol=args.tol)
     text = report.format()

@@ -272,6 +272,20 @@ class Batch:
     def max_len(self) -> int:
         return self.token_ids.shape[1]
 
+    def rows(self, idx: np.ndarray) -> "Batch":
+        """The utterances at ``idx``, in that order, padded only to their own
+        longest length.  ``truncated`` stays with the batch that was encoded:
+        a selection counts 0, so its rows are never counted twice."""
+        L = int(self.lengths[idx].max())
+        return Batch(
+            token_ids=self.token_ids[idx, :L],
+            mask=self.mask[idx, :L],
+            lengths=self.lengths[idx],
+            intent_targets=self.intent_targets[idx],
+            slot_targets=self.slot_targets[idx, :L],
+            aux_targets=self.aux_targets[idx, :L],
+        )
+
 
 def encode_batch(
     utterances: list[Utterance],
@@ -319,20 +333,40 @@ def encode_batch(
     )
 
 
-# A cut that turns one inference pass into two pays when it saves more padded
-# token positions than this. Measured with the default d=64 model on 2 vCPUs
-# (numpy 2.4, one BLAS thread): a pass has about 1 ms of fixed cost (a
-# 1-utterance batch takes 0.8-1.5 ms), and each padded token position costs
-# about 10 us in a 13-token batch and 25 us in a 47-token one; splitting
-# 25-utterance batches broke even near 100 saved positions.
+# A cut that turns one pass into two pays when it saves more padded token
+# positions than this. Measured with the default d=64 model on 2 vCPUs
+# (numpy 2.4, one BLAS thread). Inference: a pass has about 1 ms of fixed
+# cost (a 1-utterance batch takes 0.8-1.5 ms), and each padded token position
+# costs about 10 us in a 13-token batch and 25 us in a 47-token one;
+# splitting 25-utterance batches broke even near 100 saved positions.
+# Training (forward and backward, dropout on): a second sub-batch costs
+# about 4 ms and a padded position about 50 us in the 32-utterance batches
+# of the train-desk benchmark (|T| = 5, lengths 6-13) and 65 us in those of
+# train-long (|T| = 13, lengths 2-47); forced splits of the train-desk epoch
+# batches (seeds 1000-1005) broke even at 85-95 saved positions, so
+# training uses the same constant.
 SPLIT_MIN_SAVED = 100
+
+
+def split_by_length(lengths: np.ndarray, min_saved: int) -> list[np.ndarray]:
+    """Positions of ``lengths`` as one group, or as two when cutting them,
+    stably sorted, at the cut that saves the most padded positions saves
+    more than ``min_saved``: the shorter ones first, each group ascending."""
+    order = np.argsort(lengths, kind="stable")
+    l = lengths[order]
+    # cutting before position k pads the k shorter ones to l[k-1], not l[-1]
+    saved = np.arange(1, len(l)) * (l[-1] - l[:-1])
+    if saved.size and saved.max() > min_saved:
+        k = int(saved.argmax()) + 1
+        return [np.sort(order[:k]), np.sort(order[k:])]
+    return [np.arange(len(l))]
 
 
 def length_groups(utterances: list[Utterance], max_len: int, size: int) -> list[np.ndarray]:
     """Indices of ``utterances`` in inference batches that pay little for
     padding: stably sorted by truncated length, cut into groups of at most
-    ``size``, and each group split once more at the cut that saves the most
-    padded positions when that saves more than ``SPLIT_MIN_SAVED``.
+    ``size``, and each group split once more by :func:`split_by_length`
+    with ``SPLIT_MIN_SAVED``.
 
     Each group lists its indices in ascending order, so a call that fits
     one group runs the very batch it would run unsorted (float32 results
@@ -343,14 +377,7 @@ def length_groups(utterances: list[Utterance], max_len: int, size: int) -> list[
     groups = []
     for start in range(0, len(order), size):
         idx = order[start : start + size]
-        l = lengths[idx]
-        # cutting before position k pads the k shorter ones to l[k-1], not l[-1]
-        saved = np.arange(1, len(l)) * (l[-1] - l[:-1])
-        if saved.size and saved.max() > SPLIT_MIN_SAVED:
-            k = int(saved.argmax()) + 1
-            groups += [np.sort(idx[:k]), np.sort(idx[k:])]
-        else:
-            groups.append(np.sort(idx))
+        groups += [np.sort(idx[g]) for g in split_by_length(lengths[idx], SPLIT_MIN_SAVED)]
     return groups
 
 

@@ -10,11 +10,13 @@ over all contributing (token, type) cells, so a batch with lengths 3 and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
-from .data import Batch
+from .data import SPLIT_MIN_SAVED, Batch, split_by_length
 from .encoder import attend, declare_encoder_params, encode, project_heads
 from .optim import ParamSet, xavier_uniform
 from .tensor import (
@@ -25,6 +27,7 @@ from .tensor import (
     concat,
     cross_entropy_rows,
     dropout,
+    dropout_mask,
     layer_norm,
     matmul,
     no_grad,
@@ -62,6 +65,8 @@ class ModelConfig:
         for name in ("d", "n_heads", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must be non-negative, got {self.n_layers}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.d % self.n_heads != 0:
@@ -72,8 +77,8 @@ class ModelConfig:
             raise ValueError("max_positions must cover at least one token plus CLS")
         if self.d_h < 1:
             raise ValueError("d_h must be at least 1")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not all(0 <= w < math.inf for w in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("loss weights must be finite and non-negative")
         if self.n_bio_labels != 2 * (self.n_slot_types - 1) + 1:
             raise ValueError(
                 f"{self.n_bio_labels} BIO labels inconsistent with "
@@ -172,12 +177,16 @@ def intent_fusion(
     config: ModelConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    keep: np.ndarray | None = None,
 ) -> Tensor:
     """Fuse intent logits into token states via a single-head self
     attention over the normalized, projected concatenation; the residual
-    uses the clean token states.  ``mask`` (B, L) marks the valid tokens."""
+    uses the clean token states.  ``mask`` (B, L) marks the valid tokens;
+    ``keep``, a (B, L, d) dropout mask drawn beforehand, replaces the draw
+    from ``rng``."""
     B = u_e.shape[0]
-    x = dropout(u_e, config.dropout_rate, training, rng, lengths=mask.sum(axis=1).astype(int))
+    x = dropout(u_e, config.dropout_rate, training, rng,
+                lengths=mask.sum(axis=1).astype(int), keep=keep)
     if not config.no_intent_concat:
         x = concat([x, reshape(g_intent, (B, 1, config.n_intents))])
     x = layer_norm(x, params["fusion.ln.gain"], params["fusion.ln.bias"])
@@ -256,22 +265,39 @@ def _network(
     batch: Batch,
     config: ModelConfig,
     params: ParamSet,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
+    keeps: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
 ) -> tuple[Tensor, Tensor | None, Tensor | None, Tensor]:
     """The network body over the padded batch: intent logits, per-type
     logits and attention maps (both None without the aux network), and
-    slot logits. Each sub-network is looked up as a module global, so a
-    wrapper installed on this module sees every call."""
-    u_e, u_c = encode(batch, config, params, training, rng)
+    slot logits. ``keeps`` holds the embedding and fusion dropout masks,
+    None where no dropout applies. Each sub-network is looked up as a
+    module global, so a wrapper installed on this module sees every call."""
+    u_e, u_c = encode(batch, config, params, keep=keeps[0])
     g_intent = intent_head(u_c, params)
     g_type = alpha = None
     if config.has_aux_network:
-        u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, training, rng)
+        u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, keep=keeps[1])
         h, alpha = slot_type_attention(u_hat, batch.mask, params, config)
         g_type = slot_type_heads(h, params, config)
     u_slot = fusion_cross_attention(u_e, g_type, batch.mask, params, config)
     return g_intent, g_type, alpha, slot_head(u_slot, params)
+
+
+def _dropout_masks(
+    batch: Batch, config: ModelConfig, params: ParamSet, rng: np.random.Generator | None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A training pass's two dropout masks over the whole batch, drawn in
+    the order the one-graph pass draws them: the embedding mask
+    (B, L + 1, d) for b = 0..B-1, then, when the aux network runs, the
+    fusion mask (B, L, d) for b = 0..B-1."""
+    rate = config.dropout_rate
+    if rate == 0.0:
+        return None, None
+    B, L = batch.token_ids.shape
+    embed = dropout_mask((B, L + 1, config.d), rate, rng, batch.lengths + 1, params.dtype)
+    if not config.has_aux_network:
+        return embed, None
+    return embed, dropout_mask((B, L, config.d), rate, rng, batch.lengths, params.dtype)
 
 
 def forward(
@@ -281,20 +307,37 @@ def forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardOutput:
-    """Run the full network once over the padded batch and return the
-    mean-over-batch losses against the batch's gold labels."""
+    """Run the network over the padded batch and return the mean-over-batch
+    losses against the batch's gold labels.
+
+    When the batch's best length cut saves more than
+    ``SPLIT_MIN_SAVED`` padded positions (:func:`split_by_length`),
+    the network runs once per sub-batch, each padded to its own longest
+    utterance. Every sub-batch's loss terms divide by the whole batch's
+    counts and are summed, and dropout masks are drawn for the whole batch
+    before any sub-batch runs and then sliced, so the losses are the
+    one-graph losses up to float rounding. Otherwise the one graph runs."""
     B = batch.size
-    g_intent, g_type, _, g_slot = _network(batch, config, params, training, rng)
-    loss_intent = cross_entropy_rows(g_intent, batch.intent_targets, B)
-
-    loss_type = Tensor(0.0)
-    if config.has_aux_network:
-        n_type_cells = int(batch.lengths.sum()) * config.n_slot_types
-        loss_type = binary_cross_entropy(
-            g_type, batch.aux_targets, n_type_cells, batch.mask[..., None] > 0
-        )
-
-    loss_slot = cross_entropy_rows(g_slot, batch.slot_targets, B)
+    n_type_cells = int(batch.lengths.sum()) * config.n_slot_types
+    keeps = _dropout_masks(batch, config, params, rng) if training else (None, None)
+    groups = split_by_length(batch.lengths, SPLIT_MIN_SAVED)
+    terms = []
+    for idx in groups:
+        sub, sub_keeps = batch, keeps
+        if len(groups) > 1:
+            sub = batch.rows(idx)
+            # each mask loses the trailing columns only longer rows fill
+            cut = batch.max_len - sub.max_len
+            sub_keeps = tuple(None if k is None else k[idx, : k.shape[1] - cut] for k in keeps)
+        g_intent, g_type, _, g_slot = _network(sub, config, params, sub_keeps)
+        loss_type = Tensor(0.0)
+        if config.has_aux_network:
+            loss_type = binary_cross_entropy(
+                g_type, sub.aux_targets, n_type_cells, sub.mask[..., None] > 0
+            )
+        terms.append((cross_entropy_rows(g_intent, sub.intent_targets, B), loss_type,
+                      cross_entropy_rows(g_slot, sub.slot_targets, B)))
+    loss_intent, loss_type, loss_slot = (reduce(add, ts) for ts in zip(*terms))
 
     loss_total = scale(loss_intent, config.alpha)
     if config.aux_loss_weight > 0:

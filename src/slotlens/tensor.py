@@ -398,34 +398,51 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor._node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", _bw)
 
 
+def dropout_mask(
+    shape: tuple[int, ...],
+    rate: float,
+    rng: np.random.Generator | None,
+    lengths: Sequence[int] | None = None,
+    dtype=np.float32,
+) -> np.ndarray:
+    """The mask :func:`dropout` multiplies by: 0 with probability ``rate``,
+    else ``1/(1-rate)``.
+
+    With ``lengths``, ``shape`` is a padded batch ``(B, L, ...)``: utterance
+    b draws its mask over its first ``lengths[b]`` rows, in batch order, so
+    its mask does not depend on the rest of the batch.  Pad rows are zero.
+    """
+    if rng is None:
+        raise ValueError("dropout in training mode requires a seeded rng")
+    if lengths is None:
+        keep = rng.random(shape) >= rate
+    else:
+        keep = np.zeros(shape, dtype=bool)
+        for b, n in enumerate(lengths):
+            keep[b, :n] = rng.random((n, *shape[2:])) >= rate
+    return (keep / (1.0 - rate)).astype(dtype)
+
+
 def dropout(
     x: Tensor,
     rate: float,
     training: bool,
     rng: np.random.Generator | None = None,
     lengths: Sequence[int] | None = None,
+    keep: np.ndarray | None = None,
 ) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` and rescale survivors
-    by ``1/(1-rate)`` during training; identity at inference.
-
-    With ``lengths``, ``x`` is a padded batch ``(B, L, ...)``: utterance b
-    draws its mask over its first ``lengths[b]`` rows, in batch order, so
-    its mask does not depend on the rest of the batch.  Pad rows are zeroed.
+    by ``1/(1-rate)`` during training; identity at inference.  The mask is
+    drawn from ``rng`` as :func:`dropout_mask` draws it, unless ``keep``
+    gives one drawn beforehand, which is applied whatever ``training`` says.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     x = _as_tensor(x)
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in training mode requires a seeded rng")
-    if lengths is None:
-        keep = rng.random(x.data.shape) >= rate
-    else:
-        keep = np.zeros(x.data.shape, dtype=bool)
-        for b, n in enumerate(lengths):
-            keep[b, :n] = rng.random((n, *x.data.shape[2:])) >= rate
-    keep = (keep / (1.0 - rate)).astype(x.data.dtype)
+    if keep is None:
+        if not training or rate == 0.0:
+            return x
+        keep = dropout_mask(x.data.shape, rate, rng, lengths, x.data.dtype)
     return Tensor._node(x.data * keep, (x,), "dropout", lambda g: (g * keep,))
 
 

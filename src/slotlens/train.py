@@ -8,6 +8,7 @@ split, when given, is scored per epoch for reporting only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -57,8 +58,12 @@ class RunConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.max_len < 1:
+            raise ValueError(f"max_len must be at least 1, got {self.max_len}")
 
     def model_config(self, vocab_size: int, maps: LabelMaps) -> ModelConfig:
         """The model half of the run: every field shared with ``ModelConfig``
@@ -105,6 +110,7 @@ class Metrics:
 class TrainResult:
     model: JointModel
     curve: list[EpochStats] = field(default_factory=list)
+    truncated: int = 0  # training utterances cut to ``max_len``, counted in epoch 1
 
 
 def _batches(n: int, batch_size: int, order: np.ndarray):
@@ -135,11 +141,14 @@ def train_model(
 
     curve: list[EpochStats] = []
     n = len(corpus)
+    truncated = 0
     for epoch in range(run.epochs):
         order = shuffle_rng.permutation(n)
         sums = np.zeros(4)
         for idx in _batches(n, run.batch_size, order):
             batch = encode_batch([corpus[i] for i in idx], maps, vocab, run.max_len)
+            if epoch == 0:
+                truncated += batch.truncated
             out = model.forward(batch, training=True, rng=dropout_rng)
             total = out.loss_total.item()
             if not np.isfinite(total):
@@ -173,7 +182,7 @@ def train_model(
                 dev_slot_f1=dev_f1,
             )
         )
-    return TrainResult(model=model, curve=curve)
+    return TrainResult(model=model, curve=curve, truncated=truncated)
 
 
 def evaluate(

@@ -246,6 +246,7 @@ class TestErrorKinds:
     @pytest.mark.parametrize("key,value,message", [
         ("n_heads", 3, "divisible"), ("max_positions", 1, "max_positions"),
         ("dropout_rate", 1.5, "dropout_rate"), ("d", 0, "d must be"),
+        ("n_layers", -1, "n_layers must be"),
     ])
     def test_invalid_config_value_is_a_format_error(self, setting, tmp_path, key,
                                                     value, message):
@@ -369,3 +370,22 @@ class TestFormatVersion1Fixture:
         path = save_checkpoint(tmp_path / "again.ckpt", model, ckpt.label_maps, ckpt.vocab,
                                metadata=ckpt.metadata, include_optimizer=True)
         assert path.read_bytes() == FIXTURE.read_bytes()
+
+    def test_retraining_the_recipe_reproduces_the_file(self):
+        """The recipe above, retrained today, gives every stored parameter and
+        Adam moment bit for bit. Its 4-utterance batches never split by
+        length, so this pins the one-graph training pass and its dropout
+        draw order."""
+        corpus = generate_synthetic_corpus(seed=2, n=12)
+        maps = build_label_maps(generate_synthetic_corpus(seed=2, n=300))
+        vocab = Vocab.build(corpus)
+        run = RunConfig(d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_len=16,
+                        epochs=2, batch_size=4, seed=7)
+        model = train_model(corpus, maps, vocab, run).model
+        manifest, arrays = stored_arrays(FIXTURE)
+        state = model.params.optimizer_state()
+        assert state["step_count"] == manifest["optimizer"]["step_count"]
+        for name in model.params.names():
+            assert model.params[name].data.tobytes() == arrays[name].tobytes(), name
+            assert state["m"][name].tobytes() == arrays[f"adam.m.{name}"].tobytes(), name
+            assert state["v"][name].tobytes() == arrays[f"adam.v.{name}"].tobytes(), name

@@ -72,6 +72,21 @@ class TestTrain:
         assert "intent_accuracy=" in out
         assert "checkpoint:" in out
 
+    def test_reports_truncated_training_utterances(self, corpus_dir, capsys, tmp_path):
+        n = sum(u.length > 5 for u in load_corpus(corpus_dir / "train"))
+        assert n > 0
+        assert main(["train", "--train", str(corpus_dir / "train"),
+                     "--out", str(tmp_path / "r"), *TINY, "--max-len", "5"]) == 0
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if line.startswith("truncated")]
+        assert lines == [f"truncated {n} training utterances to max_len 5"]
+
+    def test_says_nothing_when_nothing_is_truncated(self, corpus_dir, capsys, tmp_path):
+        assert main(["train", "--train", str(corpus_dir / "train"),
+                     "--out", str(tmp_path / "r"), *TINY, "--epochs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert not [line for line in out.splitlines() if line.startswith("truncated")]
+
     def test_non_finite_gradient_is_one_training_error_line(self, corpus_dir, capsys,
                                                             tmp_path, monkeypatch):
         models = []
@@ -187,6 +202,8 @@ class TestRunFlags:
         ("--dropout", "1.0", "dropout_rate"), ("--batch-size", "0", "batch_size"),
         ("--batch-size", "-1", "batch_size"), ("--epochs", "-2", "epochs"),
         ("--lr", "-1", "lr"), ("--lr", "-1e-3", "lr"),
+        ("--n-layers", "-1", "n_layers must be non-negative"),
+        ("--max-len", "0", "max_len must be at least 1"),
     ])
     def test_bad_value_is_one_usage_error_line(self, corpus_dir, capsys, tmp_path,
                                                flag, value, field):
@@ -262,6 +279,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and err.count("\n") == 1
         assert f"'{key}'" in err
+
+    def test_negative_layer_count_is_one_checkpoint_error_line(self, corpus_dir, trained_dir,
+                                                               capsys, tmp_path):
+        data = (trained_dir / "checkpoint.ckpt").read_bytes()
+        n = int.from_bytes(data[8:12], "little")
+        manifest = json.loads(data[12 : 12 + n])
+        manifest["config"]["n_layers"] = -1
+        enc = json.dumps(manifest).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(MAGIC + len(enc).to_bytes(4, "little") + enc + data[12 + n :])
+        rc = main(["eval", "--checkpoint", str(path), "--data", str(corpus_dir / "test")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"checkpoint error: {path}: invalid config: n_layers must be")
+        assert err.count("\n") == 1
 
     def test_config_disagreeing_with_parameters_names_the_file(self, corpus_dir,
                                                                trained_dir, capsys,
@@ -546,6 +578,19 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("usage error:")
         assert "learning-rate" in err
+
+    @pytest.mark.parametrize("line,key,kind", [("n-layers=1.5", "n-layers", "int"),
+                                               ("lr=fast", "lr", "float")])
+    def test_unparsable_value_names_its_key(self, corpus_dir, capsys, tmp_path, line, key,
+                                            kind):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["train", "--train", str(corpus_dir / "train"),
+                   "--out", str(tmp_path / "r"), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: config key {key!r} expects {kind} values")
+        assert err.count("\n") == 1
 
     def test_malformed_line_is_a_usage_error(self, corpus_dir, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -18,6 +18,7 @@ from slotlens.data import (
     generate_aux_targets,
     length_groups,
     load_corpus,
+    split_by_length,
     span_f1,
     spans_to_bio,
     validate_bio,
@@ -235,6 +236,17 @@ class TestEncodeBatch:
         assert kept.max_len == 60
         assert kept.truncated == 0
 
+    def test_rows_select_and_trim_padding(self, setting):
+        corpus, maps, vocab = setting
+        long_u = Utterance(["word"] * 60, "book_hotel", ["O"] * 60)
+        batch = encode_batch([corpus[0], long_u, corpus[1]], maps, vocab, max_len=50)
+        sub = batch.rows(np.array([0, 2]))
+        short = encode_batch([corpus[0], corpus[1]], maps, vocab)
+        for name in ("token_ids", "mask", "lengths", "intent_targets", "slot_targets",
+                     "aux_targets"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(short, name))
+        assert (batch.truncated, sub.truncated) == (1, 0)
+
     def test_unknown_token_maps_to_unk(self, setting):
         corpus, maps, vocab = setting
         u = Utterance(["fly", "somewhere"], "book_flight", ["O", "O"])
@@ -294,6 +306,13 @@ class TestLengthGroups:
         assert all(1 <= len(g) <= 32 and (np.diff(g) > 0).all() for g in groups)
         for a, b in zip(groups, groups[1:]):
             assert truncated[a].max() <= truncated[b].min()
+
+    def test_split_by_length_cuts_only_when_it_saves_more_than_the_bound(self):
+        lengths = np.array([12, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])  # the cut saves 10 * 11
+        assert [g.tolist() for g in split_by_length(lengths, 109)] == [
+            list(range(1, 11)), [0]]
+        assert [g.tolist() for g in split_by_length(lengths, 110)] == [list(range(11))]
+        assert [g.tolist() for g in split_by_length(np.array([5]), 0)] == [[0]]
 
     def test_no_utterances_no_groups(self):
         assert length_groups([], 50, 32) == []

@@ -5,6 +5,7 @@ import pytest
 
 from slotlens import model as model_module
 from slotlens.data import Utterance, build_label_maps, encode_batch, Vocab
+from slotlens.encoder import encode
 from slotlens.gradcheck import finite_diff_check
 from slotlens.model import (
     ABLATION_FLAGS,
@@ -74,6 +75,12 @@ class TestConfig:
             ModelConfig(vocab_size=5, n_intents=2, n_slot_types=2, n_bio_labels=3,
                         alpha=-1.0)
 
+    @pytest.mark.parametrize("kw", [dict(alpha=float("inf")), dict(beta=float("nan")),
+                                    dict(gamma=float("nan"))], ids=["inf", "nan", "nan-last"])
+    def test_weights_must_be_finite(self, kw):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ModelConfig(vocab_size=5, n_intents=2, n_slot_types=2, n_bio_labels=3, **kw)
+
     def test_dh_validation(self):
         with pytest.raises(ValueError, match="d_h"):
             ModelConfig(vocab_size=5, n_intents=2, n_slot_types=2, n_bio_labels=3,
@@ -92,9 +99,9 @@ class TestConfig:
         (dict(d=0), "d must be"), (dict(n_heads=0), "n_heads"), (dict(ffn_dim=0), "ffn_dim"),
         (dict(dropout_rate=-0.1), "dropout_rate"), (dict(dropout_rate=1.0), "dropout_rate"),
         (dict(dropout_rate=1.5), "dropout_rate"), (dict(d=8, n_heads=3), "divisible"),
-        (dict(max_positions=1), "max_positions"),
+        (dict(max_positions=1), "max_positions"), (dict(n_layers=-1), "n_layers must be"),
     ], ids=["d0", "heads0", "ffn0", "dropout-neg", "dropout1", "dropout1.5",
-            "heads-not-dividing", "positions1"])
+            "heads-not-dividing", "positions1", "layers-neg"])
     def test_encoder_sizes_checked_at_construction(self, kw, name):
         with pytest.raises(ValueError, match=name):
             ModelConfig(vocab_size=5, n_intents=2, n_slot_types=2, n_bio_labels=3, **kw)
@@ -526,6 +533,85 @@ class TestPredict:
         np.testing.assert_array_equal(i_fwd, i_rev[::-1])
         for a, b in zip(s_fwd, s_rev[::-1]):
             np.testing.assert_array_equal(a, b)
+
+
+def mixed_batch(maps, vocab):
+    """Ten 1-token utterances and, fifth, a 12-token one: cutting off the
+    long one saves 10 * 11 = 110 padded positions, so forward splits it."""
+    corpus = tiny_corpus()
+    words = [w for u in corpus for w in u.tokens]
+    tags = [t for u in corpus for t in u.bio_tags]
+    batch = [Utterance([w], "get_weather", ["O"]) for w in words]
+    batch.insert(4, Utterance(words + words[:2], "book_flight", tags + ["O", "O"]))
+    return encode_batch(batch, maps, vocab)
+
+
+def one_graph_losses(model, batch, rng):
+    """The four training losses as one graph over the whole batch, each
+    dropout mask drawn from ``rng`` where it is applied."""
+    config, params, B = model.config, model.params, batch.size
+    u_e, u_c = encode(batch, config, params, True, rng)
+    g_intent = intent_head(u_c, params)
+    g_type, loss_type = None, Tensor(0.0)
+    if config.has_aux_network:
+        u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, True, rng)
+        h, _ = slot_type_attention(u_hat, batch.mask, params, config)
+        g_type = slot_type_heads(h, params, config)
+        loss_type = binary_cross_entropy(
+            g_type, batch.aux_targets, int(batch.lengths.sum()) * config.n_slot_types,
+            batch.mask[..., None] > 0)
+    g_slot = slot_head(fusion_cross_attention(u_e, g_type, batch.mask, params, config), params)
+    loss_intent = cross_entropy_rows(g_intent, batch.intent_targets, B)
+    loss_slot = cross_entropy_rows(g_slot, batch.slot_targets, B)
+    total = scale(loss_intent, config.alpha)
+    if config.aux_loss_weight > 0:
+        total = add(total, scale(loss_type, config.aux_loss_weight))
+    return loss_intent, loss_type, loss_slot, add(total, scale(loss_slot, config.gamma))
+
+
+class TestLengthSplit:
+    def test_forward_runs_a_mixed_batch_as_two_sub_batches(self, monkeypatch):
+        model, batch, maps, vocab = make_model(max_positions=13)
+        shapes = []
+
+        def spy(sub, *args, _real=model_module.encode, **kwargs):
+            shapes.append(sub.token_ids.shape)
+            return _real(sub, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "encode", spy)
+        model.forward(mixed_batch(maps, vocab))
+        model.forward(batch)
+        assert shapes == [(10, 1), (1, 12), (3, 4)]
+
+    @pytest.mark.parametrize("kw", [{}, {"frozen_uniform_type_attention": True},
+                                    {"no_aux_network": True}, {"no_cross_attention": True}],
+                             ids=["full", "frozen", "no_aux", "no_cross"])
+    def test_losses_and_gradients_match_one_graph_in_float64(self, kw):
+        """Same rng seed on both sides: the split pass draws the dropout
+        masks the one-graph pass draws, and no more."""
+        model, _, maps, vocab = make_model(np.float64, max_positions=13, dropout_rate=0.1, **kw)
+        batch = mixed_batch(maps, vocab)
+        split_rng, one_rng = np.random.default_rng(11), np.random.default_rng(11)
+        out = model.forward(batch, training=True, rng=split_rng)
+        model.params.zero_grads()
+        backward(out.loss_total)
+        split_grads = model.params.grad.copy()
+        want = one_graph_losses(model, batch, one_rng)
+        model.params.zero_grads()
+        backward(want[-1])
+        for got, ref in zip((out.loss_intent, out.loss_type, out.loss_slot, out.loss_total),
+                            want):
+            np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(split_grads, model.params.grad, rtol=0, atol=1e-12)
+        assert np.abs(split_grads).max() > 0
+        assert split_rng.random() == one_rng.random()
+
+    def test_split_batch_gradients_match_finite_differences(self):
+        model, _, maps, vocab = make_model(np.float64, max_positions=13, d=4, d_h=2, ffn_dim=4)
+        batch = mixed_batch(maps, vocab)
+        report = finite_diff_check(lambda: model.forward(batch).loss_total, model.params,
+                                   h=1e-6, tol=1e-4)
+        assert report.passed, report.format()
 
 
 class TestFullModelGradcheck:

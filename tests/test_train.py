@@ -101,8 +101,10 @@ class TestRunConfigDefaults:
 
     @pytest.mark.parametrize("kw", [
         dict(batch_size=0), dict(batch_size=-1), dict(epochs=-2), dict(lr=0.0),
-        dict(lr=-1.0), dict(lr=float("nan")),
-    ], ids=["batch0", "batch-neg", "epochs-neg", "lr0", "lr-neg", "lr-nan"])
+        dict(lr=-1.0), dict(lr=float("nan")), dict(lr=float("inf")), dict(seed=-1),
+        dict(max_len=0),
+    ], ids=["batch0", "batch-neg", "epochs-neg", "lr0", "lr-neg", "lr-nan", "lr-inf",
+            "seed-neg", "max-len0"])
     def test_rejects_bad_optimizer_settings(self, kw):
         (name,) = kw
         with pytest.raises(ValueError, match=name):
@@ -165,6 +167,32 @@ class TestTrainModel:
                            match="non-finite gradient for parameter 'encoder.tok_emb' "
                                  "at epoch 1"):
             train_model(corpus, maps, vocab, tiny_run())
+
+    def test_truncation_is_counted_once_over_epochs_and_sub_batches(self, corpus_setting,
+                                                                    monkeypatch):
+        """Ten 1-token utterances and one of 15 tokens in one batch at
+        max_len 12: forward runs it as two sub-batches in each of the two
+        epochs, and the one cut utterance counts once."""
+        from slotlens import model as model_module
+
+        corpus, maps, vocab = corpus_setting
+        u = corpus[0]
+        utterances = [Utterance([w], u.intent, ["O"]) for w in (u.tokens * 10)[:10]]
+        utterances.append(Utterance((u.tokens * 15)[:15], u.intent, ["O"] * 15))
+        shapes = []
+
+        def spy(batch, *args, _real=model_module.encode, **kwargs):
+            shapes.append(batch.token_ids.shape)
+            return _real(batch, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "encode", spy)
+        result = train_model(utterances, maps, vocab, tiny_run(max_len=12, batch_size=11))
+        assert result.truncated == 1
+        assert shapes == [(10, 1), (1, 12)] * 2
+
+    def test_nothing_truncated_counts_zero(self, corpus_setting):
+        corpus, maps, vocab = corpus_setting
+        assert train_model(corpus, maps, vocab, tiny_run()).truncated == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self, corpus_setting):
