@@ -7,8 +7,10 @@ serializes to the same bytes, so determinism can be asserted on files.
 
 The writer's blob is a parameter set's arenas back to back (Adam ``m``,
 Adam ``v``, parameters), each in sorted-name order, which is also the
-order of the table. The reader reads the blob straight into arenas of the
-same layout, and a model loaded from them is built around them.
+order of the table. It rewrites an existing file in place and writes the
+magic last, so a save cut short leaves zeros where the magic goes. The
+reader reads the blob straight into arenas of the same layout, and a
+model loaded from them is built around them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import PAD_TOKEN, UNK_TOKEN, LabelMaps, Vocab
+from .data import PAD_TOKEN, UNK_TOKEN, LabelMaps, Vocab, rewrite_file
 from .model import JointModel, ModelConfig
 from .optim import arena_layout
 
@@ -74,7 +76,10 @@ def save_checkpoint(
 
     The blob is the parameter set's arenas back to back: with
     ``include_optimizer`` and once Adam has moments, the ``m`` and ``v``
-    arenas, then the parameter arena, each in sorted-name order.
+    arenas, then the parameter arena, each in sorted-name order. An
+    existing file is rewritten in place with the magic written last (see
+    :func:`~slotlens.data.rewrite_file`), so a save cut short leaves a
+    file that :func:`load_checkpoint` rejects.
     """
     params = model.params
     moments = include_optimizer and params.m is not None
@@ -111,13 +116,11 @@ def save_checkpoint(
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(np.array(len(encoded), dtype="<u4").tobytes())
-        f.write(encoded)
-        for _, arena in arenas:
-            f.write(arena.astype(arena.dtype.newbyteorder("<"), copy=False))
-    return path
+    return rewrite_file(path, [
+        np.array(len(encoded), dtype="<u4").tobytes(),
+        encoded,
+        *(arena.astype(arena.dtype.newbyteorder("<"), copy=False) for _, arena in arenas),
+    ], head=MAGIC)
 
 
 def _require_keys(table, keys: tuple[str, ...], path, where: str) -> None:

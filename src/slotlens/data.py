@@ -11,8 +11,11 @@ one utterance per line, tokens/tags single-space separated:
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -219,6 +222,37 @@ def write_corpus(corpus: list[Utterance], path: str | Path) -> None:
     (path / INTENT_FILE).write_text(
         "".join(u.intent + "\n" for u in corpus), encoding="utf-8"
     )
+
+
+def rewrite_file(path: str | Path, chunks: Iterable, head: bytes = b"") -> Path:
+    """Make ``path`` hold ``head`` followed by the bytes-like ``chunks``,
+    rewriting an existing file in place.
+
+    The file is opened without ``O_TRUNC`` and cut to the written length
+    after the write. Truncating to zero first frees the file's blocks, and
+    on a filesystem mounted with ``discard`` that costs more than writing
+    them again. The rewrite is not atomic: while it runs, or after it was
+    cut short, the file can hold new bytes followed by old ones. So
+    ``head`` is written as zeros before anything else and as itself last,
+    after the truncation: a reader that checks the first bytes rejects a
+    file whose rewrite did not finish.
+    """
+    path = Path(path)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        for chunk in itertools.chain([bytes(len(head))], chunks):
+            view = memoryview(chunk).cast("B")
+            written += len(view)
+            while view:
+                view = view[os.write(fd, view) :]
+        if os.fstat(fd).st_size > written:  # a pipe or device reads as size 0
+            os.ftruncate(fd, written)
+        if head:
+            os.pwrite(fd, head, 0)
+    finally:
+        os.close(fd)
+    return path
 
 
 # auxiliary binary targets ----------------------------------------------------

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabelMaps, OUTSIDE, Utterance, Vocab, encode_batch, length_groups
+from .data import (LabelMaps, OUTSIDE, Utterance, Vocab, encode_batch, length_groups,
+                   rewrite_file)
 from .model import JointModel
 
 ROW_SUM_TOLERANCE = 1e-6
@@ -449,14 +450,12 @@ def render_heatmap(bundle: AttentionBundle, slot_type: str, path: str | Path) ->
         parts.append(f"<tr><th>{token}</th>{cells}</tr>")
     parts.append("</table></body></html>")
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
-    return path
+    return write_report("\n".join(parts) + "\n", path)
 
 
 def write_report(text: str, path: str | Path) -> Path:
+    """Write ``text`` as UTF-8 to ``path``, creating its directory and
+    rewriting an existing file in place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    return path
+    return rewrite_file(path, [text.encode("utf-8")])

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .optim import ParamSet
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 
 def relative_error(a: float, b: float) -> float:
@@ -92,10 +92,11 @@ def finite_diff_check(
         ad_flat = autodiff[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
-            f_plus = f().item()
-            flat[i] = orig - h
-            f_minus = f().item()
+            with no_grad():  # the perturbed losses are never differentiated
+                flat[i] = orig + h
+                f_plus = f().item()
+                flat[i] = orig - h
+                f_minus = f().item()
             flat[i] = orig
             fd = (f_plus - f_minus) / (2.0 * h)
             err = relative_error(float(ad_flat[i]), fd)

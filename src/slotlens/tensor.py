@@ -417,9 +417,11 @@ def dropout_mask(
     if lengths is None:
         keep = rng.random(shape) >= rate
     else:
+        lengths = np.asarray(lengths, dtype=np.intp)
         keep = np.zeros(shape, dtype=bool)
-        for b, n in enumerate(lengths):
-            keep[b, :n] = rng.random((n, *shape[2:])) >= rate
+        # row-major order of the valid rows is utterance by utterance
+        keep[np.arange(shape[1]) < lengths[:, None]] = (
+            rng.random((lengths.sum(), *shape[2:])) >= rate)
     return (keep / (1.0 - rate)).astype(dtype)
 
 

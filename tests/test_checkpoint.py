@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,8 @@ from slotlens.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from slotlens.data import Vocab, build_label_maps, encode_batch
+from slotlens.cli import main
+from slotlens.data import Vocab, build_label_maps, encode_batch, write_corpus
 from slotlens.model import JointModel
 from slotlens.optim import adam_step
 from slotlens.synth import generate_synthetic_corpus
@@ -326,6 +329,61 @@ def stored_arrays(path):
         .reshape(e["shape"])
         for e in manifest["params"]
     }
+
+
+class TestInterruptedSave:
+    """A save rewrites the file in place, so one cut short over an older
+    checkpoint of the same model leaves the old file's length and its last
+    bytes. Such a file must not load."""
+
+    @pytest.mark.parametrize("cut", ["in-manifest", "after-manifest", "mid-blob", "at-end"])
+    def test_save_cut_short_does_not_load(self, setting, tmp_path, monkeypatch, capsys,
+                                          cut):
+        corpus, maps, vocab, model = setting
+        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab, include_optimizer=True)
+        old = path.read_bytes()
+        manifest_end = 12 + int.from_bytes(old[8:12], "little")
+        budget = {"in-manifest": manifest_end - 10, "after-manifest": manifest_end,
+                  "mid-blob": (manifest_end + len(old)) // 2, "at-end": len(old)}[cut]
+        changed = model_from_checkpoint(load_checkpoint(path))
+        changed.params.data += 1.0  # new bytes differ from the old ones everywhere
+        real_write = os.write
+
+        def failing_write(fd, data):
+            nonlocal budget
+            n = real_write(fd, memoryview(data)[:budget]) if budget else 0
+            budget -= n
+            if n < len(data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return n
+
+        monkeypatch.setattr(os, "write", failing_write)
+        if cut == "at-end":  # every byte lands: only the magic is missing
+            monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
+            save_checkpoint(path, changed, maps, vocab, include_optimizer=True)
+        else:
+            with pytest.raises(OSError, match="No space"):
+                save_checkpoint(path, changed, maps, vocab, include_optimizer=True)
+        monkeypatch.undo()
+
+        torn = path.read_bytes()
+        assert len(torn) == len(old) and torn != old
+        with pytest.raises((CheckpointFormatError, CheckpointCorruptError)):
+            load_checkpoint(path)
+        write_corpus(corpus, tmp_path / "data")
+        assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and err.count("\n") == 1
+
+    def test_finished_save_over_a_longer_file_loads(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab, include_optimizer=True)
+        longer = path.read_bytes()
+        save_checkpoint(path, model, maps, vocab)
+        fresh = save_checkpoint(tmp_path / "fresh.ckpt", model, maps, vocab)
+        assert len(path.read_bytes()) < len(longer)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert set(load_checkpoint(path).params) == set(model.params.names())
 
 
 class TestFormatVersion1Fixture:

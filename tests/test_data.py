@@ -1,6 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
+from slotlens import data
+from slotlens.checkpoint import save_checkpoint
 from slotlens.data import (
     PAD_ID,
     UNK_ID,
@@ -21,9 +25,12 @@ from slotlens.data import (
     split_by_length,
     span_f1,
     spans_to_bio,
+    rewrite_file,
     validate_bio,
     write_corpus,
 )
+from slotlens.explain import AttentionBundle, render_heatmap, write_report
+from slotlens.model import JointModel, ModelConfig
 
 
 def make_corpus_dir(tmp_path, tokens, tags, intents):
@@ -378,3 +385,47 @@ class TestSpanF1:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             span_f1([set()], [set(), set()])
+
+
+class TestRewriteFile:
+    def test_longer_shorter_longer_leaves_the_last_content(self, tmp_path):
+        path = tmp_path / "f.bin"
+        contents = [b"a" * 5000, b"bb", b"c" * 7000 + "ü".encode()]
+        rewrite_file(path, [contents[0]])
+        inode = path.stat().st_ino
+        for content in contents[1:]:
+            rewrite_file(path, [content[:3], memoryview(content)[3:]])
+            assert path.read_bytes() == content
+        assert path.stat().st_ino == inode  # rewritten in place
+
+    def test_chunks_may_be_arrays_and_empty(self, tmp_path):
+        arena = np.arange(6, dtype="<f4")
+        path = rewrite_file(tmp_path / "f.bin", [b"", arena, np.zeros(0), b"z"], head=b"HD")
+        assert path.read_bytes() == b"HD" + arena.tobytes() + b"z"
+        assert rewrite_file(path, []).read_bytes() == b""
+
+    def test_writes_to_a_device(self):
+        write_report("text\n", os.devnull)
+
+    def test_no_writer_opens_with_truncation(self, tmp_path, monkeypatch):
+        """Heatmaps, reports and checkpoints reuse the file's blocks:
+        ``O_TRUNC`` would free them, and ``discard`` makes that slow."""
+        flags, real_open = [], os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(data.os, "open", recording_open)
+        bundle = AttentionBundle(["a", "b"], {"city": np.eye(2)}, {"city"}, set())
+        corpus = [Utterance(["fly", "to", "boston"], "fly", ["O", "O", "B-city"])]
+        maps, vocab = build_label_maps(corpus), Vocab.build(corpus)
+        config = ModelConfig(vocab_size=len(vocab), n_intents=maps.n_intents,
+                             n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels,
+                             d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=8)
+        for _ in range(2):  # creating and rewriting
+            render_heatmap(bundle, "city", tmp_path / "h.html")
+            write_report("a\tb\n", tmp_path / "r.tsv")
+            save_checkpoint(tmp_path / "m.ckpt", JointModel(config, rng=0), maps, vocab)
+        assert len(flags) == 6
+        assert all(f & os.O_CREAT and not f & os.O_TRUNC for f in flags)

@@ -19,6 +19,7 @@ from slotlens.explain import (
     render_heatmap,
     topk_entropy_analysis,
     type_entropy,
+    write_report,
 )
 from slotlens.model import JointModel, ModelConfig
 from slotlens.synth import default_grammar, generate_synthetic_corpus, modification_pairs
@@ -681,6 +682,19 @@ class TestHeatmap:
         b.matrices["city"] = np.array(rows, dtype=dtype)  # past the bundle's checks
         out = render_heatmap(b, "city", tmp_path / "h.html")
         assert out.read_bytes() == _per_cell_heatmap(b, "city")
+
+    def test_rewrite_writes_what_write_text_writes(self, tmp_path):
+        """Over a longer file, a shorter one and none, the bytes equal what
+        ``Path.write_text(..., encoding="utf-8")`` writes for the same text."""
+        out, reference = tmp_path / "h.html", tmp_path / "reference.html"
+        for l in (13, 2, 47):
+            b = AttentionBundle(escaped_tokens(l), {"city": np.eye(l)},
+                                frozenset({"city"}), frozenset())
+            reference.write_text(_per_cell_heatmap(b, "city").decode("utf-8"), encoding="utf-8")
+            assert render_heatmap(b, "city", out).read_bytes() == reference.read_bytes()
+        for text in ("type\ti\n日本\t0.5\r\n" * 40, "a\n", "", "tök\n"):
+            reference.write_text(text, encoding="utf-8")
+            assert write_report(text, out).read_bytes() == reference.read_bytes()
 
     def test_missing_type_errors(self, tmp_path):
         b = uniform_bundle()

@@ -168,6 +168,27 @@ class TestDropout:
         # mean of inverted dropout is the input; SE ~ 3/sqrt(400*2000)
         assert abs(total.mean() / n_draws - 3.0) < 0.02
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_length_mask_matches_a_draw_per_utterance(self, seed):
+        """The reference: utterance b draws its first ``lengths[b]`` rows in
+        batch order. The whole-batch draw gives the same bits and leaves the
+        generator at the same point."""
+        meta = np.random.default_rng(seed)
+        B, L = int(meta.integers(1, 9)), int(meta.integers(1, 20))
+        shape = (B, L, *map(int, meta.integers(1, 6, size=seed % 3)))
+        lengths = meta.integers(0, L + 1, size=B)
+        lengths[seed % B] = 0
+        rate = float(meta.uniform(0.05, 0.9))
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        keep = np.zeros(shape, dtype=bool)
+        for b, n in enumerate(lengths):
+            keep[b, :n] = ref_rng.random((n, *shape[2:])) >= rate
+        reference = (keep / (1.0 - rate)).astype(np.float32)
+        mask = T.dropout_mask(shape, rate, rng, lengths.tolist())
+        assert mask.dtype == reference.dtype
+        assert mask.tobytes() == reference.tobytes()
+        assert rng.random() == ref_rng.random()
+
     def test_gradient_masks_match_forward(self):
         rng = np.random.default_rng(5)
         x = Tensor(np.ones(100, dtype=np.float64), requires_grad=True)
