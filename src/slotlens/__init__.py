@@ -36,7 +36,7 @@ from .synth import (
     modification_pairs,
     modify_utterance,
 )
-from .encoder import encode, init_encoder_params
+from .encoder import encode
 from .model import (
     ABLATION_FLAGS,
     ForwardOutput,
@@ -108,7 +108,6 @@ __all__ = [
     "modification_pairs",
     "modify_utterance",
     "encode",
-    "init_encoder_params",
     "ABLATION_FLAGS",
     "ForwardOutput",
     "JointModel",

@@ -79,10 +79,6 @@ class Utterance:
     def length(self) -> int:
         return len(self.tokens)
 
-    def slot_types_present(self) -> set[str]:
-        """Non-O slot types appearing in the gold tags."""
-        return {t[2:] for t in self.bio_tags if t != OUTSIDE}
-
 
 @dataclass(frozen=True)
 class Span:

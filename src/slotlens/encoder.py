@@ -37,17 +37,6 @@ if TYPE_CHECKING:
 EMBED_INIT_SCALE = 0.02
 
 
-def init_encoder_params(
-    params: ParamSet,
-    config: ModelConfig,
-    rng: np.random.Generator,
-    dtype=np.float32,
-) -> None:
-    """Register all encoder parameters and allocate them, drawn from ``rng``."""
-    declare_encoder_params(params, config, rng, dtype)
-    params.allocate(dtype)
-
-
 def declare_encoder_params(
     params: ParamSet,
     config: ModelConfig,

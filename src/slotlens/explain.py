@@ -80,38 +80,44 @@ def extract_attention_bundles(
 ) -> list[AttentionBundle]:
     """Collect every slot type's attention map for each utterance, in the
     caller's order, from one graph-free inference pass per length group of
-    at most ``EXTRACT_CHUNK`` utterances (see :func:`length_groups`).
+    at most ``EXTRACT_CHUNK`` distinct utterances (see :func:`length_groups`).
 
     Each utterance is truncated to the model's maximum length, and its
-    bundle covers the kept tokens. Positive types come from the gold tags;
-    an utterance with no tagged slot falls back to the tags the same pass
-    predicts for it (argmax, ties to the lower index). "O" joins the
-    negative set only when ``include_outside`` is set.
+    bundle covers the kept tokens. Utterances with equal kept tokens and
+    tags run once and share one bundle; the network never reads the
+    intent. Positive types come from the gold tags; an utterance with no
+    tagged slot falls back to the tags the same pass predicts for it
+    (argmax, ties to the lower index). "O" joins the negative set only
+    when ``include_outside`` is set.
     """
     analyzed = set(maps.slot_types)
     if not include_outside:
         analyzed.discard(OUTSIDE)
     max_len = model.config.max_positions - 1
-    bundles: list[AttentionBundle | None] = [None] * len(utterances)
-    for idx in length_groups(utterances, max_len, EXTRACT_CHUNK):
-        batch = encode_batch([utterances[i] for i in idx], maps, vocab, max_len)
+    keys = [(tuple(u.tokens[:max_len]), tuple(u.bio_tags[:max_len])) for u in utterances]
+    distinct = dict(zip(keys, utterances))  # one utterance per key, first-seen order
+    unique = list(distinct.values())
+    bundles: list[AttentionBundle | None] = [None] * len(unique)
+    for idx in length_groups(unique, max_len, EXTRACT_CHUNK):
+        batch = encode_batch([unique[i] for i in idx], maps, vocab, max_len)
         _, _, attentions, slot_logits = model.infer(batch)
         if attentions is None:
             raise ValueError("model was built without the slot-type attention network")
         for b, i in enumerate(idx):
             n = int(batch.lengths[b])
-            tags = utterances[i].bio_tags[:n]
+            tags = unique[i].bio_tags[:n]
             if all(t == OUTSIDE for t in tags):
                 tags = [maps.bio_labels[j] for j in slot_logits[b, :n].argmax(axis=1)]
             positive = {t[2:] for t in tags if t != OUTSIDE} & analyzed
             bundles[i] = AttentionBundle(
-                tokens=list(utterances[i].tokens[:n]),
+                tokens=list(unique[i].tokens[:n]),
                 # views into the batch; the bundle copies them to float64
                 matrices=dict(zip(maps.slot_types, attentions[b, :, :n, :n])),
                 positive_types=frozenset(positive),
                 negative_types=frozenset(analyzed - positive),
             )
-    return bundles
+    shared = dict(zip(distinct, bundles))
+    return [shared[k] for k in keys]
 
 
 def extract_attentions(
@@ -277,6 +283,20 @@ def topk_entropy_analysis(
 # modification consistency -------------------------------------------------------
 
 
+def _row_cosines(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cosine similarity between matching rows of two ``(P, l, l)``
+    stacks, clipped to [0, 1]: returns ``(P,)``. A row pair with a zero
+    norm scores 0."""
+    if x.shape != y.shape:
+        raise ValueError(
+            f"lengths differ ({x.shape[-1]} vs {y.shape[-1]}); pass an alignment"
+        )
+    dots = np.einsum("pij,pij->pi", x, y)
+    denom = np.linalg.norm(x, axis=2) * np.linalg.norm(y, axis=2)
+    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    return np.clip(sims.mean(axis=1), 0.0, 1.0)
+
+
 def compare_attention_consistency(
     bundle_a: AttentionBundle,
     bundle_b: AttentionBundle,
@@ -286,27 +306,29 @@ def compare_attention_consistency(
     """Mean cosine similarity between aligned attention rows, in [0, 1].
 
     Identity alignment is assumed for equal-length utterances; differing
-    lengths require an explicit (pos_a, pos_b) token alignment, which is
-    applied to rows and to the attended-over columns alike.
+    lengths require an explicit, non-empty list of (pos_a, pos_b) token
+    positions, which is applied to rows and to the attended-over columns
+    alike. A position outside its utterance is a ``ValueError``.
     """
     for bundle in (bundle_a, bundle_b):
         if slot_type not in bundle.matrices:
             raise ValueError(f"slot type {slot_type!r} missing from bundle")
     a = bundle_a.matrices[slot_type]
     b = bundle_b.matrices[slot_type]
-    if alignment is None:
-        if a.shape != b.shape:
+    if alignment is not None:
+        aligned = np.asarray(alignment, dtype=np.intp).reshape(-1, 2)
+        if not len(aligned):
+            raise ValueError("empty alignment: pass at least one (pos_a, pos_b) pair")
+        bad = ((aligned < 0) | (aligned >= (len(a), len(b)))).any(axis=1)
+        if bad.any():
+            i, j = aligned[bad][0]
             raise ValueError(
-                f"lengths differ ({a.shape[0]} vs {b.shape[0]}); pass an alignment"
+                f"alignment pair ({i}, {j}) is outside lengths ({len(a)}, {len(b)})"
             )
-        alignment = [(i, i) for i in range(a.shape[0])]
-    pos_a, pos_b = np.asarray(alignment, dtype=np.intp).reshape(-1, 2).T
-    x = a[np.ix_(pos_a, pos_a)]  # aligned rows over aligned columns
-    y = b[np.ix_(pos_b, pos_b)]
-    dots = np.einsum("ij,ij->i", x, y)
-    denom = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    return float(np.clip(np.mean(sims), 0.0, 1.0))
+        pos_a, pos_b = aligned.T
+        a = a[np.ix_(pos_a, pos_a)]  # aligned rows over aligned columns
+        b = b[np.ix_(pos_b, pos_b)]
+    return float(_row_cosines(a[None], b[None])[0])
 
 
 @dataclass(frozen=True)
@@ -342,15 +364,16 @@ def consistency_analysis(
 ) -> ConsistencyReport:
     """Score each (original, modified, category) pair by the mean
     consistency over the original's positive types (all analyzed types
-    when it has none)."""
-    originals = extract_attention_bundles(model, [p[0] for p in pairs], maps, vocab)
-    modified = extract_attention_bundles(model, [p[1] for p in pairs], maps, vocab)
+    when it has none), with identity alignment. Both sides go through one
+    extraction sweep, so an utterance that recurs in the pairs runs once."""
+    n = len(pairs)
+    bundles = extract_attention_bundles(
+        model, [p[0] for p in pairs] + [p[1] for p in pairs], maps, vocab)
     scored = []
-    for pair_id, (ba, bb, (_, _, category)) in enumerate(zip(originals, modified, pairs)):
+    for pair_id, (ba, bb, (_, _, category)) in enumerate(zip(bundles[:n], bundles[n:], pairs)):
         types = sorted(ba.positive_types) or sorted(ba.analyzed_types)
-        score = float(
-            np.mean([compare_attention_consistency(ba, bb, t) for t in types])
-        )
+        x, y = (np.stack([bundle.matrices[t] for t in types]) for bundle in (ba, bb))
+        score = float(_row_cosines(x, y).mean())
         scored.append(PairScore(pair_id=pair_id, category=category, score=score))
     return ConsistencyReport(pairs=scored)
 

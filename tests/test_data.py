@@ -55,7 +55,6 @@ class TestUtterance:
     def test_valid_construction(self):
         u = Utterance(["fly", "to", "boston"], "book_flight", ["O", "O", "B-city"])
         assert u.length == 3
-        assert u.slot_types_present() == {"city"}
 
     def test_token_tag_length_mismatch(self):
         with pytest.raises(ValueError, match="2 tokens but 1 tags"):

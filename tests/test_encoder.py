@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from slotlens.data import Utterance, Vocab, build_label_maps, encode_batch
-from slotlens.encoder import encode, init_encoder_params
+from slotlens.encoder import declare_encoder_params, encode
 from slotlens.gradcheck import finite_diff_check
 from slotlens.model import ModelConfig
 from slotlens.optim import ParamSet
 from slotlens.tensor import add, backward, scale, sum_all
+
+
+def init_encoder_params(params, config, rng, dtype=np.float32):
+    """Declare every encoder parameter and allocate them, drawn from ``rng``."""
+    declare_encoder_params(params, config, rng, dtype)
+    params.allocate(dtype)
 
 
 def make_setting(dtype=np.float32, seed=0, **config_kw):

@@ -140,6 +140,21 @@ def small_setting(**config_kw):
     return model, corpus, maps, vocab
 
 
+def synthetic_pairs_setting():
+    """A small random model and the modification pairs of a 12-utterance
+    synthetic corpus."""
+    g = default_grammar()
+    corpus = generate_synthetic_corpus(seed=3, n=12, grammar=g)
+    maps = build_label_maps(generate_synthetic_corpus(seed=3, n=200, grammar=g))
+    vocab = Vocab.build(corpus)
+    model = JointModel(ModelConfig(
+        vocab_size=len(vocab), n_intents=maps.n_intents,
+        n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels,
+        d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_positions=30,
+    ), rng=np.random.default_rng(1))
+    return model, modification_pairs(corpus, g, seed=5), maps, vocab
+
+
 class TestEntropy:
     def test_uniform_over_four(self):
         assert entropy([0.25] * 4) == pytest.approx(2.0)
@@ -417,14 +432,14 @@ class TestBatchedExtraction:
         assert report.n_utterances == 25
         assert sorted(calls) == [11, 14]
 
-    def test_consistency_runs_one_forward_per_side(self, monkeypatch):
+    def test_consistency_runs_one_pass_for_both_sides(self, monkeypatch):
         model, _, maps, vocab = small_setting()
         originals = mixed_utterances(10, seed=1, lengths=[6])
         pairs = [(u, Utterance(["denver"] + u.tokens[1:], u.intent, u.bio_tags), "slot")
                  for u in originals]
         calls = count_passes(monkeypatch)
         report = consistency_analysis(model, pairs, maps, vocab)
-        assert len(calls) == 2
+        assert calls == [20]
         assert len(report.pairs) == 10
         monkeypatch.undo()
         for score, (orig, mod, _) in zip(report.pairs, pairs):
@@ -433,6 +448,81 @@ class TestBatchedExtraction:
             types = sorted(ba.positive_types) or sorted(ba.analyzed_types)
             want = np.mean([compare_attention_consistency(ba, bb, t) for t in types])
             assert score.score == pytest.approx(want, abs=1e-6)
+
+    def test_equal_utterances_run_once_and_share_a_bundle(self, monkeypatch):
+        """Equal kept tokens and tags make one row, whatever the intent."""
+        model, corpus, maps, vocab = small_setting()
+        same = Utterance(corpus[0].tokens, "get_weather", corpus[0].bio_tags)
+        retagged = Utterance(corpus[0].tokens, "book_flight", ["O"] * 4)
+        calls = count_passes(monkeypatch)
+        bundles = extract_attention_bundles(
+            model, [corpus[0], corpus[1], same, retagged, corpus[0]], maps, vocab)
+        assert calls == [3]
+        assert bundles[0] is bundles[2] is bundles[4]
+        assert bundles[3] is not bundles[0]
+
+    def test_modification_pairs_run_each_distinct_utterance_once(self, monkeypatch):
+        model, pairs, maps, vocab = synthetic_pairs_setting()
+        max_len = model.config.max_positions - 1
+        distinct = {(tuple(u.tokens[:max_len]), tuple(u.bio_tags[:max_len]))
+                    for p in pairs for u in p[:2]}
+        assert len(distinct) < 2 * len(pairs)  # originals recur across categories
+        calls = count_passes(monkeypatch)
+        report = consistency_analysis(model, pairs, maps, vocab)
+        assert sum(calls) == len(distinct)
+        assert [(p.pair_id, p.category) for p in report.pairs] == [
+            (i, c) for i, (_, _, c) in enumerate(pairs)]
+
+    def test_consistency_matches_per_pair_reference(self, monkeypatch):
+        """Bimodal lengths split a group, the all-O originals fall back to
+        every analyzed type, and the modified sides recur."""
+        model, _, maps, vocab = small_setting(max_positions=48)
+        model.params["slot.b"].data[maps.bio_index["O"]] += 50.0  # predict all O
+        originals = mixed_utterances(25, lengths=[2, 40, 3, 33, 4, 47, 36])
+        pairs = [(u, Utterance(["denver"] * u.length, u.intent, u.bio_tags), c)
+                 for u in originals for c in ("slot", "context")]
+        calls = count_passes(monkeypatch)
+        report = consistency_analysis(model, pairs, maps, vocab)
+        assert len(calls) > 1 and sum(calls) < 2 * len(pairs)
+        monkeypatch.undo()
+        fallbacks = 0
+        for score, (orig, mod, category) in zip(report.pairs, pairs):
+            ba = extract_attentions(model, orig, maps, vocab)
+            bb = extract_attentions(model, mod, maps, vocab)
+            types = sorted(ba.positive_types) or sorted(ba.analyzed_types)
+            fallbacks += not ba.positive_types
+            want = np.mean([compare_attention_consistency(ba, bb, t) for t in types])
+            assert score.category == category
+            assert score.score == pytest.approx(want, abs=1e-6)
+        assert fallbacks > 0
+
+    def test_repeated_corpus_matches_one_extraction_per_utterance(self, monkeypatch):
+        model, _, maps, vocab = small_setting(max_positions=48)
+        corpus = mixed_utterances(20, seed=4, lengths=[2, 40, 3, 33, 4, 47, 36])
+        calls = count_passes(monkeypatch)
+        report = topk_entropy_analysis(model, corpus + corpus, [5, 50, 100], maps, vocab)
+        assert sum(calls) == len(corpus)
+        monkeypatch.undo()
+        want = entropy_report_from_bundles(
+            [extract_attentions(model, u, maps, vocab) for u in corpus], [5, 50, 100])
+        assert report.n_utterances == 2 * len(corpus)
+        for got, ref in zip(report.rows, want.rows):
+            assert got.k == ref.k
+            assert got.pos_entropy == pytest.approx(ref.pos_entropy, abs=1e-6)
+            assert got.neg_entropy == pytest.approx(ref.neg_entropy, abs=1e-6)
+
+    def test_no_pairs_run_no_pass(self, monkeypatch):
+        model, _, maps, vocab = small_setting()
+        calls = count_passes(monkeypatch)
+        assert consistency_analysis(model, [], maps, vocab).pairs == []
+        assert calls == []
+
+    def test_pair_of_unequal_lengths_needs_alignment(self):
+        model, corpus, maps, vocab = small_setting()
+        longer = Utterance(corpus[0].tokens + ["today"], corpus[0].intent,
+                           corpus[0].bio_tags + ["O"])
+        with pytest.raises(ValueError, match="lengths differ \\(4 vs 5\\); pass an alignment"):
+            consistency_analysis(model, [(corpus[0], longer, "slot")], maps, vocab)
 
 
 class TestEntropyReport:
@@ -535,6 +625,17 @@ class TestConsistency:
         score = compare_attention_consistency(a, b, "city", alignment=[(0, 0), (2, 3)])
         assert 0.0 <= score <= 1.0
 
+    @pytest.mark.parametrize("alignment,message", [
+        ([], "empty alignment"),
+        ([(0, 0), (-1, 0)], "\\(-1, 0\\) is outside lengths \\(3, 3\\)"),
+        ([(1, 3)], "\\(1, 3\\) is outside lengths \\(3, 3\\)"),
+        ([(3, 0), (0, 0)], "\\(3, 0\\) is outside"),
+    ], ids=["empty", "negative", "past-b", "past-a"])
+    def test_bad_alignment_rejected(self, alignment, message):
+        b = uniform_bundle(3, types=("city",), positive=("city",))
+        with pytest.raises(ValueError, match=message):
+            compare_attention_consistency(b, b, "city", alignment)
+
     @staticmethod
     def row_reference(a, b, alignment):
         """Per-row loop: cosine of aligned rows over aligned columns."""
@@ -578,16 +679,8 @@ class TestConsistency:
         assert score == pytest.approx(self.row_reference(m, m, [(0, 0), (1, 1)]))
 
     def test_pair_analysis_over_synthetic_modifications(self):
-        g = default_grammar()
-        corpus = generate_synthetic_corpus(seed=3, n=12, grammar=g)
-        maps = build_label_maps(generate_synthetic_corpus(seed=3, n=200, grammar=g))
-        vocab = Vocab.build(corpus)
-        model = JointModel(ModelConfig(
-            vocab_size=len(vocab), n_intents=maps.n_intents,
-            n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels,
-            d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_positions=30,
-        ), rng=np.random.default_rng(1))
-        pairs = modification_pairs(corpus, g, seed=5)[:6]
+        model, pairs, maps, vocab = synthetic_pairs_setting()
+        pairs = pairs[:6]
         report = consistency_analysis(model, pairs, maps, vocab)
         assert len(report.pairs) == 6
         assert all(0.0 <= p.score <= 1.0 for p in report.pairs)
