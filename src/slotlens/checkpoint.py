@@ -1,16 +1,28 @@
 """Single-file checkpoint format.
 
-Layout: an 8-byte magic, a little-endian uint32 manifest length, a JSON
-manifest (sorted keys), then a raw little-endian tensor blob addressed by
-the manifest's per-tensor offset table. The same model state always
-serializes to the same bytes, so determinism can be asserted on files.
+Layout (``FORMAT_VERSION`` 2): an 8-byte magic, a little-endian uint32
+manifest length, a JSON manifest (sorted keys), a raw little-endian tensor
+blob, and a little-endian uint32 CRC32 (``zlib.crc32``) of every byte
+before it. The manifest holds the model config, the label inventories,
+the vocab, the metadata, the parameters' one dtype, and the optimizer
+entry: null, or the Adam step count and whether moments are stored. It
+has no per-tensor table: the blob is a parameter set's arenas back to
+back (Adam ``m``, Adam ``v``, parameters), each laid out as
+:func:`~slotlens.optim.arena_layout` lays out the parameters the config
+declares, so names, shapes and offsets follow from the config. The same
+model state always serializes to the same bytes, so determinism can be
+asserted on files.
 
-The writer's blob is a parameter set's arenas back to back (Adam ``m``,
-Adam ``v``, parameters), each in sorted-name order, which is also the
-order of the table. It rewrites an existing file in place and writes the
-magic last, so a save cut short leaves zeros where the magic goes. The
-reader reads the blob straight into arenas of the same layout, and a
-model loaded from them is built around them.
+The writer rewrites an existing file in place and writes the magic last,
+so a save cut short leaves zeros where the magic goes. The reader checks
+the file length against the layout, reads the blob in one call straight
+into arenas of that layout, and checks the CRC before it trusts the
+label maps, vocab or tensors; a model loaded from the arenas is built
+around them.
+
+Files of ``FORMAT_VERSION`` 1 (no trailer, and a per-tensor table of
+names, shapes, dtypes and byte offsets into the blob) still load through
+the table reader, including tables that list only some moments.
 """
 
 from __future__ import annotations
@@ -19,7 +31,8 @@ import functools
 import json
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, fields
+import zlib
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -27,11 +40,12 @@ from typing import get_type_hints
 import numpy as np
 
 from .data import PAD_TOKEN, UNK_TOKEN, LabelMaps, Vocab, rewrite_file
-from .model import JointModel, ModelConfig
-from .optim import arena_layout
+from .model import JointModel, ModelConfig, declare_model_params
+from .optim import ParamSet, arena_layout
 
 MAGIC = b"SLOTLENS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_TRAILER = 4  # bytes of the CRC32 after the blob
 
 
 class CheckpointFormatError(ValueError):
@@ -39,11 +53,12 @@ class CheckpointFormatError(ValueError):
 
 
 class CheckpointCorruptError(ValueError):
-    """Checkpoint recognized but truncated or internally out of bounds."""
+    """Checkpoint recognized but truncated, out of bounds, or failing its
+    checksum."""
 
 
 class CheckpointVersionError(ValueError):
-    """Format version differs from what this code writes."""
+    """Format version this code neither writes nor reads."""
 
 
 @dataclass
@@ -62,6 +77,9 @@ class Checkpoint:
     metadata: dict
     path: str | Path
     arenas: dict[str, np.ndarray] | None
+    # the views of ``arenas`` the reader made, by arena: a model built
+    # around those arenas need not copy the ones still in place again
+    _views: dict[str, dict[str, np.ndarray]] | None = field(default=None, repr=False)
 
 
 def save_checkpoint(
@@ -76,29 +94,14 @@ def save_checkpoint(
 
     The blob is the parameter set's arenas back to back: with
     ``include_optimizer`` and once Adam has moments, the ``m`` and ``v``
-    arenas, then the parameter arena, each in sorted-name order. An
-    existing file is rewritten in place with the magic written last (see
-    :func:`~slotlens.data.rewrite_file`), so a save cut short leaves a
-    file that :func:`load_checkpoint` rejects.
+    arenas, then the parameter arena. A CRC32 of the magic and everything
+    after it follows the blob. An existing file is rewritten in place with
+    the magic written last (see :func:`~slotlens.data.rewrite_file`), so a
+    save cut short leaves a file that :func:`load_checkpoint` rejects.
     """
     params = model.params
     moments = include_optimizer and params.m is not None
-    arenas = [("adam.m.", params.m), ("adam.v.", params.v)] if moments else []
-    arenas.append(("", params.data))
-    dtype, itemsize = str(params.dtype), params.dtype.itemsize
-    table = []
-    base = 0
-    for prefix, arena in arenas:
-        for name, start in params.layout():
-            t = params[name]
-            table.append({"name": prefix + name, "shape": list(t.shape), "dtype": dtype,
-                          "offset": base + start * itemsize, "nbytes": t.size * itemsize})
-        base += arena.nbytes
-    optim_entry = None
-    if include_optimizer:
-        stored = [name for name, _ in params.layout()] if moments else []
-        optim_entry = {"step_count": params.step_count, "m": stored, "v": stored}
-
+    arenas = [params.m, params.v, params.data] if moments else [params.data]
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
@@ -108,19 +111,21 @@ def save_checkpoint(
             "bio_labels": maps.bio_labels,
         },
         "vocab": vocab.id_to_token,
-        "params": table,
-        "optimizer": optim_entry,
+        "dtype": str(params.dtype),
+        "optimizer": ({"step_count": params.step_count, "moments": moments}
+                      if include_optimizer else None),
         "metadata": metadata or {},
     }
     encoded = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    chunks = [len(encoded).to_bytes(4, "little"), encoded,
+              *(arena.astype(arena.dtype.newbyteorder("<"), copy=False) for arena in arenas)]
+    crc = zlib.crc32(MAGIC)
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    return rewrite_file(path, [
-        np.array(len(encoded), dtype="<u4").tobytes(),
-        encoded,
-        *(arena.astype(arena.dtype.newbyteorder("<"), copy=False) for _, arena in arenas),
-    ], head=MAGIC)
+    return rewrite_file(path, [*chunks, crc.to_bytes(_TRAILER, "little")], head=MAGIC)
 
 
 def _require_keys(table, keys: tuple[str, ...], path, where: str) -> None:
@@ -186,11 +191,11 @@ def _config_from_manifest(raw_config, path) -> ModelConfig:
         raise CheckpointFormatError(f"{path}: invalid config: {e}") from e
 
 
-def _check_manifest(manifest, path, blob_len: int) -> None:
-    """Check the type of every manifest field the loader reads, naming the
-    first bad key, and that every tensor lies in the ``blob_len`` bytes of
-    the blob and has the byte count its shape and dtype take, before any
-    tensor is read."""
+def _check_table(manifest, path, blob_len: int) -> None:
+    """Check a version 1 manifest's per-tensor table and optimizer entry,
+    naming the first bad key: that every tensor lies in the ``blob_len``
+    bytes of the blob and has the byte count its shape and dtype take,
+    and that every moment the optimizer lists is stored."""
     _require_keys(manifest, ("params", "config", "label_maps", "vocab"), path, "manifest")
     _check(isinstance(manifest["params"], list), path, "manifest key 'params'",
            manifest["params"], "a list")
@@ -225,20 +230,11 @@ def _check_manifest(manifest, path, blob_len: int) -> None:
                 f"inside tensor {last!r}, which ends at {end}"
             )
         end, last = entry["offset"] + entry["nbytes"], entry["name"]
-    lm = manifest["label_maps"]
-    _require_keys(lm, _LABEL_KEYS, path, "label_maps")
-    for key in _LABEL_KEYS:
-        _check(_is_str_list(lm[key]), path, f"label_maps key {key!r}", lm[key],
-               "a list of strings")
-    vocab = manifest["vocab"]
-    _check(_is_str_list(vocab), path, "manifest key 'vocab'", vocab, "a list of strings")
-    _check(vocab[:2] == [PAD_TOKEN, UNK_TOKEN], path, "the start of manifest key 'vocab'",
-           vocab[:2], repr([PAD_TOKEN, UNK_TOKEN]))
+    _check_labels(manifest, path)
     optimizer = manifest.get("optimizer")
     if optimizer:
         _require_keys(optimizer, ("step_count", "m", "v"), path, "optimizer")
-        _check(_is_count(optimizer["step_count"]), path, "optimizer key 'step_count'",
-               optimizer["step_count"], "a non-negative integer")
+        _check_step_count(optimizer, path)
         stored = {entry["name"] for entry in manifest["params"]}
         for kind in ("m", "v"):
             names = optimizer[kind]
@@ -252,6 +248,33 @@ def _check_manifest(manifest, path, blob_len: int) -> None:
                     )
 
 
+def _check_step_count(optimizer: dict, path) -> None:
+    _check(_is_count(optimizer["step_count"]), path, "optimizer key 'step_count'",
+           optimizer["step_count"], "a non-negative integer")
+
+
+def _check_labels(manifest, path) -> None:
+    """Check the label inventories and the vocab, naming the first bad key."""
+    lm = manifest["label_maps"]
+    _require_keys(lm, _LABEL_KEYS, path, "label_maps")
+    for key in _LABEL_KEYS:
+        _check(_is_str_list(lm[key]), path, f"label_maps key {key!r}", lm[key],
+               "a list of strings")
+    vocab = manifest["vocab"]
+    _check(_is_str_list(vocab), path, "manifest key 'vocab'", vocab, "a list of strings")
+    _check(vocab[:2] == [PAD_TOKEN, UNK_TOKEN], path, "the start of manifest key 'vocab'",
+           vocab[:2], repr([PAD_TOKEN, UNK_TOKEN]))
+
+
+def _labels_and_vocab(manifest: dict, path) -> tuple[LabelMaps, Vocab]:
+    try:
+        maps = LabelMaps(**{key: manifest["label_maps"][key] for key in _LABEL_KEYS})
+        vocab = Vocab(manifest["vocab"][2:])  # constructor re-adds pad/unk
+    except ValueError as e:
+        raise CheckpointFormatError(f"{path}: invalid label maps or vocab: {e}") from e
+    return maps, vocab
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and validate a checkpoint; every tensor round-trips bit-exactly."""
     with open(path, "rb") as f:
@@ -259,8 +282,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if len(head) < len(MAGIC) + 4 or head[: len(MAGIC)] != MAGIC:
             raise CheckpointFormatError(f"{path}: not a checkpoint file")
         manifest_len = int.from_bytes(head[len(MAGIC) :], "little")
+        size = os.fstat(f.fileno()).st_size
         # checked before reading, so a damaged length asks for no large buffer
-        if manifest_len > os.fstat(f.fileno()).st_size - len(head):
+        if manifest_len > size - len(head):
             raise CheckpointCorruptError(f"{path}: manifest truncated")
         raw = f.read(manifest_len)
         try:
@@ -271,41 +295,99 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointFormatError(f"{path}: manifest is not a JSON object")
 
         version = manifest.get("format_version")
+        if version == 1:
+            return _load_table(f, path, manifest, len(head) + manifest_len, size)
         if version != FORMAT_VERSION:
             raise CheckpointVersionError(
                 f"{path}: file format version {version}, this reader expects {FORMAT_VERSION}"
             )
+        return _load_derived(f, path, manifest, head + raw, size)
 
-        blob_start = len(head) + manifest_len
-        _check_manifest(manifest, path, os.fstat(f.fileno()).st_size - blob_start)
 
-        config = _config_from_manifest(manifest["config"], path)
+def _load_derived(f, path, manifest: dict, header: bytes, size: int) -> Checkpoint:
+    """Read the blob after ``header`` (the magic, the manifest length and
+    the manifest) in the layout the manifest's config, dtype and optimizer
+    entry give, and check the file's CRC32 before anything else."""
+    _require_keys(manifest, ("config", "dtype", "optimizer"), path, "manifest")
+    config = _config_from_manifest(manifest["config"], path)
+    _check(manifest["dtype"] in _DTYPES, path, "manifest key 'dtype'", manifest["dtype"],
+           "one of " + ", ".join(_DTYPES))
+    dtype = _LE_DTYPES[manifest["dtype"]]
+    o = manifest["optimizer"]
+    if o is not None:
+        _require_keys(o, ("step_count", "moments"), path, "optimizer")
+        _check_step_count(o, path)
+        _check(type(o["moments"]) is bool, path, "optimizer key 'moments'", o["moments"],
+               "true or false")
+    shapes = _param_shapes(config)
+    starts, total = arena_layout(shapes)
+    kinds = ("m", "v", "data") if o and o["moments"] else ("data",)
+    end = len(header) + len(kinds) * total * dtype.itemsize + _TRAILER
+    if size != end:
+        where = "extends past end of file" if size < end else "is followed by extra bytes"
+        raise CheckpointCorruptError(f"{path}: tensor data {where}: the file has {size} "
+                                     f"bytes, its manifest's layout takes {end}")
+    buf = np.empty(len(kinds) * total, dtype)
+    blob = memoryview(buf).cast("B")
+    trailer = bytearray(_TRAILER)
+    if f.readinto(blob) != len(blob) or f.readinto(trailer) != _TRAILER:
+        raise CheckpointCorruptError(f"{path}: blob ended while being read")
+    if zlib.crc32(blob, zlib.crc32(header)) != int.from_bytes(trailer, "little"):
+        raise CheckpointCorruptError(f"{path}: checksum mismatch, the file is damaged")
 
-        try:
-            maps = LabelMaps(**{key: manifest["label_maps"][key] for key in _LABEL_KEYS})
-            vocab = Vocab(manifest["vocab"][2:])  # constructor re-adds pad/unk
-        except ValueError as e:
-            raise CheckpointFormatError(f"{path}: invalid label maps or vocab: {e}") from e
+    _require_keys(manifest, ("label_maps", "vocab"), path, "manifest")
+    _check_labels(manifest, path)
+    maps, vocab = _labels_and_vocab(manifest, path)
+    arenas = {kind: buf[i * total : (i + 1) * total] for i, kind in enumerate(kinds)}
+    views = {kind: {n: arena[starts[n] : starts[n] + math.prod(shapes[n])].reshape(shapes[n])
+                    for n in starts}
+             for kind, arena in arenas.items()}
+    optimizer = None
+    if o is not None:
+        optimizer = {"step_count": o["step_count"], "m": views.get("m", {}),
+                     "v": views.get("v", {})}
+    return _checkpoint(path, manifest, config, maps, vocab, arenas, views, optimizer)
 
-        arenas, params, optimizer = _read_arenas(f, blob_start, manifest, path)
 
+def _checkpoint(path, manifest: dict, config, maps, vocab, arenas, views, optimizer):
+    """The :class:`Checkpoint`; its dicts of views are its own, so the
+    reader's record of them stays as it made them."""
     return Checkpoint(
         config=config,
         label_maps=maps,
         vocab=vocab,
-        params=params,
-        optimizer=optimizer,
+        params=dict(views["data"]),
+        optimizer=optimizer and {**optimizer, "m": dict(optimizer["m"]),
+                                 "v": dict(optimizer["v"])},
         metadata=manifest.get("metadata", {}),
         path=path,
         arenas=arenas,
+        _views=views,
     )
 
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter a model of ``config`` declares."""
+    params = ParamSet()
+    declare_model_params(params, config, None)
+    return params.shapes()
+
+
+def _load_table(f, path, manifest: dict, blob_start: int, size: int) -> Checkpoint:
+    """Read a version 1 file, whose manifest addresses every tensor through
+    its per-tensor table."""
+    _check_table(manifest, path, size - blob_start)
+    config = _config_from_manifest(manifest["config"], path)
+    maps, vocab = _labels_and_vocab(manifest, path)
+    arenas, views, optimizer = _read_arenas(f, blob_start, manifest, path)
+    return _checkpoint(path, manifest, config, maps, vocab, arenas, views, optimizer)
+
+
 def _read_arenas(f, blob_start: int, manifest: dict, path):
-    """Read the blob into arenas laid out as a model's: the moment arenas
-    (when the optimizer entry lists moments), then the parameter arena.
-    Tensors that lie back to back in the file as in the arenas are read
-    together, so a file :func:`save_checkpoint` wrote takes one read."""
+    """Read a version 1 blob into arenas laid out as a model's: the moment
+    arenas (when the optimizer entry lists moments), then the parameter
+    arena. Tensors that lie back to back in the file as in the arenas are
+    read together, so a file the version 1 writer wrote takes one read."""
     entries = manifest["params"]
     o = manifest.get("optimizer") or None
     moments = {f"adam.{kind}.{n}": (kind, n) for kind in "mv" for n in o[kind]} if o else {}
@@ -347,23 +429,31 @@ def _read_arenas(f, blob_start: int, manifest: dict, path):
 
     arenas = {kind: buf[i * total : (i + 1) * total] for i, kind in enumerate(kinds)}
 
-    def views(kind: str, names) -> dict[str, np.ndarray]:
-        arena = arenas.get(kind)
-        return {n: arena[starts[n] : starts[n] + math.prod(shapes[n])].reshape(shapes[n])
-                for n in names}
+    def view(kind: str, n: str) -> np.ndarray:
+        return arenas[kind][starts[n] : starts[n] + math.prod(shapes[n])].reshape(shapes[n])
 
+    views = {"data": {n: view("data", n) for n in shapes}}
     optimizer = None
     if o:
-        optimizer = {"step_count": o["step_count"], "m": views("m", o["m"]),
-                     "v": views("v", o["v"])}
-    return arenas, views("data", shapes), optimizer
+        views.update((kind, {n: view(kind, n) for n in o[kind]}) for kind in "mv")
+        optimizer = {"step_count": o["step_count"], "m": views["m"], "v": views["v"]}
+    return arenas, views, optimizer
+
+
+def _unchanged(state: dict[str, np.ndarray], made: dict[str, np.ndarray] | None) -> bool:
+    """``state`` still maps exactly the names the reader made views for,
+    each to that very view."""
+    return (made is not None and len(state) == len(made)
+            and all(made.get(name) is arr for name, arr in state.items()))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> JointModel:
     """Build a model in the stored parameters' dtype around the checkpoint's
     arenas, drawing no initialisation.  The first model takes the arenas
     over, so ``ckpt.params`` and the moments become views of its state; a
-    later one gets arenas of its own, copied from those views."""
+    later one gets arenas of its own, copied from those views.  Entries
+    of ``ckpt.params`` or of the moments that a caller replaced are
+    copied in; views still in place already hold their values."""
     dtypes = {arr.dtype for arr in ckpt.params.values()}
     if len(dtypes) > 1:
         raise CheckpointFormatError(
@@ -381,13 +471,21 @@ def model_from_checkpoint(ckpt: Checkpoint) -> JointModel:
             f"missing {missing}, extra {extra}"
         )
     arenas, ckpt.arenas = ckpt.arenas, None
+    made, ckpt._views = ckpt._views or {}, None
     if arenas is None:
-        arenas = {"data": np.zeros(sum(a.size for a in ckpt.params.values()), dtype)}
+        arenas, made = {"data": np.zeros(sum(a.size for a in ckpt.params.values()), dtype)}, {}
+    params = model.params
     try:
-        model.params.allocate(dtype, arenas)
-        model.params.load_state(ckpt.params)  # numpy skips copying a segment onto itself
-        if ckpt.optimizer is not None:
-            model.params.load_optimizer_state(ckpt.optimizer)
+        params.allocate(dtype, arenas)
+        if not _unchanged(ckpt.params, made.get("data")):
+            params.load_state(ckpt.params)
+        o = ckpt.optimizer
+        if o is not None:
+            if params.m is not None and _unchanged(o["m"], made.get("m")) \
+                    and _unchanged(o["v"], made.get("v")):
+                params.step_count = int(o["step_count"])
+            else:
+                params.load_optimizer_state(o)
     except ValueError as e:
         raise CheckpointFormatError(f"{ckpt.path}: {e}") from e
     return model

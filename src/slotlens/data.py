@@ -101,6 +101,8 @@ class LabelMaps:
 
     ``slot_types`` always contains the literal "O"; ``bio_labels`` holds
     "O" plus B-x/I-x for each non-O type, so |bio| == 2*(|types|-1) + 1.
+    ``bio_type_column`` maps each BIO index to its slot type's index, or
+    to -1 for a label whose type is not in ``slot_types``.
     """
 
     intents: list[str]
@@ -109,6 +111,7 @@ class LabelMaps:
     intent_index: dict[str, int] = field(init=False)
     slot_type_index: dict[str, int] = field(init=False)
     bio_index: dict[str, int] = field(init=False)
+    bio_type_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if OUTSIDE not in self.slot_types:
@@ -118,6 +121,9 @@ class LabelMaps:
         self.intent_index = {x: i for i, x in enumerate(self.intents)}
         self.slot_type_index = {x: i for i, x in enumerate(self.slot_types)}
         self.bio_index = {x: i for i, x in enumerate(self.bio_labels)}
+        self.bio_type_column = np.array(
+            [self.slot_type_index.get(_tag_type(tag), -1) for tag in self.bio_labels],
+            dtype=np.int64)
 
     @property
     def n_intents(self) -> int:
@@ -254,6 +260,28 @@ def rewrite_file(path: str | Path, chunks: Iterable, head: bytes = b"") -> Path:
 # auxiliary binary targets ----------------------------------------------------
 
 
+def _tag_type(tag: str) -> str | None:
+    """The slot type of a BIO tag, or None if it is not one."""
+    if tag == OUTSIDE:
+        return OUTSIDE
+    return tag[2:] if tag.startswith(("B-", "I-")) else None
+
+
+def _type_column(tag: str, maps: LabelMaps) -> int:
+    """The slot-type column of ``tag``, or UnknownLabelError saying why it
+    has none."""
+    i = maps.bio_index.get(tag)
+    if i is not None and maps.bio_type_column[i] >= 0:
+        return int(maps.bio_type_column[i])
+    kind = _tag_type(tag)
+    if kind is None:
+        raise UnknownLabelError(f"unknown BIO tag {tag!r}")
+    col = maps.slot_type_index.get(kind)
+    if col is None:
+        raise UnknownLabelError(f"slot type {kind!r} not in label maps")
+    return col
+
+
 def generate_aux_targets(bio_tags: list[str], maps: LabelMaps) -> np.ndarray:
     """Per-token binary membership matrix (l x |T|), one column per slot type.
 
@@ -261,17 +289,7 @@ def generate_aux_targets(bio_tags: list[str], maps: LabelMaps) -> np.ndarray:
     the O column has 1 exactly at non-slot tokens.
     """
     out = np.zeros((len(bio_tags), maps.n_slot_types), dtype=np.float32)
-    for i, tag in enumerate(bio_tags):
-        if tag == OUTSIDE:
-            kind = OUTSIDE
-        elif tag.startswith(("B-", "I-")):
-            kind = tag[2:]
-        else:
-            raise UnknownLabelError(f"unknown BIO tag {tag!r}")
-        col = maps.slot_type_index.get(kind)
-        if col is None:
-            raise UnknownLabelError(f"slot type {kind!r} not in label maps")
-        out[i, col] = 1.0
+    out[np.arange(len(bio_tags)), [_type_column(tag, maps) for tag in bio_tags]] = 1.0
     return out
 
 
@@ -347,11 +365,17 @@ def encode_batch(
         if u.intent not in maps.intent_index:
             raise UnknownLabelError(f"unknown intent label {u.intent!r}")
         intent_targets[b] = maps.intent_index[u.intent]
-        for i, tag in enumerate(u.bio_tags[:n]):
-            if tag not in maps.bio_index:
-                raise UnknownLabelError(f"unknown BIO label {tag!r}")
-            slot_targets[b, i] = maps.bio_index[tag]
-        aux_targets[b, :n] = generate_aux_targets(u.bio_tags[:n], maps)
+        try:
+            slot_targets[b, :n] = [maps.bio_index[tag] for tag in u.bio_tags[:n]]
+        except KeyError as e:
+            raise UnknownLabelError(f"unknown BIO label {e.args[0]!r}") from None
+    # every real token's aux target in one scatter, at its tag's type column
+    rows, cols = np.nonzero(slot_targets >= 0)
+    labels = slot_targets[rows, cols]
+    types = maps.bio_type_column[labels]
+    if (types < 0).any():  # raises, naming the first tag that has no type column
+        _type_column(maps.bio_labels[labels[types < 0][0]], maps)
+    aux_targets[rows, cols, types] = 1.0
     return Batch(
         token_ids=token_ids,
         mask=mask,

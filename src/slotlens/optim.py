@@ -108,9 +108,7 @@ class ParamSet:
         dtype = np.dtype(dtype)
         if self.dtype is not None and self.dtype != dtype:
             raise ValueError(f"parameter dtype {dtype} differs from the set's {self.dtype}")
-        shapes = {n: t.shape for n, t in self._params.items()}
-        shapes.update((n, shape) for n, (shape, _) in self._pending.items())
-        starts, total = arena_layout(shapes)
+        starts, total = arena_layout(self.shapes())
         kept = [np.arange(starts[n], starts[n] + t.size) for n, t in sorted(self._params.items())]
         kept = np.concatenate(kept) if kept else slice(0, 0)
         given = arenas or {}
@@ -149,6 +147,12 @@ class ParamSet:
 
     def __len__(self) -> int:
         return len(self._params)
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every registered parameter's shape, allocated or only declared."""
+        shapes = {n: t.shape for n, t in self._params.items()}
+        shapes.update((n, shape) for n, (shape, _) in self._pending.items())
+        return shapes
 
     def names(self) -> list[str]:
         """Every registered name, allocated or only declared."""

@@ -1,15 +1,12 @@
 """The flat arenas behind a ParamSet: whole-arena Adam, views that stay
 views, and a checkpoint load that draws no initialisation."""
 
-import json
-
 import numpy as np
 import pytest
+from conftest import V1_FIXTURE, rewrite_manifest
 
 from slotlens import encoder, model as model_mod, optim
-from slotlens.checkpoint import (
-    MAGIC, load_checkpoint, model_from_checkpoint, save_checkpoint,
-)
+from slotlens.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from slotlens.data import Vocab, build_label_maps, encode_batch
 from slotlens.model import JointModel, ModelConfig
 from slotlens.optim import ParamSet, adam_step
@@ -177,24 +174,20 @@ def test_optimizer_entry_before_any_step_lists_no_moments(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_partial_moments_load_as_zero_and_resave_in_full(tmp_path):
-    """A hand-made file may list only some moments; the rest load as zero,
-    and a re-save writes every moment."""
-    corpus, maps, vocab, config = tiny_config()
-    model = JointModel(config, rng=4)
-    model.params.zero_grads()
-    backward(model.forward(encode_batch(corpus[:4], maps, vocab)).loss_total)
-    adam_step(model.params, lr=1e-3)
-    path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab, include_optimizer=True)
-    data = path.read_bytes()
-    n = int.from_bytes(data[8:12], "little")
-    manifest = json.loads(data[12 : 12 + n])
+def test_partial_moments_load_as_zero_and_resave_in_full(tmp_path, v1_copy):
+    """A hand-made version 1 file may list only some moments; the rest load
+    as zero, and a re-save writes every moment."""
+    ckpt = load_checkpoint(V1_FIXTURE)
+    maps, vocab = ckpt.label_maps, ckpt.vocab
+    model = model_from_checkpoint(ckpt)
     kept = "slot.w"
-    manifest["optimizer"]["m"] = manifest["optimizer"]["v"] = [kept]
-    manifest["params"] = [e for e in manifest["params"]
-                          if not e["name"].startswith("adam.") or e["name"].endswith(kept)]
-    enc = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(MAGIC + len(enc).to_bytes(4, "little") + enc + data[12 + n :])
+
+    def keep_one_moment(manifest):
+        manifest["optimizer"]["m"] = manifest["optimizer"]["v"] = [kept]
+        manifest["params"] = [e for e in manifest["params"]
+                              if not e["name"].startswith("adam.") or e["name"].endswith(kept)]
+
+    path = rewrite_manifest(v1_copy, keep_one_moment)
     restored = model_from_checkpoint(load_checkpoint(path))
     state = restored.params.optimizer_state()
     want = model.params.optimizer_state()

@@ -1,14 +1,13 @@
 import errno
 import json
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import V1_FIXTURE, V2_FIXTURE, edited_copy, rewrite_manifest, table_edit
 
 from slotlens.checkpoint import (
     FORMAT_VERSION,
-    MAGIC,
     CheckpointCorruptError,
     CheckpointFormatError,
     CheckpointVersionError,
@@ -34,19 +33,6 @@ def setting():
                     epochs=1, batch_size=4, seed=7)
     model = train_model(corpus, maps, vocab, run).model
     return corpus, maps, vocab, model
-
-
-def rewrite_manifest(path, edit):
-    """Apply ``edit`` to the manifest of the checkpoint at ``path`` in place."""
-    data = path.read_bytes()
-    n = int(np.frombuffer(data[8:12], dtype="<u4")[0])
-    manifest = json.loads(data[12 : 12 + n])
-    edit(manifest)
-    enc = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(
-        MAGIC + np.array(len(enc), dtype="<u4").tobytes() + enc + data[12 + n :]
-    )
-    return path
 
 
 class TestRoundTrip:
@@ -162,32 +148,75 @@ class TestErrorKinds:
 
     def test_version_mismatch_names_both(self, setting, tmp_path):
         corpus, maps, vocab, model = setting
-        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab)
-        data = path.read_bytes()
-        n = int(np.frombuffer(data[8:12], dtype="<u4")[0])
-        manifest = json.loads(data[12 : 12 + n])
-        manifest["format_version"] = 99
-        enc = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(
-            MAGIC + np.array(len(enc), dtype="<u4").tobytes() + enc + data[12 + n :]
-        )
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m.update(format_version=99))
         with pytest.raises(CheckpointVersionError, match="99") as e:
             load_checkpoint(path)
         assert str(FORMAT_VERSION) in str(e.value)
 
-    def test_shape_manifest_disagreement(self, setting, tmp_path):
-        corpus, maps, vocab, model = setting
-        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab)
-        data = path.read_bytes()
-        n = int(np.frombuffer(data[8:12], dtype="<u4")[0])
-        manifest = json.loads(data[12 : 12 + n])
-        manifest["params"][0]["shape"] = [1, 1]
-        enc = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(
-            MAGIC + np.array(len(enc), dtype="<u4").tobytes() + enc + data[12 + n :]
-        )
+    def test_shape_manifest_disagreement(self, v1_copy):
+        path = rewrite_manifest(v1_copy, lambda m: m["params"][0].update(shape=[1, 1]))
         with pytest.raises(CheckpointFormatError, match="shape"):
             load_checkpoint(path)
+
+    def test_unstamped_edit_fails_on_the_checksum(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m["metadata"].update(epoch=2), restamp=False)
+        with pytest.raises(CheckpointCorruptError, match="checksum") as e:
+            load_checkpoint(path)
+        assert str(path) in str(e.value)
+
+    @pytest.mark.parametrize("where", ["manifest", "blob", "trailer"])
+    def test_any_flipped_byte_fails_on_the_checksum(self, setting, tmp_path, where):
+        corpus, maps, vocab, model = setting
+        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
+                               metadata={"note": "abc"}, include_optimizer=True)
+        data = bytearray(path.read_bytes())
+        n = int.from_bytes(data[8:12], "little")
+        # bytes outside the fields the layout is derived from
+        at = {"manifest": bytes(data).index(b"abc"), "blob": (12 + n + len(data)) // 2,
+              "trailer": len(data) - 1}[where]
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorruptError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_config_that_changes_the_layout_is_rejected(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                                lambda m: m["config"].update(no_cross_attention=True))
+        with pytest.raises(CheckpointCorruptError, match="layout takes") as e:
+            load_checkpoint(path)
+        assert str(path) in str(e.value)
+
+    def test_extra_bytes_after_the_trailer_are_rejected(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(CheckpointCorruptError, match="extra bytes"):
+            load_checkpoint(path)
+
+    def test_replaced_entries_reach_the_model(self, setting, tmp_path):
+        """The first model is built around the arenas the reader filled; an
+        entry a caller put in place of the reader's view is copied in."""
+        corpus, maps, vocab, trained = setting
+        model = JointModel(trained.config, rng=3)
+        batch = encode_batch(corpus[:4], maps, vocab)
+        model.params.zero_grads()
+        backward(model.forward(batch).loss_total)
+        adam_step(model.params, lr=1e-4)
+        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
+                               include_optimizer=True)
+        ckpt = load_checkpoint(path)
+        ckpt.params["slot.w"] = np.full_like(ckpt.params["slot.w"], 0.5)
+        ckpt.optimizer["v"]["slot.b"] = np.full_like(ckpt.optimizer["v"]["slot.b"], 0.25)
+        restored = model_from_checkpoint(ckpt)
+        assert (restored.params["slot.w"].data == 0.5).all()
+        assert (restored.params.optimizer_state()["v"]["slot.b"] == 0.25).all()
+        np.testing.assert_array_equal(restored.params["slot.b"].data,
+                                      model.params["slot.b"].data)
+        assert restored.params.step_count == model.params.step_count
 
     def test_mixed_parameter_dtypes_rejected(self, setting, tmp_path):
         corpus, maps, vocab, model = setting
@@ -204,19 +233,19 @@ class TestErrorKinds:
         with pytest.raises(CheckpointFormatError, match="slot.w"):
             model_from_checkpoint(ckpt)
 
-    @pytest.mark.parametrize("key", ["params", "config", "label_maps", "vocab"])
-    def test_missing_manifest_key_names_it(self, setting, tmp_path, key):
+    @pytest.mark.parametrize("key", ["params", "config", "label_maps", "vocab", "dtype",
+                                     "optimizer"])
+    def test_missing_manifest_key_names_it(self, setting, tmp_path, v1_copy, key):
         corpus, maps, vocab, model = setting
-        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
-                                lambda m: m.pop(key))
+        edit = lambda m: m.pop(key)  # noqa: E731
+        path = edited_copy(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                           v1_copy, table_edit(edit) if key == "params" else edit)
         with pytest.raises(CheckpointFormatError, match=f"no '{key}' key") as e:
             load_checkpoint(path)
         assert str(path) in str(e.value)
 
-    def test_missing_params_entry_key_names_it(self, setting, tmp_path):
-        corpus, maps, vocab, model = setting
-        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
-                                lambda m: m["params"][0].pop("offset"))
+    def test_missing_params_entry_key_names_it(self, v1_copy):
+        path = rewrite_manifest(v1_copy, lambda m: m["params"][0].pop("offset"))
         with pytest.raises(CheckpointFormatError, match="no 'offset' key"):
             load_checkpoint(path)
 
@@ -260,48 +289,57 @@ class TestErrorKinds:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit,where", [
-        (lambda m: m["params"][0].update(offset="0"), "key 'offset'"),
+        (table_edit(lambda m: m["params"][0].update(offset="0")), "key 'offset'"),
         (lambda m: m["label_maps"].update(intents=5), "label_maps key 'intents'"),
         (lambda m: m.update(vocab=7), "manifest key 'vocab'"),
-        (lambda m: m["params"][1].update(offset=-8), "key 'offset' is -8"),
-        (lambda m: m["params"][0].update(dtype="object"), "key 'dtype' is 'object'"),
+        (table_edit(lambda m: m["params"][1].update(offset=-8)), "key 'offset' is -8"),
+        (table_edit(lambda m: m["params"][0].update(dtype="object")),
+         "key 'dtype' is 'object'"),
+        (lambda m: m.update(dtype="object"), "manifest key 'dtype' is 'object'"),
+        (lambda m: m.update(dtype=["float32"]), "manifest key 'dtype'"),
+        (lambda m: m.update(optimizer={"step_count": 0, "moments": 1}),
+         "optimizer key 'moments' is 1"),
     ], ids=["string-offset", "number-intents", "number-vocab", "negative-offset",
-            "object-dtype"])
-    def test_mistyped_manifest_field_names_key(self, setting, tmp_path, edit, where):
+            "object-dtype", "object-manifest-dtype", "list-dtype", "number-moments"])
+    def test_mistyped_manifest_field_names_key(self, setting, tmp_path, v1_copy, edit,
+                                               where):
         corpus, maps, vocab, model = setting
-        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
-                                edit)
+        path = edited_copy(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab),
+                           v1_copy, edit)
         with pytest.raises(CheckpointFormatError, match=where) as e:
             load_checkpoint(path)
         assert str(path) in str(e.value)
 
     @pytest.mark.parametrize("edit,where", [
-        (lambda m: m["params"][1].update(offset=m["params"][0]["offset"]), "key 'offset'"),
-        (lambda m: m["params"][2].update(offset=m["params"][1]["offset"] + 4),
+        (table_edit(lambda m: m["params"][1].update(offset=m["params"][0]["offset"])),
+         "key 'offset'"),
+        (table_edit(lambda m: m["params"][2].update(offset=m["params"][1]["offset"] + 4)),
          "inside tensor"),
         (lambda m: m.update(vocab=m["vocab"][2:]), "start of manifest key 'vocab'"),
         (lambda m: m.update(vocab=m["vocab"][::-1]), "start of manifest key 'vocab'"),
         (lambda m: m["optimizer"].pop("step_count"), "no 'step_count' key"),
         (lambda m: m["optimizer"].update(step_count=-1), "key 'step_count' is -1"),
         (lambda m: m["optimizer"].update(step_count="3"), "key 'step_count'"),
-        (lambda m: m["optimizer"].update(m="slot.w"), "optimizer key 'm'"),
-        (lambda m: m["optimizer"]["v"].append(m["optimizer"]["v"][0]), "optimizer key 'v'"),
-        (lambda m: m["optimizer"]["m"].append("no.such.param"), "'no.such.param'"),
+        (table_edit(lambda m: m["optimizer"].update(m="slot.w")), "optimizer key 'm'"),
+        (table_edit(lambda m: m["optimizer"]["v"].append(m["optimizer"]["v"][0])),
+         "optimizer key 'v'"),
+        (table_edit(lambda m: m["optimizer"]["m"].append("no.such.param")),
+         "'no.such.param'"),
         (lambda m: m.update(optimizer=[1]), "optimizer is not a JSON object"),
-        (lambda m: m["params"][-1].update(name=m["params"][-2]["name"]),
+        (table_edit(lambda m: m["params"][-1].update(name=m["params"][-2]["name"])),
          "repeats a tensor name"),
-        (lambda m: m["params"][-1].update(dtype="float16",
-                                          shape=[m["params"][-1]["nbytes"] // 2]),
+        (table_edit(lambda m: m["params"][-1].update(
+            dtype="float16", shape=[m["params"][-1]["nbytes"] // 2])),
          "tensors mix dtypes"),
-        (_transpose_a_moment, "but parameter"),
+        (table_edit(_transpose_a_moment), "but parameter"),
     ], ids=["same-offset", "inside", "no-reserved-tokens", "reserved-tokens-moved",
             "no-step-count", "negative-step-count", "string-step-count", "string-m",
             "repeated-v", "m-without-tensor", "list-optimizer", "repeated-name",
             "mixed-dtypes", "moment-shape"])
-    def test_inconsistent_manifest_names_key(self, setting, tmp_path, edit, where):
+    def test_inconsistent_manifest_names_key(self, setting, tmp_path, v1_copy, edit, where):
         corpus, maps, vocab, model = setting
-        path = rewrite_manifest(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
-                                                include_optimizer=True), edit)
+        path = edited_copy(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
+                                           include_optimizer=True), v1_copy, edit)
         with pytest.raises(CheckpointFormatError, match=where) as e:
             load_checkpoint(path)
         assert str(path) in str(e.value)
@@ -314,7 +352,7 @@ class TestErrorKinds:
             load_checkpoint(path)
 
 
-FIXTURE = Path(__file__).parent / "data" / "v1_tiny_with_optimizer.ckpt"
+FIXTURE = V1_FIXTURE
 
 
 def stored_arrays(path):
@@ -423,11 +461,26 @@ class TestFormatVersion1Fixture:
         assert [s.tolist() for s in slots] == ckpt.metadata["predicted_slots"]
 
     def test_resaves_to_identical_bytes(self, tmp_path):
-        ckpt = load_checkpoint(FIXTURE)
-        model = model_from_checkpoint(ckpt)
-        path = save_checkpoint(tmp_path / "again.ckpt", model, ckpt.label_maps, ckpt.vocab,
-                               metadata=ckpt.metadata, include_optimizer=True)
-        assert path.read_bytes() == FIXTURE.read_bytes()
+        """A re-save writes version 2 with every array equal, and re-saving
+        that gives the same bytes: the committed version 2 fixture."""
+        def resave(source, name):
+            ckpt = load_checkpoint(source)
+            return save_checkpoint(tmp_path / name, model_from_checkpoint(ckpt),
+                                   ckpt.label_maps, ckpt.vocab, metadata=ckpt.metadata,
+                                   include_optimizer=True)
+
+        second = resave(resave(FIXTURE, "first.ckpt"), "second.ckpt")
+        assert (tmp_path / "first.ckpt").read_bytes() == second.read_bytes() \
+            == V2_FIXTURE.read_bytes()
+        manifest, arrays = stored_arrays(FIXTURE)
+        ckpt = load_checkpoint(second)
+        assert ckpt.optimizer["step_count"] == manifest["optimizer"]["step_count"]
+        assert ckpt.metadata == manifest["metadata"]
+        for name, arr in ckpt.params.items():
+            assert arr.tobytes() == arrays[name].tobytes(), name
+            for kind in "mv":
+                assert ckpt.optimizer[kind][name].tobytes() == \
+                    arrays[f"adam.{kind}.{name}"].tobytes(), name
 
     def test_retraining_the_recipe_reproduces_the_file(self):
         """The recipe above, retrained today, gives every stored parameter and
@@ -447,3 +500,37 @@ class TestFormatVersion1Fixture:
             assert model.params[name].data.tobytes() == arrays[name].tobytes(), name
             assert state["m"][name].tobytes() == arrays[f"adam.m.{name}"].tobytes(), name
             assert state["v"][name].tobytes() == arrays[f"adam.v.{name}"].tobytes(), name
+
+
+def train_recipe():
+    """The fixtures' recipe (see :class:`TestFormatVersion1Fixture`): the
+    trained model, its label maps and vocab, and the metadata it was saved
+    with."""
+    corpus = generate_synthetic_corpus(seed=2, n=12)
+    maps = build_label_maps(generate_synthetic_corpus(seed=2, n=300))
+    vocab = Vocab.build(corpus)
+    run = RunConfig(d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_len=16,
+                    epochs=2, batch_size=4, seed=7)
+    model = train_model(corpus, maps, vocab, run).model
+    intents, slots = model.predict(encode_batch(corpus, maps, vocab, 16))
+    metadata = {"seed": 7, "epoch": 2, "predicted_intents": intents.tolist(),
+                "predicted_slots": [s.tolist() for s in slots]}
+    return model, maps, vocab, metadata
+
+
+class TestFormatVersion2Fixture:
+    """The version 1 fixture's recipe, saved by this package's writer."""
+
+    def test_retraining_the_recipe_reproduces_the_file(self, tmp_path):
+        model, maps, vocab, metadata = train_recipe()
+        path = save_checkpoint(tmp_path / "v2.ckpt", model, maps, vocab,
+                               metadata=metadata, include_optimizer=True)
+        assert path.read_bytes() == V2_FIXTURE.read_bytes()
+
+    def test_predicts_what_the_writer_predicted(self):
+        ckpt = load_checkpoint(V2_FIXTURE)
+        model = model_from_checkpoint(ckpt)
+        corpus = generate_synthetic_corpus(seed=2, n=12)
+        intents, slots = model.predict(encode_batch(corpus, ckpt.label_maps, ckpt.vocab, 16))
+        assert intents.tolist() == ckpt.metadata["predicted_intents"]
+        assert [s.tolist() for s in slots] == ckpt.metadata["predicted_slots"]

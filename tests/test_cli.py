@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line surface via main()."""
 
-import json
+import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import edited_copy, rewrite_manifest, table_edit
 
 from slotlens import cli, train
-from slotlens.checkpoint import MAGIC, load_checkpoint, model_from_checkpoint
+from slotlens.checkpoint import load_checkpoint, model_from_checkpoint
 from slotlens.cli import main, parse_config_file
 from slotlens.data import load_corpus, write_corpus, Utterance
 from slotlens.explain import extract_attentions
@@ -257,23 +259,19 @@ class TestEval:
         assert str(seq_in) in err
 
     @pytest.mark.parametrize("edit,key", [
-        (lambda m: m.pop("params"), "params"),
+        (table_edit(lambda m: m.pop("params")), "params"),
         (lambda m: m["config"].update(d="64"), "d"),
         (lambda m: m.update(vocab=m["vocab"][2:]), "vocab"),
-        (lambda m: m["params"][1].update(offset=m["params"][0]["offset"]), "offset"),
+        (table_edit(lambda m: m["params"][1].update(offset=m["params"][0]["offset"])),
+         "offset"),
         (lambda m: m.update(optimizer={"m": [], "v": []}), "step_count"),
-        (lambda m: m.update(optimizer={"step_count": 1, "m": ["slot.w"], "v": []}), "m"),
+        (table_edit(lambda m: m.update(optimizer={"step_count": 1, "m": ["no.such.param"],
+                                                  "v": []})), "m"),
     ])
     def test_malformed_manifest_is_a_checkpoint_error(self, corpus_dir, trained_dir,
-                                                      capsys, tmp_path, edit, key):
-        data = (trained_dir / "checkpoint.ckpt").read_bytes()
-        n = int(np.frombuffer(data[8:12], dtype="<u4")[0])
-        manifest = json.loads(data[12 : 12 + n])
-        edit(manifest)
-        enc = json.dumps(manifest).encode()
-        path = tmp_path / "edited.ckpt"
-        path.write_bytes(MAGIC + np.array(len(enc), dtype="<u4").tobytes() + enc
-                         + data[12 + n :])
+                                                      capsys, tmp_path, v1_copy, edit, key):
+        path = Path(shutil.copy(trained_dir / "checkpoint.ckpt", tmp_path / "edited.ckpt"))
+        path = edited_copy(path, v1_copy, edit)
         rc = main(["eval", "--checkpoint", str(path), "--data", str(corpus_dir / "test")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -282,29 +280,20 @@ class TestEval:
 
     def test_negative_layer_count_is_one_checkpoint_error_line(self, corpus_dir, trained_dir,
                                                                capsys, tmp_path):
-        data = (trained_dir / "checkpoint.ckpt").read_bytes()
-        n = int.from_bytes(data[8:12], "little")
-        manifest = json.loads(data[12 : 12 + n])
-        manifest["config"]["n_layers"] = -1
-        enc = json.dumps(manifest).encode()
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(MAGIC + len(enc).to_bytes(4, "little") + enc + data[12 + n :])
+        path = Path(shutil.copy(trained_dir / "checkpoint.ckpt", tmp_path / "bad.ckpt"))
+        rewrite_manifest(path, lambda m: m["config"].update(n_layers=-1))
         rc = main(["eval", "--checkpoint", str(path), "--data", str(corpus_dir / "test")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"checkpoint error: {path}: invalid config: n_layers must be")
         assert err.count("\n") == 1
 
-    def test_config_disagreeing_with_parameters_names_the_file(self, corpus_dir,
-                                                               trained_dir, capsys,
-                                                               tmp_path):
-        data = (trained_dir / "checkpoint.ckpt").read_bytes()
-        n = int.from_bytes(data[8:12], "little")
-        manifest = json.loads(data[12 : 12 + n])
-        manifest["config"]["no_cross_attention"] = True
-        enc = json.dumps(manifest).encode()
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(MAGIC + len(enc).to_bytes(4, "little") + enc + data[12 + n :])
+    def test_config_disagreeing_with_parameters_names_the_file(self, corpus_dir, capsys,
+                                                               v1_copy):
+        """Only a version 1 table names parameters apart from the config; in
+        version 2 such a config changes the layout the file length is
+        checked against."""
+        path = rewrite_manifest(v1_copy, lambda m: m["config"].update(no_cross_attention=True))
         rc = main(["eval", "--checkpoint", str(path), "--data", str(corpus_dir / "test")])
         assert rc == 1
         err = capsys.readouterr().err

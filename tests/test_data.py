@@ -1,9 +1,13 @@
+import importlib.util
 import os
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slotlens import data
+from slotlens import data, synth
 from slotlens.checkpoint import save_checkpoint
 from slotlens.data import (
     PAD_ID,
@@ -278,6 +282,14 @@ class TestEncodeBatch:
         with pytest.raises(UnknownLabelError, match="B-genre"):
             encode_batch([Utterance(["a"], "book_flight", ["B-genre"])], maps, vocab)
 
+    def test_tag_whose_type_is_not_in_the_maps_rejected(self):
+        maps = LabelMaps(["x"], ["O", "city"], ["B-day", "I-city", "O"])
+        assert maps.bio_type_column.tolist() == [-1, 1, 0]
+        with pytest.raises(UnknownLabelError, match="slot type 'day' not in label maps"):
+            encode_batch([Utterance(["a", "b"], "x", ["O", "B-day"])], maps, Vocab([]))
+        with pytest.raises(UnknownLabelError, match="slot type 'day' not in label maps"):
+            generate_aux_targets(["O", "B-day"], maps)
+
     def test_empty_batch_rejected(self, setting):
         _, maps, vocab = setting
         with pytest.raises(ValueError, match="empty batch"):
@@ -428,3 +440,70 @@ class TestRewriteFile:
             save_checkpoint(tmp_path / "m.ckpt", JointModel(config, rng=0), maps, vocab)
         assert len(flags) == 6
         assert all(f & os.O_CREAT and not f & os.O_TRUNC for f in flags)
+
+
+def reference_encode_batch(utterances, maps, vocab, max_len):
+    """``encode_batch`` as it was before its aux targets came from one
+    scatter through ``LabelMaps.bio_type_column``, with the per-tag loop
+    of the ``generate_aux_targets`` it called, copied as they were."""
+    lengths = np.array([min(u.length, max_len) for u in utterances], dtype=np.int64)
+    L = int(lengths.max())
+    B = len(utterances)
+    token_ids = np.zeros((B, L), dtype=np.int64)
+    mask = np.zeros((B, L), dtype=np.float32)
+    intent_targets = np.zeros(B, dtype=np.int64)
+    slot_targets = np.full((B, L), -1, dtype=np.int64)
+    aux_targets = np.zeros((B, L, maps.n_slot_types), dtype=np.float32)
+    for b, u in enumerate(utterances):
+        n = lengths[b]
+        token_ids[b, :n] = [vocab.lookup(t) for t in u.tokens[:n]]
+        mask[b, :n] = 1.0
+        intent_targets[b] = maps.intent_index[u.intent]
+        for i, tag in enumerate(u.bio_tags[:n]):
+            slot_targets[b, i] = maps.bio_index[tag]
+            kind = "O" if tag == "O" else tag[2:]
+            aux_targets[b, i, maps.slot_type_index[kind]] = 1.0
+    return Batch(token_ids=token_ids, mask=mask, lengths=lengths,
+                 intent_targets=intent_targets, slot_targets=slot_targets,
+                 aux_targets=aux_targets,
+                 truncated=sum(1 for u in utterances if u.length > max_len))
+
+
+def bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["train-desk", "infer-desk", "train-long"])
+def test_encode_batch_matches_the_reference_on_the_bench_corpora(name):
+    """Every array of every batch, bit for bit: the seed-1000 training,
+    held-out and modification-pair utterances of a benchmark workload, in
+    batches of 32 and in length groups, at the default ``max_len`` and cut
+    to 8 tokens."""
+    workloads = bench_workloads()
+    wl = workloads.WORKLOADS[name]
+    train_seed, heldout_seed, pairs_seed = workloads.derived_seeds(1000)
+    grammar = wl.grammar()
+    train = workloads.generate(wl, grammar, train_seed, wl.n_train)
+    heldout = workloads.generate(wl, grammar, heldout_seed, wl.n_heldout)
+    maps = build_label_maps(train + heldout)
+    vocab = Vocab.build(train)
+    pairs = synth.modification_pairs(heldout, grammar, pairs_seed)
+    corpus = train + heldout + [u for a, b, _ in pairs for u in (a, b)]
+    for max_len in (50, 8):
+        batches = [corpus[i : i + 32] for i in range(0, len(corpus), 32)]
+        batches += [[corpus[i] for i in g] for g in length_groups(corpus, max_len, 25)]
+        for batch in batches:
+            got = encode_batch(batch, maps, vocab, max_len)
+            want = reference_encode_batch(batch, maps, vocab, max_len)
+            for f in fields(Batch):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                    assert a.tobytes() == b.tobytes(), f.name
+                else:
+                    assert a == b, f.name

@@ -1,15 +1,20 @@
 """Seeded fuzz of the error contract, run in-process through ``main()``.
 
 Damaged checkpoints (truncated at seeded offsets, seeded bytes flipped in
-the manifest and in the tensor blob) and config files with seeded bad
-values must each end in exit 0 or in exactly one categorized stderr line
-with exit 1, never in an uncaught exception.
+the length field, the manifest and the tensor blob) must end in exit 1 and
+exactly one ``checkpoint error:`` line. A damaged version 1 file, which
+carries no checksum, and config files with seeded bad values must each end
+in exit 0 or in exactly one categorized stderr line with exit 1. Corpus
+files with a seeded defect must end in exit 1 and exactly one
+``data error:`` line. None may end in an uncaught exception.
 """
 
 import numpy as np
 import pytest
+from conftest import V1_FIXTURE
 
 from slotlens.cli import ERROR_CATEGORIES, main
+from slotlens.data import INTENT_FILE, TAGS_FILE, TOKENS_FILE
 
 CATEGORIES = {category for _, category in ERROR_CATEGORIES}
 TINY_CONFIG = {
@@ -43,6 +48,10 @@ def assert_contract(rc, captured, categories=CATEGORIES):
     if rc == 0:
         assert captured.err == ""
         return
+    assert_one_line(rc, captured, categories)
+
+
+def assert_one_line(rc, captured, categories):
     assert rc == 1
     lines = captured.err.splitlines()
     assert len(lines) == 1 and captured.err.endswith("\n"), captured.err
@@ -81,6 +90,19 @@ def test_damaged_checkpoint_fails_in_one_line(setting, capsys, kind, case):
     root, data = setting
     path = root / f"{kind}-{case}.ckpt"
     path.write_bytes(damaged(data, kind, case))
+    assert path.read_bytes() != data
+    capsys.readouterr()
+    rc = read_with(root, path, case)
+    assert_one_line(rc, capsys.readouterr(), {"checkpoint error"})
+
+
+@pytest.mark.parametrize("case", range(12))
+@pytest.mark.parametrize("kind", ["truncate", "length", "manifest", "blob"])
+def test_damaged_v1_checkpoint_keeps_the_contract(setting, capsys, kind, case):
+    """A version 1 file has no checksum: a flipped blob byte still loads."""
+    root, _ = setting
+    path = root / f"v1-{kind}-{case}.ckpt"
+    path.write_bytes(damaged(V1_FIXTURE.read_bytes(), kind, case))
     capsys.readouterr()
     rc = read_with(root, path, case)
     assert_contract(rc, capsys.readouterr(), {"checkpoint error"})
@@ -99,3 +121,70 @@ def test_bad_config_value_fails_in_one_line(setting, capsys, case):
     rc = main(["train", "--train", str(root / "train"), "--out", str(root / f"r{case}"),
                "--config", str(cfg)])
     assert_contract(rc, capsys.readouterr())
+
+
+CORPUS_FILES = (TOKENS_FILE, TAGS_FILE, INTENT_FILE)
+INVALID_UTF8 = b"\x80\xbf\xc0\xc1\xf5\xff"  # each one makes ASCII text invalid UTF-8
+
+
+def damaged_corpus(src, dst, kind, case):
+    """The corpus at ``src`` written to ``dst`` with one seeded defect:
+    the last line of the tokens or tags file cut short after a token, a
+    line dropped from one file, an ``I-x`` with no open ``x`` span, an
+    unknown intent or tag, or a byte that is not UTF-8."""
+    rng = np.random.default_rng([case, len(kind), 1])
+    lines = {name: (src / name).read_text().splitlines() for name in CORPUS_FILES}
+    ends = dict.fromkeys(CORPUS_FILES, "\n")
+    line = int(rng.integers(len(lines[INTENT_FILE])))
+    tags = lines[TAGS_FILE][line].split()
+    at = int(rng.integers(len(tags)))
+    name = CORPUS_FILES[int(rng.integers(3))]
+    if kind == "truncate":
+        name = CORPUS_FILES[int(rng.integers(2))]
+        words = lines[name][-1].split()
+        lines[name][-1] = " ".join(words[: int(rng.integers(len(words)))])
+        ends[name] = ""
+    elif kind == "drop":
+        del lines[name][line]
+    elif kind == "open-span":
+        before = tags[at - 1][2:] if at else ""
+        types = sorted({t[2:] for row in lines[TAGS_FILE] for t in row.split()} - {"", before})
+        tags[at] = "I-" + types[int(rng.integers(len(types)))]
+        lines[TAGS_FILE][line] = " ".join(tags)
+    elif kind == "unknown-label" and case % 2:
+        lines[INTENT_FILE][line] = "no_such_intent"
+    elif kind == "unknown-label":
+        tags[at] = "B-no_such_type"
+        lines[TAGS_FILE][line] = " ".join(tags)
+    dst.mkdir(parents=True)
+    for file, rows in lines.items():
+        raw = ("\n".join(rows) + ends[file]).encode()
+        if kind == "non-utf8" and file == name:
+            cut = int(rng.integers(len(raw) + 1))
+            raw = raw[:cut] + bytes([rng.choice(list(INVALID_UTF8))]) + raw[cut:]
+        (dst / file).write_bytes(raw)
+    return dst
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("kind", ["truncate", "drop", "open-span", "unknown-label",
+                                  "non-utf8"])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_damaged_corpus_fails_in_one_line(setting, capsys, tmp_path, command, kind, case):
+    """``eval`` reads the damaged corpus as its data. ``train`` reads it as
+    its training corpus, except that an unknown label needs a corpus whose
+    labels are known: there it is the test corpus."""
+    root, _ = setting
+    bad = str(damaged_corpus(root / ("train" if command == "train" else "test"),
+                             tmp_path / "bad", kind, case))
+    capsys.readouterr()
+    if command == "eval":
+        rc = main(["eval", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+                   "--data", bad])
+    else:
+        train, test = (str(root / "train"), bad) if kind == "unknown-label" else (bad, None)
+        rc = main(["train", "--train", train, *(["--test", test] if test else []),
+                   "--out", str(tmp_path / "run"), "--d", "8", "--d-h", "4",
+                   "--n-layers", "1", "--n-heads", "2", "--ffn-dim", "12",
+                   "--epochs", "1", "--batch-size", "4"])
+    assert_one_line(rc, capsys.readouterr(), {"data error"})
