@@ -32,6 +32,7 @@ from .data import (
     Utterance,
     Vocab,
     build_label_maps,
+    check_labels,
     encode_batch,
     load_corpus,
     write_corpus,
@@ -227,11 +228,17 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_training_data(run: RunConfig):
+    """The training corpus, its label maps and vocabulary, and the dev and
+    test corpora (or None), whose labels are checked against those maps
+    before any training runs."""
     corpus = load_corpus(run.train_path)
     maps = build_label_maps(corpus)
     vocab = Vocab.build(corpus)
     dev = load_corpus(run.dev_path) if run.dev_path else None
     test = load_corpus(run.test_path) if run.test_path else None
+    for name, path, held_out in (("dev", run.dev_path, dev), ("test", run.test_path, test)):
+        if held_out is not None:
+            check_labels(held_out, maps, run.max_len, where=f"{name} corpus {path}: ")
     return corpus, maps, vocab, dev, test
 
 

@@ -44,11 +44,14 @@ class UnknownLabelError(ValueError):
 
 
 def validate_bio(tags: list[str], where: str = "") -> None:
-    """Check that every I-x is preceded by B-x or I-x of the same type."""
+    """Check that every tag is O, B-x or I-x with a non-empty type x, and
+    that every I-x is preceded by B-x or I-x of the same type."""
     prev = OUTSIDE
     for i, tag in enumerate(tags):
         if tag != OUTSIDE and not (tag.startswith("B-") or tag.startswith("I-")):
             raise BioValidationError(f"{where}unknown tag {tag!r} at position {i}")
+        if tag in ("B-", "I-"):
+            raise BioValidationError(f"{where}tag {tag!r} at position {i} has an empty slot type")
         if tag.startswith("I-"):
             kind = tag[2:]
             if prev not in (f"B-{kind}", f"I-{kind}"):
@@ -255,6 +258,19 @@ def rewrite_file(path: str | Path, chunks: Iterable, head: bytes = b"") -> Path:
     finally:
         os.close(fd)
     return path
+
+
+def check_labels(corpus: list[Utterance], maps: LabelMaps, max_len: int | None = None,
+                 where: str = "") -> None:
+    """Raise UnknownLabelError for the first intent, or BIO tag among the
+    first ``max_len`` (None: all), that ``maps`` does not hold: the labels
+    :func:`encode_batch` would reject, found before any batch is built."""
+    for n, u in enumerate(corpus, start=1):
+        if u.intent not in maps.intent_index:
+            raise UnknownLabelError(f"{where}utterance {n}: unknown intent label {u.intent!r}")
+        for tag in u.bio_tags[:max_len]:
+            if tag not in maps.bio_index:
+                raise UnknownLabelError(f"{where}utterance {n}: unknown BIO label {tag!r}")
 
 
 # auxiliary binary targets ----------------------------------------------------

@@ -10,8 +10,10 @@ negative minus positive: sharper (lower-entropy) positive types push it up.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +22,28 @@ from .data import (LabelMaps, OUTSIDE, Utterance, Vocab, encode_batch, length_gr
 from .model import JointModel
 
 ROW_SUM_TOLERANCE = 1e-6
+
+
+def _check_attention(block: np.ndarray, kinds: list[str]) -> None:
+    """Check a ``(..., T, l, l)`` stack of attention maps whose T types
+    ``kinds`` names: every row must sum to 1 within ``ROW_SUM_TOLERANCE``
+    and no weight may be negative. Raises for the first failing type in
+    ``kinds`` order, whichever map of the stack fails."""
+    # written so that NaN fails: max and min carry it, and every comparison
+    # with it is False
+    drift = np.abs(block.sum(axis=-1, dtype=np.float64) - 1.0).max(axis=-1)
+    rows_ok = drift <= ROW_SUM_TOLERANCE  # (..., T)
+    signs_ok = block.min(axis=(-2, -1)) >= 0
+    if (rows_ok & signs_ok).all():
+        return
+    n_types = block.shape[-3]
+    rows_ok = rows_ok.reshape(-1, n_types).all(axis=0)
+    signs_ok = signs_ok.reshape(-1, n_types).all(axis=0)
+    for kind, rows, signs in zip(kinds, rows_ok, signs_ok):
+        if not rows:
+            raise ValueError(f"{kind} attention rows do not sum to 1")
+        if not signs:
+            raise ValueError(f"{kind} attention has negative weights")
 
 
 @dataclass
@@ -50,14 +74,7 @@ class AttentionBundle:
         # the bundle's own (T, l, l) copy, checked for every type at once
         block = np.stack(list(self.matrices.values()), dtype=np.float64)
         self.matrices = dict(zip(self.matrices, block))
-        # written so that NaN fails: every comparison with it is False
-        rows_ok = np.abs(block.sum(axis=-1) - 1.0).max(axis=-1) <= ROW_SUM_TOLERANCE
-        signs_ok = block.min(axis=(1, 2)) >= 0
-        for kind, rows, signs in zip(self.matrices, rows_ok, signs_ok):
-            if not rows:
-                raise ValueError(f"{kind} attention rows do not sum to 1")
-            if not signs:
-                raise ValueError(f"{kind} attention has negative weights")
+        _check_attention(block, list(self.matrices))
 
     @property
     def analyzed_types(self) -> frozenset[str]:
@@ -71,6 +88,82 @@ class AttentionBundle:
 EXTRACT_CHUNK = 32  # utterances per extraction inference pass, at most
 
 
+def _analyzed_types(maps: LabelMaps, include_outside: bool) -> np.ndarray:
+    """``(T,)`` mask of the slot types an analysis reads: every type, less
+    "O" unless ``include_outside`` is set."""
+    return np.array([include_outside or t != OUTSIDE for t in maps.slot_types])
+
+
+def _by_name(maps: LabelMaps, mask: np.ndarray) -> np.ndarray:
+    """Indices of the slot types in ``mask``, in name order."""
+    return np.array(sorted(np.flatnonzero(mask), key=maps.slot_types.__getitem__),
+                    dtype=np.intp)
+
+
+def _extraction(
+    model: JointModel,
+    utterances: list[Utterance],
+    maps: LabelMaps,
+    vocab: Vocab,
+) -> tuple[list[Utterance], np.ndarray, Iterator[tuple]]:
+    """The extraction loop every attention analysis reads from.
+
+    Utterances are truncated to the model's maximum length, and those with
+    equal kept tokens and tags run once (the network never reads the
+    intent). Returns the distinct utterances, each caller position's index
+    among them, and a generator that runs one graph-free inference pass
+    per length group of at most ``EXTRACT_CHUNK`` distinct utterances (see
+    :func:`length_groups`) and yields, per pass, ``(idx, lengths,
+    attention, positive)``: the distinct indices, their kept lengths, the
+    float32 ``(B, T, L, L)`` maps and a ``(B, T)`` mask of positive types.
+
+    Positive types are the types of the gold tags; an utterance with no
+    tagged slot falls back to the tags the same pass predicts for it
+    (argmax, ties to the lower index). "O" is never positive.
+    """
+    max_len = model.config.max_positions - 1
+    keys = [(tuple(u.tokens[:max_len]), tuple(u.bio_tags[:max_len])) for u in utterances]
+    distinct = dict(zip(keys, utterances))  # one utterance per key, first-seen order
+    index = {k: i for i, k in enumerate(distinct)}
+    inverse = np.array([index[k] for k in keys], dtype=np.intp)
+    unique = list(distinct.values())
+
+    def batches():
+        # each BIO label's slot-type column, with "O" and any label of an
+        # unknown type sent to a spare last column, which the pad label
+        # (-1) reads too
+        spare = maps.n_slot_types
+        column = np.array([spare if tag == OUTSIDE or c < 0 else c for tag, c
+                           in zip(maps.bio_labels, maps.bio_type_column.tolist())] + [spare])
+        for idx in length_groups(unique, max_len, EXTRACT_CHUNK):
+            batch = encode_batch([unique[i] for i in idx], maps, vocab, max_len)
+            _, _, attention, slot_logits = model.infer(batch)
+            if attention is None:
+                raise ValueError("model was built without the slot-type attention network")
+            kinds = column[batch.slot_targets]  # (B, L)
+            untagged = (kinds == spare).all(axis=1)
+            if untagged.any():
+                fallback = untagged[:, None] & (batch.slot_targets >= 0)
+                kinds = np.where(fallback, column[slot_logits.argmax(axis=2)], kinds)
+            positive = np.zeros((len(idx), spare + 1), dtype=bool)
+            positive[np.arange(len(idx))[:, None], kinds] = True
+            yield idx, batch.lengths, attention, positive[:, :spare]
+
+    return unique, inverse, batches()
+
+
+def _length_cuts(batches: Iterator[tuple], kinds: list[str]) -> Iterator[tuple]:
+    """Cut each extraction pass into its distinct kept lengths: yields
+    ``(idx, block, positive)`` with each cut's checked float32
+    ``(U, T, l, l)`` maps (see :func:`_check_attention`)."""
+    for idx, lengths, attention, positive in batches:
+        for l in np.unique(lengths):
+            rows = np.flatnonzero(lengths == l)
+            block = attention[rows, :, :l, :l]
+            _check_attention(block, kinds)
+            yield idx[rows], block, positive[rows]
+
+
 def extract_attention_bundles(
     model: JointModel,
     utterances: list[Utterance],
@@ -79,45 +172,27 @@ def extract_attention_bundles(
     include_outside: bool = False,
 ) -> list[AttentionBundle]:
     """Collect every slot type's attention map for each utterance, in the
-    caller's order, from one graph-free inference pass per length group of
-    at most ``EXTRACT_CHUNK`` distinct utterances (see :func:`length_groups`).
+    caller's order, through the extraction loop of :func:`_extraction`.
 
-    Each utterance is truncated to the model's maximum length, and its
-    bundle covers the kept tokens. Utterances with equal kept tokens and
-    tags run once and share one bundle; the network never reads the
-    intent. Positive types come from the gold tags; an utterance with no
-    tagged slot falls back to the tags the same pass predicts for it
-    (argmax, ties to the lower index). "O" joins the negative set only
-    when ``include_outside`` is set.
+    Each bundle covers the utterance's kept tokens, and utterances with
+    equal kept tokens and tags share one bundle. Positive types come from
+    the gold tags, or from the predicted tags when there is no tagged slot;
+    "O" joins the negative set only when ``include_outside`` is set.
     """
-    analyzed = set(maps.slot_types)
-    if not include_outside:
-        analyzed.discard(OUTSIDE)
-    max_len = model.config.max_positions - 1
-    keys = [(tuple(u.tokens[:max_len]), tuple(u.bio_tags[:max_len])) for u in utterances]
-    distinct = dict(zip(keys, utterances))  # one utterance per key, first-seen order
-    unique = list(distinct.values())
+    unique, inverse, batches = _extraction(model, utterances, maps, vocab)
+    analyzed = _analyzed_types(maps, include_outside)
     bundles: list[AttentionBundle | None] = [None] * len(unique)
-    for idx in length_groups(unique, max_len, EXTRACT_CHUNK):
-        batch = encode_batch([unique[i] for i in idx], maps, vocab, max_len)
-        _, _, attentions, slot_logits = model.infer(batch)
-        if attentions is None:
-            raise ValueError("model was built without the slot-type attention network")
-        for b, i in enumerate(idx):
-            n = int(batch.lengths[b])
-            tags = unique[i].bio_tags[:n]
-            if all(t == OUTSIDE for t in tags):
-                tags = [maps.bio_labels[j] for j in slot_logits[b, :n].argmax(axis=1)]
-            positive = {t[2:] for t in tags if t != OUTSIDE} & analyzed
+    for idx, lengths, attention, positive in batches:
+        negative = (analyzed & ~positive).tolist()
+        for b, (i, n) in enumerate(zip(idx.tolist(), lengths.tolist())):
             bundles[i] = AttentionBundle(
                 tokens=list(unique[i].tokens[:n]),
-                # views into the batch; the bundle copies them to float64
-                matrices=dict(zip(maps.slot_types, attentions[b, :, :n, :n])),
-                positive_types=frozenset(positive),
-                negative_types=frozenset(analyzed - positive),
+                # views into the batch; the bundle copies and checks them
+                matrices=dict(zip(maps.slot_types, attention[b, :, :n, :n])),
+                positive_types=frozenset(compress(maps.slot_types, positive[b].tolist())),
+                negative_types=frozenset(compress(maps.slot_types, negative[b])),
             )
-    shared = dict(zip(distinct, bundles))
-    return [shared[k] for k in keys]
+    return [bundles[i] for i in inverse]
 
 
 def extract_attentions(
@@ -224,44 +299,94 @@ class EntropyReport:
         return "\n".join(lines) + "\n"
 
 
+def _entropy_means(
+    stack: np.ndarray,
+    n_pos: np.ndarray,
+    n_neg: np.ndarray,
+    k_list: list[float],
+    granularity: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each utterance's mean positive and mean negative top-k% entropy, from
+    one ``(M, l, l)`` float64 stack holding, utterance after utterance, its
+    ``n_pos`` positive maps and then its ``n_neg`` negative ones, each group
+    in type-name order. Returns two ``(U, len(k_list))`` arrays, NaN where
+    the utterance has no type of that group.
+
+    Every matrix is scored by one :func:`_topk_entropies` call, and each
+    mean reduces its utterance's entropies in that order, so the means do
+    not depend on which other utterances share the stack.
+    """
+    h = _topk_entropies(stack, k_list, granularity)  # (K, M)
+    counts = n_pos + n_neg
+    starts = np.cumsum(counts) - counts
+    pos = np.full((len(counts), len(k_list)), np.nan)
+    neg = np.full((len(counts), len(k_list)), np.nan)
+    for p, q in set(zip(n_pos.tolist(), n_neg.tolist())):
+        us = np.flatnonzero((n_pos == p) & (n_neg == q))
+        # take() lays each (K, G, n) gather out C-contiguous, so each mean
+        # sums its n entropies as the per-utterance mean over a row does
+        if p:
+            pos[us] = np.take(h, starts[us, None] + np.arange(p), axis=1).mean(axis=-1).T
+        if q:
+            neg[us] = np.take(h, starts[us, None] + p + np.arange(q), axis=1).mean(axis=-1).T
+    return pos, neg
+
+
+def _entropy_report(
+    pos: np.ndarray,
+    neg: np.ndarray,
+    n_utterances: int,
+    k_list: list[float],
+    granularity: str,
+) -> EntropyReport:
+    """Average the per-utterance means, one ``(N, len(k_list))`` row per
+    utterance that has positive (``pos``) or negative (``neg``) types, in
+    the caller's order."""
+    if not len(pos):
+        raise ValueError("no positive slot types anywhere in the corpus")
+    if not len(neg):
+        raise ValueError("no negative slot types anywhere in the corpus")
+    pos_entropy = np.mean(pos, axis=0)
+    neg_entropy = np.mean(neg, axis=0)
+    rows = [
+        EntropyRow(
+            k=float(k),
+            pos_entropy=float(pos_entropy[i]),
+            neg_entropy=float(neg_entropy[i]),
+            n_pos_utterances=len(pos),
+            n_neg_utterances=len(neg),
+        )
+        for i, k in enumerate(k_list)
+    ]
+    return EntropyReport(rows=rows, n_utterances=n_utterances, granularity=granularity)
+
+
 def entropy_report_from_bundles(
     bundles: list[AttentionBundle],
     k_list: list[float],
     granularity: str = "matrix",
 ) -> EntropyReport:
     """Average positive-group and negative-group entropies per utterance,
-    then across utterances, for each k."""
+    then across utterances, for each k. Bundles of one length are scored
+    as one stack."""
     if not bundles:
         raise ValueError("no utterances to analyze")
-    pos_means: list[np.ndarray] = []  # (len(k_list),) per utterance
-    neg_means: list[np.ndarray] = []
-    for b in bundles:
-        pos, neg = sorted(b.positive_types), sorted(b.negative_types)
-        if not pos + neg:
-            continue
-        h = _topk_entropies(np.stack([b.matrices[t] for t in pos + neg]), k_list,
+    _check_topk(k_list, granularity)
+    n_pos = np.array([len(b.positive_types) for b in bundles], dtype=np.intp)
+    n_neg = np.array([len(b.negative_types) for b in bundles], dtype=np.intp)
+    pos = np.full((len(bundles), len(k_list)), np.nan)
+    neg = np.full((len(bundles), len(k_list)), np.nan)
+    by_length: dict[int, list[int]] = {}
+    for u, b in enumerate(bundles):
+        if n_pos[u] + n_neg[u]:
+            by_length.setdefault(b.length, []).append(u)
+    for us in by_length.values():
+        stack = np.stack([bundles[u].matrices[t] for u in us
+                          for t in sorted(bundles[u].positive_types)
+                          + sorted(bundles[u].negative_types)])
+        pos[us], neg[us] = _entropy_means(stack, n_pos[us], n_neg[us], k_list, granularity)
+    return _entropy_report(pos[n_pos > 0], neg[n_neg > 0], len(bundles), k_list,
                            granularity)
-        if pos:
-            pos_means.append(h[:, : len(pos)].mean(axis=1))
-        if neg:
-            neg_means.append(h[:, len(pos) :].mean(axis=1))
-    if not pos_means:
-        raise ValueError("no positive slot types anywhere in the corpus")
-    if not neg_means:
-        raise ValueError("no negative slot types anywhere in the corpus")
-    pos_entropy = np.mean(pos_means, axis=0)
-    neg_entropy = np.mean(neg_means, axis=0)
-    rows = [
-        EntropyRow(
-            k=float(k),
-            pos_entropy=float(pos_entropy[i]),
-            neg_entropy=float(neg_entropy[i]),
-            n_pos_utterances=len(pos_means),
-            n_neg_utterances=len(neg_means),
-        )
-        for i, k in enumerate(k_list)
-    ]
-    return EntropyReport(rows=rows, n_utterances=len(bundles), granularity=granularity)
 
 
 def topk_entropy_analysis(
@@ -273,11 +398,36 @@ def topk_entropy_analysis(
     granularity: str = "matrix",
     include_outside: bool = False,
 ) -> EntropyReport:
-    """Extract attention for every utterance and aggregate top-k% entropy.
-    ``k_list`` and ``granularity`` are checked before any inference runs."""
+    """Extract attention for every utterance and aggregate top-k% entropy;
+    the result equals :func:`entropy_report_from_bundles` over
+    :func:`extract_attention_bundles`, without building the bundles.
+
+    Each extraction pass is cut into its distinct kept lengths, and each
+    cut's analyzed maps are scored as one float64 stack. ``k_list`` and
+    ``granularity`` are checked before any inference runs.
+    """
     _check_topk(k_list, granularity)
-    bundles = extract_attention_bundles(model, corpus, maps, vocab, include_outside)
-    return entropy_report_from_bundles(bundles, k_list, granularity)
+    if not corpus:
+        raise ValueError("no utterances to analyze")
+    unique, inverse, batches = _extraction(model, corpus, maps, vocab)
+    analyzed = _by_name(maps, _analyzed_types(maps, include_outside))
+    n_pos = np.zeros(len(unique), dtype=np.intp)
+    pos = np.full((len(unique), len(k_list)), np.nan)
+    neg = np.full((len(unique), len(k_list)), np.nan)
+    for idx, block, positive in _length_cuts(batches, maps.slot_types):
+        if not len(analyzed):
+            continue
+        in_order = positive[:, analyzed]  # (U, A), types in name order
+        # per row: positive types first, then negative, each in name order
+        types = analyzed[np.argsort(~in_order, axis=1, kind="stable")]
+        stack = block[np.arange(len(idx))[:, None], types].astype(np.float64)
+        n_pos[idx] = in_order.sum(axis=1)
+        pos[idx], neg[idx] = _entropy_means(
+            stack.reshape(-1, *block.shape[-2:]), n_pos[idx], len(analyzed) - n_pos[idx],
+            k_list, granularity)
+    n_pos, pos, neg = n_pos[inverse], pos[inverse], neg[inverse]
+    return _entropy_report(pos[n_pos > 0], neg[n_pos < len(analyzed)], len(corpus),
+                           k_list, granularity)
 
 
 # modification consistency -------------------------------------------------------
@@ -365,17 +515,55 @@ def consistency_analysis(
     """Score each (original, modified, category) pair by the mean
     consistency over the original's positive types (all analyzed types
     when it has none), with identity alignment. Both sides go through one
-    extraction sweep, so an utterance that recurs in the pairs runs once."""
+    extraction sweep, so an utterance that recurs in the pairs runs once.
+
+    Pairs are scored grouped by length: one :func:`_row_cosines` call per
+    length over the selected (pair, type) maps only, then each pair's mean
+    over its types in name order."""
     n = len(pairs)
-    bundles = extract_attention_bundles(
+    unique, inverse, batches = _extraction(
         model, [p[0] for p in pairs] + [p[1] for p in pairs], maps, vocab)
-    scored = []
-    for pair_id, (ba, bb, (_, _, category)) in enumerate(zip(bundles[:n], bundles[n:], pairs)):
-        types = sorted(ba.positive_types) or sorted(ba.analyzed_types)
-        x, y = (np.stack([bundle.matrices[t] for t in types]) for bundle in (ba, bb))
-        score = float(_row_cosines(x, y).mean())
-        scored.append(PairScore(pair_id=pair_id, category=category, score=score))
-    return ConsistencyReport(pairs=scored)
+    length = np.zeros(len(unique), dtype=np.intp)
+    row = np.zeros(len(unique), dtype=np.intp)  # position in its length's stack
+    positive = np.zeros((len(unique), maps.n_slot_types), dtype=bool)
+    blocks: dict[int, list[np.ndarray]] = {}
+    for idx, block, pos in _length_cuts(batches, maps.slot_types):
+        same = blocks.setdefault(block.shape[-1], [])
+        length[idx] = block.shape[-1]
+        row[idx] = sum(map(len, same)) + np.arange(len(idx))
+        positive[idx] = pos
+        same.append(block)
+    a, b = inverse[:n], inverse[n:]
+    unequal = np.flatnonzero(length[a] != length[b])
+    if unequal.size:
+        i = unequal[0]
+        raise ValueError(
+            f"lengths differ ({length[a[i]]} vs {length[b[i]]}); pass an alignment")
+
+    chosen = positive[a]
+    chosen[~chosen.any(axis=1)] = _analyzed_types(maps, False)
+    by_name = _by_name(maps, np.ones(maps.n_slot_types, dtype=bool))
+    pair, col = np.nonzero(chosen[:, by_name])  # each pair's types in name order
+    kind = by_name[col]
+    counts = np.bincount(pair, minlength=n)
+    if not counts.all():
+        raise ValueError("no slot types to compare")
+    cosines = np.empty(len(pair))
+    for l, same in blocks.items():
+        sel = np.flatnonzero(length[a[pair]] == l)
+        if sel.size:
+            stack = np.concatenate(same) if len(same) > 1 else same[0]
+            x, y = (stack[row[side[pair[sel]]], kind[sel]].astype(np.float64)
+                    for side in (a, b))
+            cosines[sel] = _row_cosines(x, y)
+    starts = np.cumsum(counts) - counts
+    scores = np.empty(n)
+    for c in np.unique(counts):  # a C-contiguous (G, c) mean per type count
+        ps = np.flatnonzero(counts == c)
+        scores[ps] = cosines[starts[ps, None] + np.arange(c)].mean(axis=1)
+    return ConsistencyReport(pairs=[
+        PairScore(pair_id=i, category=category, score=float(score))
+        for i, ((_, _, category), score) in enumerate(zip(pairs, scores))])
 
 
 # heatmap rendering ---------------------------------------------------------------

@@ -112,6 +112,31 @@ class TestTrain:
         assert err == ("training error: non-finite gradient for parameter "
                        "'fusion.ll.w' at epoch 1\n")
 
+    @pytest.mark.parametrize("flag,utterance,label", [
+        ("--test", Utterance(["fly", "to", "x"], "book_flight", ["O", "O", "B-no_such_type"]),
+         "'B-no_such_type'"),
+        ("--dev", Utterance(["hello"], "made_up_intent", ["O"]), "'made_up_intent'"),
+    ], ids=["test-tag", "dev-intent"])
+    def test_unknown_held_out_label_fails_before_training(self, corpus_dir, capsys,
+                                                          tmp_path, monkeypatch, flag,
+                                                          utterance, label):
+        held_out = load_corpus(corpus_dir / "test") + [utterance]
+        write_corpus(held_out, tmp_path / "held_out")
+        trained = []
+        monkeypatch.setattr(cli, "train_model",
+                            lambda *a, **kw: trained.append(1) or train.train_model(*a, **kw))
+        out = tmp_path / "r"
+        rc = main(["train", "--train", str(corpus_dir / "train"),
+                   flag, str(tmp_path / "held_out"), "--out", str(out), *TINY])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (f"data error: {flag[2:]} corpus {tmp_path / 'held_out'}: "
+                                f"utterance {len(held_out)}: unknown "
+                                f"{'BIO' if 'B-' in label else 'intent'} label {label}\n")
+        assert captured.out == "" and trained == []
+        assert not any((out / name).exists() for name in
+                       ("checkpoint.ckpt", "train_curve.tsv", "train_metrics.tsv"))
+
     def test_missing_corpus_is_categorized(self, capsys, tmp_path):
         rc = main(["train", "--train", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "r"), *TINY])

@@ -79,6 +79,16 @@ class TestUtterance:
     def test_inside_continuations_accepted(self):
         validate_bio(["B-city", "I-city", "I-city", "O", "B-city"])
 
+    @pytest.mark.parametrize("tags,position", [
+        (["O", "O", "B-"], 2),
+        (["B-", "I-"], 0),
+        (["B-city", "I-"], 1),
+    ])
+    def test_empty_slot_type_rejected(self, tags, position):
+        with pytest.raises(BioValidationError,
+                           match=f"at position {position} has an empty slot type"):
+            Utterance([f"w{i}" for i in range(len(tags))], "x", tags)
+
 
 class TestLoadCorpus:
     def test_two_aligned_lines_give_two_utterances(self, tmp_path):
@@ -106,6 +116,12 @@ class TestLoadCorpus:
     def test_invalid_bio_names_utterance(self, tmp_path):
         d = make_corpus_dir(tmp_path, ["a b", "c d"], ["O O", "I-city O"], ["x", "y"])
         with pytest.raises(BioValidationError, match="utterance 2"):
+            load_corpus(d)
+
+    def test_tag_cut_to_its_prefix_names_utterance(self, tmp_path):
+        d = make_corpus_dir(tmp_path, ["fly to boston"], ["O O B-"], ["x"])
+        with pytest.raises(BioValidationError,
+                           match="utterance 1: tag 'B-' at position 2 has an empty slot type"):
             load_corpus(d)
 
     def test_missing_file(self, tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from slotlens import model as model_module
 from slotlens.data import Utterance, Vocab, build_label_maps, encode_batch
 from slotlens.explain import (
+    _entropy_means,
+    _row_cosines,
     _topk_entropies,
     AttentionBundle,
     ConsistencyReport,
@@ -119,7 +121,7 @@ def count_passes(monkeypatch):
     return calls
 
 
-def small_setting(**config_kw):
+def small_setting(extra_types=(), **config_kw):
     corpus = [
         Utterance(["fly", "to", "boston", "today"], "book_flight",
                   ["O", "O", "B-city", "B-day"]),
@@ -127,6 +129,7 @@ def small_setting(**config_kw):
         Utterance(["rain", "in", "denver"], "get_weather", ["O", "O", "B-city"]),
     ]
     extra = [Utterance(["a", "b"], "greet", ["B-airline", "B-hotel"])]
+    extra += [Utterance(["a"], "greet", [f"B-{kind}"]) for kind in extra_types]
     maps = build_label_maps(corpus + extra)
     vocab = Vocab.build(corpus)
     kw = dict(
@@ -523,6 +526,183 @@ class TestBatchedExtraction:
                            corpus[0].bio_tags + ["O"])
         with pytest.raises(ValueError, match="lengths differ \\(4 vs 5\\); pass an alignment"):
             consistency_analysis(model, [(corpus[0], longer, "slot")], maps, vocab)
+
+
+def long_corpus():
+    """Lengths 2-47 with repeats: every third utterance is all-O (the
+    predicted-tag fallback), and the last ten recur."""
+    utterances = mixed_utterances(60, seed=6, lengths=[*range(2, 48, 3), 47, 5, 5, 9])
+    return utterances + utterances[-10:]
+
+
+def per_utterance_means(bundle, k_list, granularity):
+    """One bundle's positive and negative mean entropies (None for an
+    empty group) from one top-k call over its sorted positive then sorted
+    negative types."""
+    pos, neg = sorted(bundle.positive_types), sorted(bundle.negative_types)
+    h = _topk_entropies(np.stack([bundle.matrices[t] for t in pos + neg]), k_list,
+                        granularity)
+    return (h[:, : len(pos)].mean(axis=1) if pos else None,
+            h[:, len(pos) :].mean(axis=1) if neg else None)
+
+
+def per_utterance_entropy_reference(bundles, k_list, granularity):
+    """The per-bundle loop: the means of :func:`per_utterance_means`, then
+    a mean over utterances."""
+    means = [per_utterance_means(b, k_list, granularity) for b in bundles
+             if b.analyzed_types]
+    return (np.mean([p for p, _ in means if p is not None], axis=0),
+            np.mean([n for _, n in means if n is not None], axis=0))
+
+
+def per_pair_consistency_reference(bundles_a, bundles_b):
+    """Each pair's mean row cosine over the original's sorted positive
+    types (all analyzed types when it has none), one pair at a time."""
+    scores = []
+    for ba, bb in zip(bundles_a, bundles_b):
+        types = sorted(ba.positive_types) or sorted(ba.analyzed_types)
+        x, y = (np.stack([b.matrices[t] for t in types]) for b in (ba, bb))
+        scores.append(float(_row_cosines(x, y).mean()))
+    return scores
+
+
+class TestScoringFromBatches:
+    K_LIST = [5, 10, 50, 100]
+
+    @pytest.mark.parametrize("granularity", ["matrix", "rows"])
+    @pytest.mark.parametrize("include_outside", [False, True])
+    def test_analysis_equals_report_from_bundles(self, granularity, include_outside):
+        model, _, maps, vocab = small_setting(max_positions=48)
+        corpus = long_corpus()
+        got = topk_entropy_analysis(model, corpus, self.K_LIST, maps, vocab,
+                                    granularity, include_outside)
+        bundles = extract_attention_bundles(model, corpus, maps, vocab, include_outside)
+        assert any(not any(t != "O" for t in u.bio_tags) for u in corpus)
+        want = entropy_report_from_bundles(bundles, self.K_LIST, granularity)
+        assert got == want  # every row, exactly
+        pos, neg = per_utterance_entropy_reference(bundles, self.K_LIST, granularity)
+        assert [r.pos_entropy for r in got.rows] == pos.tolist()
+        assert [r.neg_entropy for r in got.rows] == neg.tolist()
+
+    @pytest.mark.parametrize("extra_types", [(), ("meal", "seat", "time", "x", "y", "z")])
+    def test_consistency_equals_per_pair_reference(self, extra_types):
+        """With ten types, an all-O original is scored over ten maps, where
+        numpy's pairwise sum no longer adds in order."""
+        model, _, maps, vocab = small_setting(extra_types, max_positions=48)
+        model.params["slot.b"].data[maps.bio_index["O"]] += 50.0  # predict all O
+        originals = long_corpus()
+        modified = [Utterance(["denver"] + u.tokens[1:], u.intent, u.bio_tags)
+                    for u in originals]
+        pairs = [(a, b, c) for a, b in zip(originals, modified) for c in ("slot", "ctx")]
+        pairs.append((originals[3], originals[3], "self"))
+        report = consistency_analysis(model, pairs, maps, vocab)
+        bundles = extract_attention_bundles(
+            model, [p[0] for p in pairs] + [p[1] for p in pairs], maps, vocab)
+        assert sum(not b.positive_types for b in bundles[: len(pairs)]) > 10
+        want = per_pair_consistency_reference(bundles[: len(pairs)], bundles[len(pairs) :])
+        assert [p.score for p in report.pairs] == want  # exactly
+        assert report.pairs[-1].score == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("granularity", ["matrix", "rows"])
+    def test_length_stacked_means_match_per_utterance_loop(self, granularity):
+        """Bundles of mixed lengths and type sets, with groups of up to ten
+        types (where numpy's pairwise sum no longer adds in order): each
+        utterance's means from one stack per length equal its own, bit
+        for bit."""
+        rng = np.random.default_rng(3)
+        types = ["airline", "city", "day", "hotel", "meal", "seat", "time", "x", "y", "z"]
+        bundles = []
+        for _ in range(60):
+            l = int(rng.integers(1, 5))
+            m = rng.random((len(types), l, l))
+            n_pos = int(rng.integers(0, 4))
+            n_neg = int(rng.integers(0 if n_pos else 1, len(types) - n_pos + 1))
+            n_neg = max(n_neg, 8) if n_pos < 3 and rng.random() < 0.5 else n_neg
+            picked = [str(t) for t in rng.permutation(types)[: n_pos + n_neg]]
+            bundles.append(AttentionBundle(
+                tokens=["w"] * l, matrices=dict(zip(types, m / m.sum(-1, keepdims=True))),
+                positive_types=frozenset(picked[:n_pos]),
+                negative_types=frozenset(picked[n_pos:])))
+        for l in range(1, 5):
+            group = [b for b in bundles if b.length == l]
+            stack = np.stack([b.matrices[t] for b in group for t in
+                              sorted(b.positive_types) + sorted(b.negative_types)])
+            n_pos = np.array([len(b.positive_types) for b in group])
+            n_neg = np.array([len(b.negative_types) for b in group])
+            assert len(group) > 1 and n_neg.max() >= 8
+            pos, neg = _entropy_means(stack, n_pos, n_neg, self.K_LIST, granularity)
+            missing = np.full(len(self.K_LIST), np.nan)
+            for b, p, q in zip(group, pos, neg):
+                want_p, want_q = per_utterance_means(b, self.K_LIST, granularity)
+                np.testing.assert_array_equal(p, missing if want_p is None else want_p)
+                np.testing.assert_array_equal(q, missing if want_q is None else want_q)
+        bundles.append(uniform_bundle(positive=(), types=()))
+        report = entropy_report_from_bundles(bundles, self.K_LIST, granularity)
+        pos, neg = per_utterance_entropy_reference(bundles, self.K_LIST, granularity)
+        assert [r.pos_entropy for r in report.rows] == pos.tolist()
+        assert [r.neg_entropy for r in report.rows] == neg.tolist()
+        assert report.n_utterances == len(bundles)
+
+
+def corrupting(monkeypatch, model, maps, kind, how):
+    """Make ``model.infer`` return maps in which query row 0 of ``kind``
+    is damaged for every utterance of the pass."""
+    real_infer = model.infer
+    t = maps.slot_type_index[kind]
+
+    def infer(batch):
+        intent, aux, attention, slot = real_infer(batch)
+        attention = attention.copy()
+        if how == "bad row":
+            attention[:, t, 0, 0] += 0.5
+        elif how == "negative weight":
+            attention[:, t, 0, :] = 0.0
+            attention[:, t, 0, :2] = (1.5, -0.5)
+        else:
+            attention[:, t, 0, 0] = np.nan
+        return intent, aux, attention, slot
+
+    monkeypatch.setattr(model, "infer", infer)
+
+
+class TestDamagedAttention:
+    @pytest.mark.parametrize("how,message", [
+        ("bad row", "city attention rows do not sum to 1"),
+        ("negative weight", "city attention has negative weights"),
+        ("nan", "city attention rows do not sum to 1"),
+    ])
+    @pytest.mark.parametrize("kind", ["city", "O"])
+    def test_every_analysis_raises_naming_the_type(self, monkeypatch, how, message, kind):
+        """A damaged map fails each path with the same error, also for a
+        type ("O") that the analysis does not score."""
+        model, _, maps, vocab = small_setting(max_positions=48)
+        corpus = long_corpus()
+        pairs = [(u, u, "self") for u in corpus]
+        corrupting(monkeypatch, model, maps, kind, how)
+        message = message.replace("city", kind)
+        for run in (
+            lambda: topk_entropy_analysis(model, corpus, [5, 100], maps, vocab),
+            lambda: topk_entropy_analysis(model, corpus, [5, 100], maps, vocab, "rows", True),
+            lambda: consistency_analysis(model, pairs, maps, vocab),
+            lambda: extract_attention_bundles(model, corpus, maps, vocab),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run()
+
+    def test_first_failing_type_in_slot_type_order(self, monkeypatch):
+        model, _, maps, vocab = small_setting()
+        corrupting(monkeypatch, model, maps, "hotel", "negative weight")
+        real_infer = model.infer
+
+        def infer(batch):  # a second, earlier type fails its rows
+            intent, aux, attention, slot = real_infer(batch)
+            attention[-1, maps.slot_type_index["day"], 0, 0] += 0.5
+            return intent, aux, attention, slot
+
+        monkeypatch.setattr(model, "infer", infer)
+        assert maps.slot_types.index("day") < maps.slot_types.index("hotel")
+        with pytest.raises(ValueError, match="^day attention rows do not sum to 1$"):
+            topk_entropy_analysis(model, mixed_utterances(8, lengths=[4]), [100], maps, vocab)
 
 
 class TestEntropyReport:

@@ -130,8 +130,9 @@ INVALID_UTF8 = b"\x80\xbf\xc0\xc1\xf5\xff"  # each one makes ASCII text invalid 
 def damaged_corpus(src, dst, kind, case):
     """The corpus at ``src`` written to ``dst`` with one seeded defect:
     the last line of the tokens or tags file cut short after a token, a
-    line dropped from one file, an ``I-x`` with no open ``x`` span, an
-    unknown intent or tag, or a byte that is not UTF-8."""
+    tags line cut inside its last tag (``B-city`` -> ``B-``), a line
+    dropped from one file, an ``I-x`` with no open ``x`` span, an unknown
+    intent or tag, or a byte that is not UTF-8."""
     rng = np.random.default_rng([case, len(kind), 1])
     lines = {name: (src / name).read_text().splitlines() for name in CORPUS_FILES}
     ends = dict.fromkeys(CORPUS_FILES, "\n")
@@ -144,6 +145,12 @@ def damaged_corpus(src, dst, kind, case):
         words = lines[name][-1].split()
         lines[name][-1] = " ".join(words[: int(rng.integers(len(words)))])
         ends[name] = ""
+    elif kind == "cut-tag":
+        ending = [i for i, row in enumerate(lines[TAGS_FILE]) if row.split()[-1] != "O"]
+        line = ending[int(rng.integers(len(ending)))]
+        tags = lines[TAGS_FILE][line].split()
+        tags[-1] = tags[-1][:2]
+        lines[TAGS_FILE][line] = " ".join(tags)
     elif kind == "drop":
         del lines[name][line]
     elif kind == "open-span":
@@ -167,8 +174,8 @@ def damaged_corpus(src, dst, kind, case):
 
 
 @pytest.mark.parametrize("case", range(4))
-@pytest.mark.parametrize("kind", ["truncate", "drop", "open-span", "unknown-label",
-                                  "non-utf8"])
+@pytest.mark.parametrize("kind", ["truncate", "cut-tag", "drop", "open-span",
+                                  "unknown-label", "non-utf8"])
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_damaged_corpus_fails_in_one_line(setting, capsys, tmp_path, command, kind, case):
     """``eval`` reads the damaged corpus as its data. ``train`` reads it as
