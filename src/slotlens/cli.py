@@ -278,6 +278,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     corpus = load_corpus(args.data)
+    check_labels(corpus, ckpt.label_maps, model.config.max_positions - 1,
+                 where=f"corpus {args.data}: ")
     metrics = evaluate(model, corpus, ckpt.label_maps, ckpt.vocab)
     text = metrics_to_tsv(metrics)
     if args.out:
@@ -321,6 +323,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     corpus = load_corpus(args.data)
+    check_labels(corpus, ckpt.label_maps, model.config.max_positions - 1,
+                 where=f"corpus {args.data}: ")
     report = topk_entropy_analysis(
         model, corpus, args.k, ckpt.label_maps, ckpt.vocab,
         granularity=args.granularity, include_outside=args.include_outside,

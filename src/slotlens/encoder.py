@@ -103,8 +103,6 @@ def encode(
     batch: Batch,
     config: ModelConfig,
     params: ParamSet,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
     keep: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Encode the padded batch in one pass.
@@ -112,9 +110,8 @@ def encode(
     Returns the per-token states (B, L, d), classification position
     excluded, and the classification vectors (B, d).  Pad positions are
     hidden as attention keys, so valid states do not depend on batch
-    composition; the pad rows themselves carry no meaning.  ``keep``, a
-    (B, L + 1, d) embedding dropout mask drawn beforehand, replaces the
-    draw from ``rng``.
+    composition; the pad rows themselves carry no meaning.  ``keep`` is
+    the (B, L + 1, d) embedding dropout mask, None for no dropout.
     """
     B, L = batch.token_ids.shape
     n = L + 1  # classification position prepended
@@ -126,7 +123,7 @@ def encode(
     tok = gather_rows(params["encoder.tok_emb"], batch.token_ids)
     pos = gather_rows(params["encoder.pos_emb"], np.arange(n))
     x = add(concat([cls, tok], axis=1), pos)
-    x = dropout(x, config.dropout_rate, training, rng, lengths=batch.lengths + 1, keep=keep)
+    x = dropout(x, keep)
     key_mask = np.ones((B, 1, 1, n), dtype=bool)
     key_mask[:, 0, 0, 1:] = batch.mask > 0
     for i in range(config.n_layers):

@@ -175,18 +175,14 @@ def intent_fusion(
     mask: np.ndarray,
     params: ParamSet,
     config: ModelConfig,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
     keep: np.ndarray | None = None,
 ) -> Tensor:
     """Fuse intent logits into token states via a single-head self
     attention over the normalized, projected concatenation; the residual
     uses the clean token states.  ``mask`` (B, L) marks the valid tokens;
-    ``keep``, a (B, L, d) dropout mask drawn beforehand, replaces the draw
-    from ``rng``."""
+    ``keep`` is the (B, L, d) dropout mask, None for no dropout."""
     B = u_e.shape[0]
-    x = dropout(u_e, config.dropout_rate, training, rng,
-                lengths=mask.sum(axis=1).astype(int), keep=keep)
+    x = dropout(u_e, keep)
     if not config.no_intent_concat:
         x = concat([x, reshape(g_intent, (B, 1, config.n_intents))])
     x = layer_norm(x, params["fusion.ln.gain"], params["fusion.ln.bias"])

@@ -52,10 +52,6 @@ class Param(Tensor):
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = self._segment(self._grads)
-        self.grad.fill(0.0)
-
 
 class ParamSet:
     """Ordered map from parameter path to leaf tensor, plus Adam state.
@@ -141,12 +137,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Every registered parameter's shape, allocated or only declared."""

@@ -135,6 +135,8 @@ def generate_synthetic_corpus(
     seed: int, n: int, grammar: Grammar | None = None
 ) -> list[Utterance]:
     """Sample ``n`` labeled utterances; identical seeds give identical corpora."""
+    if n < 1:
+        raise ValueError(f"utterance count must be at least 1, got {n}")
     if grammar is None:
         grammar = default_grammar()
     rng = np.random.default_rng(seed)

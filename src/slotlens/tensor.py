@@ -91,13 +91,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        """Reset the gradient buffer to zeros (allocating it if absent)."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
-
     def _accumulate(self, g: np.ndarray) -> None:
         """Add a leaf gradient from :func:`backward` into the buffer."""
         if self.grad is None:
@@ -402,49 +395,33 @@ def dropout_mask(
     shape: tuple[int, ...],
     rate: float,
     rng: np.random.Generator | None,
-    lengths: Sequence[int] | None = None,
+    lengths: Sequence[int],
     dtype=np.float32,
 ) -> np.ndarray:
     """The mask :func:`dropout` multiplies by: 0 with probability ``rate``,
     else ``1/(1-rate)``.
 
-    With ``lengths``, ``shape`` is a padded batch ``(B, L, ...)``: utterance
-    b draws its mask over its first ``lengths[b]`` rows, in batch order, so
-    its mask does not depend on the rest of the batch.  Pad rows are zero.
-    """
-    if rng is None:
-        raise ValueError("dropout in training mode requires a seeded rng")
-    if lengths is None:
-        keep = rng.random(shape) >= rate
-    else:
-        lengths = np.asarray(lengths, dtype=np.intp)
-        keep = np.zeros(shape, dtype=bool)
-        # row-major order of the valid rows is utterance by utterance
-        keep[np.arange(shape[1]) < lengths[:, None]] = (
-            rng.random((lengths.sum(), *shape[2:])) >= rate)
-    return (keep / (1.0 - rate)).astype(dtype)
-
-
-def dropout(
-    x: Tensor,
-    rate: float,
-    training: bool,
-    rng: np.random.Generator | None = None,
-    lengths: Sequence[int] | None = None,
-    keep: np.ndarray | None = None,
-) -> Tensor:
-    """Inverted dropout: zero with probability ``rate`` and rescale survivors
-    by ``1/(1-rate)`` during training; identity at inference.  The mask is
-    drawn from ``rng`` as :func:`dropout_mask` draws it, unless ``keep``
-    gives one drawn beforehand, which is applied whatever ``training`` says.
+    ``shape`` is a padded batch ``(B, L, ...)``: utterance b draws its mask
+    over its first ``lengths[b]`` rows, in batch order, so its mask does
+    not depend on the rest of the batch.  Pad rows are zero.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    x = _as_tensor(x)
+    if rng is None:
+        raise ValueError("dropout in training mode requires a seeded rng")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    keep = np.zeros(shape, dtype=bool)
+    # row-major order of the valid rows is utterance by utterance
+    keep[np.arange(shape[1]) < lengths[:, None]] = (
+        rng.random((lengths.sum(), *shape[2:])) >= rate)
+    return (keep / (1.0 - rate)).astype(dtype)
+
+
+def dropout(x: Tensor, keep: np.ndarray | None) -> Tensor:
+    """Inverted dropout by a mask from :func:`dropout_mask`; ``x`` itself
+    when ``keep`` is None (no dropout)."""
     if keep is None:
-        if not training or rate == 0.0:
-            return x
-        keep = dropout_mask(x.data.shape, rate, rng, lengths, x.data.dtype)
+        return x
     return Tensor._node(x.data * keep, (x,), "dropout", lambda g: (g * keep,))
 
 
@@ -509,7 +486,7 @@ def backward(loss: Tensor) -> None:
     """Populate leaf gradients of every reachable ``requires_grad`` leaf.
 
     The loss must be scalar.  Leaf gradients accumulate across calls; use
-    ``ParamSet.zero_grads`` (or ``Tensor.zero_grad``) between steps.
+    ``ParamSet.zero_grads`` between steps.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")

@@ -1,6 +1,9 @@
 """The benchmark runs end to end and passes its own output checks: one
-short untraced ``train-long`` run of ``bench/run.py`` in a subprocess."""
+short untraced ``train-long`` run of ``bench/run.py`` in a subprocess; and
+every name its tracer wraps still exists."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -19,3 +22,15 @@ def test_train_long_run_is_correct():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    """``bench/tracing.py`` looks each target up by ``getattr`` only when a
+    traced run starts, so a renamed or deleted function would surface there."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [(module, attr) for module, attr, _ in tracing.TARGETS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []

@@ -56,6 +56,15 @@ class TestSynth:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_bad_count_is_one_usage_error_line(self, capsys, tmp_path, n):
+        rc = main(["synth", "--out", str(tmp_path / "c"), "--n", n])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: utterance count must be at least 1, got {n}\n"
+        assert not (tmp_path / "c").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_curve_and_metrics(self, trained_dir):
@@ -262,6 +271,31 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert "made_up_intent" in err
+
+    @pytest.mark.parametrize("command,utterance,message", [
+        ("eval", Utterance(["hello"], "no_such_intent", ["O"]),
+         "unknown intent label 'no_such_intent'"),
+        ("analyze", Utterance(["fly", "to", "x"], "book_flight", ["O", "O", "B-no_such_type"]),
+         "unknown BIO label 'B-no_such_type'"),
+    ], ids=["eval-intent", "analyze-tag"])
+    def test_unknown_label_names_file_and_utterance_before_any_inference(
+            self, corpus_dir, trained_dir, capsys, monkeypatch, tmp_path, command, utterance,
+            message):
+        from slotlens import model as model_module
+
+        def no_inference(*args, **kwargs):
+            raise AssertionError("inference ran before the labels were checked")
+
+        monkeypatch.setattr(model_module, "infer", no_inference)
+        corpus = load_corpus(corpus_dir / "test") + [utterance]
+        write_corpus(corpus, tmp_path / "held_out")
+        rc = main([command, "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                   "--data", str(tmp_path / "held_out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (f"data error: corpus {tmp_path / 'held_out'}: "
+                                f"utterance {len(corpus)}: {message}\n")
 
     def test_garbage_checkpoint_is_a_checkpoint_error(self, capsys, tmp_path,
                                                       corpus_dir):

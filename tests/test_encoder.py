@@ -6,7 +6,7 @@ from slotlens.encoder import declare_encoder_params, encode
 from slotlens.gradcheck import finite_diff_check
 from slotlens.model import ModelConfig
 from slotlens.optim import ParamSet
-from slotlens.tensor import add, backward, scale, sum_all
+from slotlens.tensor import add, backward, dropout_mask, scale, sum_all
 
 
 def init_encoder_params(params, config, rng, dtype=np.float32):
@@ -64,12 +64,17 @@ class TestEncode:
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_dropout_only_in_training(self):
+        """A mask changes the output; no mask leaves it the eval output."""
         corpus, maps, vocab, config, params = make_setting()
         batch = encode_batch([corpus[0]], maps, vocab)
         eval_out, _ = encode(batch, config, params)
-        train_out, _ = encode(batch, config, params, training=True,
-                              rng=np.random.default_rng(3))
+        B, L = batch.token_ids.shape
+        keep = dropout_mask((B, L + 1, config.d), 0.1, np.random.default_rng(3),
+                            batch.lengths + 1, params.dtype)
+        train_out, _ = encode(batch, config, params, keep=keep)
         assert not np.allclose(eval_out.data, train_out.data)
+        no_mask, _ = encode(batch, config, params, keep=None)
+        np.testing.assert_array_equal(no_mask.data, eval_out.data)
 
     def test_position_overflow_rejected(self):
         corpus, maps, vocab, config, params = make_setting(max_positions=3)

@@ -22,7 +22,8 @@ from slotlens.model import (
 )
 from slotlens.optim import ParamSet, adam_step, xavier_uniform
 from slotlens.tensor import (
-    Tensor, add, backward, binary_cross_entropy, concat, cross_entropy_rows, reshape, scale,
+    Tensor, add, backward, binary_cross_entropy, concat, cross_entropy_rows, dropout_mask,
+    reshape, scale,
 )
 
 
@@ -366,6 +367,13 @@ class TestForwardShapes:
         adam_step(model.params, lr=1e-3)
         assert np.isfinite(out.loss_total.item())
 
+    def test_training_with_dropout_needs_a_seeded_rng(self):
+        model, batch, _, _ = make_model(dropout_rate=0.1)
+        with pytest.raises(ValueError, match="requires a seeded rng"):
+            model.forward(batch, training=True)
+        model, batch, _, _ = make_model(dropout_rate=0.0)
+        assert np.isfinite(model.forward(batch, training=True).loss_total.item())
+
 
 class TestAblationStructure:
     def test_no_aux_network_has_no_generator_params(self):
@@ -548,13 +556,17 @@ def mixed_batch(maps, vocab):
 
 def one_graph_losses(model, batch, rng):
     """The four training losses as one graph over the whole batch, each
-    dropout mask drawn from ``rng`` where it is applied."""
+    dropout mask drawn from ``rng`` where it is applied: the embedding mask
+    over ``lengths + 1`` rows, then the fusion mask over ``lengths``."""
     config, params, B = model.config, model.params, batch.size
-    u_e, u_c = encode(batch, config, params, True, rng)
+    L, d, rate = batch.max_len, config.d, config.dropout_rate
+    keep = dropout_mask((B, L + 1, d), rate, rng, batch.lengths + 1, params.dtype)
+    u_e, u_c = encode(batch, config, params, keep)
     g_intent = intent_head(u_c, params)
     g_type, loss_type = None, Tensor(0.0)
     if config.has_aux_network:
-        u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, True, rng)
+        keep = dropout_mask((B, L, d), rate, rng, batch.lengths, params.dtype)
+        u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, keep)
         h, _ = slot_type_attention(u_hat, batch.mask, params, config)
         g_type = slot_type_heads(h, params, config)
         loss_type = binary_cross_entropy(

@@ -76,8 +76,10 @@ class TestGeneration:
             seed=2, n=50
         )
 
-    def test_zero_count_gives_empty_corpus(self):
-        assert generate_synthetic_corpus(seed=0, n=0) == []
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_count_below_one_is_rejected(self, n):
+        with pytest.raises(ValueError, match=f"at least 1, got {n}"):
+            generate_synthetic_corpus(seed=0, n=n)
 
     def test_default_grammar_label_inventory(self):
         """200 samples hit 3 intents and 4 non-O types (|T| = 5 with O)."""

@@ -151,22 +151,28 @@ class TestLayerNorm:
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        assert T.dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+        x = Tensor(np.arange(9.0).reshape(3, 3))
+        keep = T.dropout_mask(x.shape, 0.0, np.random.default_rng(0), [3, 3, 3], x.dtype)
+        assert T.dropout(x, keep).data.tobytes() == x.data.tobytes()
 
     def test_inference_is_identity(self):
         x = Tensor(np.ones((3, 3)))
-        assert T.dropout(x, 0.1, training=False) is x
+        assert T.dropout(x, None) is x
 
     def test_expected_value_preserved(self):
         rng = np.random.default_rng(42)
-        x = Tensor(np.full(2000, 3.0))
-        total = np.zeros(2000)
+        x = Tensor(np.full((1, 2000), 3.0))
+        total = np.zeros((1, 2000))
         n_draws = 400
         for _ in range(n_draws):
-            total += T.dropout(x, 0.5, training=True, rng=rng).data
+            total += T.dropout(x, T.dropout_mask(x.shape, 0.5, rng, [2000], x.dtype)).data
         # mean of inverted dropout is the input; SE ~ 3/sqrt(400*2000)
         assert abs(total.mean() / n_draws - 3.0) < 0.02
+
+    @pytest.mark.parametrize("rate", [1.0, -0.1])
+    def test_mask_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+            T.dropout_mask((1, 3), rate, np.random.default_rng(0), [3])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_length_mask_matches_a_draw_per_utterance(self, seed):
@@ -191,9 +197,11 @@ class TestDropout:
 
     def test_gradient_masks_match_forward(self):
         rng = np.random.default_rng(5)
-        x = Tensor(np.ones(100, dtype=np.float64), requires_grad=True)
-        out = T.dropout(x, 0.3, training=True, rng=rng)
+        x = Tensor(np.ones((1, 100), dtype=np.float64), requires_grad=True)
+        keep = T.dropout_mask(x.shape, 0.3, rng, [100], x.dtype)
+        out = T.dropout(x, keep)
         backward(T.sum_all(out))
+        np.testing.assert_array_equal(x.grad, keep)
         np.testing.assert_allclose(x.grad, out.data)
 
 
