@@ -1,6 +1,6 @@
 """Single-file checkpoint format.
 
-Layout (``FORMAT_VERSION`` 2): an 8-byte magic, a little-endian uint32
+Layout (``FORMAT_VERSION`` 3): an 8-byte magic, a little-endian uint32
 manifest length, a JSON manifest (sorted keys), a raw little-endian tensor
 blob, and a little-endian uint32 CRC32 (``zlib.crc32``) of every byte
 before it. The manifest holds the model config, the label inventories,
@@ -9,7 +9,9 @@ entry: null, or the Adam step count and whether moments are stored. It
 has no per-tensor table: the blob is a parameter set's arenas back to
 back (Adam ``m``, Adam ``v``, parameters), each laid out as
 :func:`~slotlens.optim.arena_layout` lays out the parameters the config
-declares, so names, shapes and offsets follow from the config. The same
+declares, so names, shapes and offsets follow from the config. The type
+generator is stored as its stacked parameters (``type_gen.{q,k,v}.{w,b}``
+and ``type_gen.head.{w,b}``, the slot types side by side). The same
 model state always serializes to the same bytes, so determinism can be
 asserted on files.
 
@@ -20,9 +22,21 @@ into arenas of that layout, and checks the CRC before it trusts the
 label maps, vocab or tensors; a model loaded from the arenas is built
 around them.
 
-Files of ``FORMAT_VERSION`` 1 (no trailer, and a per-tensor table of
-names, shapes, dtypes and byte offsets into the blob) still load through
-the table reader, including tables that list only some moments.
+Older files held the type generator as eight tensors per slot type
+(``type_gen.t{i}.*``), so their arenas are in another order. They load
+through one index permutation, derived from the config and applied to
+the parameter and moment arenas alike; a version 3 load builds none.
+
+- ``FORMAT_VERSION`` 2 files have the version 3 layout in every other
+  respect. They pass the same length and CRC checks before the
+  permutation.
+- ``FORMAT_VERSION`` 1 files (no trailer, and a per-tensor table of
+  names, shapes, dtypes and byte offsets into the blob) are read by the
+  table reader, including tables that list only some moments. The table
+  must name exactly the tensors the config gives, in their shapes; then
+  the permutation runs.
+
+A re-save writes version 3.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ from .model import JointModel, ModelConfig, declare_model_params
 from .optim import ParamSet, arena_layout
 
 MAGIC = b"SLOTLENS"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _TRAILER = 4  # bytes of the CRC32 after the blob
 
 
@@ -297,17 +311,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         version = manifest.get("format_version")
         if version == 1:
             return _load_table(f, path, manifest, len(head) + manifest_len, size)
-        if version != FORMAT_VERSION:
-            raise CheckpointVersionError(
-                f"{path}: file format version {version}, this reader expects {FORMAT_VERSION}"
-            )
-        return _load_derived(f, path, manifest, head + raw, size)
+        if version not in (2, FORMAT_VERSION):
+            raise CheckpointVersionError(f"{path}: file format version {version}, "
+                                         f"this reader reads versions 1 to {FORMAT_VERSION}")
+        return _load_derived(f, path, manifest, head + raw, size, per_type=version == 2)
 
 
-def _load_derived(f, path, manifest: dict, header: bytes, size: int) -> Checkpoint:
+def _load_derived(f, path, manifest: dict, header: bytes, size: int,
+                  per_type: bool) -> Checkpoint:
     """Read the blob after ``header`` (the magic, the manifest length and
     the manifest) in the layout the manifest's config, dtype and optimizer
-    entry give, and check the file's CRC32 before anything else."""
+    entry give, and check the file's CRC32 before anything else. A
+    ``per_type`` (version 2) blob holds the type generator's tensors per
+    slot type, and is restacked once it has passed the check."""
     _require_keys(manifest, ("config", "dtype", "optimizer"), path, "manifest")
     config = _config_from_manifest(manifest["config"], path)
     _check(manifest["dtype"] in _DTYPES, path, "manifest key 'dtype'", manifest["dtype"],
@@ -320,14 +336,14 @@ def _load_derived(f, path, manifest: dict, header: bytes, size: int) -> Checkpoi
         _check(type(o["moments"]) is bool, path, "optimizer key 'moments'", o["moments"],
                "true or false")
     shapes = _param_shapes(config)
-    starts, total = arena_layout(shapes)
-    kinds = ("m", "v", "data") if o and o["moments"] else ("data",)
-    end = len(header) + len(kinds) * total * dtype.itemsize + _TRAILER
+    total = sum(map(math.prod, shapes.values()))
+    n_arenas = 3 if o and o["moments"] else 1
+    end = len(header) + n_arenas * total * dtype.itemsize + _TRAILER
     if size != end:
         where = "extends past end of file" if size < end else "is followed by extra bytes"
         raise CheckpointCorruptError(f"{path}: tensor data {where}: the file has {size} "
                                      f"bytes, its manifest's layout takes {end}")
-    buf = np.empty(len(kinds) * total, dtype)
+    buf = np.empty((n_arenas, total), dtype)
     blob = memoryview(buf).cast("B")
     trailer = bytearray(_TRAILER)
     if f.readinto(blob) != len(blob) or f.readinto(trailer) != _TRAILER:
@@ -338,27 +354,32 @@ def _load_derived(f, path, manifest: dict, header: bytes, size: int) -> Checkpoi
     _require_keys(manifest, ("label_maps", "vocab"), path, "manifest")
     _check_labels(manifest, path)
     maps, vocab = _labels_and_vocab(manifest, path)
-    arenas = {kind: buf[i * total : (i + 1) * total] for i, kind in enumerate(kinds)}
+    if per_type:
+        buf = _restack(buf, _per_type_index(shapes, config.n_slot_types))
+    return _checkpoint(path, manifest, config, maps, vocab, shapes, buf,
+                       None if o is None else o["step_count"])
+
+
+def _checkpoint(path, manifest: dict, config, maps, vocab, shapes, buf: np.ndarray,
+                step_count: int | None) -> Checkpoint:
+    """The :class:`Checkpoint` around ``buf``, whose rows are the arenas of
+    the parameters ``shapes`` lists: ``m``, ``v`` and ``data``, or ``data``
+    alone. ``step_count`` is None for a file with no optimizer entry. The
+    checkpoint's dicts of views are its own, so the reader's record of
+    them stays as it made them."""
+    starts, _ = arena_layout(shapes)
+    arenas = dict(zip(("m", "v", "data") if len(buf) == 3 else ("data",), buf))
     views = {kind: {n: arena[starts[n] : starts[n] + math.prod(shapes[n])].reshape(shapes[n])
                     for n in starts}
              for kind, arena in arenas.items()}
-    optimizer = None
-    if o is not None:
-        optimizer = {"step_count": o["step_count"], "m": views.get("m", {}),
-                     "v": views.get("v", {})}
-    return _checkpoint(path, manifest, config, maps, vocab, arenas, views, optimizer)
-
-
-def _checkpoint(path, manifest: dict, config, maps, vocab, arenas, views, optimizer):
-    """The :class:`Checkpoint`; its dicts of views are its own, so the
-    reader's record of them stays as it made them."""
     return Checkpoint(
         config=config,
         label_maps=maps,
         vocab=vocab,
         params=dict(views["data"]),
-        optimizer=optimizer and {**optimizer, "m": dict(optimizer["m"]),
-                                 "v": dict(optimizer["v"])},
+        optimizer=None if step_count is None else {
+            "step_count": step_count, "m": dict(views.get("m", {})),
+            "v": dict(views.get("v", {}))},
         metadata=manifest.get("metadata", {}),
         path=path,
         arenas=arenas,
@@ -373,21 +394,65 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return params.shapes()
 
 
+def _per_type_index(shapes: dict[str, tuple[int, ...]], n_types: int) -> dict[str, np.ndarray]:
+    """Every tensor that versions 1 and 2 stored, as the indices of its
+    elements in an arena of the parameters ``shapes`` lists, in its stored
+    shape. Those versions held the type generator as eight tensors per
+    slot type: ``type_gen.t{i}.{q,k,v}.{w,b}``, column block i of
+    ``type_gen.{q,k,v}.*``, and ``type_gen.t{i}.head.{w,b}``, entry i of
+    ``type_gen.head.*``."""
+    starts, _ = arena_layout(shapes)
+    index = {}
+    for name, shape in shapes.items():
+        seg = np.arange(starts[name], starts[name] + math.prod(shape)).reshape(shape)
+        if not name.startswith("type_gen."):
+            index[name] = seg
+            continue
+        _, p, kind = name.split(".")
+        parts = list(seg) if name == "type_gen.head.w" else np.split(seg, n_types, axis=-1)
+        index.update((f"type_gen.t{i}.{p}.{kind}", part) for i, part in enumerate(parts))
+    return index
+
+
+def _restack(buf: np.ndarray, index: dict[str, np.ndarray]) -> np.ndarray:
+    """``buf``'s rows, arenas laid out as versions 1 and 2 stored them (the
+    tensors ``index`` names, back to back in sorted-name order), in the
+    current layout: one index permutation for every arena."""
+    out = np.empty_like(buf)
+    out[:, np.concatenate([index[n].ravel() for n in sorted(index)])] = buf
+    return out
+
+
 def _load_table(f, path, manifest: dict, blob_start: int, size: int) -> Checkpoint:
     """Read a version 1 file, whose manifest addresses every tensor through
-    its per-tensor table."""
+    its per-tensor table, and restack its type generator."""
     _check_table(manifest, path, size - blob_start)
     config = _config_from_manifest(manifest["config"], path)
     maps, vocab = _labels_and_vocab(manifest, path)
-    arenas, views, optimizer = _read_arenas(f, blob_start, manifest, path)
-    return _checkpoint(path, manifest, config, maps, vocab, arenas, views, optimizer)
+    stored, buf = _read_arenas(f, blob_start, manifest, path)
+    shapes = _param_shapes(config)
+    index = _per_type_index(shapes, config.n_slot_types)
+    if stored.keys() != index.keys():
+        raise CheckpointFormatError(
+            f"{path}: parameter names disagree with config: missing "
+            f"{sorted(index.keys() - stored.keys())}, extra {sorted(stored.keys() - index.keys())}"
+        )
+    for name, shape in stored.items():
+        if shape != index[name].shape:
+            raise CheckpointFormatError(f"{path}: tensor {name!r} has shape {shape}, "
+                                        f"its config gives {index[name].shape}")
+    o = manifest.get("optimizer") or None
+    return _checkpoint(path, manifest, config, maps, vocab, shapes, _restack(buf, index),
+                       o and o["step_count"])
 
 
 def _read_arenas(f, blob_start: int, manifest: dict, path):
-    """Read a version 1 blob into arenas laid out as a model's: the moment
-    arenas (when the optimizer entry lists moments), then the parameter
-    arena. Tensors that lie back to back in the file as in the arenas are
-    read together, so a file the version 1 writer wrote takes one read."""
+    """Read a version 1 blob into arenas laid out as the parameters its
+    table lists: the moment arenas (when the optimizer entry lists
+    moments), then the parameter arena, one row each of the returned
+    array, beside the table's parameter shapes. Tensors that lie back to
+    back in the file as in the arenas are read together, so a file the
+    version 1 writer wrote takes one read."""
     entries = manifest["params"]
     o = manifest.get("optimizer") or None
     moments = {f"adam.{kind}.{n}": (kind, n) for kind in "mv" for n in o[kind]} if o else {}
@@ -427,17 +492,7 @@ def _read_arenas(f, blob_start: int, manifest: dict, path):
             run = [entry["offset"], dst, entry["nbytes"]]
     read(*run)
 
-    arenas = {kind: buf[i * total : (i + 1) * total] for i, kind in enumerate(kinds)}
-
-    def view(kind: str, n: str) -> np.ndarray:
-        return arenas[kind][starts[n] : starts[n] + math.prod(shapes[n])].reshape(shapes[n])
-
-    views = {"data": {n: view("data", n) for n in shapes}}
-    optimizer = None
-    if o:
-        views.update((kind, {n: view(kind, n) for n in o[kind]}) for kind in "mv")
-        optimizer = {"step_count": o["step_count"], "m": views["m"], "v": views["v"]}
-    return arenas, views, optimizer
+    return shapes, buf.reshape(len(kinds), total)
 
 
 def _unchanged(state: dict[str, np.ndarray], made: dict[str, np.ndarray] | None) -> bool:

@@ -67,6 +67,7 @@ ERROR_CATEGORIES: list[tuple[type[Exception], str]] = [
     (CheckpointCorruptError, "checkpoint error"),
     (CheckpointFormatError, "checkpoint error"),
     (TrainingDivergedError, "training error"),
+    (MemoryError, "memory error"),
     (FileNotFoundError, "io error"),
     (OSError, "io error"),
     (ValueError, "usage error"),

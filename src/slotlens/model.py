@@ -33,7 +33,6 @@ from .tensor import (
     no_grad,
     reshape,
     scale,
-    stack,
     transpose,
 )
 
@@ -140,10 +139,24 @@ def declare_model_params(
         for name in ("q", "k", "v"):
             lin(f"fusion.sa.{name}", d, d)
         norm("fusion.post_ln", d)
-        for i in range(config.n_slot_types):
-            for name in ("q", "k", "v"):
-                lin(f"type_gen.t{i}.{name}", d, d_h)
-            lin(f"type_gen.t{i}.head", d_h, 1)
+        T, drawn = config.n_slot_types, {}
+
+        def draw_type_weights():
+            """Every type's q, k, v and head weights, type after type in that
+            order; returns the q stack and keeps the others for their own
+            initialisers."""
+            per_type = [[xavier_uniform(rng, d, d_h, dtype=dtype) for _ in "qkv"]
+                        + [xavier_uniform(rng, d_h, 1, dtype=dtype)] for _ in range(T)]
+            q, k, v, head = zip(*per_type)
+            drawn.update(k=np.hstack(k), v=np.hstack(v), head=np.stack(head))
+            return np.hstack(q)
+
+        for name in ("q", "k", "v"):
+            params.declare(f"type_gen.{name}.w", (d, T * d_h), draw_type_weights
+                           if name == "q" else lambda name=name: drawn.pop(name))
+            params.declare(f"type_gen.{name}.b", (T * d_h,), 0.0)
+        params.declare("type_gen.head.w", (T, d_h, 1), lambda: drawn.pop("head"))
+        params.declare("type_gen.head.b", (T,), 0.0)
         if not config.no_cross_attention:
             lin("cross.proj", config.n_slot_types, d)
             for name in ("q", "k", "v"):
@@ -198,18 +211,16 @@ def slot_type_attention(
     u_hat: Tensor, mask: np.ndarray, params: ParamSet, config: ModelConfig
 ) -> tuple[Tensor, Tensor]:
     """All |T| single-head attentions at width d_h as one attention whose
-    heads are the slot types (the per-type weights are laid side by side).
+    heads are the slot types: each ``type_gen.{q,k,v}.w`` stores the
+    per-type (d, d_h) weights side by side.
 
     Returns attended features h (B, |T|, L, d_h) and attention maps alpha
     (B, |T|, L, L). Frozen-uniform mode replaces the softmax with a
     constant 1/l map over the valid keys; the value path stays learned.
     """
-    T = config.n_slot_types
-
     def project(p: str) -> Tensor:
-        w = concat([params[f"type_gen.t{i}.{p}.w"] for i in range(T)])
-        b = concat([params[f"type_gen.t{i}.{p}.b"] for i in range(T)])
-        return project_heads(u_hat, w, b, T)
+        w, b = params[f"type_gen.{p}.w"], params[f"type_gen.{p}.b"]
+        return project_heads(u_hat, w, b, config.n_slot_types)
 
     v = project("v")
     keys = mask[:, None, None, :] > 0
@@ -222,12 +233,10 @@ def slot_type_attention(
 
 def slot_type_heads(h: Tensor, params: ParamSet, config: ModelConfig) -> Tensor:
     """Per-type binary logits (B, L, |T|); column i comes from type i's
-    d_h->1 head over h[:, i]."""
-    T = config.n_slot_types
-    B, _, L, _ = h.shape
-    w = stack([params[f"type_gen.t{i}.head.w"] for i in range(T)])
-    b = concat([params[f"type_gen.t{i}.head.b"] for i in range(T)])
-    return add(reshape(transpose(matmul(h, w), (0, 2, 1, 3)), (B, L, T)), b)
+    d_h->1 head, ``type_gen.head.w[i]``, over h[:, i]."""
+    B, T, L, _ = h.shape
+    logits = matmul(h, params["type_gen.head.w"])  # (B, T, L, 1)
+    return add(reshape(transpose(logits, (0, 2, 1, 3)), (B, L, T)), params["type_gen.head.b"])
 
 
 def fusion_cross_attention(

@@ -222,17 +222,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
                         lambda g: (g.reshape(x.data.shape),))
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Join same-shaped tensors along a new leading axis; backward splits it."""
-    tensors = [_as_tensor(t) for t in tensors]
-    try:
-        data = np.stack([t.data for t in tensors])
-    except ValueError:
-        raise ShapeError(f"stack: shapes differ, {[t.shape for t in tensors]}")
-    # iterating g yields one slice per input
-    return Tensor._node(data, tuple(tensors), "stack", tuple)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate same-rank tensors along ``axis``; the other axes
     broadcast as in numpy."""

@@ -1,5 +1,6 @@
-"""Shared checkpoint-file helpers: the committed fixtures and a manifest
-editor. Test modules import them as ``from conftest import ...``."""
+"""Shared checkpoint-file helpers: the committed fixtures, the per-type
+names older fixtures store, and a manifest editor. Test modules import
+them as ``from conftest import ...``."""
 
 import json
 import shutil
@@ -11,15 +12,35 @@ import pytest
 DATA = Path(__file__).parent / "data"
 V1_FIXTURE = DATA / "v1_tiny_with_optimizer.ckpt"
 V2_FIXTURE = DATA / "v2_tiny_with_optimizer.ckpt"
+V3_FIXTURE = DATA / "v3_tiny_with_optimizer.ckpt"
+
+
+def per_type(state, config):
+    """``state`` (name -> array) with the stacked type generator parameters
+    cut into the eight tensors per slot type that format versions 1 and 2
+    stored: ``type_gen.t{i}.{q,k,v}.{w,b}`` is column block i of
+    ``type_gen.{q,k,v}.*``, and ``type_gen.t{i}.head.{w,b}`` is entry i of
+    ``type_gen.head.*``."""
+    d_h, out = config.d_h, {}
+    for name, arr in state.items():
+        if not name.startswith("type_gen."):
+            out[name] = arr
+            continue
+        _, p, kind = name.split(".")
+        for i in range(config.n_slot_types):
+            part = (arr[i] if kind == "w" else arr[i : i + 1]) if p == "head" \
+                else arr[..., i * d_h : (i + 1) * d_h]
+            out[f"type_gen.t{i}.{p}.{kind}"] = part
+    return out
 
 
 def rewrite_manifest(path, edit, restamp: bool = True):
     """Apply ``edit`` to the manifest of the checkpoint at ``path`` in place.
 
-    A version 2 file keeps its blob and gets a CRC32 trailer computed over
-    the edited bytes, so the loader rejects the edited field and not the
-    checksum; with ``restamp`` false it keeps the trailer it had. A
-    version 1 file has no trailer."""
+    A version 2 or 3 file keeps its blob and gets a CRC32 trailer
+    computed over the edited bytes, so the loader rejects the edited field
+    and not the checksum; with ``restamp`` false it keeps the trailer it
+    had. A version 1 file has no trailer."""
     path = Path(path)
     data = path.read_bytes()
     n = int.from_bytes(data[8:12], "little")
@@ -43,10 +64,10 @@ def table_edit(edit):
     return edit
 
 
-def edited_copy(v2_path, v1_path, edit):
+def edited_copy(path, v1_path, edit):
     """``edit`` applied to ``v1_path`` if it is a :func:`table_edit`, else
-    to ``v2_path``; the edited path."""
-    return rewrite_manifest(v1_path if getattr(edit, "v1_only", False) else v2_path, edit)
+    to ``path``; the edited path."""
+    return rewrite_manifest(v1_path if getattr(edit, "v1_only", False) else path, edit)
 
 
 @pytest.fixture

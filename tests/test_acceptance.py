@@ -296,8 +296,8 @@ def test_08_loss_identities():
         model.params[f"{name}.w"].data[:] = 0
         model.params[f"{name}.b"].data[:] = 0
     for i in range(4):
-        model.params[f"type_gen.t{i}.head.w"].data[:] = 0
-        model.params[f"type_gen.t{i}.head.b"].data[:] = 0
+        model.params["type_gen.head.w"].data[i] = 0
+        model.params["type_gen.head.b"].data[i] = 0
     flat = model.forward(batch)
     uniform_ok = (
         np.isclose(flat.loss_intent.item(), np.log(2), rtol=1e-12)

@@ -1,11 +1,15 @@
 import errno
 import json
+import math
 import os
 
 import numpy as np
 import pytest
-from conftest import V1_FIXTURE, V2_FIXTURE, edited_copy, rewrite_manifest, table_edit
+from conftest import (
+    V1_FIXTURE, V2_FIXTURE, V3_FIXTURE, edited_copy, per_type, rewrite_manifest, table_edit,
+)
 
+from slotlens import checkpoint
 from slotlens.checkpoint import (
     FORMAT_VERSION,
     CheckpointCorruptError,
@@ -17,7 +21,7 @@ from slotlens.checkpoint import (
 )
 from slotlens.cli import main
 from slotlens.data import Vocab, build_label_maps, encode_batch, write_corpus
-from slotlens.model import JointModel
+from slotlens.model import JointModel, ModelConfig
 from slotlens.optim import adam_step
 from slotlens.synth import generate_synthetic_corpus
 from slotlens.tensor import backward
@@ -356,7 +360,8 @@ FIXTURE = V1_FIXTURE
 
 
 def stored_arrays(path):
-    """Every tensor of a checkpoint, read straight from its offset table."""
+    """Every tensor of a version 1 checkpoint, read straight from its offset
+    table."""
     data = path.read_bytes()
     n = int.from_bytes(data[8:12], "little")
     manifest = json.loads(data[12 : 12 + n])
@@ -367,6 +372,50 @@ def stored_arrays(path):
         .reshape(e["shape"])
         for e in manifest["params"]
     }
+
+
+def stored_v2_arrays(path):
+    """Every tensor of a version 2 checkpoint, read straight from its blob:
+    each arena (Adam ``m``, Adam ``v``, parameters) holds the tensors the
+    config gives under their per-type names, back to back in sorted-name
+    order. Moments are named as the version 1 table names them."""
+    data = path.read_bytes()
+    n = int.from_bytes(data[8:12], "little")
+    manifest = json.loads(data[12 : 12 + n])
+    config = ModelConfig(**manifest["config"])
+    declared = JointModel(config, rng=None).params.shapes()
+    shapes = {name: a.shape for name, a in
+              per_type({k: np.empty(s) for k, s in declared.items()}, config).items()}
+    blob = np.frombuffer(data[12 + n : -4], np.dtype(manifest["dtype"]).newbyteorder("<"))
+    arrays, at = {}, 0
+    for prefix in ("adam.m.", "adam.v.", "") if manifest["optimizer"]["moments"] else ("",):
+        for name in sorted(shapes):
+            size = math.prod(shapes[name])
+            arrays[prefix + name] = blob[at : at + size].reshape(shapes[name])
+            at += size
+    assert at == blob.size
+    return manifest, arrays
+
+
+def assert_stores(model, arrays):
+    """``arrays`` holds exactly the model's parameters and Adam moments,
+    cut into the per-type tensors older formats stored, bit for bit."""
+    state = per_type(model.params.state_dict(), model.config)
+    moments = model.params.optimizer_state()
+    for kind in "mv":
+        state.update((f"adam.{kind}.{name}", arr)
+                     for name, arr in per_type(moments[kind], model.config).items())
+    assert state.keys() == arrays.keys()
+    for name, arr in state.items():
+        assert arr.shape == arrays[name].shape, name
+        assert arr.tobytes() == arrays[name].tobytes(), name
+
+
+def resave(source, path):
+    """The checkpoint at ``source`` loaded and saved again to ``path``."""
+    ckpt = load_checkpoint(source)
+    return save_checkpoint(path, model_from_checkpoint(ckpt), ckpt.label_maps, ckpt.vocab,
+                           metadata=ckpt.metadata, include_optimizer=True)
 
 
 class TestInterruptedSave:
@@ -437,20 +486,18 @@ class TestFormatVersion1Fixture:
         intents, slots = model.predict(encode_batch(corpus, maps, vocab, 16))
         save_checkpoint(path, model, maps, vocab, include_optimizer=True, metadata={
             "seed": 7, "epoch": 2, "predicted_intents": [...], "predicted_slots": [...]})
+
+    That writer stored the type generator as eight tensors per slot type
+    (see :func:`conftest.per_type`).
     """
 
     def test_loads_the_stored_parameters_and_moments(self):
         manifest, arrays = stored_arrays(FIXTURE)
-        ckpt = load_checkpoint(FIXTURE)
-        model = model_from_checkpoint(ckpt)
-        names = model.params.names()
+        model = model_from_checkpoint(load_checkpoint(FIXTURE))
+        names = per_type(model.params.state_dict(), model.config)
         assert sorted(manifest["optimizer"]["m"]) == sorted(names)
-        state = model.params.optimizer_state()
-        assert state["step_count"] == manifest["optimizer"]["step_count"] > 0
-        for name in names:
-            assert model.params[name].data.tobytes() == arrays[name].tobytes()
-            assert state["m"][name].tobytes() == arrays[f"adam.m.{name}"].tobytes()
-            assert state["v"][name].tobytes() == arrays[f"adam.v.{name}"].tobytes()
+        assert model.params.step_count == manifest["optimizer"]["step_count"] > 0
+        assert_stores(model, arrays)
 
     def test_predicts_what_the_writer_predicted(self):
         ckpt = load_checkpoint(FIXTURE)
@@ -461,26 +508,16 @@ class TestFormatVersion1Fixture:
         assert [s.tolist() for s in slots] == ckpt.metadata["predicted_slots"]
 
     def test_resaves_to_identical_bytes(self, tmp_path):
-        """A re-save writes version 2 with every array equal, and re-saving
-        that gives the same bytes: the committed version 2 fixture."""
-        def resave(source, name):
-            ckpt = load_checkpoint(source)
-            return save_checkpoint(tmp_path / name, model_from_checkpoint(ckpt),
-                                   ckpt.label_maps, ckpt.vocab, metadata=ckpt.metadata,
-                                   include_optimizer=True)
-
-        second = resave(resave(FIXTURE, "first.ckpt"), "second.ckpt")
+        """A re-save writes version 3 with every array equal, and re-saving
+        that gives the same bytes: the committed version 3 fixture."""
+        second = resave(resave(FIXTURE, tmp_path / "first.ckpt"), tmp_path / "second.ckpt")
         assert (tmp_path / "first.ckpt").read_bytes() == second.read_bytes() \
-            == V2_FIXTURE.read_bytes()
+            == V3_FIXTURE.read_bytes()
         manifest, arrays = stored_arrays(FIXTURE)
         ckpt = load_checkpoint(second)
         assert ckpt.optimizer["step_count"] == manifest["optimizer"]["step_count"]
         assert ckpt.metadata == manifest["metadata"]
-        for name, arr in ckpt.params.items():
-            assert arr.tobytes() == arrays[name].tobytes(), name
-            for kind in "mv":
-                assert ckpt.optimizer[kind][name].tobytes() == \
-                    arrays[f"adam.{kind}.{name}"].tobytes(), name
+        assert_stores(model_from_checkpoint(ckpt), arrays)
 
     def test_retraining_the_recipe_reproduces_the_file(self):
         """The recipe above, retrained today, gives every stored parameter and
@@ -494,12 +531,8 @@ class TestFormatVersion1Fixture:
                         epochs=2, batch_size=4, seed=7)
         model = train_model(corpus, maps, vocab, run).model
         manifest, arrays = stored_arrays(FIXTURE)
-        state = model.params.optimizer_state()
-        assert state["step_count"] == manifest["optimizer"]["step_count"]
-        for name in model.params.names():
-            assert model.params[name].data.tobytes() == arrays[name].tobytes(), name
-            assert state["m"][name].tobytes() == arrays[f"adam.m.{name}"].tobytes(), name
-            assert state["v"][name].tobytes() == arrays[f"adam.v.{name}"].tobytes(), name
+        assert model.params.step_count == manifest["optimizer"]["step_count"]
+        assert_stores(model, arrays)
 
 
 def train_recipe():
@@ -519,16 +552,54 @@ def train_recipe():
 
 
 class TestFormatVersion2Fixture:
+    """The version 1 fixture's recipe, saved by the version 2 writer: the
+    table derived from the config, a CRC32 trailer, and the type generator
+    still as tensors per slot type."""
+
+    def test_retraining_the_recipe_reproduces_the_file(self):
+        """Today's training, cut per type, gives every parameter and Adam
+        moment the version 2 writer stored, bit for bit."""
+        model, _, _, metadata = train_recipe()
+        manifest, arrays = stored_v2_arrays(V2_FIXTURE)
+        assert model.params.step_count == manifest["optimizer"]["step_count"]
+        assert metadata == manifest["metadata"]
+        assert_stores(model, arrays)
+
+    def test_loads_the_stored_parameters_and_moments(self):
+        manifest, arrays = stored_v2_arrays(V2_FIXTURE)
+        model = model_from_checkpoint(load_checkpoint(V2_FIXTURE))
+        assert model.params.step_count == manifest["optimizer"]["step_count"] > 0
+        assert_stores(model, arrays)
+
+    def test_resaves_to_the_version_3_fixture(self, tmp_path):
+        path = resave(V2_FIXTURE, tmp_path / "v3.ckpt")
+        assert path.read_bytes() == V3_FIXTURE.read_bytes()
+
+    def test_predicts_what_the_writer_predicted(self):
+        ckpt = load_checkpoint(V2_FIXTURE)
+        model = model_from_checkpoint(ckpt)
+        corpus = generate_synthetic_corpus(seed=2, n=12)
+        intents, slots = model.predict(encode_batch(corpus, ckpt.label_maps, ckpt.vocab, 16))
+        assert intents.tolist() == ckpt.metadata["predicted_intents"]
+        assert [s.tolist() for s in slots] == ckpt.metadata["predicted_slots"]
+
+
+class TestFormatVersion3Fixture:
     """The version 1 fixture's recipe, saved by this package's writer."""
 
     def test_retraining_the_recipe_reproduces_the_file(self, tmp_path):
         model, maps, vocab, metadata = train_recipe()
-        path = save_checkpoint(tmp_path / "v2.ckpt", model, maps, vocab,
+        path = save_checkpoint(tmp_path / "v3.ckpt", model, maps, vocab,
                                metadata=metadata, include_optimizer=True)
-        assert path.read_bytes() == V2_FIXTURE.read_bytes()
+        assert path.read_bytes() == V3_FIXTURE.read_bytes()
 
-    def test_predicts_what_the_writer_predicted(self):
-        ckpt = load_checkpoint(V2_FIXTURE)
+    def test_loads_without_the_permutation(self, monkeypatch):
+        """Only older files pay for the per-type index."""
+        def refuse(*args):
+            raise AssertionError("a version 3 load built the per-type index")
+
+        monkeypatch.setattr(checkpoint, "_per_type_index", refuse)
+        ckpt = load_checkpoint(V3_FIXTURE)
         model = model_from_checkpoint(ckpt)
         corpus = generate_synthetic_corpus(seed=2, n=12)
         intents, slots = model.predict(encode_batch(corpus, ckpt.label_maps, ckpt.vocab, 16))

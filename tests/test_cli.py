@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import edited_copy, rewrite_manifest, table_edit
 
-from slotlens import cli, train
+from slotlens import cli, optim, train
 from slotlens.checkpoint import load_checkpoint, model_from_checkpoint
 from slotlens.cli import main, parse_config_file
 from slotlens.data import load_corpus, write_corpus, Utterance
@@ -120,6 +120,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == ("training error: non-finite gradient for parameter "
                        "'fusion.ll.w' at epoch 1\n")
+
+    def test_refused_allocation_is_one_memory_error_line(self, corpus_dir, capsys, tmp_path,
+                                                         monkeypatch):
+        """A model size numpy refuses (``--d 100000`` asks for 596 GiB) ends in
+        one categorized line. The refusal is simulated: nothing large is
+        allocated."""
+        message = "Unable to allocate 596. GiB for an array with shape (160000000000,)"
+
+        def refuse(self, *args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(optim.ParamSet, "allocate", refuse)
+        rc = main(["train", "--train", str(corpus_dir / "train"),
+                   "--out", str(tmp_path / "r"), *TINY])
+        assert rc == 1
+        assert capsys.readouterr().err == f"memory error: {message}\n"
 
     @pytest.mark.parametrize("flag,utterance,label", [
         ("--test", Utterance(["fly", "to", "x"], "book_flight", ["O", "O", "B-no_such_type"]),

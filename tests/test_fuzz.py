@@ -1,8 +1,9 @@
 """Seeded fuzz of the error contract, run in-process through ``main()``.
 
 Damaged checkpoints (truncated at seeded offsets, seeded bytes flipped in
-the length field, the manifest and the tensor blob) must end in exit 1 and
-exactly one ``checkpoint error:`` line. A damaged version 1 file, which
+the length field, the manifest and the tensor blob), fresh ones and the
+committed version 2 fixture alike, must end in exit 1 and exactly one
+``checkpoint error:`` line. A damaged version 1 file, which
 carries no checksum, and config files with seeded bad values must each end
 in exit 0 or in exactly one categorized stderr line with exit 1. Corpus
 files with a seeded defect must end in exit 1 and exactly one
@@ -11,7 +12,7 @@ files with a seeded defect must end in exit 1 and exactly one
 
 import numpy as np
 import pytest
-from conftest import V1_FIXTURE
+from conftest import V1_FIXTURE, V2_FIXTURE
 
 from slotlens.cli import ERROR_CATEGORIES, main
 from slotlens.data import INTENT_FILE, TAGS_FILE, TOKENS_FILE
@@ -89,6 +90,21 @@ def damaged(data, kind, case):
 def test_damaged_checkpoint_fails_in_one_line(setting, capsys, kind, case):
     root, data = setting
     path = root / f"{kind}-{case}.ckpt"
+    path.write_bytes(damaged(data, kind, case))
+    assert path.read_bytes() != data
+    capsys.readouterr()
+    rc = read_with(root, path, case)
+    assert_one_line(rc, capsys.readouterr(), {"checkpoint error"})
+
+
+@pytest.mark.parametrize("case", range(12))
+@pytest.mark.parametrize("kind", ["truncate", "length", "manifest", "blob"])
+def test_damaged_v2_checkpoint_fails_in_one_line(setting, capsys, kind, case):
+    """A version 2 file loads through the per-type permutation, but only
+    after the same length and checksum checks."""
+    root, _ = setting
+    data = V2_FIXTURE.read_bytes()
+    path = root / f"v2-{kind}-{case}.ckpt"
     path.write_bytes(damaged(data, kind, case))
     assert path.read_bytes() != data
     capsys.readouterr()

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import per_type
 
 from slotlens import model as model_module
 from slotlens.data import Utterance, build_label_maps, encode_batch, Vocab
-from slotlens.encoder import encode
+from slotlens.encoder import declare_encoder_params, encode
 from slotlens.gradcheck import finite_diff_check
 from slotlens.model import (
     ABLATION_FLAGS,
@@ -70,6 +71,15 @@ def all_valid(n):
     return np.ones((1, n), dtype=np.float32)
 
 
+def type_param(model, name, i, field="data"):
+    """Slot type i's part (``name`` is ``q.w``, ``head.b``, ...) of a
+    stacked type generator parameter, as a view of its ``data`` or
+    ``grad``."""
+    stacked = f"type_gen.{name}"
+    arr = getattr(model.params[stacked], field)
+    return per_type({stacked: arr}, model.config)[f"type_gen.t{i}.{name}"]
+
+
 class TestConfig:
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -106,6 +116,40 @@ class TestConfig:
     def test_encoder_sizes_checked_at_construction(self, kw, name):
         with pytest.raises(ValueError, match=name):
             ModelConfig(vocab_size=5, n_intents=2, n_slot_types=2, n_bio_labels=3, **kw)
+
+
+class TestTypeGeneratorInit:
+    def test_stacked_weights_draw_the_per_type_sequence(self):
+        """A seeded model draws each type's q, k, v and head weights type
+        after type, where the per-type declaration drew them: after the
+        encoder, intent and fusion weights and before the cross attention."""
+        model, _, _, _ = make_model(seed=5)
+        config = model.config
+        d, d_h, T = config.d, config.d_h, config.n_slot_types
+        rng = np.random.default_rng(5)
+        encoder_only = ParamSet()
+        declare_encoder_params(encoder_only, config, rng)
+        encoder_only.allocate()
+        for fan_in, fan_out in [(d, config.n_intents), (d + config.n_intents, d),
+                                (d, d), (d, d), (d, d)]:
+            xavier_uniform(rng, fan_in, fan_out)
+        for i in range(T):
+            for name, (fan_in, fan_out) in [("q.w", (d, d_h)), ("k.w", (d, d_h)),
+                                            ("v.w", (d, d_h)), ("head.w", (d_h, 1))]:
+                want = xavier_uniform(rng, fan_in, fan_out)
+                assert type_param(model, name, i).tobytes() == want.tobytes(), (name, i)
+        for name in ("q.b", "k.b", "v.b", "head.b"):
+            assert not model.params[f"type_gen.{name}"].data.any()
+        assert model.params["cross.proj.w"].data.tobytes() == \
+            xavier_uniform(rng, T, d).tobytes()
+
+    def test_eight_stacked_tensors(self):
+        model, _, _, _ = make_model()
+        shapes = {n: t.shape for n, t in model.params.items() if n.startswith("type_gen.")}
+        T, d, d_h = model.config.n_slot_types, model.config.d, model.config.d_h
+        assert shapes == {**{f"type_gen.{p}.w": (d, T * d_h) for p in "qkv"},
+                          **{f"type_gen.{p}.b": (T * d_h,) for p in "qkv"},
+                          "type_gen.head.w": (T, d_h, 1), "type_gen.head.b": (T,)}
 
 
 class TestIntentHead:
@@ -189,8 +233,8 @@ class TestSlotTypeAttention:
     def test_zero_query_gives_uniform(self):
         model, _, _, _ = make_model()
         for i in range(model.config.n_slot_types):
-            model.params[f"type_gen.t{i}.q.w"].data[:] = 0
-            model.params[f"type_gen.t{i}.q.b"].data[:] = 0
+            type_param(model, "q.w", i)[:] = 0
+            type_param(model, "q.b", i)[:] = 0
         u = rand_tensor(np.random.default_rng(2), (1, 5, 8), np.float32)
         _, alpha = slot_type_attention(u, all_valid(5), model.params, model.config)
         assert alpha.shape == (1, model.config.n_slot_types, 5, 5)
@@ -201,7 +245,7 @@ class TestSlotTypeAttention:
         u = rand_tensor(np.random.default_rng(3), (1, 4, 8))
         h, alpha = slot_type_attention(u, all_valid(4), model.params, model.config)
         for i in range(model.config.n_slot_types):
-            p = lambda n: model.params[f"type_gen.t{i}.{n}"].data
+            p = lambda n: type_param(model, n, i)
             x = u.data[0]
             q = x @ p("q.w") + p("q.b")
             k = x @ p("k.w") + p("k.b")
@@ -217,8 +261,8 @@ class TestSlotTypeHeads:
     def test_bias_only_columns(self):
         model, _, _, _ = make_model()
         for i in range(model.config.n_slot_types):
-            model.params[f"type_gen.t{i}.head.w"].data[:] = 0
-            model.params[f"type_gen.t{i}.head.b"].data[:] = float(i)
+            type_param(model, "head.w", i)[:] = 0
+            type_param(model, "head.b", i)[:] = float(i)
         h = rand_tensor(np.random.default_rng(0), (1, model.config.n_slot_types, 3, 4),
                         np.float32)
         g = slot_type_heads(h, model.params, model.config)
@@ -228,14 +272,14 @@ class TestSlotTypeHeads:
     def test_single_type_degenerates_to_binary_tagger(self):
         params = ParamSet()
         rng = np.random.default_rng(0)
-        params.add("type_gen.t0.head.w", rng.standard_normal((4, 1)))
-        params.add("type_gen.t0.head.b", rng.standard_normal(1))
+        params.add("type_gen.head.w", rng.standard_normal((1, 4, 1)))
+        params.add("type_gen.head.b", rng.standard_normal(1))
         config = ModelConfig(vocab_size=5, n_intents=2, n_slot_types=1,
                              n_bio_labels=1, d=8, d_h=4)
         h = rand_tensor(rng, (1, 1, 3, 4))
         g = slot_type_heads(h, params, config)
         assert g.shape == (1, 3, 1)
-        want = h.data[0, 0] @ params["type_gen.t0.head.w"].data + params["type_gen.t0.head.b"].data
+        want = h.data[0, 0] @ params["type_gen.head.w"].data[0] + params["type_gen.head.b"].data
         np.testing.assert_allclose(g.data[0], want, rtol=1e-12)
 
     def test_matches_per_type_oracle(self):
@@ -244,8 +288,8 @@ class TestSlotTypeHeads:
         h = rand_tensor(rng, (2, model.config.n_slot_types, 5, 4))
         g = slot_type_heads(h, model.params, model.config)
         for i in range(model.config.n_slot_types):
-            w = model.params[f"type_gen.t{i}.head.w"].data
-            b = model.params[f"type_gen.t{i}.head.b"].data
+            w = type_param(model, "head.w", i)
+            b = type_param(model, "head.b", i)
             np.testing.assert_allclose(g.data[..., i], (h.data[:, i] @ w + b)[..., 0], atol=1e-12)
 
 
@@ -254,8 +298,8 @@ class TestLosses:
         """With every aux logit 0, pooled binary cross entropy is ln 2."""
         model, batch, _, _ = make_model()
         for i in range(model.config.n_slot_types):
-            model.params[f"type_gen.t{i}.head.w"].data[:] = 0
-            model.params[f"type_gen.t{i}.head.b"].data[:] = 0
+            type_param(model, "head.w", i)[:] = 0
+            type_param(model, "head.b", i)[:] = 0
         out = model.forward(batch)
         np.testing.assert_allclose(out.loss_type.item(), np.log(2), rtol=1e-6)
 
@@ -405,8 +449,8 @@ class TestAblationStructure:
         out = model.forward(batch)
         backward(out.loss_total)
         for i in range(model.config.n_slot_types):
-            assert np.all(model.params[f"type_gen.t{i}.head.w"].grad == 0)
-            assert np.all(model.params[f"type_gen.t{i}.head.b"].grad == 0)
+            assert np.all(type_param(model, "head.w", i, "grad") == 0)
+            assert np.all(type_param(model, "head.b", i, "grad") == 0)
         assert np.any(model.params["slot.w"].grad != 0)
 
 

@@ -52,12 +52,11 @@ class TestElementary:
         np.testing.assert_array_equal(T.transpose(a).data, a.swapaxes(-1, -2))
         np.testing.assert_array_equal(T.transpose(a, (2, 0, 3, 1)).data, a.transpose(2, 0, 3, 1))
 
-    def test_stack_and_reshape(self):
-        parts = [Tensor(np.full((2, 3), float(i))) for i in range(4)]
-        out = T.stack(parts)
-        assert out.shape == (4, 2, 3)
-        np.testing.assert_array_equal(out.data[2], 2.0)
-        assert T.reshape(out, (8, 3)).shape == (8, 3)
+    def test_reshape(self):
+        x = Tensor(np.arange(24.0).reshape(4, 2, 3))
+        out = T.reshape(x, (8, 3))
+        assert out.shape == (8, 3)
+        np.testing.assert_array_equal(out.data[5], [15.0, 16.0, 17.0])
 
     def test_add_broadcast_bias(self):
         x = Tensor(np.zeros((2, 3)))
@@ -337,14 +336,15 @@ def _random_composed_loss(params: ParamSet, seed: int):
     """A small randomized graph exercising every primitive the network uses:
     a padded batch of two sequences (lengths 4 and 2) through embeddings,
     an affine layer, a reshape into two heads, batched matmul and transposes, a key-padding
-    softmax, stacked per-head weights, and both losses with pad targets."""
+    softmax, a stacked (2, d/2, n_out) per-head weight leaf, and both losses
+    with pad targets."""
     rng = np.random.default_rng(seed)
     w1, b1, w2, gain, bias, emb = (params[k] for k in ("w1", "b1", "w2", "gain", "bias", "emb"))
     B, L, d = 2, 4, w1.shape[0]
     ids = rng.integers(0, emb.shape[0], size=(B, L))
     lengths = np.array([4, 2])
     keys = np.arange(L) < lengths[:, None]  # (B, L)
-    n_out = w2.shape[1]
+    n_out = w2.shape[-1]
     slot_targets = np.where(keys, rng.integers(0, n_out, size=(B, L)), -1)
     targets = rng.integers(0, 2, size=(B, L, n_out)).astype(np.float64)
 
@@ -357,7 +357,7 @@ def _random_composed_loss(params: ParamSet, seed: int):
         keys_t = T.transpose(T.matmul(split, w1[: d // 2, : d // 2]), (0, 2, 3, 1))
         att = T.softmax_masked(T.matmul(heads, keys_t), keys[:, None, None, :], 0.7)
         mixed = T.matmul(att, heads)  # (B, 2, L, d/2)
-        per_head = T.matmul(mixed, T.stack([w2[: d // 2], w2[d // 2 :]]))  # (B, 2, L, n_out)
+        per_head = T.matmul(mixed, w2)  # (B, 2, L, n_out)
         joined = T.concat([T.reshape(T.transpose(per_head, (0, 2, 1, 3)), (B, L, 2 * n_out)),
                            T.reshape(h[:, 0, :n_out], (B, 1, n_out))])
         logits = T.add(T.take(joined, (slice(None), slice(None), slice(0, n_out))),
@@ -378,7 +378,7 @@ def test_composed_graphs_match_finite_differences(seed):
     params.add("emb", rng.normal(size=(7, d)).astype(np.float64))
     params.add("w1", rng.normal(size=(d, d)).astype(np.float64))
     params.add("b1", rng.normal(size=d).astype(np.float64))
-    params.add("w2", rng.normal(size=(d, 3)).astype(np.float64))
+    params.add("w2", rng.normal(size=(2, d // 2, 3)).astype(np.float64))
     params.add("gain", np.ones(d, dtype=np.float64))
     params.add("bias", np.zeros(d, dtype=np.float64))
     report = finite_diff_check(_random_composed_loss(params, seed), params, h=1e-5, tol=1e-4)
