@@ -16,11 +16,12 @@ model state always serializes to the same bytes, so determinism can be
 asserted on files.
 
 The writer rewrites an existing file in place and writes the magic last,
-so a save cut short leaves zeros where the magic goes. The reader checks
-the file length against the layout, reads the blob in one call straight
-into arenas of that layout, and checks the CRC before it trusts the
-label maps, vocab or tensors; a model loaded from the arenas is built
-around them.
+so a save cut short leaves zeros where the magic goes. The reader
+declares the config's parameters once, checks the file length against
+their layout, reads the blob in one call straight into one buffer whose
+rows are the arenas of that layout, and checks the CRC before it trusts
+the label maps, vocab or tensors. The checkpoint carries its model,
+built around that buffer; load again for an independent model.
 
 Older files held the type generator as eight tensors per slot type
 (``type_gen.t{i}.*``), so their arenas are in another order. They load
@@ -46,7 +47,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -54,8 +55,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .data import PAD_TOKEN, UNK_TOKEN, LabelMaps, Vocab, rewrite_file
-from .model import JointModel, ModelConfig, declare_model_params
-from .optim import ParamSet, arena_layout
+from .model import JointModel, ModelConfig
+from .optim import arena_layout
 
 MAGIC = b"SLOTLENS"
 FORMAT_VERSION = 3
@@ -77,23 +78,17 @@ class CheckpointVersionError(ValueError):
 
 @dataclass
 class Checkpoint:
-    """A read checkpoint.  ``arenas`` holds the parameter arena (``data``)
-    and, with stored moments, ``m`` and ``v``, laid out as a model's
-    (:func:`~slotlens.optim.arena_layout`); ``params`` and the optimizer's
-    moments are views of them until :func:`model_from_checkpoint` takes
-    them over."""
+    """A read checkpoint. ``model`` is built in the stored dtype around the
+    buffer the reader filled: its parameter arena and, with stored
+    moments, its Adam ``m`` and ``v`` arenas are that buffer's rows, and
+    its step count is the stored one."""
 
     config: ModelConfig
     label_maps: LabelMaps
     vocab: Vocab
-    params: dict[str, np.ndarray]
-    optimizer: dict | None
+    model: JointModel
     metadata: dict
     path: str | Path
-    arenas: dict[str, np.ndarray] | None
-    # the views of ``arenas`` the reader made, by arena: a model built
-    # around those arenas need not copy the ones still in place again
-    _views: dict[str, dict[str, np.ndarray]] | None = field(default=None, repr=False)
 
 
 def save_checkpoint(
@@ -290,7 +285,8 @@ def _labels_and_vocab(manifest: dict, path) -> tuple[LabelMaps, Vocab]:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read and validate a checkpoint; every tensor round-trips bit-exactly."""
+    """Read and validate a checkpoint, and build its model around the
+    arenas read; every tensor round-trips bit-exactly."""
     with open(path, "rb") as f:
         head = f.read(len(MAGIC) + 4)
         if len(head) < len(MAGIC) + 4 or head[: len(MAGIC)] != MAGIC:
@@ -335,7 +331,8 @@ def _load_derived(f, path, manifest: dict, header: bytes, size: int,
         _check_step_count(o, path)
         _check(type(o["moments"]) is bool, path, "optimizer key 'moments'", o["moments"],
                "true or false")
-    shapes = _param_shapes(config)
+    model = JointModel(config, rng=None)
+    shapes = model.params.shapes()
     total = sum(map(math.prod, shapes.values()))
     n_arenas = 3 if o and o["moments"] else 1
     end = len(header) + n_arenas * total * dtype.itemsize + _TRAILER
@@ -356,42 +353,25 @@ def _load_derived(f, path, manifest: dict, header: bytes, size: int,
     maps, vocab = _labels_and_vocab(manifest, path)
     if per_type:
         buf = _restack(buf, _per_type_index(shapes, config.n_slot_types))
-    return _checkpoint(path, manifest, config, maps, vocab, shapes, buf,
-                       None if o is None else o["step_count"])
+    return _checkpoint(path, manifest, model, maps, vocab, buf, o and o["step_count"])
 
 
-def _checkpoint(path, manifest: dict, config, maps, vocab, shapes, buf: np.ndarray,
+def _checkpoint(path, manifest: dict, model: JointModel, maps, vocab, buf: np.ndarray,
                 step_count: int | None) -> Checkpoint:
-    """The :class:`Checkpoint` around ``buf``, whose rows are the arenas of
-    the parameters ``shapes`` lists: ``m``, ``v`` and ``data``, or ``data``
-    alone. ``step_count`` is None for a file with no optimizer entry. The
-    checkpoint's dicts of views are its own, so the reader's record of
-    them stays as it made them."""
-    starts, _ = arena_layout(shapes)
+    """The :class:`Checkpoint` whose ``model``, declared but not allocated,
+    is built around ``buf``: its rows are the model's arenas, ``m``, ``v``
+    and ``data``, or ``data`` alone."""
     arenas = dict(zip(("m", "v", "data") if len(buf) == 3 else ("data",), buf))
-    views = {kind: {n: arena[starts[n] : starts[n] + math.prod(shapes[n])].reshape(shapes[n])
-                    for n in starts}
-             for kind, arena in arenas.items()}
+    model.params.allocate(buf.dtype, arenas)
+    model.params.step_count = step_count or 0
     return Checkpoint(
-        config=config,
+        config=model.config,
         label_maps=maps,
         vocab=vocab,
-        params=dict(views["data"]),
-        optimizer=None if step_count is None else {
-            "step_count": step_count, "m": dict(views.get("m", {})),
-            "v": dict(views.get("v", {}))},
+        model=model,
         metadata=manifest.get("metadata", {}),
         path=path,
-        arenas=arenas,
-        _views=views,
     )
-
-
-def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter a model of ``config`` declares."""
-    params = ParamSet()
-    declare_model_params(params, config, None)
-    return params.shapes()
 
 
 def _per_type_index(shapes: dict[str, tuple[int, ...]], n_types: int) -> dict[str, np.ndarray]:
@@ -430,8 +410,8 @@ def _load_table(f, path, manifest: dict, blob_start: int, size: int) -> Checkpoi
     config = _config_from_manifest(manifest["config"], path)
     maps, vocab = _labels_and_vocab(manifest, path)
     stored, buf = _read_arenas(f, blob_start, manifest, path)
-    shapes = _param_shapes(config)
-    index = _per_type_index(shapes, config.n_slot_types)
+    model = JointModel(config, rng=None)
+    index = _per_type_index(model.params.shapes(), config.n_slot_types)
     if stored.keys() != index.keys():
         raise CheckpointFormatError(
             f"{path}: parameter names disagree with config: missing "
@@ -442,7 +422,7 @@ def _load_table(f, path, manifest: dict, blob_start: int, size: int) -> Checkpoi
             raise CheckpointFormatError(f"{path}: tensor {name!r} has shape {shape}, "
                                         f"its config gives {index[name].shape}")
     o = manifest.get("optimizer") or None
-    return _checkpoint(path, manifest, config, maps, vocab, shapes, _restack(buf, index),
+    return _checkpoint(path, manifest, model, maps, vocab, _restack(buf, index),
                        o and o["step_count"])
 
 
@@ -495,52 +475,6 @@ def _read_arenas(f, blob_start: int, manifest: dict, path):
     return shapes, buf.reshape(len(kinds), total)
 
 
-def _unchanged(state: dict[str, np.ndarray], made: dict[str, np.ndarray] | None) -> bool:
-    """``state`` still maps exactly the names the reader made views for,
-    each to that very view."""
-    return (made is not None and len(state) == len(made)
-            and all(made.get(name) is arr for name, arr in state.items()))
-
-
 def model_from_checkpoint(ckpt: Checkpoint) -> JointModel:
-    """Build a model in the stored parameters' dtype around the checkpoint's
-    arenas, drawing no initialisation.  The first model takes the arenas
-    over, so ``ckpt.params`` and the moments become views of its state; a
-    later one gets arenas of its own, copied from those views.  Entries
-    of ``ckpt.params`` or of the moments that a caller replaced are
-    copied in; views still in place already hold their values."""
-    dtypes = {arr.dtype for arr in ckpt.params.values()}
-    if len(dtypes) > 1:
-        raise CheckpointFormatError(
-            f"{ckpt.path}: parameters mix dtypes {sorted(map(str, dtypes))}"
-        )
-    dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-    model = JointModel(ckpt.config, rng=None)
-    saved = set(ckpt.params)
-    expected = set(model.params.names())
-    if saved != expected:
-        missing = sorted(expected - saved)
-        extra = sorted(saved - expected)
-        raise CheckpointFormatError(
-            f"{ckpt.path}: parameter names disagree with config: "
-            f"missing {missing}, extra {extra}"
-        )
-    arenas, ckpt.arenas = ckpt.arenas, None
-    made, ckpt._views = ckpt._views or {}, None
-    if arenas is None:
-        arenas, made = {"data": np.zeros(sum(a.size for a in ckpt.params.values()), dtype)}, {}
-    params = model.params
-    try:
-        params.allocate(dtype, arenas)
-        if not _unchanged(ckpt.params, made.get("data")):
-            params.load_state(ckpt.params)
-        o = ckpt.optimizer
-        if o is not None:
-            if params.m is not None and _unchanged(o["m"], made.get("m")) \
-                    and _unchanged(o["v"], made.get("v")):
-                params.step_count = int(o["step_count"])
-            else:
-                params.load_optimizer_state(o)
-    except ValueError as e:
-        raise CheckpointFormatError(f"{ckpt.path}: {e}") from e
-    return model
+    """The model :func:`load_checkpoint` built, ``ckpt.model``."""
+    return ckpt.model

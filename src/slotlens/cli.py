@@ -22,7 +22,6 @@ from .checkpoint import (
     CheckpointFormatError,
     CheckpointVersionError,
     load_checkpoint,
-    model_from_checkpoint,
     save_checkpoint,
 )
 from .data import (
@@ -98,11 +97,17 @@ def _add_run_flags(p: argparse.ArgumentParser, ablation: bool) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Takes ``-1e-3`` for a negative number, as it does ``-0.001``, so a
-    bad value reaches the range checks instead of failing as an option."""
+    bad value reaches the range checks instead of failing as an option.
+    A flag it cannot parse raises ``ValueError``, which :func:`main` prints
+    as one ``usage error:`` line, in place of argparse's usage block and
+    exit status 2."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -277,11 +282,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
     corpus = load_corpus(args.data)
-    check_labels(corpus, ckpt.label_maps, model.config.max_positions - 1,
+    check_labels(corpus, ckpt.label_maps, ckpt.config.max_positions - 1,
                  where=f"corpus {args.data}: ")
-    metrics = evaluate(model, corpus, ckpt.label_maps, ckpt.vocab)
+    metrics = evaluate(ckpt.model, corpus, ckpt.label_maps, ckpt.vocab)
     text = metrics_to_tsv(metrics)
     if args.out:
         write_report(text, args.out)
@@ -303,7 +307,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         )
     utterance = Utterance(tokens=tokens, intent=maps.intents[0],
                           bio_tags=["O"] * len(tokens))
-    bundle = extract_attentions(model_from_checkpoint(ckpt), utterance, maps, ckpt.vocab,
+    bundle = extract_attentions(ckpt.model, utterance, maps, ckpt.vocab,
                                 include_outside=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,12 +326,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
     corpus = load_corpus(args.data)
-    check_labels(corpus, ckpt.label_maps, model.config.max_positions - 1,
+    check_labels(corpus, ckpt.label_maps, ckpt.config.max_positions - 1,
                  where=f"corpus {args.data}: ")
     report = topk_entropy_analysis(
-        model, corpus, args.k, ckpt.label_maps, ckpt.vocab,
+        ckpt.model, corpus, args.k, ckpt.label_maps, ckpt.vocab,
         granularity=args.granularity, include_outside=args.include_outside,
     )
     text = report.to_tsv()

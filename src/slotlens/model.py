@@ -76,8 +76,10 @@ class ModelConfig:
             raise ValueError("max_positions must cover at least one token plus CLS")
         if self.d_h < 1:
             raise ValueError("d_h must be at least 1")
-        if not all(0 <= w < math.inf for w in (self.alpha, self.beta, self.gamma)):
-            raise ValueError("loss weights must be finite and non-negative")
+        for name in ("alpha", "beta", "gamma"):
+            w = getattr(self, name)
+            if not 0 <= w < math.inf:
+                raise ValueError(f"loss weight {name} must be finite and non-negative, got {w}")
         if self.n_bio_labels != 2 * (self.n_slot_types - 1) + 1:
             raise ValueError(
                 f"{self.n_bio_labels} BIO labels inconsistent with "

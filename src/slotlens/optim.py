@@ -60,7 +60,7 @@ class ParamSet:
     initialiser and then allocated together (:meth:`allocate`); :meth:`add`
     does both for one parameter.  The optimizer's step count is shared by
     all parameters in the set; the moment arenas are allocated on the first
-    :func:`adam_step` or by :meth:`load_optimizer_state`.
+    :func:`adam_step`, or given to :meth:`allocate`.
     """
 
     def __init__(self):
@@ -175,20 +175,6 @@ class ParamSet:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._params.items()}
 
-    def _fill(self, arena: np.ndarray, state: dict[str, np.ndarray]) -> None:
-        for name, arr in state.items():
-            t = self._params.get(name)
-            if t is None:
-                raise ValueError(f"no parameter named {name!r}")
-            view = t.data if arena is self.data else t._segment(arena)
-            if view.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {view.shape} vs {arr.shape}")
-            view[...] = arr
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Copy saved values into the parameters, in the set's dtype."""
-        self._fill(self.data, state)
-
     def optimizer_state(self) -> dict:
         """Adam moment buffers and the shared step count."""
         def copies(arena):
@@ -197,19 +183,6 @@ class ParamSet:
             return {n: t._segment(arena).copy() for n, t in self._params.items()}
 
         return {"step_count": self.step_count, "m": copies(self.m), "v": copies(self.v)}
-
-    def load_optimizer_state(self, state: dict) -> None:
-        """Set the step count and copy in the listed moments.  A state that
-        lists none drops the moments; a moment it leaves out keeps its value,
-        zero in a set that had no moments."""
-        self.step_count = int(state["step_count"])
-        if not (state["m"] or state["v"]):
-            self.m = self.v = None
-            return
-        if self.m is None:
-            self.m, self.v = (np.zeros(self.data.size, self.dtype) for _ in "mv")
-        self._fill(self.m, state["m"])
-        self._fill(self.v, state["v"])
 
 
 def adam_step(

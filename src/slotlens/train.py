@@ -22,7 +22,8 @@ from .tensor import backward
 
 
 class TrainingDivergedError(RuntimeError):
-    """The total loss or a parameter's gradient became non-finite."""
+    """The total loss or a parameter's gradient became non-finite, or a
+    gradient too large for Adam to square."""
 
 
 @dataclass(frozen=True)
@@ -149,20 +150,30 @@ def train_model(
             batch = encode_batch([corpus[i] for i in idx], maps, vocab, run.max_len)
             if epoch == 0:
                 truncated += batch.truncated
-            out = model.forward(batch, training=True, rng=dropout_rng)
-            total = out.loss_total.item()
-            if not np.isfinite(total):
-                raise TrainingDivergedError(
-                    f"non-finite loss {total} at epoch {epoch + 1}"
-                )
-            backward(out.loss_total)
-            grad = model.params.grad
-            if not np.isfinite(grad).all():
-                name = model.params.name_at(int(np.argmin(np.isfinite(grad))))
-                raise TrainingDivergedError(
-                    f"non-finite gradient for parameter {name!r} at epoch {epoch + 1}"
-                )
-            adam_step(model.params, lr=run.lr)
+            # overflow shows up as a non-finite loss or gradient, which the
+            # checks below report; numpy need not warn about it first
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = model.forward(batch, training=True, rng=dropout_rng)
+                total = out.loss_total.item()
+                if not np.isfinite(total):
+                    raise TrainingDivergedError(
+                        f"non-finite loss {total} at epoch {epoch + 1}"
+                    )
+                backward(out.loss_total)
+                grad = model.params.grad
+                # Adam squares the gradient: past the square root of the
+                # largest float its second moment overflows, and the update
+                # silently drops to zero
+                bound = math.sqrt(np.finfo(grad.dtype).max)
+                if not -bound < grad.min() <= grad.max() < bound:
+                    finite = np.isfinite(grad)
+                    large = finite.all()
+                    at = np.argmax(np.abs(grad) >= bound) if large else np.argmin(finite)
+                    what = "gradient beyond Adam's range" if large else "non-finite gradient"
+                    raise TrainingDivergedError(f"{what} for parameter "
+                                                f"{model.params.name_at(int(at))!r} "
+                                                f"at epoch {epoch + 1}")
+                adam_step(model.params, lr=run.lr)
             sums += len(idx) * np.array(
                 [out.loss_intent.item(), out.loss_type.item(),
                  out.loss_slot.item(), total]

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from slotlens.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+from slotlens.checkpoint import load_checkpoint, save_checkpoint
 from slotlens.cli import main as cli_main
 from slotlens.data import (
     Span,
@@ -326,7 +326,7 @@ def test_09_determinism_and_persistence(tmp_path):
         models.append(result.model)
     identical = paths[0].read_bytes() == paths[1].read_bytes()
 
-    reloaded = model_from_checkpoint(load_checkpoint(paths[0]))
+    reloaded = load_checkpoint(paths[0]).model
     batch = encode_batch(corpus[:10], maps, vocab)
     want_intents, want_slots = models[0].predict(batch)
     got_intents, got_slots = reloaded.predict(batch)

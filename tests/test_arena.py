@@ -6,7 +6,7 @@ import pytest
 from conftest import V1_FIXTURE, rewrite_manifest
 
 from slotlens import encoder, model as model_mod, optim
-from slotlens.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+from slotlens.checkpoint import load_checkpoint, save_checkpoint
 from slotlens.data import Vocab, build_label_maps, encode_batch
 from slotlens.model import JointModel, ModelConfig
 from slotlens.optim import ParamSet, adam_step
@@ -107,12 +107,8 @@ def test_parameters_and_gradients_stay_views_through_every_state_change(tmp_path
     adam_step(params, lr=1e-3)
     assert_views(params)
     assert not params.grad.any()
-    params.load_state(params.state_dict())
-    assert_views(params)
-    params.load_optimizer_state(params.optimizer_state())
-    assert_views(params)
     path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab, include_optimizer=True)
-    restored = model_from_checkpoint(load_checkpoint(path))
+    restored = load_checkpoint(path).model
     assert_views(restored.params)
     restored.params.zero_grads()
     backward(restored.forward(batch).loss_total)
@@ -141,33 +137,43 @@ def test_model_from_checkpoint_draws_no_initialisation(tmp_path, monkeypatch):
 
     for module in (optim, encoder, model_mod):
         monkeypatch.setattr(module, "xavier_uniform", no_draws)
-    restored = model_from_checkpoint(load_checkpoint(path))
+    restored = load_checkpoint(path).model
     for name, t in model.params.items():
         np.testing.assert_array_equal(restored.params[name].data, t.data)
     with pytest.raises(AssertionError, match="initialiser"):
         JointModel(config, rng=2)
 
 
-def test_first_model_takes_the_arenas_and_a_second_gets_its_own(tmp_path):
+def test_model_is_built_around_the_buffer_the_reader_filled(tmp_path):
+    """The loaded model's arenas are the rows of the one buffer the blob was
+    read into, and a second load gives a model with arenas of its own."""
     corpus, maps, vocab, config = tiny_config()
-    path = save_checkpoint(tmp_path / "m.ckpt", JointModel(config, rng=4), maps, vocab)
-    ckpt = load_checkpoint(path)
-    first = model_from_checkpoint(ckpt)
-    assert ckpt.arenas is None
-    assert np.shares_memory(ckpt.params["slot.w"], first.params.data)
-    second = model_from_checkpoint(ckpt)
-    assert not np.shares_memory(second.params.data, first.params.data)
-    np.testing.assert_array_equal(second.params.data, first.params.data)
+    model = JointModel(config, rng=4)
+    for moments in (False, True):
+        if moments:
+            model.params.zero_grads()
+            adam_step(model.params, lr=1e-3)
+        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
+                               include_optimizer=True)
+        params = load_checkpoint(path).model.params
+        buf = params.data.base
+        assert buf.shape == (3 if moments else 1, params.data.size)
+        arenas = [params.m, params.v, params.data] if moments else [params.data]
+        for arena, row in zip(arenas, buf):
+            assert is_segment(arena, row, 0) and arena.size == row.size
+        assert_views(params)
+        again = load_checkpoint(path).model.params
+        assert not np.shares_memory(again.data, buf)
+        np.testing.assert_array_equal(again.data, params.data)
 
 
 def test_optimizer_entry_before_any_step_lists_no_moments(tmp_path):
     corpus, maps, vocab, config = tiny_config()
     model = JointModel(config, rng=4)
     path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab, include_optimizer=True)
-    ckpt = load_checkpoint(path)
-    assert ckpt.optimizer == {"step_count": 0, "m": {}, "v": {}}
-    assert not any(name.startswith("adam.") for name in ckpt.params)
-    restored = model_from_checkpoint(ckpt)
+    restored = load_checkpoint(path).model
+    assert restored.params.optimizer_state() == {"step_count": 0, "m": {}, "v": {}}
+    assert not any(name.startswith("adam.") for name in restored.params.names())
     assert restored.params.m is None
     again = save_checkpoint(tmp_path / "again.ckpt", restored, maps, vocab,
                             include_optimizer=True)
@@ -179,7 +185,7 @@ def test_partial_moments_load_as_zero_and_resave_in_full(tmp_path, v1_copy):
     as zero, and a re-save writes every moment."""
     ckpt = load_checkpoint(V1_FIXTURE)
     maps, vocab = ckpt.label_maps, ckpt.vocab
-    model = model_from_checkpoint(ckpt)
+    model = ckpt.model
     kept = "slot.w"
 
     def keep_one_moment(manifest):
@@ -188,14 +194,14 @@ def test_partial_moments_load_as_zero_and_resave_in_full(tmp_path, v1_copy):
                               if not e["name"].startswith("adam.") or e["name"].endswith(kept)]
 
     path = rewrite_manifest(v1_copy, keep_one_moment)
-    restored = model_from_checkpoint(load_checkpoint(path))
+    restored = load_checkpoint(path).model
     state = restored.params.optimizer_state()
     want = model.params.optimizer_state()
     np.testing.assert_array_equal(state["m"][kept], want["m"][kept])
     assert not state["v"]["slot.b"].any()
     resaved = load_checkpoint(save_checkpoint(tmp_path / "r.ckpt", restored, maps, vocab,
                                               include_optimizer=True))
-    assert sorted(resaved.optimizer["m"]) == sorted(model.params.names())
+    assert sorted(resaved.model.params.optimizer_state()["m"]) == sorted(model.params.names())
 
 
 @pytest.mark.parametrize("n_types", [5, 13])

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import (
     V1_FIXTURE, V2_FIXTURE, V3_FIXTURE, edited_copy, per_type, rewrite_manifest, table_edit,
 )
 
-from slotlens import checkpoint
+from slotlens import checkpoint, model as model_mod
 from slotlens.checkpoint import (
     FORMAT_VERSION,
     CheckpointCorruptError,
@@ -45,16 +46,17 @@ class TestRoundTrip:
         path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
                                metadata={"epoch": 1, "seed": 7})
         ckpt = load_checkpoint(path)
-        assert set(ckpt.params) == set(model.params.names())
-        for name, arr in ckpt.params.items():
-            np.testing.assert_array_equal(arr, model.params[name].data)
-            assert arr.dtype == model.params[name].data.dtype
+        params = ckpt.model.params
+        assert set(params.names()) == set(model.params.names())
+        for name, t in params.items():
+            np.testing.assert_array_equal(t.data, model.params[name].data)
+            assert t.data.dtype == model.params[name].data.dtype
         assert ckpt.metadata == {"epoch": 1, "seed": 7}
 
     def test_predictions_bit_exact_after_reload(self, setting, tmp_path):
         corpus, maps, vocab, model = setting
         path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab)
-        restored = model_from_checkpoint(load_checkpoint(path))
+        restored = load_checkpoint(path).model
         batch = encode_batch(corpus, maps, vocab)
         for before, after in zip(model.infer(batch), restored.infer(batch)):
             np.testing.assert_array_equal(before, after)
@@ -80,7 +82,7 @@ class TestRoundTrip:
         adam_step(model.params, lr=1e-4)
         path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
                                include_optimizer=True)
-        restored = model_from_checkpoint(load_checkpoint(path))
+        restored = load_checkpoint(path).model
         want = model.params.optimizer_state()
         got = restored.params.optimizer_state()
         assert got["step_count"] == want["step_count"] > 0
@@ -92,8 +94,9 @@ class TestRoundTrip:
         corpus, maps, vocab, model = setting
         path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
                                include_optimizer=True)
-        ckpt = load_checkpoint(path)
-        assert not any(n.startswith("adam.") for n in ckpt.params)
+        params = load_checkpoint(path).model.params
+        assert not any(n.startswith("adam.") for n in params.names())
+        assert params.optimizer_state()["m"].keys() == set(model.params.names())
 
 
 class TestDeterminism:
@@ -116,7 +119,7 @@ class TestDeterminism:
         corpus, maps, vocab, model = setting
         wide = JointModel(model.config, rng=3, dtype=np.float64)
         first = save_checkpoint(tmp_path / "a.ckpt", wide, maps, vocab)
-        restored = model_from_checkpoint(load_checkpoint(first))
+        restored = load_checkpoint(first).model
         assert {t.data.dtype for _, t in restored.params.items()} == {np.dtype(np.float64)}
         second = save_checkpoint(tmp_path / "b.ckpt", restored, maps, vocab)
         assert first.read_bytes() == second.read_bytes()
@@ -201,41 +204,19 @@ class TestErrorKinds:
         with pytest.raises(CheckpointCorruptError, match="extra bytes"):
             load_checkpoint(path)
 
-    def test_replaced_entries_reach_the_model(self, setting, tmp_path):
-        """The first model is built around the arenas the reader filled; an
-        entry a caller put in place of the reader's view is copied in."""
-        corpus, maps, vocab, trained = setting
-        model = JointModel(trained.config, rng=3)
-        batch = encode_batch(corpus[:4], maps, vocab)
-        model.params.zero_grads()
-        backward(model.forward(batch).loss_total)
-        adam_step(model.params, lr=1e-4)
-        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
-                               include_optimizer=True)
-        ckpt = load_checkpoint(path)
-        ckpt.params["slot.w"] = np.full_like(ckpt.params["slot.w"], 0.5)
-        ckpt.optimizer["v"]["slot.b"] = np.full_like(ckpt.optimizer["v"]["slot.b"], 0.25)
-        restored = model_from_checkpoint(ckpt)
-        assert (restored.params["slot.w"].data == 0.5).all()
-        assert (restored.params.optimizer_state()["v"]["slot.b"] == 0.25).all()
-        np.testing.assert_array_equal(restored.params["slot.b"].data,
-                                      model.params["slot.b"].data)
-        assert restored.params.step_count == model.params.step_count
-
-    def test_mixed_parameter_dtypes_rejected(self, setting, tmp_path):
-        corpus, maps, vocab, model = setting
-        ckpt = load_checkpoint(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab))
-        ckpt.params["slot.w"] = ckpt.params["slot.w"].astype(np.float64)
-        with pytest.raises(CheckpointFormatError, match="mix dtypes.*float32.*float64"):
-            model_from_checkpoint(ckpt)
-
-    def test_config_param_mismatch_detected(self, setting, tmp_path):
-        corpus, maps, vocab, model = setting
-        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab)
-        ckpt = load_checkpoint(path)
-        ckpt.params.pop("slot.w")
-        with pytest.raises(CheckpointFormatError, match="slot.w"):
-            model_from_checkpoint(ckpt)
+    def test_config_param_mismatch_detected(self, tmp_path):
+        """A version 1 table that leaves out one parameter, its moments and
+        their bytes disagrees with the config it carries."""
+        manifest, arrays = stored_arrays(FIXTURE)
+        load_checkpoint(write_v1(tmp_path / "whole.ckpt", manifest, arrays))
+        for kind in "mv":
+            manifest["optimizer"][kind].remove("slot.w")
+        for name in ("slot.w", "adam.m.slot.w", "adam.v.slot.w"):
+            del arrays[name]
+        path = write_v1(tmp_path / "m.ckpt", manifest, arrays)
+        with pytest.raises(CheckpointFormatError, match=re.escape(
+                "parameter names disagree with config: missing ['slot.w'], extra []")):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["params", "config", "label_maps", "vocab", "dtype",
                                      "optimizer"])
@@ -374,6 +355,23 @@ def stored_arrays(path):
     }
 
 
+def write_v1(path, manifest, arrays):
+    """A version 1 file holding ``arrays`` (name -> array) back to back in
+    sorted-name order, its table listing them beside the rest of
+    ``manifest``."""
+    table, at = [], 0
+    for name in sorted(arrays):
+        a = arrays[name]
+        table.append({"name": name, "shape": list(a.shape), "dtype": a.dtype.name,
+                      "offset": at, "nbytes": a.nbytes})
+        at += a.nbytes
+    enc = json.dumps({**manifest, "params": table}, sort_keys=True,
+                     separators=(",", ":")).encode()
+    path.write_bytes(b"".join([checkpoint.MAGIC, len(enc).to_bytes(4, "little"), enc,
+                               *(arrays[name].tobytes() for name in sorted(arrays))]))
+    return path
+
+
 def stored_v2_arrays(path):
     """Every tensor of a version 2 checkpoint, read straight from its blob:
     each arena (Adam ``m``, Adam ``v``, parameters) holds the tensors the
@@ -414,7 +412,7 @@ def assert_stores(model, arrays):
 def resave(source, path):
     """The checkpoint at ``source`` loaded and saved again to ``path``."""
     ckpt = load_checkpoint(source)
-    return save_checkpoint(path, model_from_checkpoint(ckpt), ckpt.label_maps, ckpt.vocab,
+    return save_checkpoint(path, ckpt.model, ckpt.label_maps, ckpt.vocab,
                            metadata=ckpt.metadata, include_optimizer=True)
 
 
@@ -432,7 +430,7 @@ class TestInterruptedSave:
         manifest_end = 12 + int.from_bytes(old[8:12], "little")
         budget = {"in-manifest": manifest_end - 10, "after-manifest": manifest_end,
                   "mid-blob": (manifest_end + len(old)) // 2, "at-end": len(old)}[cut]
-        changed = model_from_checkpoint(load_checkpoint(path))
+        changed = load_checkpoint(path).model
         changed.params.data += 1.0  # new bytes differ from the old ones everywhere
         real_write = os.write
 
@@ -470,7 +468,7 @@ class TestInterruptedSave:
         fresh = save_checkpoint(tmp_path / "fresh.ckpt", model, maps, vocab)
         assert len(path.read_bytes()) < len(longer)
         assert path.read_bytes() == fresh.read_bytes()
-        assert set(load_checkpoint(path).params) == set(model.params.names())
+        assert set(load_checkpoint(path).model.params.names()) == set(model.params.names())
 
 
 class TestFormatVersion1Fixture:
@@ -493,7 +491,7 @@ class TestFormatVersion1Fixture:
 
     def test_loads_the_stored_parameters_and_moments(self):
         manifest, arrays = stored_arrays(FIXTURE)
-        model = model_from_checkpoint(load_checkpoint(FIXTURE))
+        model = load_checkpoint(FIXTURE).model
         names = per_type(model.params.state_dict(), model.config)
         assert sorted(manifest["optimizer"]["m"]) == sorted(names)
         assert model.params.step_count == manifest["optimizer"]["step_count"] > 0
@@ -501,7 +499,7 @@ class TestFormatVersion1Fixture:
 
     def test_predicts_what_the_writer_predicted(self):
         ckpt = load_checkpoint(FIXTURE)
-        model = model_from_checkpoint(ckpt)
+        model = ckpt.model
         corpus = generate_synthetic_corpus(seed=2, n=12)
         intents, slots = model.predict(encode_batch(corpus, ckpt.label_maps, ckpt.vocab, 16))
         assert intents.tolist() == ckpt.metadata["predicted_intents"]
@@ -515,9 +513,9 @@ class TestFormatVersion1Fixture:
             == V3_FIXTURE.read_bytes()
         manifest, arrays = stored_arrays(FIXTURE)
         ckpt = load_checkpoint(second)
-        assert ckpt.optimizer["step_count"] == manifest["optimizer"]["step_count"]
+        assert ckpt.model.params.step_count == manifest["optimizer"]["step_count"]
         assert ckpt.metadata == manifest["metadata"]
-        assert_stores(model_from_checkpoint(ckpt), arrays)
+        assert_stores(ckpt.model, arrays)
 
     def test_retraining_the_recipe_reproduces_the_file(self):
         """The recipe above, retrained today, gives every stored parameter and
@@ -567,7 +565,7 @@ class TestFormatVersion2Fixture:
 
     def test_loads_the_stored_parameters_and_moments(self):
         manifest, arrays = stored_v2_arrays(V2_FIXTURE)
-        model = model_from_checkpoint(load_checkpoint(V2_FIXTURE))
+        model = load_checkpoint(V2_FIXTURE).model
         assert model.params.step_count == manifest["optimizer"]["step_count"] > 0
         assert_stores(model, arrays)
 
@@ -577,7 +575,7 @@ class TestFormatVersion2Fixture:
 
     def test_predicts_what_the_writer_predicted(self):
         ckpt = load_checkpoint(V2_FIXTURE)
-        model = model_from_checkpoint(ckpt)
+        model = ckpt.model
         corpus = generate_synthetic_corpus(seed=2, n=12)
         intents, slots = model.predict(encode_batch(corpus, ckpt.label_maps, ckpt.vocab, 16))
         assert intents.tolist() == ckpt.metadata["predicted_intents"]
@@ -600,8 +598,30 @@ class TestFormatVersion3Fixture:
 
         monkeypatch.setattr(checkpoint, "_per_type_index", refuse)
         ckpt = load_checkpoint(V3_FIXTURE)
-        model = model_from_checkpoint(ckpt)
+        model = ckpt.model
         corpus = generate_synthetic_corpus(seed=2, n=12)
         intents, slots = model.predict(encode_batch(corpus, ckpt.label_maps, ckpt.vocab, 16))
         assert intents.tolist() == ckpt.metadata["predicted_intents"]
         assert [s.tolist() for s in slots] == ckpt.metadata["predicted_slots"]
+
+
+class TestReadPath:
+    """``load_checkpoint`` is the one read path: it declares the config's
+    parameters once and returns the model built around what it read."""
+
+    @pytest.mark.parametrize("path", [V1_FIXTURE, V2_FIXTURE, V3_FIXTURE],
+                             ids=["v1", "v2", "v3"])
+    def test_one_load_declares_the_parameters_once(self, monkeypatch, path):
+        calls = []
+        declare = model_mod.declare_model_params
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return declare(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "declare_model_params", counted)
+        monkeypatch.setattr(checkpoint, "declare_model_params", counted, raising=False)
+        ckpt = load_checkpoint(path)
+        assert calls == [ckpt.config]
+        assert model_from_checkpoint(ckpt) is ckpt.model
+        assert len(calls) == 1

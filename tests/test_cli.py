@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface via main()."""
 
 import shutil
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from conftest import edited_copy, rewrite_manifest, table_edit
 
 from slotlens import cli, optim, train
-from slotlens.checkpoint import load_checkpoint, model_from_checkpoint
+from slotlens.checkpoint import load_checkpoint
 from slotlens.cli import main, parse_config_file
 from slotlens.data import load_corpus, write_corpus, Utterance
 from slotlens.explain import extract_attentions
@@ -169,10 +170,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(("io error:", "data error:"))
 
-    def test_missing_required_flag_exits_nonzero(self):
+    def test_missing_required_flag_exits_nonzero(self, capsys):
+        assert main(["train"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: --train\n")
+
+    def test_overflowing_learning_rate_is_one_training_error_line(self, corpus_dir, capsys,
+                                                                  tmp_path):
+        """The first update leaves huge weights and the next forward
+        overflows; numpy prints no warning before the error line."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # pytest would keep a warning off stderr
+            rc = main(["train", "--train", str(corpus_dir / "train"),
+                       "--out", str(tmp_path / "r"), *TINY, "--lr", "1e30"])
+        assert rc == 1
+        assert capsys.readouterr().err == "training error: non-finite loss nan at epoch 1\n"
+
+    def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["train"])
-        assert exc.value.code != 0
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--train" in capsys.readouterr().out
 
 
 class TestRunFlags:
@@ -239,9 +257,9 @@ class TestRunFlags:
         assert parsed == [self.NON_DEFAULT]
 
     def test_ablate_has_no_ablation_flags(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["ablate", "--train", "X", "--no-aux-loss"])
-        assert exc.value.code != 0
+        assert main(["ablate", "--train", "X", "--no-aux-loss"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: unrecognized arguments: --no-aux-loss\n")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no-aux-loss=true\n")
         capsys.readouterr()
@@ -256,6 +274,9 @@ class TestRunFlags:
         ("--lr", "-1", "lr"), ("--lr", "-1e-3", "lr"),
         ("--n-layers", "-1", "n_layers must be non-negative"),
         ("--max-len", "0", "max_len must be at least 1"),
+        ("--epochs", "nan", "argument --epochs: invalid int value: 'nan'"),
+        ("--batch-size", "nan", "argument --batch-size: invalid int value: 'nan'"),
+        ("--max-len", "1e30", "argument --max-len: invalid int value: '1e30'"),
     ])
     def test_bad_value_is_one_usage_error_line(self, corpus_dir, capsys, tmp_path,
                                                flag, value, field):
@@ -444,7 +465,7 @@ class TestExplain:
                      "--out", str(tmp_path / "ex")]) == 0
         ckpt = load_checkpoint(ckpt_path)
         maps = ckpt.label_maps
-        bundle = extract_attentions(model_from_checkpoint(ckpt),
+        bundle = extract_attentions(ckpt.model,
                                     Utterance(tokens, maps.intents[0], ["O"] * 4),
                                     maps, ckpt.vocab, include_outside=True)
         lines = ["type\ti\tj\tweight"] + [
@@ -610,13 +631,13 @@ class TestConfigFile:
         # flag --epochs 1 beats config epochs=5; sizes come from the file
         assert len(curve) == 1 + 1
 
-    def test_config_file_supplies_required_flag(self, corpus_dir, tmp_path):
+    def test_config_file_supplies_required_flag(self, corpus_dir, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out={tmp_path / 'r'}\nd=8\nd-h=4\nn-layers=1\nn-heads=2\n"
                        "ffn-dim=12\nepochs=1\nbatch-size=4\n")
-        with pytest.raises(SystemExit) as e:  # argparse still wants --train
-            main(["train", "--config", str(cfg)])
-        assert e.value.code == 2
+        assert main(["train", "--config", str(cfg)]) == 1  # argparse still wants --train
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: --train\n")
         cfg.write_text(cfg.read_text() + f"train={corpus_dir / 'train'}\n")
         assert main(["train", "--config", str(cfg)]) == 0
         assert (tmp_path / "r" / "checkpoint.ckpt").exists()

@@ -5,17 +5,24 @@ the length field, the manifest and the tensor blob), fresh ones and the
 committed version 2 fixture alike, must end in exit 1 and exactly one
 ``checkpoint error:`` line. A damaged version 1 file, which
 carries no checksum, and config files with seeded bad values must each end
-in exit 0 or in exactly one categorized stderr line with exit 1. Corpus
-files with a seeded defect must end in exit 1 and exactly one
+in exit 0 or in exactly one categorized stderr line with exit 1, and so
+must ``train`` with each numeric flag at a value from ``FLAG_VALUES``.
+Corpus files with a seeded defect must end in exit 1 and exactly one
 ``data error:`` line. None may end in an uncaught exception.
 """
+
+import warnings
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from conftest import V1_FIXTURE, V2_FIXTURE
 
+from slotlens import optim
 from slotlens.cli import ERROR_CATEGORIES, main
 from slotlens.data import INTENT_FILE, TAGS_FILE, TOKENS_FILE
+from slotlens.train import RunConfig
 
 CATEGORIES = {category for _, category in ERROR_CATEGORIES}
 TINY_CONFIG = {
@@ -30,6 +37,8 @@ BAD_VALUES = ["-1", "0", "-0", "2", "1.5", "1e-3", "nan", "inf", "-inf", "1e400"
 # bytes that keep a manifest valid UTF-8 and often valid JSON
 JSON_BYTES = b'0123456789-.e",:[]{} aZ'
 READERS = ("eval", "analyze", "explain")
+TINY_FLAGS = ["--d", "8", "--d-h", "4", "--n-layers", "1", "--n-heads", "2",
+              "--ffn-dim", "12", "--epochs", "1", "--batch-size", "4"]
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +47,7 @@ def setting(tmp_path_factory):
     assert main(["synth", "--out", str(root / "train"), "--n", "12", "--seed", "0"]) == 0
     assert main(["synth", "--out", str(root / "test"), "--n", "4", "--seed", "1"]) == 0
     assert main(["train", "--train", str(root / "train"), "--out", str(root / "run"),
-                 "--d", "8", "--d-h", "4", "--n-layers", "1", "--n-heads", "2",
-                 "--ffn-dim", "12", "--epochs", "1", "--batch-size", "4",
-                 "--save-optimizer"]) == 0
+                 *TINY_FLAGS, "--save-optimizer"]) == 0
     data = (root / "run" / "checkpoint.ckpt").read_bytes()
     return root, data
 
@@ -139,6 +146,69 @@ def test_bad_config_value_fails_in_one_line(setting, capsys, case):
     assert_contract(rc, capsys.readouterr())
 
 
+NUMERIC_FIELDS = [f.name for f in fields(RunConfig)
+                  if get_type_hints(RunConfig)[f.name] in (int, float)]
+# every size these give is tiny or fails to parse as an int, so no case
+# asks numpy for a large array; refusals are tested by SIZE_FIELDS below
+FLAG_VALUES = ["0", "-1", "nan", "inf", "1e30"]
+
+
+def train_with(root, out, *flags):
+    """``train`` on the tiny corpus with ``flags`` last. A warning raises,
+    as pytest would otherwise keep one off stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["train", "--train", str(root / "train"), "--out", str(out),
+                     *TINY_FLAGS, *flags])
+
+
+@pytest.mark.parametrize("value", FLAG_VALUES)
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_numeric_flag_keeps_the_contract(setting, capsys, tmp_path, name, value):
+    """A usage error names the flag or the field it sets."""
+    root, _ = setting
+    flag = "--" + name.replace("_", "-")
+    capsys.readouterr()
+    rc = train_with(root, tmp_path / "run", flag, value)
+    captured = capsys.readouterr()
+    assert_contract(rc, captured)
+    if captured.err.startswith("usage error:"):
+        assert flag in captured.err or name in captured.err, captured.err
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_numeric_flag_pair_keeps_the_contract(setting, capsys, tmp_path, case):
+    root, _ = setting
+    rng = np.random.default_rng([case, 2])
+    flags = []
+    for name in rng.choice(NUMERIC_FIELDS, size=2, replace=False):
+        flags += ["--" + str(name).replace("_", "-"),
+                  FLAG_VALUES[int(rng.integers(len(FLAG_VALUES)))]]
+    capsys.readouterr()
+    rc = train_with(root, tmp_path / "run", *flags)
+    assert_contract(rc, capsys.readouterr())
+
+
+SIZE_FIELDS = ["d", "d_h", "ffn_dim"]
+
+
+@pytest.mark.parametrize("name", SIZE_FIELDS)
+def test_refused_size_is_one_memory_error_line(setting, capsys, tmp_path, monkeypatch,
+                                               name):
+    """A size whose arenas numpy would refuse (tens of terabytes at
+    10**12) ends in one ``memory error:`` line. The refusal is simulated,
+    so nothing large is allocated."""
+    root, _ = setting
+
+    def refuse(self, *args, **kwargs):
+        raise MemoryError("Unable to allocate the parameter arenas")
+
+    monkeypatch.setattr(optim.ParamSet, "allocate", refuse)
+    capsys.readouterr()
+    rc = train_with(root, tmp_path / "run", "--" + name.replace("_", "-"), str(10**12))
+    assert_one_line(rc, capsys.readouterr(), {"memory error"})
+
+
 CORPUS_FILES = (TOKENS_FILE, TAGS_FILE, INTENT_FILE)
 INVALID_UTF8 = b"\x80\xbf\xc0\xc1\xf5\xff"  # each one makes ASCII text invalid UTF-8
 
@@ -207,7 +277,5 @@ def test_damaged_corpus_fails_in_one_line(setting, capsys, tmp_path, command, ki
     else:
         train, test = (str(root / "train"), bad) if kind == "unknown-label" else (bad, None)
         rc = main(["train", "--train", train, *(["--test", test] if test else []),
-                   "--out", str(tmp_path / "run"), "--d", "8", "--d-h", "4",
-                   "--n-layers", "1", "--n-heads", "2", "--ffn-dim", "12",
-                   "--epochs", "1", "--batch-size", "4"])
+                   "--out", str(tmp_path / "run"), *TINY_FLAGS])
     assert_one_line(rc, capsys.readouterr(), {"data error"})

@@ -27,18 +27,6 @@ class TestParamSet:
         assert ps.size() == 15
         assert ps.size("a.") == 10
 
-    def test_state_roundtrip(self):
-        ps = _single_param([[1.0, 2.0]])
-        state = ps.state_dict()
-        ps["w"].data += 5.0
-        ps.load_state(state)
-        np.testing.assert_array_equal(ps["w"].data, [[1.0, 2.0]])
-
-    def test_load_state_shape_mismatch(self):
-        ps = _single_param([1.0, 2.0])
-        with pytest.raises(ValueError, match="shape"):
-            ps.load_state({"w": np.zeros((3, 3))})
-
 
 class TestAdam:
     def test_zero_gradient_is_noop(self):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -167,6 +168,18 @@ class TestTrainModel:
                            match="non-finite gradient for parameter 'encoder.tok_emb' "
                                  "at epoch 1"):
             train_model(corpus, maps, vocab, tiny_run())
+
+    def test_gradient_adam_cannot_square_names_the_parameter(self, corpus_setting):
+        """A huge loss weight gives finite gradients whose squares overflow
+        Adam's second moment; training stops at once and numpy does not
+        warn first."""
+        corpus, maps, vocab = corpus_setting
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError,
+                               match="gradient beyond Adam's range for parameter '[a-z_.]+' "
+                                     "at epoch 1$"):
+                train_model(corpus, maps, vocab, tiny_run(alpha=1e30))
 
     def test_truncation_is_counted_once_over_epochs_and_sub_batches(self, corpus_setting,
                                                                     monkeypatch):
