@@ -79,11 +79,16 @@ def project_heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
     return transpose(reshape(affine(x, w, b), (B, L, n_heads, -1)), (0, 2, 1, 3))
 
 
+def attention_weights(q: Tensor, k: Tensor, key_mask: np.ndarray) -> Tensor:
+    """Scaled dot-product attention weights over the last two axes;
+    ``key_mask`` broadcasts against the scores and hides pad keys."""
+    return softmax_masked(matmul(q, transpose(k)), key_mask, 1.0 / np.sqrt(q.shape[-1]))
+
+
 def attend(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention over the last two axes; ``key_mask``
-    broadcasts against the scores and hides pad keys.  Returns the
-    attended values and the attention weights."""
-    alpha = softmax_masked(matmul(q, transpose(k)), key_mask, 1.0 / np.sqrt(q.shape[-1]))
+    """Scaled dot-product attention (:func:`attention_weights`).  Returns
+    the attended values and the attention weights."""
+    alpha = attention_weights(q, k, key_mask)
     return matmul(alpha, v), alpha
 
 

@@ -2,6 +2,11 @@
 feature generator (per-type single-head attentions supervised by binary
 type classifiers), and a cross-attention feature-fusion slot classifier.
 
+Each type's value projection and its binary head are both linear, so they
+act as one d->1 map applied under the type's attention map: the generator
+builds its (B, |T|, L, L) maps and one value per type and token, never
+(B, |T|, L, d_h) attended features.
+
 The joint loss is alpha*L_intent + beta*L_type + gamma*L_slot. Batch
 reduction is the mean over utterances; the binary type loss is pooled
 over all contributing (token, type) cells, so a batch with lengths 3 and
@@ -17,7 +22,9 @@ from functools import reduce
 import numpy as np
 
 from .data import SPLIT_MIN_SAVED, Batch, split_by_length
-from .encoder import attend, declare_encoder_params, encode, project_heads
+from .encoder import (
+    attend, attention_weights, declare_encoder_params, encode, project_heads,
+)
 from .optim import ParamSet, xavier_uniform
 from .tensor import (
     Tensor,
@@ -211,34 +218,42 @@ def intent_fusion(
 
 def slot_type_attention(
     u_hat: Tensor, mask: np.ndarray, params: ParamSet, config: ModelConfig
-) -> tuple[Tensor, Tensor]:
-    """All |T| single-head attentions at width d_h as one attention whose
-    heads are the slot types: each ``type_gen.{q,k,v}.w`` stores the
-    per-type (d, d_h) weights side by side.
+) -> Tensor:
+    """All |T| single-head attention maps at width d_h as one attention
+    whose heads are the slot types: ``type_gen.q.w`` and ``type_gen.k.w``
+    store the per-type (d, d_h) weights side by side.
 
-    Returns attended features h (B, |T|, L, d_h) and attention maps alpha
-    (B, |T|, L, L). Frozen-uniform mode replaces the softmax with a
-    constant 1/l map over the valid keys; the value path stays learned.
+    Returns the maps alpha (B, |T|, L, L); the values they weigh are formed
+    by :func:`slot_type_heads`. Frozen-uniform mode replaces the softmax
+    with a constant 1/l map over the valid keys.
     """
-    def project(p: str) -> Tensor:
-        w, b = params[f"type_gen.{p}.w"], params[f"type_gen.{p}.b"]
-        return project_heads(u_hat, w, b, config.n_slot_types)
-
-    v = project("v")
     keys = mask[:, None, None, :] > 0
-    if not config.frozen_uniform_type_attention:
-        return attend(project("q"), project("k"), v, keys)
-    uniform = (keys / keys.sum(axis=-1, keepdims=True)).astype(u_hat.dtype)
-    alpha = Tensor(np.broadcast_to(uniform, (*v.shape[:-1], v.shape[-2])))
-    return matmul(alpha, v), alpha
+    if config.frozen_uniform_type_attention:
+        B, L = mask.shape
+        uniform = (keys / keys.sum(axis=-1, keepdims=True)).astype(u_hat.dtype)
+        return Tensor(np.broadcast_to(uniform, (B, config.n_slot_types, L, L)))
+    q, k = (project_heads(u_hat, params[f"type_gen.{p}.w"], params[f"type_gen.{p}.b"],
+                          config.n_slot_types) for p in "qk")
+    return attention_weights(q, k, keys)
 
 
-def slot_type_heads(h: Tensor, params: ParamSet, config: ModelConfig) -> Tensor:
-    """Per-type binary logits (B, L, |T|); column i comes from type i's
-    d_h->1 head, ``type_gen.head.w[i]``, over h[:, i]."""
-    B, T, L, _ = h.shape
-    logits = matmul(h, params["type_gen.head.w"])  # (B, T, L, 1)
-    return add(reshape(transpose(logits, (0, 2, 1, 3)), (B, L, T)), params["type_gen.head.b"])
+def slot_type_heads(
+    u_hat: Tensor, alpha: Tensor, params: ParamSet, config: ModelConfig
+) -> Tensor:
+    """Per-type binary logits (B, L, |T|). Type t's value projection
+    (column block t of ``type_gen.v.{w,b}``) and its d_h->1 head
+    (``type_gen.head.w[t]``) are both linear, so they act as one d->1 map,
+    w_t = W_v^t w_head^t and c_t = b_v^t . w_head^t, formed in the graph
+    from the stored tensors. Column t is alpha_t (u_hat w_t + c_t) plus
+    ``type_gen.head.b[t]``: no (B, |T|, L, d_h) values are built."""
+    B, L, d = u_hat.shape
+    T, head = config.n_slot_types, params["type_gen.head.w"]  # (T, d_h, 1)
+    w_v = transpose(reshape(params["type_gen.v.w"], (d, T, -1)), (1, 0, 2))  # (T, d, d_h)
+    w = transpose(reshape(matmul(w_v, head), (T, d)))  # (d, T)
+    c = reshape(matmul(reshape(params["type_gen.v.b"], (T, 1, -1)), head), (T,))
+    values = reshape(transpose(affine(u_hat, w, c), (0, 2, 1)), (B, T, L, 1))
+    logits = reshape(matmul(alpha, values), (B, T, L))
+    return add(transpose(logits, (0, 2, 1)), params["type_gen.head.b"])
 
 
 def fusion_cross_attention(
@@ -284,8 +299,8 @@ def _network(
     g_type = alpha = None
     if config.has_aux_network:
         u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, keep=keeps[1])
-        h, alpha = slot_type_attention(u_hat, batch.mask, params, config)
-        g_type = slot_type_heads(h, params, config)
+        alpha = slot_type_attention(u_hat, batch.mask, params, config)
+        g_type = slot_type_heads(u_hat, alpha, params, config)
     u_slot = fusion_cross_attention(u_e, g_type, batch.mask, params, config)
     return g_intent, g_type, alpha, slot_head(u_slot, params)
 

@@ -22,8 +22,9 @@ from .tensor import backward
 
 
 class TrainingDivergedError(RuntimeError):
-    """The total loss or a parameter's gradient became non-finite, or a
-    gradient too large for Adam to square."""
+    """The total loss or a parameter's gradient became non-finite, a
+    gradient grew too large for Adam to square, or an update left a weight
+    too large for the next forward."""
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,14 @@ def train_model(
                                                 f"{model.params.name_at(int(at))!r} "
                                                 f"at epoch {epoch + 1}")
                 adam_step(model.params, lr=run.lr)
+                # a weight this large overflows the next forward, which
+                # could no longer say where it came from
+                weights = model.params.data
+                if not -bound < weights.min() <= weights.max() < bound:
+                    at = np.argmin(np.abs(weights) < bound)
+                    raise TrainingDivergedError(
+                        f"parameter {model.params.name_at(int(at))!r} beyond "
+                        f"{weights.dtype}'s range after the update at epoch {epoch + 1}")
             sums += len(idx) * np.array(
                 [out.loss_intent.item(), out.loss_type.item(),
                  out.loss_slot.item(), total]

@@ -13,6 +13,7 @@ DATA = Path(__file__).parent / "data"
 V1_FIXTURE = DATA / "v1_tiny_with_optimizer.ckpt"
 V2_FIXTURE = DATA / "v2_tiny_with_optimizer.ckpt"
 V3_FIXTURE = DATA / "v3_tiny_with_optimizer.ckpt"
+V3_RECIPE = DATA / "v3_recipe.ckpt"
 
 
 def per_type(state, config):

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 from conftest import (
-    V1_FIXTURE, V2_FIXTURE, V3_FIXTURE, edited_copy, per_type, rewrite_manifest, table_edit,
+    V1_FIXTURE, V2_FIXTURE, V3_FIXTURE, V3_RECIPE, edited_copy, per_type, rewrite_manifest,
+    table_edit,
 )
 
 from slotlens import checkpoint, model as model_mod
@@ -395,9 +396,10 @@ def stored_v2_arrays(path):
     return manifest, arrays
 
 
-def assert_stores(model, arrays):
+def assert_stores(model, arrays, atol=None):
     """``arrays`` holds exactly the model's parameters and Adam moments,
-    cut into the per-type tensors older formats stored, bit for bit."""
+    cut into the per-type tensors older formats stored: bit for bit, or
+    within ``atol`` when given."""
     state = per_type(model.params.state_dict(), model.config)
     moments = model.params.optimizer_state()
     for kind in "mv":
@@ -406,7 +408,10 @@ def assert_stores(model, arrays):
     assert state.keys() == arrays.keys()
     for name, arr in state.items():
         assert arr.shape == arrays[name].shape, name
-        assert arr.tobytes() == arrays[name].tobytes(), name
+        if atol is None:
+            assert arr.tobytes() == arrays[name].tobytes(), name
+        else:
+            np.testing.assert_allclose(arr, arrays[name], rtol=0, atol=atol, err_msg=name)
 
 
 def resave(source, path):
@@ -518,19 +523,28 @@ class TestFormatVersion1Fixture:
         assert_stores(ckpt.model, arrays)
 
     def test_retraining_the_recipe_reproduces_the_file(self):
-        """The recipe above, retrained today, gives every stored parameter and
-        Adam moment bit for bit. Its 4-utterance batches never split by
+        """The recipe above, retrained today, predicts what the writer
+        predicted and gives every stored parameter and Adam moment within
+        :data:`RETRAINED_DEVIATION`. Its 4-utterance batches never split by
         length, so this pins the one-graph training pass and its dropout
         draw order."""
-        corpus = generate_synthetic_corpus(seed=2, n=12)
-        maps = build_label_maps(generate_synthetic_corpus(seed=2, n=300))
-        vocab = Vocab.build(corpus)
-        run = RunConfig(d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_len=16,
-                        epochs=2, batch_size=4, seed=7)
-        model = train_model(corpus, maps, vocab, run).model
+        model, _, _, metadata = train_recipe()
         manifest, arrays = stored_arrays(FIXTURE)
         assert model.params.step_count == manifest["optimizer"]["step_count"]
-        assert_stores(model, arrays)
+        assert metadata == manifest["metadata"]
+        assert_stores(model, arrays, atol=RETRAINED_DEVIATION)
+
+
+# The fixtures' writers formed each slot type's logits from its attended
+# d_h-wide values; today the value projection and head are folded into one
+# d->1 map first, so float32 rounds differently. Retrained, the recipe
+# predicts the same and lands within this of every stored tensor. The
+# largest moves are the attention key biases (``encoder.layer0.attn.bk``,
+# ``fusion.sa.k.b``, ``type_gen.k.b``, ``cross.k.b``), up to 1.44e-4: a
+# softmax ignores a constant added to a row's scores, so their exact
+# gradient is zero and Adam moves them on rounding noise alone. Every other
+# parameter and moment stays within 8e-6.
+RETRAINED_DEVIATION = 1.5e-4
 
 
 def train_recipe():
@@ -555,13 +569,14 @@ class TestFormatVersion2Fixture:
     still as tensors per slot type."""
 
     def test_retraining_the_recipe_reproduces_the_file(self):
-        """Today's training, cut per type, gives every parameter and Adam
-        moment the version 2 writer stored, bit for bit."""
+        """Today's training, cut per type, predicts what the version 2 writer
+        stored and gives every parameter and Adam moment within
+        :data:`RETRAINED_DEVIATION`."""
         model, _, _, metadata = train_recipe()
         manifest, arrays = stored_v2_arrays(V2_FIXTURE)
         assert model.params.step_count == manifest["optimizer"]["step_count"]
         assert metadata == manifest["metadata"]
-        assert_stores(model, arrays)
+        assert_stores(model, arrays, atol=RETRAINED_DEVIATION)
 
     def test_loads_the_stored_parameters_and_moments(self):
         manifest, arrays = stored_v2_arrays(V2_FIXTURE)
@@ -583,13 +598,18 @@ class TestFormatVersion2Fixture:
 
 
 class TestFormatVersion3Fixture:
-    """The version 1 fixture's recipe, saved by this package's writer."""
+    """The version 1 fixture's recipe, saved by this package's writer.
+    ``v3_tiny_with_optimizer.ckpt`` is the older fixtures re-saved;
+    ``v3_recipe.ckpt`` is the recipe retrained and saved at today's float32
+    operation order, to be written afresh by :func:`train_recipe` and
+    :func:`save_checkpoint` only by a change that regroups that order."""
 
     def test_retraining_the_recipe_reproduces_the_file(self, tmp_path):
         model, maps, vocab, metadata = train_recipe()
         path = save_checkpoint(tmp_path / "v3.ckpt", model, maps, vocab,
                                metadata=metadata, include_optimizer=True)
-        assert path.read_bytes() == V3_FIXTURE.read_bytes()
+        assert path.read_bytes() == V3_RECIPE.read_bytes()
+        assert load_checkpoint(V3_RECIPE).metadata == load_checkpoint(V3_FIXTURE).metadata
 
     def test_loads_without_the_permutation(self, monkeypatch):
         """Only older files pay for the per-type index."""

@@ -177,14 +177,16 @@ class TestTrain:
 
     def test_overflowing_learning_rate_is_one_training_error_line(self, corpus_dir, capsys,
                                                                   tmp_path):
-        """The first update leaves huge weights and the next forward
-        overflows; numpy prints no warning before the error line."""
+        """The first update leaves weights too large for the next forward:
+        the error names the first of them in layout order, and numpy prints
+        no warning before the error line."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # pytest would keep a warning off stderr
             rc = main(["train", "--train", str(corpus_dir / "train"),
                        "--out", str(tmp_path / "r"), *TINY, "--lr", "1e30"])
         assert rc == 1
-        assert capsys.readouterr().err == "training error: non-finite loss nan at epoch 1\n"
+        assert capsys.readouterr().err == ("training error: parameter 'cross.k.b' beyond "
+                                           "float32's range after the update at epoch 1\n")
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -236,14 +236,17 @@ class TestSlotTypeAttention:
             type_param(model, "q.w", i)[:] = 0
             type_param(model, "q.b", i)[:] = 0
         u = rand_tensor(np.random.default_rng(2), (1, 5, 8), np.float32)
-        _, alpha = slot_type_attention(u, all_valid(5), model.params, model.config)
+        alpha = slot_type_attention(u, all_valid(5), model.params, model.config)
         assert alpha.shape == (1, model.config.n_slot_types, 5, 5)
         np.testing.assert_allclose(alpha.data, 0.2, atol=1e-7)
 
     def test_matches_naive_attention_oracle(self):
+        """Each type's map is its own single-head attention, and its logits
+        are its head over the values that map weighs."""
         model, _, _, _ = make_model(dtype=np.float64)
         u = rand_tensor(np.random.default_rng(3), (1, 4, 8))
-        h, alpha = slot_type_attention(u, all_valid(4), model.params, model.config)
+        alpha = slot_type_attention(u, all_valid(4), model.params, model.config)
+        g = slot_type_heads(u, alpha, model.params, model.config)
         for i in range(model.config.n_slot_types):
             p = lambda n: type_param(model, n, i)
             x = u.data[0]
@@ -254,7 +257,14 @@ class TestSlotTypeAttention:
             e = np.exp(scores - scores.max(-1, keepdims=True))
             a = e / e.sum(-1, keepdims=True)
             np.testing.assert_allclose(alpha.data[0, i], a, atol=1e-10)
-            np.testing.assert_allclose(h.data[0, i], a @ v, atol=1e-10)
+            want = (a @ v) @ p("head.w") + p("head.b")
+            np.testing.assert_allclose(g.data[0, :, i], want[:, 0], atol=1e-10)
+
+
+def row_stochastic(rng, shape):
+    """Random attention maps: positive rows that sum to one."""
+    a = rng.random(shape) + 0.1
+    return Tensor(a / a.sum(axis=-1, keepdims=True))
 
 
 class TestSlotTypeHeads:
@@ -263,34 +273,69 @@ class TestSlotTypeHeads:
         for i in range(model.config.n_slot_types):
             type_param(model, "head.w", i)[:] = 0
             type_param(model, "head.b", i)[:] = float(i)
-        h = rand_tensor(np.random.default_rng(0), (1, model.config.n_slot_types, 3, 4),
-                        np.float32)
-        g = slot_type_heads(h, model.params, model.config)
+        rng = np.random.default_rng(0)
+        u = rand_tensor(rng, (1, 3, 8), np.float32)
+        alpha = row_stochastic(rng, (1, model.config.n_slot_types, 3, 3))
+        g = slot_type_heads(u, alpha, model.params, model.config)
         for i in range(model.config.n_slot_types):
             np.testing.assert_allclose(g.data[0, :, i], float(i))
 
     def test_single_type_degenerates_to_binary_tagger(self):
         params = ParamSet()
         rng = np.random.default_rng(0)
+        params.add("type_gen.v.w", rng.standard_normal((8, 4)))
+        params.add("type_gen.v.b", rng.standard_normal(4))
         params.add("type_gen.head.w", rng.standard_normal((1, 4, 1)))
         params.add("type_gen.head.b", rng.standard_normal(1))
         config = ModelConfig(vocab_size=5, n_intents=2, n_slot_types=1,
                              n_bio_labels=1, d=8, d_h=4)
-        h = rand_tensor(rng, (1, 1, 3, 4))
-        g = slot_type_heads(h, params, config)
+        u = rand_tensor(rng, (1, 3, 8))
+        alpha = row_stochastic(rng, (1, 1, 3, 3))
+        g = slot_type_heads(u, alpha, params, config)
         assert g.shape == (1, 3, 1)
-        want = h.data[0, 0] @ params["type_gen.head.w"].data[0] + params["type_gen.head.b"].data
+        h = alpha.data[0, 0] @ (u.data[0] @ params["type_gen.v.w"].data
+                                + params["type_gen.v.b"].data)
+        want = h @ params["type_gen.head.w"].data[0] + params["type_gen.head.b"].data
         np.testing.assert_allclose(g.data[0], want, rtol=1e-12)
 
     def test_matches_per_type_oracle(self):
         model, _, _, _ = make_model(dtype=np.float64)
         rng = np.random.default_rng(9)
-        h = rand_tensor(rng, (2, model.config.n_slot_types, 5, 4))
-        g = slot_type_heads(h, model.params, model.config)
+        u = rand_tensor(rng, (2, 5, 8))
+        alpha = row_stochastic(rng, (2, model.config.n_slot_types, 5, 5))
+        g = slot_type_heads(u, alpha, model.params, model.config)
         for i in range(model.config.n_slot_types):
-            w = type_param(model, "head.w", i)
-            b = type_param(model, "head.b", i)
-            np.testing.assert_allclose(g.data[..., i], (h.data[:, i] @ w + b)[..., 0], atol=1e-12)
+            p = lambda n: type_param(model, n, i)
+            h = alpha.data[:, i] @ (u.data @ p("v.w") + p("v.b"))
+            np.testing.assert_allclose(g.data[..., i], (h @ p("head.w") + p("head.b"))[..., 0],
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("kw,made", [({}, ["transpose", "transpose"]),
+                                         ({"frozen_uniform_type_attention": True}, [])],
+                             ids=["full", "frozen"])
+    def test_no_per_type_values_in_training_or_inference(self, monkeypatch, kw, made):
+        """A training pass (with its backward) and an infer pass each build
+        no (B, |T|, L, d_h) array other than the queries and keys of the
+        learned maps: the values the maps weigh are one number per type and
+        token."""
+        model, batch, _, _ = make_model(d_h=6, dropout_rate=0.1, **kw)
+        per_type_width = (batch.size, model.config.n_slot_types, batch.max_len, 6)
+        ops = []
+        real = Tensor._node.__func__
+
+        def spy(cls, data, parents, op, *args, **kwargs):
+            if data.shape == per_type_width:
+                ops.append(op)
+            return real(cls, data, parents, op, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "_node", classmethod(spy))
+        out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        model.params.zero_grads()
+        backward(out.loss_total)
+        assert ops == made
+        ops.clear()
+        model.infer(batch)
+        assert ops == made
 
 
 class TestLosses:
@@ -611,8 +656,8 @@ def one_graph_losses(model, batch, rng):
     if config.has_aux_network:
         keep = dropout_mask((B, L, d), rate, rng, batch.lengths, params.dtype)
         u_hat = intent_fusion(u_e, g_intent, batch.mask, params, config, keep)
-        h, _ = slot_type_attention(u_hat, batch.mask, params, config)
-        g_type = slot_type_heads(h, params, config)
+        alpha = slot_type_attention(u_hat, batch.mask, params, config)
+        g_type = slot_type_heads(u_hat, alpha, params, config)
         loss_type = binary_cross_entropy(
             g_type, batch.aux_targets, int(batch.lengths.sum()) * config.n_slot_types,
             batch.mask[..., None] > 0)

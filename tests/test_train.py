@@ -181,6 +181,37 @@ class TestTrainModel:
                                      "at epoch 1$"):
                 train_model(corpus, maps, vocab, tiny_run(alpha=1e30))
 
+    def test_update_beyond_float32_names_the_parameter(self, corpus_setting, monkeypatch):
+        """A huge learning rate leaves finite gradients but moves the weights
+        past what the next forward can square; training stops after that
+        update, before the forward overflows, and numpy does not warn."""
+        corpus, maps, vocab = corpus_setting
+        steps = []
+        real_step = train.adam_step
+        monkeypatch.setattr(train, "adam_step",
+                            lambda *a, **kw: steps.append(real_step(*a, **kw)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError,
+                               match="parameter '[a-z0-9_.]+' beyond float32's range "
+                                     "after the update at epoch 1$"):
+                train_model(corpus, maps, vocab, tiny_run(lr=1e30))
+        assert len(steps) == 1
+
+    def test_non_finite_weight_after_the_update_names_it(self, corpus_setting, monkeypatch):
+        corpus, maps, vocab = corpus_setting
+        real_step = train.adam_step
+
+        def poisoned(params, **kw):
+            real_step(params, **kw)
+            params["slot.w"].data[1, 2] = np.nan
+
+        monkeypatch.setattr(train, "adam_step", poisoned)
+        with pytest.raises(TrainingDivergedError,
+                           match="parameter 'slot.w' beyond float32's range after the "
+                                 "update at epoch 1$"):
+            train_model(corpus, maps, vocab, tiny_run())
+
     def test_truncation_is_counted_once_over_epochs_and_sub_batches(self, corpus_setting,
                                                                     monkeypatch):
         """Ten 1-token utterances and one of 15 tokens in one batch at
