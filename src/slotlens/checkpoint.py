@@ -24,18 +24,19 @@ the label maps, vocab or tensors. The checkpoint carries its model,
 built around that buffer; load again for an independent model.
 
 Older files held the type generator as eight tensors per slot type
-(``type_gen.t{i}.*``), so their arenas are in another order. They load
-through one index permutation, derived from the config and applied to
-the parameter and moment arenas alike; a version 3 load builds none.
+(``type_gen.t{i}.*``). An index derived from the config maps each of
+those tensors to its elements in the current arenas; a version 3 load
+builds none.
 
 - ``FORMAT_VERSION`` 2 files have the version 3 layout in every other
-  respect. They pass the same length and CRC checks before the
-  permutation.
+  respect. They pass the same length and CRC checks, then one index
+  permutation, applied to the parameter and moment arenas alike, puts
+  them in the current order.
 - ``FORMAT_VERSION`` 1 files (no trailer, and a per-tensor table of
   names, shapes, dtypes and byte offsets into the blob) are read by the
   table reader, including tables that list only some moments. The table
-  must name exactly the tensors the config gives, in their shapes; then
-  the permutation runs.
+  must name exactly the tensors the config gives, in their shapes; each
+  entry is then copied from its offset straight into place.
 
 A re-save writes version 3.
 """
@@ -395,9 +396,9 @@ def _per_type_index(shapes: dict[str, tuple[int, ...]], n_types: int) -> dict[st
 
 
 def _restack(buf: np.ndarray, index: dict[str, np.ndarray]) -> np.ndarray:
-    """``buf``'s rows, arenas laid out as versions 1 and 2 stored them (the
-    tensors ``index`` names, back to back in sorted-name order), in the
-    current layout: one index permutation for every arena."""
+    """``buf``'s rows, arenas laid out as version 2 stored them (the tensors
+    ``index`` names, back to back in sorted-name order), in the current
+    layout: one index permutation for every arena."""
     out = np.empty_like(buf)
     out[:, np.concatenate([index[n].ravel() for n in sorted(index)])] = buf
     return out
@@ -405,74 +406,47 @@ def _restack(buf: np.ndarray, index: dict[str, np.ndarray]) -> np.ndarray:
 
 def _load_table(f, path, manifest: dict, blob_start: int, size: int) -> Checkpoint:
     """Read a version 1 file, whose manifest addresses every tensor through
-    its per-tensor table, and restack its type generator."""
+    its per-tensor table. The table must name, in one dtype, the tensors
+    the config gives in their shapes and moments of them; each is copied
+    from its offset straight to its place in the current arenas, and
+    moments the table leaves out stay zero."""
     _check_table(manifest, path, size - blob_start)
     config = _config_from_manifest(manifest["config"], path)
     maps, vocab = _labels_and_vocab(manifest, path)
-    stored, buf = _read_arenas(f, blob_start, manifest, path)
-    model = JointModel(config, rng=None)
-    index = _per_type_index(model.params.shapes(), config.n_slot_types)
-    if stored.keys() != index.keys():
-        raise CheckpointFormatError(
-            f"{path}: parameter names disagree with config: missing "
-            f"{sorted(index.keys() - stored.keys())}, extra {sorted(stored.keys() - index.keys())}"
-        )
-    for name, shape in stored.items():
-        if shape != index[name].shape:
-            raise CheckpointFormatError(f"{path}: tensor {name!r} has shape {shape}, "
-                                        f"its config gives {index[name].shape}")
-    o = manifest.get("optimizer") or None
-    return _checkpoint(path, manifest, model, maps, vocab, _restack(buf, index),
-                       o and o["step_count"])
-
-
-def _read_arenas(f, blob_start: int, manifest: dict, path):
-    """Read a version 1 blob into arenas laid out as the parameters its
-    table lists: the moment arenas (when the optimizer entry lists
-    moments), then the parameter arena, one row each of the returned
-    array, beside the table's parameter shapes. Tensors that lie back to
-    back in the file as in the arenas are read together, so a file the
-    version 1 writer wrote takes one read."""
     entries = manifest["params"]
-    o = manifest.get("optimizer") or None
-    moments = {f"adam.{kind}.{n}": (kind, n) for kind in "mv" for n in o[kind]} if o else {}
-    shapes = {e["name"]: tuple(e["shape"]) for e in entries if e["name"] not in moments}
-    if len({e["name"] for e in entries}) < len(entries):
+    names = {e["name"] for e in entries}
+    if len(names) < len(entries):
         raise CheckpointFormatError(f"{path}: manifest key 'params' repeats a tensor name")
     dtypes = sorted({e["dtype"] for e in entries})
     if len(dtypes) > 1:
         raise CheckpointFormatError(f"{path}: tensors mix dtypes {dtypes}")
-    dtype = _LE_DTYPES[dtypes[0] if dtypes else "float32"]
-    starts, total = arena_layout(shapes)
+    o = manifest.get("optimizer") or None
+    moments = {f"adam.{kind}.{n}": (kind, n) for kind in "mv" for n in o[kind]} if o else {}
+    model = JointModel(config, rng=None)
+    index = _per_type_index(model.params.shapes(), config.n_slot_types)
+    params = names - moments.keys()
+    if params != index.keys():
+        raise CheckpointFormatError(
+            f"{path}: parameter names disagree with config: missing "
+            f"{sorted(index.keys() - params)}, extra {sorted(params - index.keys())}"
+        )
     kinds = ("m", "v", "data") if moments else ("data",)
-    base = {kind: i * total for i, kind in enumerate(kinds)}
-    buf = np.zeros(len(kinds) * total, dtype)  # moments a file leaves out stay zero
-    into = memoryview(buf).cast("B")
-
-    def read(offset: int, dst: int, nbytes: int) -> None:
-        f.seek(blob_start + offset)
-        if f.readinto(into[dst : dst + nbytes]) != nbytes:
-            raise CheckpointCorruptError(f"{path}: blob ended while being read")
-
-    run = [0, 0, 0]  # file offset, arena byte offset, bytes
-    for entry in sorted(entries, key=itemgetter("offset")):
-        kind, name = "data", entry["name"]
-        if name in moments:
-            kind, name = moments[name]
-            if shapes.get(name) != tuple(entry["shape"]):
-                raise CheckpointFormatError(
-                    f"{path}: tensor {entry['name']!r} has shape {tuple(entry['shape'])}, "
-                    f"but parameter {name!r} is {shapes.get(name, 'not stored')}"
-                )
-        dst = (base[kind] + starts[name]) * dtype.itemsize
-        if entry["offset"] == run[0] + run[2] and dst == run[1] + run[2]:
-            run[2] += entry["nbytes"]
-        else:
-            read(*run)
-            run = [entry["offset"], dst, entry["nbytes"]]
-    read(*run)
-
-    return shapes, buf.reshape(len(kinds), total)
+    dtype = _LE_DTYPES[dtypes[0]]
+    buf = np.zeros((len(kinds), sum(i.size for i in index.values())), dtype)
+    blob = f.read(size - blob_start)
+    if len(blob) != size - blob_start:
+        raise CheckpointCorruptError(f"{path}: blob ended while being read")
+    for entry in entries:
+        kind, name = moments.get(entry["name"], ("data", entry["name"]))
+        shape, want = tuple(entry["shape"]), getattr(index.get(name), "shape", "not stored")
+        if shape != want:
+            raise CheckpointFormatError(
+                f"{path}: tensor {entry['name']!r} has shape {shape}, "
+                + (f"its config gives {want}" if kind == "data"
+                   else f"but parameter {name!r} is {want}"))
+        buf[kinds.index(kind), index[name]] = np.frombuffer(
+            blob, dtype, math.prod(shape), entry["offset"]).reshape(shape)
+    return _checkpoint(path, manifest, model, maps, vocab, buf, o and o["step_count"])
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> JointModel:

@@ -283,7 +283,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.data)
-    check_labels(corpus, ckpt.label_maps, ckpt.config.max_positions - 1,
+    check_labels(corpus, ckpt.label_maps, ckpt.config.max_len,
                  where=f"corpus {args.data}: ")
     metrics = evaluate(ckpt.model, corpus, ckpt.label_maps, ckpt.vocab)
     text = metrics_to_tsv(metrics)
@@ -327,7 +327,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.data)
-    check_labels(corpus, ckpt.label_maps, ckpt.config.max_positions - 1,
+    check_labels(corpus, ckpt.label_maps, ckpt.config.max_len,
                  where=f"corpus {args.data}: ")
     report = topk_entropy_analysis(
         ckpt.model, corpus, args.k, ckpt.label_maps, ckpt.vocab,

@@ -166,8 +166,8 @@ class Vocab:
 
     @classmethod
     def build(cls, corpus: list[Utterance]) -> "Vocab":
-        words = sorted({tok.lower() for u in corpus for tok in u.tokens})
-        return cls(words)
+        words = {tok.lower() for u in corpus for tok in u.tokens}
+        return cls(sorted(words - {PAD_TOKEN, UNK_TOKEN}))  # lookup maps them to their ids
 
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token.lower(), UNK_ID)

@@ -121,7 +121,7 @@ def _extraction(
     tagged slot falls back to the tags the same pass predicts for it
     (argmax, ties to the lower index). "O" is never positive.
     """
-    max_len = model.config.max_positions - 1
+    max_len = model.config.max_len
     keys = [(tuple(u.tokens[:max_len]), tuple(u.bio_tags[:max_len])) for u in utterances]
     distinct = dict(zip(keys, utterances))  # one utterance per key, first-seen order
     index = {k: i for i, k in enumerate(distinct)}

@@ -94,6 +94,11 @@ class ModelConfig:
             )
 
     @property
+    def max_len(self) -> int:
+        """The most tokens an utterance keeps: one position goes to CLS."""
+        return self.max_positions - 1
+
+    @property
     def has_aux_network(self) -> bool:
         return not self.no_aux_network
 

@@ -216,13 +216,13 @@ def evaluate(
     """Intent accuracy plus exact-span-match micro precision/recall/F1.
 
     Utterances are truncated to ``max_len`` tokens, by default the longest
-    the model takes (``max_positions - 1``), and run in length groups of at
+    the model takes (``config.max_len``), and run in length groups of at
     most ``batch_size`` (see :func:`length_groups`).
     """
     if not corpus:
         raise ValueError("cannot evaluate an empty corpus")
     if max_len is None:
-        max_len = model.config.max_positions - 1
+        max_len = model.config.max_len
     correct = 0
     gold_spans, pred_spans = [], []
     for idx in length_groups(corpus, max_len, batch_size):

@@ -132,6 +132,16 @@ def _transpose_a_moment(manifest):
     entry["shape"] = entry["shape"][::-1]
 
 
+def _move_a_moment_to_no_parameter(manifest):
+    """Rename the stored moment ``adam.m.slot.w`` to ``adam.m.no.such`` and
+    list ``no.such`` in its place, so the table is consistent on its own
+    terms but the moment belongs to no parameter."""
+    entry = next(e for e in manifest["params"] if e["name"] == "adam.m.slot.w")
+    entry["name"] = "adam.m.no.such"
+    names = manifest["optimizer"]["m"]
+    names[names.index("slot.w")] = "no.such"
+
+
 class TestErrorKinds:
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "x.ckpt"
@@ -318,10 +328,12 @@ class TestErrorKinds:
             dtype="float16", shape=[m["params"][-1]["nbytes"] // 2])),
          "tensors mix dtypes"),
         (table_edit(_transpose_a_moment), "but parameter"),
+        (table_edit(_move_a_moment_to_no_parameter), re.escape(
+            "tensor 'adam.m.no.such' has shape (8, 9), but parameter 'no.such' is not stored")),
     ], ids=["same-offset", "inside", "no-reserved-tokens", "reserved-tokens-moved",
             "no-step-count", "negative-step-count", "string-step-count", "string-m",
             "repeated-v", "m-without-tensor", "list-optimizer", "repeated-name",
-            "mixed-dtypes", "moment-shape"])
+            "mixed-dtypes", "moment-shape", "moment-of-no-parameter"])
     def test_inconsistent_manifest_names_key(self, setting, tmp_path, v1_copy, edit, where):
         corpus, maps, vocab, model = setting
         path = edited_copy(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,

@@ -163,6 +163,16 @@ class TestTrain:
         assert not any((out / name).exists() for name in
                        ("checkpoint.ckpt", "train_curve.tsv", "train_metrics.tsv"))
 
+    @pytest.mark.parametrize("word", ["<unk>", "<UNK>", "<Pad>"])
+    def test_corpus_holding_a_reserved_token_trains(self, capsys, tmp_path, word):
+        write_corpus([Utterance(["fly", word, "boston"], "book_flight", ["O", "O", "B-city"]),
+                      Utterance(["hello"], "greet", ["O"])], tmp_path / "c")
+        rc = main(["train", "--train", str(tmp_path / "c"), "--out", str(tmp_path / "r"),
+                   *TINY, "--epochs", "1"])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        vocab = load_checkpoint(tmp_path / "r" / "checkpoint.ckpt").vocab
+        assert vocab.id_to_token == ["<pad>", "<unk>", "boston", "fly", "hello"]
+
     def test_missing_corpus_is_categorized(self, capsys, tmp_path):
         rc = main(["train", "--train", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "r"), *TINY])

@@ -11,7 +11,9 @@ from slotlens import data, synth
 from slotlens.checkpoint import save_checkpoint
 from slotlens.data import (
     PAD_ID,
+    PAD_TOKEN,
     UNK_ID,
+    UNK_TOKEN,
     Batch,
     BioValidationError,
     CorpusFormatError,
@@ -283,6 +285,15 @@ class TestEncodeBatch:
     def test_lookup_is_case_insensitive(self, setting):
         _, _, vocab = setting
         assert vocab.lookup("Boston") == vocab.lookup("boston") != UNK_ID
+
+    def test_corpus_words_spelled_as_reserved_tokens_build(self):
+        """A corpus word spelled as a reserved token, in any case, takes no
+        second entry: it maps to the reserved id."""
+        corpus = [Utterance(["<UNK>", "to", "<pad>"], "x", ["O"] * 3),
+                  Utterance(["<unk>", "<Pad>"], "x", ["O"] * 2)]
+        vocab = Vocab.build(corpus)
+        assert vocab.id_to_token == [PAD_TOKEN, UNK_TOKEN, "to"]
+        assert [vocab.lookup(t) for t in corpus[0].tokens] == [UNK_ID, 2, PAD_ID]
 
     def test_targets_and_aux_agree(self, setting):
         corpus, maps, vocab = setting

@@ -4,20 +4,22 @@ Damaged checkpoints (truncated at seeded offsets, seeded bytes flipped in
 the length field, the manifest and the tensor blob), fresh ones and the
 committed version 2 fixture alike, must end in exit 1 and exactly one
 ``checkpoint error:`` line. A damaged version 1 file, which
-carries no checksum, and config files with seeded bad values must each end
+carries no checksum, one whose per-tensor table has a seeded edit, and
+config files with seeded bad values must each end
 in exit 0 or in exactly one categorized stderr line with exit 1, and so
 must ``train`` with each numeric flag at a value from ``FLAG_VALUES``.
 Corpus files with a seeded defect must end in exit 1 and exactly one
 ``data error:`` line. None may end in an uncaught exception.
 """
 
+import math
 import warnings
 from dataclasses import fields
 from typing import get_type_hints
 
 import numpy as np
 import pytest
-from conftest import V1_FIXTURE, V2_FIXTURE
+from conftest import V1_FIXTURE, V2_FIXTURE, rewrite_manifest
 
 from slotlens import optim
 from slotlens.cli import ERROR_CATEGORIES, main
@@ -126,6 +128,76 @@ def test_damaged_v1_checkpoint_keeps_the_contract(setting, capsys, kind, case):
     root, _ = setting
     path = root / f"v1-{kind}-{case}.ckpt"
     path.write_bytes(damaged(V1_FIXTURE.read_bytes(), kind, case))
+    capsys.readouterr()
+    rc = read_with(root, path, case)
+    assert_contract(rc, capsys.readouterr(), {"checkpoint error"})
+
+
+def edit_table(manifest, kind, case):
+    """One seeded edit of a version 1 manifest's per-tensor table: an entry
+    dropped, renamed or duplicated; its shape, offset, byte count or dtype
+    changed; or a moment's name moved between the optimizer's ``m`` and
+    ``v`` lists. Some edits keep the table consistent on its own terms
+    (a reshape that keeps the byte count, two entries that swap offsets or
+    names, a moment renamed with its listing), so they reach the checks
+    against the config, or load."""
+    rng = np.random.default_rng([case, len(kind), 2])
+    pick = lambda seq: seq[int(rng.integers(len(seq)))]  # noqa: E731
+    entries, optimizer = manifest["params"], manifest["optimizer"]
+    entry = pick(entries)
+    same_size = [e for e in entries if e["nbytes"] == entry["nbytes"] and e is not entry]
+    variant = case % 3
+    if kind == "drop":
+        entries.remove(entry)
+    elif kind == "rename" and variant == 0 and same_size:
+        other = pick(same_size)
+        entry["name"], other["name"] = other["name"], entry["name"]
+    elif kind == "rename" and variant == 1:  # a moment and its listing, to no parameter
+        moment = pick([e for e in entries if e["name"].startswith("adam.")])
+        _, k, name = moment["name"].split(".", 2)
+        optimizer[k][optimizer[k].index(name)] = name + ".x"
+        moment["name"] += ".x"
+    elif kind == "rename":
+        names = [e["name"] for e in entries] + [
+            "no.such", "adam.m.no.such", "adam.v." + entry["name"].removeprefix("adam.m.")]
+        entry["name"] = pick([n for n in names if n != entry["name"]])
+    elif kind == "duplicate":
+        entries.append({**entry, "name": entry["name"] if variant else entry["name"] + ".x"})
+    elif kind == "shape":
+        n, shape = math.prod(entry["shape"]), entry["shape"]
+        shapes = [shape[::-1]] if variant == 0 else [[n], [1, n], [n + 1], shape + [1], []]
+        entry["shape"] = pick([s for s in shapes if s != shape] or [[n + 1]])
+    elif kind == "offset" and variant == 0 and same_size:
+        other = pick(same_size)
+        entry["offset"], other["offset"] = other["offset"], entry["offset"]
+    elif kind == "offset":
+        entry["offset"] += int(rng.integers(-12, 13)) or 1
+    elif kind == "nbytes":
+        entry["nbytes"] += pick([-4, -1, 1, 4, entry["nbytes"]])
+    elif kind == "dtype":
+        entry["dtype"] = pick(["float16", "float64", "int32"])
+    else:  # move
+        src, dst = pick([("m", "v"), ("v", "m")])
+        name = optimizer[src].pop(int(rng.integers(len(optimizer[src]))))
+        if variant == 1:
+            optimizer[dst].append(name)
+        elif variant == 2:  # its stored moment too, onto the other kind's name
+            next(e for e in entries if e["name"] == f"adam.{src}.{name}")["name"] = \
+                f"adam.{dst}.{name}"
+
+
+@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("kind", ["drop", "rename", "duplicate", "shape", "offset",
+                                  "nbytes", "dtype", "move"])
+def test_edited_v1_table_keeps_the_contract(setting, capsys, kind, case):
+    """A version 1 table edited so that it may still parse, but may name,
+    place or size its tensors wrongly: each ends in a load or one
+    ``checkpoint error:`` line."""
+    root, _ = setting
+    path = root / f"v1-table-{kind}-{case}.ckpt"
+    path.write_bytes(V1_FIXTURE.read_bytes())
+    rewrite_manifest(path, lambda m: edit_table(m, kind, case))
+    assert path.read_bytes() != V1_FIXTURE.read_bytes()
     capsys.readouterr()
     rc = read_with(root, path, case)
     assert_contract(rc, capsys.readouterr(), {"checkpoint error"})
