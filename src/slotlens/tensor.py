@@ -10,6 +10,11 @@ The op set is deliberately small: exactly the primitives the network needs.
 Float32 is the training dtype; float64 graphs are supported for gradient
 checking (the dtype of a graph is inherited from its leaves).  Inside
 :func:`no_grad` the same ops record no graph, for inference.
+
+Kernels may update their own fresh arrays in place, under two rules: a
+backward closure never writes into its incoming gradient ``g`` (``add``
+hands one array to both parents), and no op writes into an array a node
+keeps for its backward (``p``, ``xhat``, ``flat``) once the node exists.
 """
 
 from __future__ import annotations
@@ -195,13 +200,20 @@ def matmul(a, b) -> Tensor:
         data = a.data @ b.data
     except ValueError:
         raise ShapeError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
-    return Tensor._node(
-        data, (a, b), "matmul",
-        lambda g: (
-            _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
-            _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape),
-        ),
-    )
+
+    def _bw(g):
+        ga = gb = None
+        if a.requires_grad:
+            bt = b.data.swapaxes(-1, -2)
+            # an inner dimension of 1 makes g @ bt an outer product: the
+            # broadcast multiply gives the same values, faster (a zero
+            # times a negative is -0.0 here where the matmul gives +0.0)
+            ga = _unbroadcast(g * bt if bt.shape[-2] == 1 else g @ bt, a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        return ga, gb
+
+    return Tensor._node(data, (a, b), "matmul", _bw)
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -311,6 +323,28 @@ def sum_all(x: Tensor) -> Tensor:
 # normalization, masking, regularization ------------------------------------
 
 
+def _row_max(p: np.ndarray) -> np.ndarray:
+    """``p.max(axis=-1, keepdims=True)`` as a new array, by halving the last
+    axis with ``np.maximum``: at rows of a few dozen entries numpy's
+    ``max`` pays a per-row cost that a few whole-array passes avoid. An odd
+    length folds its last column into column 0. Max is exact in any order,
+    and ``np.maximum`` propagates NaN as ``max`` does."""
+    n = p.shape[-1]
+    if n < 2:
+        return p.max(axis=-1, keepdims=True)
+    h = n // 2
+    m = np.maximum(p[..., :h], p[..., h:2 * h])
+    if n % 2:
+        np.maximum(m[..., :1], p[..., -1:], out=m[..., :1])
+    while h > 1:
+        n, h = h, h // 2
+        np.maximum(m[..., :h], m[..., h:2 * h], out=m[..., :h])
+        if n % 2:
+            np.maximum(m[..., :1], m[..., n - 1:n], out=m[..., :1])
+        m = m[..., :h]
+    return m
+
+
 def softmax_masked(x: Tensor, mask, scale: float = 1.0) -> Tensor:
     """Softmax of ``scale * x`` over the last dimension, restricted to valid
     positions.
@@ -319,8 +353,8 @@ def softmax_masked(x: Tensor, mask, scale: float = 1.0) -> Tensor:
     dimension shared by all rows, or a key-padding mask such as
     ``(B, 1, 1, L)`` for ``(B, H, L, L)`` scores.  1/True marks valid
     positions.  Masked positions are exactly zero in the output and receive
-    zero gradient.  Raises if some row has no valid position (its
-    distribution would be undefined).
+    zero gradient, whatever their score (inf and NaN included).  Raises if
+    some row has no valid position (its distribution would be undefined).
     """
     x = _as_tensor(x)
     scale = float(scale)
@@ -338,7 +372,7 @@ def softmax_masked(x: Tensor, mask, scale: float = 1.0) -> Tensor:
     # one array, updated in place: attention scores are the largest tensors
     p = x.data * scale
     np.copyto(p, -np.inf, where=~valid)
-    p -= p.max(axis=-1, keepdims=True)
+    p -= _row_max(p)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
@@ -360,24 +394,35 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match last dim {n}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the float32 operations np.mean and np.var perform, each done once
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= n
+    xhat = x.data - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True)
+    var /= n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += bias.data
 
     def _bw(g):
         reduce_axes = tuple(range(g.ndim - 1))
         g_gain = (g * xhat).sum(axis=reduce_axes) if g.ndim > 1 else g * xhat
         g_bias = g.sum(axis=reduce_axes) if g.ndim > 1 else g
+        # gx = inv_std * (g_hat - mean(g_hat) - xhat * mean(g_hat * xhat))
         g_hat = g * gain.data
-        gx = inv_std * (
-            g_hat
-            - g_hat.mean(axis=-1, keepdims=True)
-            - xhat * (g_hat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return gx, g_gain, g_bias
+        mean_g = g_hat.sum(axis=-1, keepdims=True)
+        mean_g /= n
+        t = g_hat * xhat
+        mean_gx = t.sum(axis=-1, keepdims=True)
+        mean_gx /= n
+        g_hat -= mean_g
+        np.multiply(xhat, mean_gx, out=t)
+        g_hat -= t
+        g_hat *= inv_std
+        return g_hat, g_gain, g_bias
 
-    return Tensor._node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", _bw)
+    return Tensor._node(out, (x, gain, bias), "layer_norm", _bw)
 
 
 def dropout_mask(
@@ -433,7 +478,7 @@ def cross_entropy_rows(logits: Tensor, targets, n: float = 1.0) -> Tensor:
     if targets.size and (targets.min() < -1 or targets.max() >= n_classes):
         raise IndexError(f"cross_entropy_rows: target out of range for {n_classes} classes")
     hot = targets[..., None] == np.arange(n_classes)  # all False on pad rows
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    shifted = logits.data - _row_max(logits.data)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     loss = ((lse - shifted) * hot).sum() / n
     p = np.exp(shifted - lse)

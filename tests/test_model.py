@@ -5,6 +5,7 @@ import pytest
 from conftest import per_type
 
 from slotlens import model as model_module
+from slotlens import tensor as tensor_module
 from slotlens.data import Utterance, build_label_maps, encode_batch, Vocab
 from slotlens.encoder import declare_encoder_params, encode
 from slotlens.gradcheck import finite_diff_check
@@ -336,6 +337,20 @@ class TestSlotTypeHeads:
         ops.clear()
         model.infer(batch)
         assert ops == made
+
+    def test_frozen_training_forms_no_gradient_for_the_constant_maps(self, monkeypatch):
+        """In frozen-uniform mode the maps are constants, so no backward
+        closure forms a (B, |T|, L, L) gradient for them."""
+        model, batch, _, _ = make_model(n_heads=4, frozen_uniform_type_attention=True)
+        maps_shape = (batch.size, model.config.n_slot_types, batch.max_len, batch.max_len)
+        formed = []
+        real = tensor_module._unbroadcast
+        monkeypatch.setattr(tensor_module, "_unbroadcast",
+                            lambda grad, shape: formed.append(grad.shape) or real(grad, shape))
+        out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        model.params.zero_grads()
+        backward(out.loss_total)
+        assert formed and maps_shape not in formed
 
 
 class TestLosses:

@@ -74,6 +74,64 @@ class TestElementary:
         np.testing.assert_allclose(a.grad, np.ones((2, 4)) @ b.data.T)
         np.testing.assert_allclose(b.grad, a.data.T @ np.ones((2, 4)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_inner_dim_one_gradient_equals_the_matmul_form(self, dtype):
+        """With b's last axis 1, a's gradient is an outer product, formed as
+        a broadcast multiply: the values are those of ``g @ b^T``, bit for
+        bit except that a zero of ``g`` times a negative of ``b`` gives -0.0
+        where the matmul gives +0.0."""
+        rng = np.random.default_rng(2)
+        a = Tensor(rng.normal(size=(2, 3, 4, 5)).astype(dtype), requires_grad=True)
+        b_data = rng.normal(size=(2, 3, 5, 1)).astype(dtype)
+        b_data[..., 0, 0] = -1.5
+        b = Tensor(b_data, requires_grad=True)
+        g = rng.normal(size=(2, 3, 4, 1)).astype(dtype)
+        g[..., 1, 0] = 0.0  # a zero gradient, as at a pad position
+        backward(T.sum_all(T.mul(T.matmul(a, b), Tensor(g))))
+        assert a.grad.dtype == dtype
+        matmul_form = g @ b.data.swapaxes(-1, -2)
+        assert np.array_equal(a.grad, matmul_form)
+        nonzero = matmul_form != 0
+        assert np.array_equal(a.grad[nonzero].view(f"u{a.grad.itemsize}"),
+                              matmul_form[nonzero].view(f"u{a.grad.itemsize}"))
+        assert np.signbit(a.grad[..., 1, 0]).all()
+        assert np.array_equal(b.grad, a.data.swapaxes(-1, -2) @ g)
+
+    def test_matmul_forms_no_gradient_for_a_constant_operand(self, monkeypatch):
+        formed = []
+        real = T._unbroadcast
+        monkeypatch.setattr(T, "_unbroadcast",
+                            lambda grad, shape: formed.append(shape) or real(grad, shape))
+        rng = np.random.default_rng(3)
+        const = Tensor(rng.normal(size=(2, 4, 4)))
+        w = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        backward(T.sum_all(T.matmul(const, w)))
+        assert formed == [(2, 4, 3)]
+        np.testing.assert_allclose(w.grad, const.data.swapaxes(-1, -2) @ np.ones((2, 4, 3)))
+
+
+class TestRowMax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_numpy_max_with_non_finite_and_signed_zero_entries(self, dtype):
+        rng = np.random.default_rng(5)
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=dtype)
+        for n in range(1, 71):
+            p = rng.normal(size=(6, 3, n)).astype(dtype)
+            # row 0 stays finite, row 5 is all -inf, the rest get a few specials
+            for row in p[1:5]:
+                at = rng.integers(0, n, size=(3, 2))
+                row[np.arange(3)[:, None], at] = rng.choice(specials, size=(3, 2))
+            p[5] = -np.inf
+            got = T._row_max(p)
+            assert got.shape == (6, 3, 1)
+            assert np.array_equal(got, p.max(axis=-1, keepdims=True), equal_nan=True), n
+            assert not np.shares_memory(got, p)
+
+    def test_subtracting_it_in_place_is_safe_at_length_one(self):
+        p = np.array([[3.0], [-2.0], [-0.0]])
+        p -= T._row_max(p)
+        np.testing.assert_array_equal(p, 0.0)
+
 
 class TestSoftmaxMasked:
     def test_uniform_over_valid(self):
@@ -121,8 +179,59 @@ class TestSoftmaxMasked:
             np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-9)
             np.testing.assert_array_equal(p.data[:, mask == 0], 0.0)
 
+    def test_non_finite_scores_at_masked_keys_change_no_bits(self):
+        """A masked key is -inf whatever its score, so an inf or NaN score
+        at a pad key leaves every weight as a finite one gives."""
+        rng = np.random.default_rng(11)
+        lengths = np.array([13, 9, 4])
+        keys = (np.arange(13) < lengths[:, None])[:, None, None, :]  # (B, 1, 1, L)
+        x = rng.normal(scale=3.0, size=(3, 5, 13, 13)).astype(np.float32)
+        want = T.softmax_masked(Tensor(x), keys, 0.25).data
+        for bad in (np.inf, -np.inf, np.nan):
+            y = x.copy()
+            y[np.broadcast_to(~keys, y.shape)] = bad
+            assert np.array_equal(T.softmax_masked(Tensor(y), keys, 0.25).data, want)
+
+
+def _reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Layer norm's output and its gradients for the output gradient ``g``,
+    through ``np.mean`` and ``np.var``: the formula :func:`layer_norm`
+    must reproduce bit for bit."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    reduce_axes = tuple(range(g.ndim - 1))
+    g_gain = (g * xhat).sum(axis=reduce_axes) if g.ndim > 1 else g * xhat
+    g_bias = g.sum(axis=reduce_axes) if g.ndim > 1 else g
+    g_hat = g * gain
+    gx = inv_std * (
+        g_hat
+        - g_hat.mean(axis=-1, keepdims=True)
+        - xhat * (g_hat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return xhat * gain + bias, gx, g_gain, g_bias
+
 
 class TestLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [64, 67, 68])
+    @pytest.mark.parametrize("lead", [(29, 14), ()], ids=["batch", "row"])
+    def test_forward_and_backward_match_the_mean_var_formula_bit_for_bit(
+            self, dtype, width, lead):
+        rng = np.random.default_rng(width)
+        shape = (*lead, width)
+        x = Tensor((rng.normal(size=shape) * 3 + 1).astype(dtype), requires_grad=True)
+        gain = Tensor(rng.normal(size=width).astype(dtype), requires_grad=True)
+        bias = Tensor(rng.normal(size=width).astype(dtype), requires_grad=True)
+        g = rng.normal(size=shape).astype(dtype)
+        out = T.layer_norm(x, gain, bias)
+        backward(T.sum_all(T.mul(out, Tensor(g))))
+        want = _reference_layer_norm(x.data, gain.data, bias.data, g)
+        for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
+            assert got.dtype == dtype
+            assert np.array_equal(got, ref)
+
     def _ln(self, x, eps=1e-5):
         n = x.shape[-1]
         return T.layer_norm(Tensor(x), Tensor(np.ones(n)), Tensor(np.zeros(n)), eps=eps)
@@ -239,6 +348,21 @@ class TestCrossEntropy:
         want = sum(T.cross_entropy_rows(Tensor(logits[b, i]), targets[b, i]).item()
                    for b, i in [(0, 0), (0, 1), (1, 0)]) / 2
         assert got == pytest.approx(want, rel=1e-9)
+
+
+    def test_loss_and_gradient_match_the_numpy_max_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        logits = Tensor((rng.normal(size=(7, 13, 23)) * 4).astype(np.float32),
+                        requires_grad=True)
+        targets = rng.integers(-1, 23, size=(7, 13))
+        loss = T.cross_entropy_rows(logits, targets, n=7)
+        backward(loss)
+        shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        hot = targets[..., None] == np.arange(23)
+        assert loss.data == ((lse - shifted) * hot).sum() / 7
+        want = (np.exp(shifted - lse) - hot) * (targets >= 0)[..., None] * np.float32(1 / 7)
+        assert np.array_equal(logits.grad, want)
 
 
 class TestBinaryCrossEntropy:
