@@ -47,6 +47,7 @@ import functools
 import json
 import math
 import os
+import weakref
 import zlib
 from dataclasses import MISSING, asdict, dataclass, fields
 from operator import itemgetter
@@ -336,12 +337,17 @@ def _load_derived(f, path, manifest: dict, header: bytes, size: int,
     shapes = model.params.shapes()
     total = sum(map(math.prod, shapes.values()))
     n_arenas = 3 if o and o["moments"] else 1
-    end = len(header) + n_arenas * total * dtype.itemsize + _TRAILER
+    nbytes = n_arenas * total * dtype.itemsize
+    end = len(header) + nbytes + _TRAILER
     if size != end:
         where = "extends past end of file" if size < end else "is followed by extra bytes"
         raise CheckpointCorruptError(f"{path}: tensor data {where}: the file has {size} "
                                      f"bytes, its manifest's layout takes {end}")
-    buf = np.empty((n_arenas, total), dtype)
+    # in the memory of the last buffer read into and let go: the heap hands
+    # freed memory back to the system, and faulting it in again cost loads
+    # up to a third more, on some heap layouts and not others
+    buf = np.ndarray((n_arenas, total), dtype, _spare.pop(nbytes, None) or bytearray(nbytes))
+    weakref.finalize(buf, _keep, buf.base)
     blob = memoryview(buf).cast("B")
     trailer = bytearray(_TRAILER)
     if f.readinto(blob) != len(blob) or f.readinto(trailer) != _TRAILER:
@@ -361,7 +367,12 @@ def _checkpoint(path, manifest: dict, model: JointModel, maps, vocab, buf: np.nd
                 step_count: int | None) -> Checkpoint:
     """The :class:`Checkpoint` whose ``model``, declared but not allocated,
     is built around ``buf``: its rows are the model's arenas, ``m``, ``v``
-    and ``data``, or ``data`` alone."""
+    and ``data``, or ``data`` alone. The config must size the stored maps."""
+    for key, stored in (("vocab_size", len(vocab)), ("n_intents", maps.n_intents),
+                        ("n_slot_types", maps.n_slot_types)):
+        if (value := getattr(model.config, key)) != stored:
+            raise CheckpointFormatError(f"{path}: config key {key!r} is {value}, but the "
+                                        f"stored vocab and label maps give {stored}")
     arenas = dict(zip(("m", "v", "data") if len(buf) == 3 else ("data",), buf))
     model.params.allocate(buf.dtype, arenas)
     model.params.step_count = step_count or 0
@@ -393,6 +404,14 @@ def _per_type_index(shapes: dict[str, tuple[int, ...]], n_types: int) -> dict[st
         parts = list(seg) if name == "type_gen.head.w" else np.split(seg, n_types, axis=-1)
         index.update((f"type_gen.t{i}.{p}.{kind}", part) for i, part in enumerate(parts))
     return index
+
+
+_spare: dict[int, bytearray] = {}  # the last read buffer's memory, by size
+
+
+def _keep(raw: bytearray) -> None:
+    _spare.clear()
+    _spare[len(raw)] = raw
 
 
 def _restack(buf: np.ndarray, index: dict[str, np.ndarray]) -> np.ndarray:

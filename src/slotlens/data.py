@@ -103,9 +103,9 @@ class LabelMaps:
     """The three label inventories with stable (lexicographic) indices.
 
     ``slot_types`` always contains the literal "O"; ``bio_labels`` holds
-    "O" plus B-x/I-x for each non-O type, so |bio| == 2*(|types|-1) + 1.
-    ``bio_type_column`` maps each BIO index to its slot type's index, or
-    to -1 for a label whose type is not in ``slot_types``.
+    exactly "O" plus B-x and I-x for each non-O type x, in any order, so
+    |bio| == 2*(|types|-1) + 1. Neither list repeats an entry.
+    ``bio_type_column`` maps each BIO index to its slot type's index.
     """
 
     intents: list[str]
@@ -119,14 +119,16 @@ class LabelMaps:
     def __post_init__(self):
         if OUTSIDE not in self.slot_types:
             raise ValueError('slot type inventory must contain "O"')
-        if len(self.bio_labels) != 2 * (len(self.slot_types) - 1) + 1:
+        implied = [f"{b}-{t}" for t in self.slot_types if t != OUTSIDE for b in "BI"]
+        if (len(set(self.slot_types)) < len(self.slot_types)
+                or sorted(self.bio_labels) != sorted([OUTSIDE, *implied])):
             raise ValueError("BIO label inventory inconsistent with slot types")
         self.intent_index = {x: i for i, x in enumerate(self.intents)}
         self.slot_type_index = {x: i for i, x in enumerate(self.slot_types)}
         self.bio_index = {x: i for i, x in enumerate(self.bio_labels)}
         self.bio_type_column = np.array(
-            [self.slot_type_index.get(_tag_type(tag), -1) for tag in self.bio_labels],
-            dtype=np.int64)
+            [self.slot_type_index[OUTSIDE if tag == OUTSIDE else tag[2:]]
+             for tag in self.bio_labels], dtype=np.int64)
 
     @property
     def n_intents(self) -> int:
@@ -276,26 +278,13 @@ def check_labels(corpus: list[Utterance], maps: LabelMaps, max_len: int | None =
 # auxiliary binary targets ----------------------------------------------------
 
 
-def _tag_type(tag: str) -> str | None:
-    """The slot type of a BIO tag, or None if it is not one."""
-    if tag == OUTSIDE:
-        return OUTSIDE
-    return tag[2:] if tag.startswith(("B-", "I-")) else None
-
-
-def _type_column(tag: str, maps: LabelMaps) -> int:
-    """The slot-type column of ``tag``, or UnknownLabelError saying why it
-    has none."""
-    i = maps.bio_index.get(tag)
-    if i is not None and maps.bio_type_column[i] >= 0:
-        return int(maps.bio_type_column[i])
-    kind = _tag_type(tag)
-    if kind is None:
-        raise UnknownLabelError(f"unknown BIO tag {tag!r}")
-    col = maps.slot_type_index.get(kind)
-    if col is None:
-        raise UnknownLabelError(f"slot type {kind!r} not in label maps")
-    return col
+def _bio_ids(tags: list[str], maps: LabelMaps) -> list[int]:
+    """The BIO index of each tag, or UnknownLabelError naming the first
+    tag ``maps`` does not hold."""
+    try:
+        return [maps.bio_index[tag] for tag in tags]
+    except KeyError as e:
+        raise UnknownLabelError(f"unknown BIO label {e.args[0]!r}") from None
 
 
 def generate_aux_targets(bio_tags: list[str], maps: LabelMaps) -> np.ndarray:
@@ -305,7 +294,7 @@ def generate_aux_targets(bio_tags: list[str], maps: LabelMaps) -> np.ndarray:
     the O column has 1 exactly at non-slot tokens.
     """
     out = np.zeros((len(bio_tags), maps.n_slot_types), dtype=np.float32)
-    out[np.arange(len(bio_tags)), [_type_column(tag, maps) for tag in bio_tags]] = 1.0
+    out[np.arange(len(bio_tags)), maps.bio_type_column[_bio_ids(bio_tags, maps)]] = 1.0
     return out
 
 
@@ -316,8 +305,8 @@ def generate_aux_targets(bio_tags: list[str], maps: LabelMaps) -> np.ndarray:
 class Batch:
     """Padded, index-encoded utterances ready for the network.
 
-    Pad positions are zero in ``mask``, flagged -1 in ``slot_targets``, and
-    all-zero in ``aux_targets``; they never contribute to a loss.
+    Pad positions are zero in ``mask`` and flagged -1 in ``slot_targets``
+    and ``type_targets``; they never contribute to a loss.
     """
 
     token_ids: np.ndarray  # (B, L) int64
@@ -325,7 +314,7 @@ class Batch:
     lengths: np.ndarray  # (B,) int64
     intent_targets: np.ndarray  # (B,) int64
     slot_targets: np.ndarray  # (B, L) int64, -1 at pad
-    aux_targets: np.ndarray  # (B, L, |T|) float32
+    type_targets: np.ndarray  # (B, L) int64, each tag's slot type, -1 at pad
     truncated: int = 0  # count of utterances that lost tail tokens
 
     @property
@@ -347,7 +336,7 @@ class Batch:
             lengths=self.lengths[idx],
             intent_targets=self.intent_targets[idx],
             slot_targets=self.slot_targets[idx, :L],
-            aux_targets=self.aux_targets[idx, :L],
+            type_targets=self.type_targets[idx, :L],
         )
 
 
@@ -372,7 +361,6 @@ def encode_batch(
     mask = np.zeros((B, L), dtype=np.float32)
     intent_targets = np.zeros(B, dtype=np.int64)
     slot_targets = np.full((B, L), -1, dtype=np.int64)
-    aux_targets = np.zeros((B, L, maps.n_slot_types), dtype=np.float32)
 
     for b, u in enumerate(utterances):
         n = lengths[b]
@@ -381,24 +369,14 @@ def encode_batch(
         if u.intent not in maps.intent_index:
             raise UnknownLabelError(f"unknown intent label {u.intent!r}")
         intent_targets[b] = maps.intent_index[u.intent]
-        try:
-            slot_targets[b, :n] = [maps.bio_index[tag] for tag in u.bio_tags[:n]]
-        except KeyError as e:
-            raise UnknownLabelError(f"unknown BIO label {e.args[0]!r}") from None
-    # every real token's aux target in one scatter, at its tag's type column
-    rows, cols = np.nonzero(slot_targets >= 0)
-    labels = slot_targets[rows, cols]
-    types = maps.bio_type_column[labels]
-    if (types < 0).any():  # raises, naming the first tag that has no type column
-        _type_column(maps.bio_labels[labels[types < 0][0]], maps)
-    aux_targets[rows, cols, types] = 1.0
+        slot_targets[b, :n] = _bio_ids(u.bio_tags[:n], maps)
     return Batch(
         token_ids=token_ids,
         mask=mask,
         lengths=lengths,
         intent_targets=intent_targets,
         slot_targets=slot_targets,
-        aux_targets=aux_targets,
+        type_targets=np.where(slot_targets < 0, -1, maps.bio_type_column[slot_targets]),
         truncated=truncated,
     )
 

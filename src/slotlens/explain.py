@@ -129,25 +129,22 @@ def _extraction(
     unique = list(distinct.values())
 
     def batches():
-        # each BIO label's slot-type column, with "O" and any label of an
-        # unknown type sent to a spare last column, which the pad label
-        # (-1) reads too
-        spare = maps.n_slot_types
-        column = np.array([spare if tag == OUTSIDE or c < 0 else c for tag, c
-                           in zip(maps.bio_labels, maps.bio_type_column.tolist())] + [spare])
+        T, outside = maps.n_slot_types, maps.slot_type_index[OUTSIDE]
         for idx in length_groups(unique, max_len, EXTRACT_CHUNK):
             batch = encode_batch([unique[i] for i in idx], maps, vocab, max_len)
             _, _, attention, slot_logits = model.infer(batch)
             if attention is None:
                 raise ValueError("model was built without the slot-type attention network")
-            kinds = column[batch.slot_targets]  # (B, L)
-            untagged = (kinds == spare).all(axis=1)
+            kinds = batch.type_targets  # (B, L), -1 at pad
+            untagged = ((kinds == outside) | (kinds < 0)).all(axis=1)
             if untagged.any():
-                fallback = untagged[:, None] & (batch.slot_targets >= 0)
-                kinds = np.where(fallback, column[slot_logits.argmax(axis=2)], kinds)
-            positive = np.zeros((len(idx), spare + 1), dtype=bool)
+                predicted = maps.bio_type_column[slot_logits.argmax(axis=2)]
+                kinds = np.where(untagged[:, None] & (kinds >= 0), predicted, kinds)
+            # pad's -1 marks a spare last column, dropped with "O"
+            positive = np.zeros((len(idx), T + 1), dtype=bool)
             positive[np.arange(len(idx))[:, None], kinds] = True
-            yield idx, batch.lengths, attention, positive[:, :spare]
+            positive[:, outside] = False
+            yield idx, batch.lengths, attention, positive[:, :T]
 
     return unique, inverse, batches()
 
@@ -537,8 +534,8 @@ def consistency_analysis(
     unequal = np.flatnonzero(length[a] != length[b])
     if unequal.size:
         i = unequal[0]
-        raise ValueError(
-            f"lengths differ ({length[a[i]]} vs {length[b[i]]}); pass an alignment")
+        raise ValueError(f"pair {i}: lengths differ ({length[a[i]]} vs {length[b[i]]}); "
+                         "a modification pair must keep the token count")
 
     chosen = positive[a]
     chosen[~chosen.any(axis=1)] = _analyzed_types(maps, False)

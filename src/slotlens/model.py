@@ -359,9 +359,8 @@ def forward(
         g_intent, g_type, _, g_slot = _network(sub, config, params, sub_keeps)
         loss_type = Tensor(0.0)
         if config.has_aux_network:
-            loss_type = binary_cross_entropy(
-                g_type, sub.aux_targets, n_type_cells, sub.mask[..., None] > 0
-            )
+            types = sub.type_targets[..., None] == np.arange(config.n_slot_types)
+            loss_type = binary_cross_entropy(g_type, types, n_type_cells, sub.mask[..., None] > 0)
         terms.append((cross_entropy_rows(g_intent, sub.intent_targets, B), loss_type,
                       cross_entropy_rows(g_slot, sub.slot_targets, B)))
     loss_intent, loss_type, loss_slot = (reduce(add, ts) for ts in zip(*terms))

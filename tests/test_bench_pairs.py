@@ -94,11 +94,16 @@ def test_a_run_without_a_result_line_is_not_ok(tmp_path):
     assert record["environment"] is None
 
 
-def test_a_base_whose_benchmark_differs_is_refused_in_one_line(tmp_path, monkeypatch, capsys):
+def throwaway_git(repo):
+    """``git`` run in ``repo`` under a made-up identity."""
     def git(*args):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
-                       cwd=tmp_path, check=True, capture_output=True)
+                       cwd=repo, check=True, capture_output=True)
+    return git
 
+
+def test_a_base_whose_benchmark_differs_is_refused_in_one_line(tmp_path, monkeypatch, capsys):
+    git = throwaway_git(tmp_path)
     (tmp_path / "bench").mkdir()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"command": ["python3", "bench/run.py"], "paths": ["bench"], "run_seconds": 35,
@@ -116,3 +121,32 @@ def test_a_base_whose_benchmark_differs_is_refused_in_one_line(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "differ between HEAD~1 and HEAD" in err
     assert not out.exists()
+
+
+def test_a_dirty_checkout_is_named_by_the_hash_of_its_edits(tmp_path, monkeypatch):
+    git = throwaway_git(tmp_path)
+    (tmp_path / "src").mkdir()
+    code = tmp_path / "src" / "m.py"
+    code.write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.diff_sha256() is None
+
+    code.write_text("x = 2\n")
+    first = bench_pairs.diff_sha256()
+    assert first == bench_pairs.diff_sha256()
+    code.write_text("x = 3\n")
+    second = bench_pairs.diff_sha256()
+    assert len({first, second}) == 2 and None not in (first, second)
+    code.write_text("x = 2\n")
+    assert bench_pairs.diff_sha256() == first
+
+    (tmp_path / "src" / "new.py").write_text("y = 1\n")
+    with_new = bench_pairs.diff_sha256()
+    assert with_new not in (first, second)
+    (tmp_path / "src" / "new.py").write_text("y = 2\n")
+    assert bench_pairs.diff_sha256() not in (first, second, with_new)
+    code.write_text("x = 1\n")  # no tracked edit left, one untracked file
+    assert bench_pairs.diff_sha256() not in (None, first, second, with_new)

@@ -99,6 +99,21 @@ class TestRoundTrip:
         assert not any(n.startswith("adam.") for n in params.names())
         assert params.optimizer_state()["m"].keys() == set(model.params.names())
 
+    def test_a_model_let_go_lends_its_memory_to_the_next_load(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab,
+                               include_optimizer=True)
+        first = load_checkpoint(path).model
+        memory = first.params.data.base.base
+        second = load_checkpoint(path).model
+        assert second.params.data.base.base is not memory
+        del first
+        third = load_checkpoint(path).model
+        assert third.params.data.base.base is memory
+        for a, b in zip(third.params.state_dict().values(), second.params.state_dict().values()):
+            np.testing.assert_array_equal(a, b)
+        assert third.params.optimizer_state()["step_count"] == model.params.step_count
+
 
 class TestDeterminism:
     def test_same_run_same_bytes(self, tmp_path):
@@ -140,6 +155,13 @@ def _move_a_moment_to_no_parameter(manifest):
     entry["name"] = "adam.m.no.such"
     names = manifest["optimizer"]["m"]
     names[names.index("slot.w")] = "no.such"
+
+
+def _drop_hotel(manifest):
+    """Remove the slot type 'hotel' and its two BIO labels."""
+    maps = manifest["label_maps"]
+    maps["slot_types"].remove("hotel")
+    maps["bio_labels"] = [t for t in maps["bio_labels"] if t not in ("B-hotel", "I-hotel")]
 
 
 class TestErrorKinds:
@@ -348,6 +370,26 @@ class TestErrorKinds:
                                 lambda m: m["config"].update({"n_bio_labels": 4}))
         with pytest.raises(CheckpointFormatError, match="BIO labels"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,key,sizes", [
+        (lambda m: m["vocab"].append("zeppelin"), "vocab_size", (49, 50)),
+        (_drop_hotel, "n_slot_types", (5, 4)),
+        (lambda m: m["label_maps"]["intents"].append("play_music"), "n_intents", (3, 4)),
+    ], ids=["extra-word", "dropped-type", "extra-intent"])
+    def test_config_sizes_that_disagree_with_the_stored_maps_are_refused(
+            self, tmp_path, capsys, edit, key, sizes):
+        """Without the check, these files load and then fail, or run, later."""
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(V3_FIXTURE.read_bytes())
+        rewrite_manifest(path, edit)
+        with pytest.raises(CheckpointFormatError,
+                           match=f"config key '{key}' is {sizes[0]}, but .* {sizes[1]}$") as e:
+            load_checkpoint(path)
+        assert str(path) in str(e.value)
+        write_corpus(generate_synthetic_corpus(seed=2, n=12), tmp_path / "data")
+        assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and err.count("\n") == 1
 
 
 FIXTURE = V1_FIXTURE

@@ -172,6 +172,24 @@ class TestLabelMaps:
         with pytest.raises(ValueError, match="inconsistent"):
             LabelMaps(intents=["x"], slot_types=["O", "city"], bio_labels=["O", "B-city"])
 
+    @pytest.mark.parametrize("slot_types,bio_labels,columns", [
+        (["O", "city"], ["B-day", "I-city", "O"], None),
+        (["O", "city", "day"], ["B-city", "I-city", "I-day", "O"], None),
+        (["O", "city", "city"], ["B-city", "B-city", "I-city", "I-city", "O"], None),
+        (["O", "city"], ["B-city", "B-city", "O"], None),
+        (["day", "city", "O"], ["O", "I-day", "I-city", "B-day", "B-city"], [2, 0, 1, 0, 1]),
+    ], ids=["B-of-unlisted-type", "I-without-B", "repeated-type", "repeated-label",
+            "complete-reversed"])
+    def test_bio_labels_follow_the_slot_types(self, slot_types, bio_labels, columns):
+        """The BIO labels are "O" plus B-x and I-x for each non-O type, in
+        any order and with no entry repeated, or the maps are refused."""
+        if columns is None:
+            with pytest.raises(ValueError, match="inconsistent with slot types"):
+                LabelMaps(["x"], slot_types, bio_labels)
+        else:
+            maps = LabelMaps(["x"], slot_types, bio_labels)
+            assert maps.bio_type_column.tolist() == columns
+
     def test_index_maps_bijective(self):
         maps = build_label_maps([Utterance(["a"], "x", ["B-city"])])
         for seq, index in (
@@ -250,7 +268,7 @@ class TestEncodeBatch:
         np.testing.assert_array_equal(batch.mask, [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
         np.testing.assert_array_equal(batch.lengths, [3, 5])
         assert (batch.slot_targets[0, 3:] == -1).all()
-        assert (batch.aux_targets[0, 3:] == 0).all()
+        assert (batch.type_targets[0, 3:] == -1).all()
         assert (batch.token_ids[0, 3:] == PAD_ID).all()
 
     def test_truncation_counter(self, setting):
@@ -271,7 +289,7 @@ class TestEncodeBatch:
         sub = batch.rows(np.array([0, 2]))
         short = encode_batch([corpus[0], corpus[1]], maps, vocab)
         for name in ("token_ids", "mask", "lengths", "intent_targets", "slot_targets",
-                     "aux_targets"):
+                     "type_targets"):
             np.testing.assert_array_equal(getattr(sub, name), getattr(short, name))
         assert (batch.truncated, sub.truncated) == (1, 0)
 
@@ -300,7 +318,7 @@ class TestEncodeBatch:
         batch = encode_batch(corpus, maps, vocab)
         assert batch.intent_targets[0] == maps.intent_index["book_flight"]
         assert batch.slot_targets[0, 2] == maps.bio_index["B-city"]
-        assert batch.aux_targets[0, 2, maps.slot_type_index["city"]] == 1
+        assert batch.type_targets[0, 2] == maps.slot_type_index["city"]
 
     def test_unknown_labels_rejected(self, setting):
         corpus, maps, vocab = setting
@@ -310,11 +328,15 @@ class TestEncodeBatch:
             encode_batch([Utterance(["a"], "book_flight", ["B-genre"])], maps, vocab)
 
     def test_tag_whose_type_is_not_in_the_maps_rejected(self):
-        maps = LabelMaps(["x"], ["O", "city"], ["B-day", "I-city", "O"])
-        assert maps.bio_type_column.tolist() == [-1, 1, 0]
-        with pytest.raises(UnknownLabelError, match="slot type 'day' not in label maps"):
+        """A map holding such a tag is refused when it is built, so the tag
+        reaches the encoders only as an unknown label."""
+        with pytest.raises(ValueError, match="inconsistent with slot types"):
+            LabelMaps(["x"], ["O", "city"], ["B-day", "I-city", "O"])
+        maps = LabelMaps(["x"], ["O", "city"], ["B-city", "I-city", "O"])
+        assert maps.bio_type_column.tolist() == [1, 1, 0]
+        with pytest.raises(UnknownLabelError, match="unknown BIO label 'B-day'"):
             encode_batch([Utterance(["a", "b"], "x", ["O", "B-day"])], maps, Vocab([]))
-        with pytest.raises(UnknownLabelError, match="slot type 'day' not in label maps"):
+        with pytest.raises(UnknownLabelError, match="unknown BIO label 'B-day'"):
             generate_aux_targets(["O", "B-day"], maps)
 
     def test_empty_batch_rejected(self, setting):
@@ -472,7 +494,9 @@ class TestRewriteFile:
 def reference_encode_batch(utterances, maps, vocab, max_len):
     """``encode_batch`` as it was before its aux targets came from one
     scatter through ``LabelMaps.bio_type_column``, with the per-tag loop
-    of the ``generate_aux_targets`` it called, copied as they were."""
+    of the ``generate_aux_targets`` it called, copied as they were. Its
+    arrays come back by name, the aux targets as the ``(B, L, |T|)``
+    float32 one-hot that batches held before ``type_targets``."""
     lengths = np.array([min(u.length, max_len) for u in utterances], dtype=np.int64)
     L = int(lengths.max())
     B = len(utterances)
@@ -490,10 +514,10 @@ def reference_encode_batch(utterances, maps, vocab, max_len):
             slot_targets[b, i] = maps.bio_index[tag]
             kind = "O" if tag == "O" else tag[2:]
             aux_targets[b, i, maps.slot_type_index[kind]] = 1.0
-    return Batch(token_ids=token_ids, mask=mask, lengths=lengths,
-                 intent_targets=intent_targets, slot_targets=slot_targets,
-                 aux_targets=aux_targets,
-                 truncated=sum(1 for u in utterances if u.length > max_len))
+    return dict(token_ids=token_ids, mask=mask, lengths=lengths,
+                intent_targets=intent_targets, slot_targets=slot_targets,
+                aux_targets=aux_targets,
+                truncated=sum(1 for u in utterances if u.length > max_len))
 
 
 def bench_workloads():
@@ -527,10 +551,17 @@ def test_encode_batch_matches_the_reference_on_the_bench_corpora(name):
         for batch in batches:
             got = encode_batch(batch, maps, vocab, max_len)
             want = reference_encode_batch(batch, maps, vocab, max_len)
-            for f in fields(Batch):
-                a, b = getattr(got, f.name), getattr(want, f.name)
+            types = got.type_targets
+            assert types.dtype == np.int64 and ((types < 0) == (got.slot_targets < 0)).all()
+            arrays = {f.name: getattr(got, f.name) for f in fields(Batch)}
+            del arrays["type_targets"]
+            arrays["aux_targets"] = (
+                types[..., None] == np.arange(maps.n_slot_types)).astype(np.float32)
+            assert arrays.keys() == want.keys()
+            for name, b in want.items():
+                a = arrays[name]
                 if isinstance(b, np.ndarray):
-                    assert a.dtype == b.dtype and a.shape == b.shape, f.name
-                    assert a.tobytes() == b.tobytes(), f.name
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
                 else:
-                    assert a == b, f.name
+                    assert a == b, name

@@ -524,7 +524,8 @@ class TestBatchedExtraction:
         model, corpus, maps, vocab = small_setting()
         longer = Utterance(corpus[0].tokens + ["today"], corpus[0].intent,
                            corpus[0].bio_tags + ["O"])
-        with pytest.raises(ValueError, match="lengths differ \\(4 vs 5\\); pass an alignment"):
+        with pytest.raises(ValueError, match="pair 0: lengths differ \\(4 vs 5\\); a modification "
+                           "pair must keep the token count"):
             consistency_analysis(model, [(corpus[0], longer, "slot")], maps, vocab)
 
 

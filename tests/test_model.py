@@ -373,7 +373,7 @@ class TestLosses:
         for b in range(batch.size):
             n = int(batch.lengths[b])
             x = aux_logits[b, :n]
-            y = batch.aux_targets[b, :n]
+            y = batch.type_targets[b, :n, None] == np.arange(T)
             total += (np.logaddexp(0, x) - x * y).sum()
         n_cells = int(batch.lengths.sum()) * T
         assert n_cells == 30
@@ -587,7 +587,8 @@ class TestInfer:
         else:
             assert aux.dtype == attentions.dtype == np.float32
             n_cells = int(batch.lengths.sum()) * config.n_slot_types
-            loss_type = binary_cross_entropy(Tensor(aux), batch.aux_targets, n_cells,
+            types = batch.type_targets[..., None] == np.arange(config.n_slot_types)
+            loss_type = binary_cross_entropy(Tensor(aux), types, n_cells,
                                              batch.mask[..., None] > 0)
         total = scale(loss_intent, config.alpha)
         if config.aux_loss_weight > 0:
@@ -674,8 +675,8 @@ def one_graph_losses(model, batch, rng):
         alpha = slot_type_attention(u_hat, batch.mask, params, config)
         g_type = slot_type_heads(u_hat, alpha, params, config)
         loss_type = binary_cross_entropy(
-            g_type, batch.aux_targets, int(batch.lengths.sum()) * config.n_slot_types,
-            batch.mask[..., None] > 0)
+            g_type, batch.type_targets[..., None] == np.arange(config.n_slot_types),
+            int(batch.lengths.sum()) * config.n_slot_types, batch.mask[..., None] > 0)
     g_slot = slot_head(fusion_cross_attention(u_e, g_type, batch.mask, params, config), params)
     loss_intent = cross_entropy_rows(g_intent, batch.intent_targets, B)
     loss_slot = cross_entropy_rows(g_slot, batch.slot_targets, B)

@@ -11,7 +11,9 @@ at the benchmark's own run length, and which side goes first alternates
 from seed to seed. The output holds, per end-to-end metric, each side's
 median and quartiles and the pairs each side won (a tie counts for
 neither), with every run's raw result and the environment it printed, the
-runs that failed or reported incorrect output, and the command.
+runs that failed or reported incorrect output, and the command. A change
+side with uncommitted edits is recorded as HEAD plus ``diff_sha256``, a
+hash of those edits (see :func:`diff_sha256`).
 
 Refuses with one line and exit 1 when the benchmark's own files
 (``BENCHMARK.json`` and its ``paths``) differ between ``<rev>`` and this
@@ -22,6 +24,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import shlex
 import shutil
@@ -38,6 +41,26 @@ SIDES = ("base", "change")
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def diff_sha256() -> str | None:
+    """SHA-256 over ``git diff HEAD --binary`` and the path and bytes of each
+    untracked file under ``src/``: it names the code a dirty checkout runs
+    beyond HEAD. None for a clean checkout."""
+    def out(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                              capture_output=True).stdout
+
+    diff = out("diff", "HEAD", "--binary")
+    untracked = sorted(filter(None, out("ls-files", "-z", "--others", "--exclude-standard",
+                                        "--", "src").split(b"\0")))
+    if not diff and not untracked:
+        return None
+    h = hashlib.sha256(diff)
+    for path in untracked:
+        data = (ROOT / path.decode()).read_bytes()
+        h.update(b"\0%s\0%d\0%s" % (path, len(data), data))
+    return h.hexdigest()
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -168,7 +191,8 @@ def main(argv=None) -> int:
                                *(sys.argv[1:] if argv is None else argv)]),
         "base": {"rev": args.base, "sha": base_sha},
         "change": {"sha": git("rev-parse", "HEAD"),
-                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+                   "diff_sha256": diff_sha256()},
         "workload": args.workload,
         "seeds": seeds,
         "seconds": seconds,
