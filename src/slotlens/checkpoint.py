@@ -109,7 +109,10 @@ def save_checkpoint(
     after it follows the blob. An existing file is rewritten in place with
     the magic written last (see :func:`~slotlens.data.rewrite_file`), so a
     save cut short leaves a file that :func:`load_checkpoint` rejects.
+    A config that does not size ``vocab`` and ``maps`` is refused before
+    the file is touched, since the load would refuse it.
     """
+    _check_sizes(path, model.config, maps, vocab)
     params = model.params
     moments = include_optimizer and params.m is not None
     arenas = [params.m, params.v, params.data] if moments else [params.data]
@@ -363,16 +366,22 @@ def _load_derived(f, path, manifest: dict, header: bytes, size: int,
     return _checkpoint(path, manifest, model, maps, vocab, buf, o and o["step_count"])
 
 
+def _check_sizes(path, config: ModelConfig, maps: LabelMaps, vocab: Vocab) -> None:
+    """Refuse a config whose vocab, intent or slot-type count is not that of
+    the vocab and label maps stored with it."""
+    for key, stored in (("vocab_size", len(vocab)), ("n_intents", maps.n_intents),
+                        ("n_slot_types", maps.n_slot_types)):
+        if (value := getattr(config, key)) != stored:
+            raise CheckpointFormatError(f"{path}: config key {key!r} is {value}, but the "
+                                        f"stored vocab and label maps give {stored}")
+
+
 def _checkpoint(path, manifest: dict, model: JointModel, maps, vocab, buf: np.ndarray,
                 step_count: int | None) -> Checkpoint:
     """The :class:`Checkpoint` whose ``model``, declared but not allocated,
     is built around ``buf``: its rows are the model's arenas, ``m``, ``v``
-    and ``data``, or ``data`` alone. The config must size the stored maps."""
-    for key, stored in (("vocab_size", len(vocab)), ("n_intents", maps.n_intents),
-                        ("n_slot_types", maps.n_slot_types)):
-        if (value := getattr(model.config, key)) != stored:
-            raise CheckpointFormatError(f"{path}: config key {key!r} is {value}, but the "
-                                        f"stored vocab and label maps give {stored}")
+    and ``data``, or ``data`` alone."""
+    _check_sizes(path, model.config, maps, vocab)
     arenas = dict(zip(("m", "v", "data") if len(buf) == 3 else ("data",), buf))
     model.params.allocate(buf.dtype, arenas)
     model.params.step_count = step_count or 0

@@ -12,6 +12,7 @@ one utterance per line, tokens/tags single-space separated:
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -381,52 +382,82 @@ def encode_batch(
     )
 
 
-# A cut that turns one pass into two pays when it saves more padded token
-# positions than this. Measured with the default d=64 model on 2 vCPUs
-# (numpy 2.4, one BLAS thread). Inference: a pass has about 1 ms of fixed
-# cost (a 1-utterance batch takes 0.8-1.5 ms), and each padded token position
-# costs about 10 us in a 13-token batch and 25 us in a 47-token one;
-# splitting 25-utterance batches broke even near 100 saved positions.
-# Training (forward and backward, dropout on): a second sub-batch costs
-# about 4 ms and a padded position about 50 us in the 32-utterance batches
-# of the train-desk benchmark (|T| = 5, lengths 6-13) and 65 us in those of
+# A pass costs about as much as this many padded token positions, so a
+# split into k groups pays when it saves more than k - 1 times as many.
+# Measured with the default d=64 model on 2 vCPUs (numpy 2.4, one BLAS
+# thread). Inference: a pass has about 1 ms of fixed cost (a 1-utterance
+# batch takes 0.8-1.5 ms), and each padded token position costs about
+# 10 us in a 13-token batch and 25 us in a 47-token one; splitting
+# 25-utterance batches broke even near 100 saved positions. Training
+# (forward and backward, dropout on): a second sub-batch costs about 4 ms
+# and a padded position about 50 us in the 32-utterance batches of the
+# train-desk benchmark (|T| = 5, lengths 6-13) and 65 us in those of
 # train-long (|T| = 13, lengths 2-47); forced splits of the train-desk epoch
 # batches (seeds 1000-1005) broke even at 85-95 saved positions, so
 # training uses the same constant.
 SPLIT_MIN_SAVED = 100
 
 
-def split_by_length(lengths: np.ndarray, min_saved: int) -> list[np.ndarray]:
-    """Positions of ``lengths`` as one group, or as two when cutting them,
-    stably sorted, at the cut that saves the most padded positions saves
-    more than ``min_saved``: the shorter ones first, each group ascending."""
+def split_by_length(lengths: np.ndarray, pass_cost: int, size: int) -> list[np.ndarray]:
+    """Positions of ``lengths`` in the cheapest groups of at most ``size``,
+    where a group costs ``pass_cost`` plus the positions it pads: the
+    lengths stably sorted and cut into runs, the shorter ones first, each
+    group ascending. Of equally cheap partitions, one with the fewest
+    groups is returned.
+
+    A dynamic program runs over the group ends worth trying. In a cheapest
+    partition with the fewest groups, a group ends where a run of equal
+    lengths ends, or else is full (it could take the next length for
+    free), so it ends a multiple of ``size`` past such an end. When all
+    lengths fit one group, every cut can be undone, so a cut is worth
+    trying only if the shorter ones it cuts off, padded to the longest
+    length instead, would pad more than ``pass_cost`` positions. Most
+    desk-length batches (6-13 tokens) have no such cut and return at once.
+    """
+    if size < 1:
+        raise ValueError(f"batch size must be at least 1, got {size}")
+    n = len(lengths)
+    if not n:
+        return []
     order = np.argsort(lengths, kind="stable")
     l = lengths[order]
-    # cutting before position k pads the k shorter ones to l[k-1], not l[-1]
-    saved = np.arange(1, len(l)) * (l[-1] - l[:-1])
-    if saved.size and saved.max() > min_saved:
-        k = int(saved.argmax()) + 1
-        return [np.sort(order[:k]), np.sort(order[k:])]
-    return [np.arange(len(l))]
+    cut = l[:-1] != l[1:]
+    if n <= size:
+        cut &= np.arange(1, n) * (l[-1] - l[:-1]) > pass_cost
+        if not cut.any():
+            return [np.arange(n)]
+    starts = [0, *(np.flatnonzero(cut) + 1).tolist()]
+    full = (p for s in starts for p in range(s + size, n, size))
+    pos = [0, *sorted({*starts[1:], *full, n})]
+    lt, w, m = l.tolist(), n + 1, len(pos)  # w scales costs so one more group only breaks ties
+    cost, prev = [0] + [math.inf] * (m - 1), [0] * m
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            if pos[j] - pos[i] > size:
+                break
+            # pos[j] - pos[i] rows of the longest length, lt[pos[j] - 1]: the padding
+            # plus the lengths, whose sum is the same for every partition
+            c = cost[i] + ((pos[j] - pos[i]) * lt[pos[j] - 1] + pass_cost) * w + 1
+            if c < cost[j]:
+                cost[j], prev[j] = c, i
+    groups, j = [], m - 1
+    while j:
+        groups.append(np.sort(order[pos[prev[j]] : pos[j]]))
+        j = prev[j]
+    return groups[::-1]
 
 
 def length_groups(utterances: list[Utterance], max_len: int, size: int) -> list[np.ndarray]:
-    """Indices of ``utterances`` in inference batches that pay little for
-    padding: stably sorted by truncated length, cut into groups of at most
-    ``size``, and each group split once more by :func:`split_by_length`
-    with ``SPLIT_MIN_SAVED``.
+    """Indices of ``utterances`` in inference batches of at most ``size``
+    that pay little for padding: their truncated lengths split by
+    :func:`split_by_length` with ``SPLIT_MIN_SAVED`` as the pass cost.
 
     Each group lists its indices in ascending order, so a call that fits
     one group runs the very batch it would run unsorted (float32 results
     depend on a row's place in the batch in the last bits). Callers put
     the results back at these indices to keep their own order."""
     lengths = np.array([min(u.length, max_len) for u in utterances], dtype=np.int64)
-    order = np.argsort(lengths, kind="stable")
-    groups = []
-    for start in range(0, len(order), size):
-        idx = order[start : start + size]
-        groups += [np.sort(idx[g]) for g in split_by_length(lengths[idx], SPLIT_MIN_SAVED)]
-    return groups
+    return split_by_length(lengths, SPLIT_MIN_SAVED, size)
 
 
 # span extraction and exact-match F1 ------------------------------------------

@@ -85,7 +85,11 @@ class AttentionBundle:
         return len(self.tokens)
 
 
-EXTRACT_CHUNK = 32  # utterances per extraction inference pass, at most
+# Utterances per extraction pass at the model's max_len, at most. A call
+# whose longest kept utterance has l tokens takes up to
+# EXTRACT_CHUNK * max_len**2 // l**2 per pass, so no pass holds more (L, L)
+# attention cells than EXTRACT_CHUNK utterances at max_len.
+EXTRACT_CHUNK = 32
 
 
 def _analyzed_types(maps: LabelMaps, include_outside: bool) -> np.ndarray:
@@ -112,10 +116,12 @@ def _extraction(
     equal kept tokens and tags run once (the network never reads the
     intent). Returns the distinct utterances, each caller position's index
     among them, and a generator that runs one graph-free inference pass
-    per length group of at most ``EXTRACT_CHUNK`` distinct utterances (see
-    :func:`length_groups`) and yields, per pass, ``(idx, lengths,
-    attention, positive)``: the distinct indices, their kept lengths, the
-    float32 ``(B, T, L, L)`` maps and a ``(B, T)`` mask of positive types.
+    per length group (see :func:`length_groups`) of at most
+    ``EXTRACT_CHUNK * max_len**2 // l_max**2`` distinct utterances, where
+    ``l_max`` is the longest kept length. It yields, per pass, ``(idx,
+    lengths, attention, positive)``: the distinct indices, their kept
+    lengths, the float32 ``(B, T, L, L)`` maps and a ``(B, T)`` mask of
+    positive types.
 
     Positive types are the types of the gold tags; an utterance with no
     tagged slot falls back to the tags the same pass predicts for it
@@ -130,7 +136,8 @@ def _extraction(
 
     def batches():
         T, outside = maps.n_slot_types, maps.slot_type_index[OUTSIDE]
-        for idx in length_groups(unique, max_len, EXTRACT_CHUNK):
+        l_max = max((len(tokens) for tokens, _ in distinct), default=max_len)
+        for idx in length_groups(unique, max_len, EXTRACT_CHUNK * max_len**2 // l_max**2):
             batch = encode_batch([unique[i] for i in idx], maps, vocab, max_len)
             _, _, attention, slot_logits = model.infer(batch)
             if attention is None:

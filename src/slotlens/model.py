@@ -337,9 +337,9 @@ def forward(
     """Run the network over the padded batch and return the mean-over-batch
     losses against the batch's gold labels.
 
-    When the batch's best length cut saves more than
-    ``SPLIT_MIN_SAVED`` padded positions (:func:`split_by_length`),
-    the network runs once per sub-batch, each padded to its own longest
+    When splitting the batch by length saves more than ``SPLIT_MIN_SAVED``
+    padded positions per extra pass (:func:`split_by_length`), the
+    network runs once per sub-batch, each padded to its own longest
     utterance. Every sub-batch's loss terms divide by the whole batch's
     counts and are summed, and dropout masks are drawn for the whole batch
     before any sub-batch runs and then sliced, so the losses are the
@@ -347,7 +347,7 @@ def forward(
     B = batch.size
     n_type_cells = int(batch.lengths.sum()) * config.n_slot_types
     keeps = _dropout_masks(batch, config, params, rng) if training else (None, None)
-    groups = split_by_length(batch.lengths, SPLIT_MIN_SAVED)
+    groups = split_by_length(batch.lengths, SPLIT_MIN_SAVED, B)
     terms = []
     for idx in groups:
         sub, sub_keeps = batch, keeps

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -390,6 +391,27 @@ class TestErrorKinds:
         assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "data")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,delta", [("vocab_size", 1), ("n_intents", 1),
+                                           ("n_slot_types", -1)])
+    def test_save_refuses_config_sizes_that_disagree_with_the_maps(
+            self, setting, tmp_path, key, delta):
+        """The save that made the files above is refused before it opens
+        the file: it makes none, and leaves an existing one as it was."""
+        corpus, maps, vocab, model = setting
+        changes = {key: getattr(model.config, key) + delta}
+        if key == "n_slot_types":
+            changes["n_bio_labels"] = 2 * changes[key] - 1
+        bad = JointModel(dataclasses.replace(model.config, **changes), rng=0)
+        path = tmp_path / "m.ckpt"
+        refused = f"config key '{key}' is {changes[key]}, but .* {changes[key] - delta}$"
+        with pytest.raises(CheckpointFormatError, match=refused):
+            save_checkpoint(path, bad, maps, vocab)
+        assert not path.exists()
+        before = save_checkpoint(path, model, maps, vocab).read_bytes()
+        with pytest.raises(CheckpointFormatError, match=refused):
+            save_checkpoint(path, bad, maps, vocab)
+        assert path.read_bytes() == before
 
 
 FIXTURE = V1_FIXTURE

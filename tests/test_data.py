@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import os
 import sys
 from dataclasses import fields
@@ -12,6 +13,7 @@ from slotlens.checkpoint import save_checkpoint
 from slotlens.data import (
     PAD_ID,
     PAD_TOKEN,
+    SPLIT_MIN_SAVED,
     UNK_ID,
     UNK_TOKEN,
     Batch,
@@ -355,15 +357,23 @@ class TestLengthGroups:
         groups = length_groups(of_lengths(lengths), 50, 32)
         assert len(groups) == 1
         np.testing.assert_array_equal(groups[0], np.arange(25))  # the caller's order
+        # random 25-utterance chunks and 32-utterance training batches often
+        # pad more than one pass costs, yet no split pays
+        rng = np.random.default_rng(0)
+        for n in [25, 32] * 50:
+            lengths = rng.integers(6, 14, size=n)
+            assert [g.tolist() for g in split_by_length(lengths, SPLIT_MIN_SAVED, n)] == [
+                list(range(n))]
 
     def test_bimodal_mix_makes_two_groups(self):
         rng = np.random.default_rng(0)
-        lengths = [int(rng.integers(2, 5)) if i % 2 else int(rng.integers(33, 48))
-                   for i in range(25)]
-        groups = length_groups(of_lengths(lengths), 50, 32)
-        assert len(groups) == 2
-        assert max(lengths[i] for i in groups[0]) <= 4
-        assert min(lengths[i] for i in groups[1]) >= 33
+        for _ in range(20):
+            lengths = [int(rng.integers(2, 5)) if i % 2 else int(rng.integers(33, 48))
+                       for i in range(25)]
+            groups = length_groups(of_lengths(lengths), 50, 32)
+            assert len(groups) == 2
+            assert max(lengths[i] for i in groups[0]) <= 4
+            assert min(lengths[i] for i in groups[1]) >= 33
 
     def test_groups_cover_every_index_in_length_order_and_bounded_size(self):
         lengths = np.random.default_rng(1).integers(1, 60, size=70)
@@ -376,13 +386,40 @@ class TestLengthGroups:
 
     def test_split_by_length_cuts_only_when_it_saves_more_than_the_bound(self):
         lengths = np.array([12, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])  # the cut saves 10 * 11
-        assert [g.tolist() for g in split_by_length(lengths, 109)] == [
+        assert [g.tolist() for g in split_by_length(lengths, 109, 11)] == [
             list(range(1, 11)), [0]]
-        assert [g.tolist() for g in split_by_length(lengths, 110)] == [list(range(11))]
-        assert [g.tolist() for g in split_by_length(np.array([5]), 0)] == [[0]]
+        assert [g.tolist() for g in split_by_length(lengths, 110, 11)] == [list(range(11))]
+        assert [g.tolist() for g in split_by_length(np.array([5]), 0, 1)] == [[0]]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 10])
+    def test_split_by_length_finds_the_cheapest_partition(self, size):
+        """Against every contiguous partition of the sorted lengths."""
+        def cost(sorted_lengths, ends, pass_cost):
+            return sum((b - a) * sorted_lengths[b - 1] - sorted_lengths[a:b].sum() + pass_cost
+                       for a, b in zip([0, *ends], ends))
+
+        rng = np.random.default_rng(size)
+        for _ in range(300):
+            n, pass_cost = int(rng.integers(1, 11)), int(rng.integers(0, 30))
+            lengths = rng.integers(1, int(rng.integers(2, 20)), size=n)
+            s = np.sort(lengths, kind="stable")
+            best = min(cost(s, [*cuts, n], pass_cost)
+                       for k in range(n) for cuts in itertools.combinations(range(1, n), k)
+                       if max(np.diff([0, *cuts, n])) <= size)
+            groups = split_by_length(lengths, pass_cost, size)
+            assert all(1 <= len(g) <= size and (np.diff(g) > 0).all() for g in groups)
+            np.testing.assert_array_equal(np.sort(np.concatenate(groups)), np.arange(n))
+            for a, b in zip(groups, groups[1:]):
+                assert lengths[a].max() <= lengths[b].min()
+            assert cost(s, np.cumsum([len(g) for g in groups]), pass_cost) == best
 
     def test_no_utterances_no_groups(self):
         assert length_groups([], 50, 32) == []
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match=f"batch size must be at least 1, got {size}"):
+            length_groups(of_lengths([3, 4]), 50, size)
 
 
 class TestSpans:

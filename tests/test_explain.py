@@ -9,6 +9,7 @@ from slotlens.explain import (
     _entropy_means,
     _row_cosines,
     _topk_entropies,
+    EXTRACT_CHUNK,
     AttentionBundle,
     ConsistencyReport,
     PairScore,
@@ -415,15 +416,38 @@ class TestBatchedExtraction:
         model, _, maps, vocab = small_setting()
         assert extract_attention_bundles(model, [], maps, vocab) == []
 
-    @pytest.mark.parametrize("n,forwards", [(25, 1), (32, 1), (40, 2)])
+    @pytest.mark.parametrize("n,forwards", [(25, 1), (32, 1), (40, 1)])
     def test_analysis_runs_one_forward_per_chunk(self, monkeypatch, n, forwards):
-        """Same-length utterances: one inference pass per EXTRACT_CHUNK."""
+        """Five-token utterances, max_len 9: a pass takes 32 * 81 // 25 = 103."""
         model, _, maps, vocab = small_setting()
         calls = count_passes(monkeypatch)
         report = topk_entropy_analysis(model, mixed_utterances(n, lengths=[5]), [5, 100],
                                        maps, vocab)
         assert report.n_utterances == n
         assert len(calls) == forwards
+
+    def test_max_len_utterances_run_extract_chunk_per_pass(self, monkeypatch):
+        """At the model's max_len a pass holds EXTRACT_CHUNK utterances, so 40
+        take two passes; one shorter utterance does not lift the limit."""
+        model, _, maps, vocab = small_setting()
+        max_len = model.config.max_len
+        utterances = mixed_utterances(40, lengths=[max_len]) + mixed_utterances(1, lengths=[2])
+        calls = count_passes(monkeypatch)
+        report = topk_entropy_analysis(model, utterances, [5, 100], maps, vocab)
+        assert report.n_utterances == 41
+        assert len(calls) == 2 and max(calls) <= EXTRACT_CHUNK and sum(calls) == 41
+
+    def test_desk_length_consistency_chunk_runs_one_pass(self, monkeypatch):
+        """33-38 distinct utterances of lengths 6-13, as a 25-pair chunk of
+        the desk corpus holds, run as one pass where 32 per pass took two."""
+        model, _, maps, vocab = small_setting(max_positions=51)
+        for n in range(33, 39):
+            utterances = mixed_utterances(n, seed=n, lengths=range(6, 14))
+            calls = count_passes(monkeypatch)
+            report = topk_entropy_analysis(model, utterances, [5, 100], maps, vocab)
+            assert report.n_utterances == n
+            assert calls == [n]
+            monkeypatch.undo()
 
     def test_bimodal_lengths_run_two_passes(self, monkeypatch):
         """25 utterances of lengths 2-4 and 33-47 run as two passes, one

@@ -6,7 +6,8 @@ from conftest import per_type
 
 from slotlens import model as model_module
 from slotlens import tensor as tensor_module
-from slotlens.data import Utterance, build_label_maps, encode_batch, Vocab
+from slotlens.data import (SPLIT_MIN_SAVED, Utterance, Vocab, build_label_maps, encode_batch,
+                           split_by_length)
 from slotlens.encoder import declare_encoder_params, encode
 from slotlens.gradcheck import finite_diff_check
 from slotlens.model import (
@@ -659,6 +660,23 @@ def mixed_batch(maps, vocab):
     return encode_batch(batch, maps, vocab)
 
 
+def batch_of_lengths(maps, vocab, counts, seed=0):
+    """``counts[l]`` utterances of ``l`` <= 12 tokens each, in shuffled order:
+    prefixes of the tiny corpus's words run together."""
+    corpus = tiny_corpus()
+    words = [w for u in corpus for w in u.tokens]
+    tags = [t for u in corpus for t in u.bio_tags]
+    words, tags = words + words[:2], tags + ["O", "O"]
+    batch = [Utterance(words[:l], "get_weather", tags[:l])
+             for l, count in counts.items() for _ in range(count)]
+    order = np.random.default_rng(seed).permutation(len(batch))
+    return encode_batch([batch[i] for i in order], maps, vocab)
+
+
+# each split into these length modes saves more than SPLIT_MIN_SAVED per extra pass
+K_WAY_COUNTS = {3: {1: 22, 6: 25, 12: 10}, 4: {1: 35, 4: 27, 8: 27, 12: 2}}
+
+
 def one_graph_losses(model, batch, rng):
     """The four training losses as one graph over the whole batch, each
     dropout mask drawn from ``rng`` where it is applied: the embedding mask
@@ -686,6 +704,31 @@ def one_graph_losses(model, batch, rng):
     return loss_intent, loss_type, loss_slot, add(total, scale(loss_slot, config.gamma))
 
 
+def assert_split_matches_one_graph(model, batch):
+    """``forward``'s four losses and their gradients, on whatever sub-batches
+    it splits ``batch`` into, against one graph over the whole batch, to
+    1e-12 in float64, with both sides drawing from equally seeded rngs."""
+    split_rng, one_rng = np.random.default_rng(11), np.random.default_rng(11)
+    out = model.forward(batch, training=True, rng=split_rng)
+    model.params.zero_grads()
+    backward(out.loss_total)
+    split_grads = model.params.grad.copy()
+    want = one_graph_losses(model, batch, one_rng)
+    model.params.zero_grads()
+    backward(want[-1])
+    for got, ref in zip((out.loss_intent, out.loss_type, out.loss_slot, out.loss_total),
+                        want):
+        np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(split_grads, model.params.grad, rtol=0, atol=1e-12)
+    assert np.abs(split_grads).max() > 0
+    assert split_rng.random() == one_rng.random()
+
+
+MODEL_VARIANTS = pytest.mark.parametrize(
+    "kw", [{}, {"frozen_uniform_type_attention": True}, {"no_aux_network": True},
+           {"no_cross_attention": True}], ids=["full", "frozen", "no_aux", "no_cross"])
+
+
 class TestLengthSplit:
     def test_forward_runs_a_mixed_batch_as_two_sub_batches(self, monkeypatch):
         model, batch, maps, vocab = make_model(max_positions=13)
@@ -700,28 +743,21 @@ class TestLengthSplit:
         model.forward(batch)
         assert shapes == [(10, 1), (1, 12), (3, 4)]
 
-    @pytest.mark.parametrize("kw", [{}, {"frozen_uniform_type_attention": True},
-                                    {"no_aux_network": True}, {"no_cross_attention": True}],
-                             ids=["full", "frozen", "no_aux", "no_cross"])
+    @MODEL_VARIANTS
     def test_losses_and_gradients_match_one_graph_in_float64(self, kw):
         """Same rng seed on both sides: the split pass draws the dropout
         masks the one-graph pass draws, and no more."""
         model, _, maps, vocab = make_model(np.float64, max_positions=13, dropout_rate=0.1, **kw)
-        batch = mixed_batch(maps, vocab)
-        split_rng, one_rng = np.random.default_rng(11), np.random.default_rng(11)
-        out = model.forward(batch, training=True, rng=split_rng)
-        model.params.zero_grads()
-        backward(out.loss_total)
-        split_grads = model.params.grad.copy()
-        want = one_graph_losses(model, batch, one_rng)
-        model.params.zero_grads()
-        backward(want[-1])
-        for got, ref in zip((out.loss_intent, out.loss_type, out.loss_slot, out.loss_total),
-                            want):
-            np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(split_grads, model.params.grad, rtol=0, atol=1e-12)
-        assert np.abs(split_grads).max() > 0
-        assert split_rng.random() == one_rng.random()
+        assert_split_matches_one_graph(model, mixed_batch(maps, vocab))
+
+    @pytest.mark.parametrize("ways", [3, 4])
+    @MODEL_VARIANTS
+    def test_k_way_losses_and_gradients_match_one_graph_in_float64(self, kw, ways):
+        model, _, maps, vocab = make_model(np.float64, max_positions=13, dropout_rate=0.1, **kw)
+        batch = batch_of_lengths(maps, vocab, K_WAY_COUNTS[ways])
+        groups = split_by_length(batch.lengths, SPLIT_MIN_SAVED, batch.size)
+        assert len(groups) == ways
+        assert_split_matches_one_graph(model, batch)
 
     def test_split_batch_gradients_match_finite_differences(self):
         model, _, maps, vocab = make_model(np.float64, max_positions=13, d=4, d_h=2, ffn_dim=4)

@@ -323,6 +323,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, [], maps, vocab)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, corpus_setting, batch_size):
+        """Where -1 scored no utterance and returned all-zero metrics."""
+        corpus, maps, vocab = corpus_setting
+        model = train_model(corpus, maps, vocab, tiny_run(epochs=0)).model
+        with pytest.raises(ValueError, match=f"batch size must be at least 1, got {batch_size}"):
+            evaluate(model, corpus, maps, vocab, batch_size=batch_size)
+
     def test_hand_built_confusion_fixture(self, corpus_setting):
         """3 utterances with known confusions give hand-computed metrics."""
         corpus, maps, vocab = corpus_setting
