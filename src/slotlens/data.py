@@ -101,7 +101,8 @@ class Span:
 
 @dataclass
 class LabelMaps:
-    """The three label inventories with stable (lexicographic) indices.
+    """The three label inventories, each indexed in the order given
+    (:func:`build_label_maps` gives them sorted).
 
     ``slot_types`` always contains the literal "O"; ``bio_labels`` holds
     exactly "O" plus B-x and I-x for each non-O type x, in any order, so
@@ -306,17 +307,15 @@ def generate_aux_targets(bio_tags: list[str], maps: LabelMaps) -> np.ndarray:
 class Batch:
     """Padded, index-encoded utterances ready for the network.
 
-    Pad positions are zero in ``mask`` and flagged -1 in ``slot_targets``
+    Pad positions are False in ``mask`` and flagged -1 in ``slot_targets``
     and ``type_targets``; they never contribute to a loss.
     """
 
     token_ids: np.ndarray  # (B, L) int64
-    mask: np.ndarray  # (B, L) {0,1} float32
     lengths: np.ndarray  # (B,) int64
     intent_targets: np.ndarray  # (B,) int64
     slot_targets: np.ndarray  # (B, L) int64, -1 at pad
     type_targets: np.ndarray  # (B, L) int64, each tag's slot type, -1 at pad
-    truncated: int = 0  # count of utterances that lost tail tokens
 
     @property
     def size(self) -> int:
@@ -326,14 +325,17 @@ class Batch:
     def max_len(self) -> int:
         return self.token_ids.shape[1]
 
+    @property
+    def mask(self) -> np.ndarray:
+        """(B, L) bool, True at each utterance's kept tokens."""
+        return np.arange(self.max_len) < self.lengths[:, None]
+
     def rows(self, idx: np.ndarray) -> "Batch":
         """The utterances at ``idx``, in that order, padded only to their own
-        longest length.  ``truncated`` stays with the batch that was encoded:
-        a selection counts 0, so its rows are never counted twice."""
+        longest length."""
         L = int(self.lengths[idx].max())
         return Batch(
             token_ids=self.token_ids[idx, :L],
-            mask=self.mask[idx, :L],
             lengths=self.lengths[idx],
             intent_targets=self.intent_targets[idx],
             slot_targets=self.slot_targets[idx, :L],
@@ -353,32 +355,27 @@ def encode_batch(
         raise ValueError("cannot encode an empty batch")
     if max_len is None:
         max_len = max(u.length for u in utterances)
-    truncated = sum(1 for u in utterances if u.length > max_len)
     lengths = np.array([min(u.length, max_len) for u in utterances], dtype=np.int64)
     L = int(lengths.max())
     B = len(utterances)
 
     token_ids = np.zeros((B, L), dtype=np.int64)
-    mask = np.zeros((B, L), dtype=np.float32)
     intent_targets = np.zeros(B, dtype=np.int64)
     slot_targets = np.full((B, L), -1, dtype=np.int64)
 
     for b, u in enumerate(utterances):
         n = lengths[b]
         token_ids[b, :n] = [vocab.lookup(t) for t in u.tokens[:n]]
-        mask[b, :n] = 1.0
         if u.intent not in maps.intent_index:
             raise UnknownLabelError(f"unknown intent label {u.intent!r}")
         intent_targets[b] = maps.intent_index[u.intent]
         slot_targets[b, :n] = _bio_ids(u.bio_tags[:n], maps)
     return Batch(
         token_ids=token_ids,
-        mask=mask,
         lengths=lengths,
         intent_targets=intent_targets,
         slot_targets=slot_targets,
         type_targets=np.where(slot_targets < 0, -1, maps.bio_type_column[slot_targets]),
-        truncated=truncated,
     )
 
 
@@ -403,7 +400,9 @@ def split_by_length(lengths: np.ndarray, pass_cost: int, size: int) -> list[np.n
     where a group costs ``pass_cost`` plus the positions it pads: the
     lengths stably sorted and cut into runs, the shorter ones first, each
     group ascending. Of equally cheap partitions, one with the fewest
-    groups is returned.
+    groups is returned. As groups are ascending, ``batch.rows(group)`` of
+    a batch that fits one group is that batch, unreordered (float32
+    results depend on a row's place in the batch in the last bits).
 
     A dynamic program runs over the group ends worth trying. In a cheapest
     partition with the fewest groups, a group ends where a run of equal
@@ -445,19 +444,6 @@ def split_by_length(lengths: np.ndarray, pass_cost: int, size: int) -> list[np.n
         groups.append(np.sort(order[pos[prev[j]] : pos[j]]))
         j = prev[j]
     return groups[::-1]
-
-
-def length_groups(utterances: list[Utterance], max_len: int, size: int) -> list[np.ndarray]:
-    """Indices of ``utterances`` in inference batches of at most ``size``
-    that pay little for padding: their truncated lengths split by
-    :func:`split_by_length` with ``SPLIT_MIN_SAVED`` as the pass cost.
-
-    Each group lists its indices in ascending order, so a call that fits
-    one group runs the very batch it would run unsorted (float32 results
-    depend on a row's place in the batch in the last bits). Callers put
-    the results back at these indices to keep their own order."""
-    lengths = np.array([min(u.length, max_len) for u in utterances], dtype=np.int64)
-    return split_by_length(lengths, SPLIT_MIN_SAVED, size)
 
 
 # span extraction and exact-match F1 ------------------------------------------

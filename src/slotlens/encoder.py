@@ -85,11 +85,10 @@ def attention_weights(q: Tensor, k: Tensor, key_mask: np.ndarray) -> Tensor:
     return softmax_masked(matmul(q, transpose(k)), key_mask, 1.0 / np.sqrt(q.shape[-1]))
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention (:func:`attention_weights`).  Returns
-    the attended values and the attention weights."""
-    alpha = attention_weights(q, k, key_mask)
-    return matmul(alpha, v), alpha
+def attend(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> Tensor:
+    """The values ``v`` attended by scaled dot-product attention
+    (:func:`attention_weights`)."""
+    return matmul(attention_weights(q, k, key_mask), v)
 
 
 def _self_attention(x: Tensor, key_mask: np.ndarray, params: ParamSet, prefix: str,
@@ -99,7 +98,7 @@ def _self_attention(x: Tensor, key_mask: np.ndarray, params: ParamSet, prefix: s
         project_heads(x, params[f"{prefix}.w{p}"], params[f"{prefix}.b{p}"], config.n_heads)
         for p in "qkv"
     )
-    heads, _ = attend(q, k, v, key_mask)
+    heads = attend(q, k, v, key_mask)
     joined = reshape(transpose(heads, (0, 2, 1, 3)), (B, n, d))
     return affine(joined, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
@@ -130,7 +129,7 @@ def encode(
     x = add(concat([cls, tok], axis=1), pos)
     x = dropout(x, keep)
     key_mask = np.ones((B, 1, 1, n), dtype=bool)
-    key_mask[:, 0, 0, 1:] = batch.mask > 0
+    key_mask[:, 0, 0, 1:] = batch.mask
     for i in range(config.n_layers):
         prefix = f"encoder.layer{i}"
         attn = _self_attention(x, key_mask, params, f"{prefix}.attn", config)

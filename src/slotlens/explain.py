@@ -17,8 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import (LabelMaps, OUTSIDE, Utterance, Vocab, encode_batch, length_groups,
-                   rewrite_file)
+from .data import (SPLIT_MIN_SAVED, LabelMaps, OUTSIDE, Utterance, Vocab, encode_batch,
+                   rewrite_file, split_by_length)
 from .model import JointModel
 
 ROW_SUM_TOLERANCE = 1e-6
@@ -87,8 +87,8 @@ class AttentionBundle:
 
 # Utterances per extraction pass at the model's max_len, at most. A call
 # whose longest kept utterance has l tokens takes up to
-# EXTRACT_CHUNK * max_len**2 // l**2 per pass, so no pass holds more (L, L)
-# attention cells than EXTRACT_CHUNK utterances at max_len.
+# EXTRACT_CHUNK * max_len // l per pass, so no pass holds more token rows,
+# or (L, L) attention cells, than EXTRACT_CHUNK utterances at max_len.
 EXTRACT_CHUNK = 32
 
 
@@ -115,13 +115,13 @@ def _extraction(
     Utterances are truncated to the model's maximum length, and those with
     equal kept tokens and tags run once (the network never reads the
     intent). Returns the distinct utterances, each caller position's index
-    among them, and a generator that runs one graph-free inference pass
-    per length group (see :func:`length_groups`) of at most
-    ``EXTRACT_CHUNK * max_len**2 // l_max**2`` distinct utterances, where
-    ``l_max`` is the longest kept length. It yields, per pass, ``(idx,
-    lengths, attention, positive)``: the distinct indices, their kept
-    lengths, the float32 ``(B, T, L, L)`` maps and a ``(B, T)`` mask of
-    positive types.
+    among them, and a generator that encodes them once and runs one
+    graph-free inference pass per length group (see
+    :func:`split_by_length`) of at most ``EXTRACT_CHUNK * max_len // l_max``
+    distinct utterances, where ``l_max`` is the longest kept length. It
+    yields, per pass, ``(idx, lengths, attention, positive)``: the distinct
+    indices, their kept lengths, the float32 ``(B, T, L, L)`` maps and a
+    ``(B, T)`` mask of positive types.
 
     Positive types are the types of the gold tags; an utterance with no
     tagged slot falls back to the tags the same pass predicts for it
@@ -135,13 +135,16 @@ def _extraction(
     unique = list(distinct.values())
 
     def batches():
+        if not unique:
+            return
+        if not model.config.has_aux_network:
+            raise ValueError("model was built without the slot-type attention network")
         T, outside = maps.n_slot_types, maps.slot_type_index[OUTSIDE]
-        l_max = max((len(tokens) for tokens, _ in distinct), default=max_len)
-        for idx in length_groups(unique, max_len, EXTRACT_CHUNK * max_len**2 // l_max**2):
-            batch = encode_batch([unique[i] for i in idx], maps, vocab, max_len)
+        whole = encode_batch(unique, maps, vocab, max_len)
+        size = EXTRACT_CHUNK * max_len // int(whole.lengths.max())
+        for idx in split_by_length(whole.lengths, SPLIT_MIN_SAVED, size):
+            batch = whole.rows(idx)
             _, _, attention, slot_logits = model.infer(batch)
-            if attention is None:
-                raise ValueError("model was built without the slot-type attention network")
             kinds = batch.type_targets  # (B, L), -1 at pad
             untagged = ((kinds == outside) | (kinds < 0)).all(axis=1)
             if untagged.any():

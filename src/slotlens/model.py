@@ -215,7 +215,7 @@ def intent_fusion(
     x = layer_norm(x, params["fusion.ln.gain"], params["fusion.ln.bias"])
     x = affine(x, params["fusion.ll.w"], params["fusion.ll.b"])
     q, k, v = (affine(x, params[f"fusion.sa.{p}.w"], params[f"fusion.sa.{p}.b"]) for p in "qkv")
-    u_sa, _ = attend(q, k, v, mask[:, None, :])
+    u_sa = attend(q, k, v, mask[:, None, :])
     return layer_norm(
         add(u_e, u_sa), params["fusion.post_ln.gain"], params["fusion.post_ln.bias"]
     )
@@ -232,7 +232,7 @@ def slot_type_attention(
     by :func:`slot_type_heads`. Frozen-uniform mode replaces the softmax
     with a constant 1/l map over the valid keys.
     """
-    keys = mask[:, None, None, :] > 0
+    keys = mask[:, None, None, :]
     if config.frozen_uniform_type_attention:
         B, L = mask.shape
         uniform = (keys / keys.sum(axis=-1, keepdims=True)).astype(u_hat.dtype)
@@ -274,7 +274,7 @@ def fusion_cross_attention(
         q = affine(u_e, params["cross.q.w"], params["cross.q.b"])
         k = affine(g_p, params["cross.k.w"], params["cross.k.b"])
         v = affine(g_p, params["cross.v.w"], params["cross.v.b"])
-        attended, _ = attend(q, k, v, mask[:, None, :])
+        attended = attend(q, k, v, mask[:, None, :])
         fused = add(u_e, attended)
     normed = layer_norm(fused, params["slot_out.ln.gain"], params["slot_out.ln.bias"])
     return affine(normed, params["slot_out.ll.w"], params["slot_out.ll.b"])
@@ -360,7 +360,7 @@ def forward(
         loss_type = Tensor(0.0)
         if config.has_aux_network:
             types = sub.type_targets[..., None] == np.arange(config.n_slot_types)
-            loss_type = binary_cross_entropy(g_type, types, n_type_cells, sub.mask[..., None] > 0)
+            loss_type = binary_cross_entropy(g_type, types, n_type_cells, sub.mask[..., None])
         terms.append((cross_entropy_rows(g_intent, sub.intent_targets, B), loss_type,
                       cross_entropy_rows(g_slot, sub.slot_targets, B)))
     loss_intent, loss_type, loss_slot = (reduce(add, ts) for ts in zip(*terms))

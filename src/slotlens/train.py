@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import (
-    LabelMaps, Utterance, Vocab, encode_batch, extract_spans, length_groups, span_f1,
+    SPLIT_MIN_SAVED, LabelMaps, Utterance, Vocab, encode_batch, extract_spans,
+    split_by_length, span_f1,
 )
 from .model import JointModel, ModelConfig
 from .optim import adam_step
@@ -112,7 +113,7 @@ class Metrics:
 class TrainResult:
     model: JointModel
     curve: list[EpochStats] = field(default_factory=list)
-    truncated: int = 0  # training utterances cut to ``max_len``, counted in epoch 1
+    truncated: int = 0  # training utterances cut to ``max_len``
 
 
 def _batches(n: int, batch_size: int, order: np.ndarray):
@@ -143,14 +144,12 @@ def train_model(
 
     curve: list[EpochStats] = []
     n = len(corpus)
-    truncated = 0
+    whole = encode_batch(corpus, maps, vocab, run.max_len)
     for epoch in range(run.epochs):
         order = shuffle_rng.permutation(n)
         sums = np.zeros(4)
         for idx in _batches(n, run.batch_size, order):
-            batch = encode_batch([corpus[i] for i in idx], maps, vocab, run.max_len)
-            if epoch == 0:
-                truncated += batch.truncated
+            batch = whole.rows(idx)
             # overflow shows up as a non-finite loss or gradient, which the
             # checks below report; numpy need not warn about it first
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -202,7 +201,8 @@ def train_model(
                 dev_slot_f1=dev_f1,
             )
         )
-    return TrainResult(model=model, curve=curve, truncated=truncated)
+    return TrainResult(model=model, curve=curve,
+                       truncated=sum(u.length > run.max_len for u in corpus))
 
 
 def evaluate(
@@ -216,8 +216,8 @@ def evaluate(
     """Intent accuracy plus exact-span-match micro precision/recall/F1.
 
     Utterances are truncated to ``max_len`` tokens, by default the longest
-    the model takes (``config.max_len``), and run in length groups of at
-    most ``batch_size`` (see :func:`length_groups`).
+    the model takes (``config.max_len``), encoded once and run in length
+    groups of at most ``batch_size`` (see :func:`split_by_length`).
     """
     if not corpus:
         raise ValueError("cannot evaluate an empty corpus")
@@ -225,18 +225,13 @@ def evaluate(
         max_len = model.config.max_len
     correct = 0
     gold_spans, pred_spans = [], []
-    for idx in length_groups(corpus, max_len, batch_size):
-        chunk = [corpus[i] for i in idx]
-        batch = encode_batch(chunk, maps, vocab, max_len)
-        intents, slots = model.predict(batch)
-        for b, u in enumerate(chunk):
-            if intents[b] == maps.intent_index[u.intent]:
-                correct += 1
-            n = int(batch.lengths[b])
-            gold_spans.append(extract_spans(u.bio_tags[:n]))
-            pred_spans.append(
-                extract_spans([maps.bio_labels[j] for j in slots[b]])
-            )
+    whole = encode_batch(corpus, maps, vocab, max_len)
+    for idx in split_by_length(whole.lengths, SPLIT_MIN_SAVED, batch_size):
+        intents, slots = model.predict(whole.rows(idx))
+        correct += int((intents == whole.intent_targets[idx]).sum())
+        for i, tags in zip(idx.tolist(), slots):
+            gold_spans.append(extract_spans(corpus[i].bio_tags[: whole.lengths[i]]))
+            pred_spans.append(extract_spans([maps.bio_labels[j] for j in tags]))
     p, r, f1 = span_f1(gold_spans, pred_spans)
     return Metrics(
         intent_accuracy=correct / len(corpus),

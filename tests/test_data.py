@@ -28,7 +28,6 @@ from slotlens.data import (
     encode_batch,
     extract_spans,
     generate_aux_targets,
-    length_groups,
     load_corpus,
     split_by_length,
     span_f1,
@@ -268,6 +267,7 @@ class TestEncodeBatch:
         batch = encode_batch(corpus, maps, vocab)
         assert batch.max_len == 5
         np.testing.assert_array_equal(batch.mask, [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
+        assert batch.mask.dtype == bool
         np.testing.assert_array_equal(batch.lengths, [3, 5])
         assert (batch.slot_targets[0, 3:] == -1).all()
         assert (batch.type_targets[0, 3:] == -1).all()
@@ -278,11 +278,10 @@ class TestEncodeBatch:
         long_u = Utterance(["word"] * 60, "book_hotel", ["O"] * 60)
         batch = encode_batch([long_u], maps, vocab, max_len=50)
         assert batch.max_len == 50
-        assert batch.truncated == 1
-        assert encode_batch(corpus, maps, vocab, max_len=50).truncated == 0
+        assert batch.lengths.tolist() == [50]
+        assert encode_batch(corpus, maps, vocab, max_len=50).lengths.tolist() == [3, 5]
         kept = encode_batch([long_u], maps, vocab)
         assert kept.max_len == 60
-        assert kept.truncated == 0
 
     def test_rows_select_and_trim_padding(self, setting):
         corpus, maps, vocab = setting
@@ -293,7 +292,6 @@ class TestEncodeBatch:
         for name in ("token_ids", "mask", "lengths", "intent_targets", "slot_targets",
                      "type_targets"):
             np.testing.assert_array_equal(getattr(sub, name), getattr(short, name))
-        assert (batch.truncated, sub.truncated) == (1, 0)
 
     def test_unknown_token_maps_to_unk(self, setting):
         corpus, maps, vocab = setting
@@ -347,14 +345,16 @@ class TestEncodeBatch:
             encode_batch([], maps, vocab)
 
 
-def of_lengths(lengths):
-    return [Utterance(["w"] * l, "i", ["O"] * l) for l in lengths]
+def groups_of(lengths, size=32):
+    """Inference length groups of utterances of these lengths, kept to 50
+    tokens."""
+    return split_by_length(np.minimum(lengths, 50), SPLIT_MIN_SAVED, size)
 
 
 class TestLengthGroups:
     def test_desk_lengths_make_one_group(self):
         lengths = [6 + i % 8 for i in range(25)]  # 6-13, three or four of each
-        groups = length_groups(of_lengths(lengths), 50, 32)
+        groups = groups_of(lengths)
         assert len(groups) == 1
         np.testing.assert_array_equal(groups[0], np.arange(25))  # the caller's order
         # random 25-utterance chunks and 32-utterance training batches often
@@ -370,14 +370,14 @@ class TestLengthGroups:
         for _ in range(20):
             lengths = [int(rng.integers(2, 5)) if i % 2 else int(rng.integers(33, 48))
                        for i in range(25)]
-            groups = length_groups(of_lengths(lengths), 50, 32)
+            groups = groups_of(lengths)
             assert len(groups) == 2
             assert max(lengths[i] for i in groups[0]) <= 4
             assert min(lengths[i] for i in groups[1]) >= 33
 
     def test_groups_cover_every_index_in_length_order_and_bounded_size(self):
         lengths = np.random.default_rng(1).integers(1, 60, size=70)
-        groups = length_groups(of_lengths(lengths), 50, 32)
+        groups = groups_of(lengths)
         truncated = np.minimum(lengths, 50)
         np.testing.assert_array_equal(np.sort(np.concatenate(groups)), np.arange(70))
         assert all(1 <= len(g) <= 32 and (np.diff(g) > 0).all() for g in groups)
@@ -414,12 +414,12 @@ class TestLengthGroups:
             assert cost(s, np.cumsum([len(g) for g in groups]), pass_cost) == best
 
     def test_no_utterances_no_groups(self):
-        assert length_groups([], 50, 32) == []
+        assert groups_of([]) == []
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_size_below_one_rejected(self, size):
         with pytest.raises(ValueError, match=f"batch size must be at least 1, got {size}"):
-            length_groups(of_lengths([3, 4]), 50, size)
+            groups_of([3, 4], size)
 
 
 class TestSpans:
@@ -584,7 +584,9 @@ def test_encode_batch_matches_the_reference_on_the_bench_corpora(name):
     corpus = train + heldout + [u for a, b, _ in pairs for u in (a, b)]
     for max_len in (50, 8):
         batches = [corpus[i : i + 32] for i in range(0, len(corpus), 32)]
-        batches += [[corpus[i] for i in g] for g in length_groups(corpus, max_len, 25)]
+        lengths = np.array([u.length for u in corpus])
+        batches += [[corpus[i] for i in g]
+                    for g in split_by_length(np.minimum(lengths, max_len), SPLIT_MIN_SAVED, 25)]
         for batch in batches:
             got = encode_batch(batch, maps, vocab, max_len)
             want = reference_encode_batch(batch, maps, vocab, max_len)
@@ -594,6 +596,8 @@ def test_encode_batch_matches_the_reference_on_the_bench_corpora(name):
             del arrays["type_targets"]
             arrays["aux_targets"] = (
                 types[..., None] == np.arange(maps.n_slot_types)).astype(np.float32)
+            arrays["mask"] = got.mask.astype(np.float32)
+            arrays["truncated"] = sum(u.length > max_len for u in batch)
             assert arrays.keys() == want.keys()
             for name, b in want.items():
                 a = arrays[name]

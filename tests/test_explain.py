@@ -3,6 +3,7 @@ import html
 import numpy as np
 import pytest
 
+from slotlens import explain as explain_module
 from slotlens import model as model_module
 from slotlens.data import Utterance, Vocab, build_label_maps, encode_batch
 from slotlens.explain import (
@@ -418,7 +419,7 @@ class TestBatchedExtraction:
 
     @pytest.mark.parametrize("n,forwards", [(25, 1), (32, 1), (40, 1)])
     def test_analysis_runs_one_forward_per_chunk(self, monkeypatch, n, forwards):
-        """Five-token utterances, max_len 9: a pass takes 32 * 81 // 25 = 103."""
+        """Five-token utterances, max_len 9: a pass takes 32 * 9 // 5 = 57."""
         model, _, maps, vocab = small_setting()
         calls = count_passes(monkeypatch)
         report = topk_entropy_analysis(model, mixed_utterances(n, lengths=[5]), [5, 100],
@@ -436,6 +437,45 @@ class TestBatchedExtraction:
         report = topk_entropy_analysis(model, utterances, [5, 100], maps, vocab)
         assert report.n_utterances == 41
         assert len(calls) == 2 and max(calls) <= EXTRACT_CHUNK and sum(calls) == 41
+
+    def test_short_utterances_fill_a_pass_with_token_rows_of_extract_chunk(
+            self, monkeypatch):
+        """600 distinct 3-token utterances at max_len 50 run in passes of at
+        most EXTRACT_CHUNK * 50 token positions, not in one 600-row pass."""
+        model, _, maps, vocab = small_setting(max_positions=51)
+        utterances = [Utterance(list(f"{i:03d}"), "book_flight", ["O"] * 3) for i in range(600)]
+        shapes = []
+        real_infer = model_module.infer
+
+        def spy(batch, *args, **kwargs):
+            shapes.append(batch.token_ids.shape)
+            return real_infer(batch, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "infer", spy)
+        report = topk_entropy_analysis(model, utterances, [5, 100], maps, vocab)
+        assert report.n_utterances == 600
+        assert len(shapes) == 2 and sum(b for b, _ in shapes) == 600
+        assert all(b * l <= EXTRACT_CHUNK * 50 for b, l in shapes)
+
+    def test_analyses_encode_their_utterances_once(self, monkeypatch):
+        """Bimodal lengths run several passes, all rows of one encoded
+        batch of the distinct utterances."""
+        model, _, maps, vocab = small_setting(max_positions=48)
+        utterances = mixed_utterances(25, lengths=[2, 40, 3, 33, 4, 47, 36])
+        pairs = [(u, Utterance(["denver"] * u.length, u.intent, u.bio_tags), "slot")
+                 for u in utterances]
+        calls, passes = [], count_passes(monkeypatch)
+        real = explain_module.encode_batch
+
+        def counting(batch_utterances, *args, **kwargs):
+            calls.append(len(batch_utterances))
+            return real(batch_utterances, *args, **kwargs)
+
+        monkeypatch.setattr(explain_module, "encode_batch", counting)
+        topk_entropy_analysis(model, utterances, [5, 100], maps, vocab)
+        assert calls == [25] and len(passes) > 1
+        consistency_analysis(model, pairs, maps, vocab)
+        assert len(calls) == 2 and len(passes) > 3
 
     def test_desk_length_consistency_chunk_runs_one_pass(self, monkeypatch):
         """33-38 distinct utterances of lengths 6-13, as a 25-pair chunk of

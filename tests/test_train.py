@@ -265,13 +265,10 @@ class TestEvaluate:
         monkeypatch.setattr(train_module, "encode_batch", spy)
         evaluate(model, [long_u], maps, vocab)
         assert [b.lengths.tolist() for b in seen] == [[55]]
-        assert seen[0].truncated == 0
 
     def test_length_groups_match_single_utterance_runs(self, corpus_setting, monkeypatch):
         """Lengths 2-47 in shuffled order score exactly as one utterance per
         pass does, while running as a few multi-utterance length groups."""
-        import slotlens.train as train_module
-
         corpus, maps, vocab = corpus_setting
         model = train_model(corpus, maps, vocab, tiny_run(epochs=0, max_len=47)).model
         rng = np.random.default_rng(4)
@@ -282,18 +279,39 @@ class TestEvaluate:
             tags = [t for u in parts for t in u.bio_tags]
             mixed.append(Utterance(tokens[:n], parts[0].intent, tags[:n]))
         groups = []
-        real = train_module.encode_batch
+        real = model.predict
 
-        def spy(utterances, *args, **kwargs):
-            groups.append([u.length for u in utterances])
-            return real(utterances, *args, **kwargs)
+        def spy(batch):
+            groups.append(batch.lengths.tolist())
+            return real(batch)
 
-        monkeypatch.setattr(train_module, "encode_batch", spy)
+        monkeypatch.setattr(model, "predict", spy)
         grouped = evaluate(model, mixed, maps, vocab)
+        monkeypatch.undo()
         assert 1 < len(groups) < len(mixed) / 4
         assert all(max(a) <= min(b) for a, b in zip(groups, groups[1:]))
         assert grouped == evaluate(model, mixed, maps, vocab, batch_size=1)
         assert grouped.slot_precision > 0
+
+    def test_training_and_evaluation_encode_their_corpus_once(self, corpus_setting,
+                                                              monkeypatch):
+        """Every shuffled batch of every epoch, and every length group, is
+        a selection of rows of the one encoded corpus."""
+        import slotlens.train as train_module
+
+        corpus, maps, vocab = corpus_setting
+        calls = []
+        real = train_module.encode_batch
+
+        def counting(utterances, *args, **kwargs):
+            calls.append(len(utterances))
+            return real(utterances, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "encode_batch", counting)
+        model = train_model(corpus, maps, vocab, tiny_run(epochs=3)).model
+        assert calls == [len(corpus)]
+        evaluate(model, corpus, maps, vocab, batch_size=5)
+        assert calls == [len(corpus)] * 2
 
     def test_perfect_agreement_scores_one(self, corpus_setting):
         """Scoring a model's own predictions as gold is exact."""

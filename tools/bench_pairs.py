@@ -3,7 +3,7 @@
     python3 tools/bench_pairs.py --base <rev> --workload infer-desk \
         --seeds 4100-4109 --out BENCH_<n>.json
 
-The base side runs from a detached ``git worktree`` of ``<rev>`` in a
+The base side runs from the files of ``<rev>`` (``git archive``) in a
 temporary directory, removed when the runs end; the change side runs from
 this checkout as it stands. Each seed runs the benchmark command of
 ``BENCHMARK.json`` with ``--trace 0`` once per side, one run at a time,
@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import shlex
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -170,7 +172,10 @@ def main(argv=None) -> int:
     base_dir = tmp / "base"
     runs = []
     try:
-        git("worktree", "add", "--detach", str(base_dir), base_sha)
+        archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_dir, filter="data")
         checkouts = {"base": base_dir, "change": ROOT}
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -181,9 +186,6 @@ def main(argv=None) -> int:
                 status = "ok" if record["ok"] else "FAILED"
                 print(f"seed {seed} {side}: {status}", file=sys.stderr)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base_dir)], cwd=ROOT,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     out = {
