@@ -45,14 +45,16 @@ class UnknownLabelError(ValueError):
 
 
 def validate_bio(tags: list[str], where: str = "") -> None:
-    """Check that every tag is O, B-x or I-x with a non-empty type x, and
-    that every I-x is preceded by B-x or I-x of the same type."""
+    """Check that every tag is O, B-x or I-x with a non-empty type x free of
+    "/", and that every I-x is preceded by B-x or I-x of the same type."""
     prev = OUTSIDE
     for i, tag in enumerate(tags):
         if tag != OUTSIDE and not (tag.startswith("B-") or tag.startswith("I-")):
             raise BioValidationError(f"{where}unknown tag {tag!r} at position {i}")
         if tag in ("B-", "I-"):
             raise BioValidationError(f"{where}tag {tag!r} at position {i} has an empty slot type")
+        if "/" in tag:
+            raise BioValidationError(f"{where}tag {tag!r} at position {i}: slot type has a '/'")
         if tag.startswith("I-"):
             kind = tag[2:]
             if prev not in (f"B-{kind}", f"I-{kind}"):
@@ -104,7 +106,7 @@ class LabelMaps:
     """The three label inventories, each indexed in the order given
     (:func:`build_label_maps` gives them sorted).
 
-    ``slot_types`` always contains the literal "O"; ``bio_labels`` holds
+    ``slot_types`` contains the literal "O" and no "/"; ``bio_labels`` holds
     exactly "O" plus B-x and I-x for each non-O type x, in any order, so
     |bio| == 2*(|types|-1) + 1. Neither list repeats an entry.
     ``bio_type_column`` maps each BIO index to its slot type's index.
@@ -121,6 +123,9 @@ class LabelMaps:
     def __post_init__(self):
         if OUTSIDE not in self.slot_types:
             raise ValueError('slot type inventory must contain "O"')
+        slashed = [t for t in self.slot_types if "/" in t]
+        if slashed:
+            raise ValueError(f"slot types may not contain '/': {slashed}")
         implied = [f"{b}-{t}" for t in self.slot_types if t != OUTSIDE for b in "BI"]
         if (len(set(self.slot_types)) < len(self.slot_types)
                 or sorted(self.bio_labels) != sorted([OUTSIDE, *implied])):

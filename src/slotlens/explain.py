@@ -119,9 +119,9 @@ def _extraction(
     graph-free inference pass per length group (see
     :func:`split_by_length`) of at most ``EXTRACT_CHUNK * max_len // l_max``
     distinct utterances, where ``l_max`` is the longest kept length. It
-    yields, per pass, ``(idx, lengths, attention, positive)``: the distinct
-    indices, their kept lengths, the float32 ``(B, T, L, L)`` maps and a
-    ``(B, T)`` mask of positive types.
+    yields each pass cut into its distinct kept lengths l, as ``(idx, block,
+    positive)``: the distinct indices, their checked ``(U, T, l, l)`` maps
+    (see :func:`_check_attention`) and a ``(U, T)`` mask of positive types.
 
     Positive types are the types of the gold tags; an utterance with no
     tagged slot falls back to the tags the same pass predicts for it
@@ -134,7 +134,7 @@ def _extraction(
     inverse = np.array([index[k] for k in keys], dtype=np.intp)
     unique = list(distinct.values())
 
-    def batches():
+    def cuts():
         if not unique:
             return
         if not model.config.has_aux_network:
@@ -154,21 +154,13 @@ def _extraction(
             positive = np.zeros((len(idx), T + 1), dtype=bool)
             positive[np.arange(len(idx))[:, None], kinds] = True
             positive[:, outside] = False
-            yield idx, batch.lengths, attention, positive[:, :T]
+            for l in np.unique(batch.lengths):
+                rows = np.flatnonzero(batch.lengths == l)
+                block = attention[rows, :, :l, :l]
+                _check_attention(block, maps.slot_types)
+                yield idx[rows], block, positive[rows, :T]
 
-    return unique, inverse, batches()
-
-
-def _length_cuts(batches: Iterator[tuple], kinds: list[str]) -> Iterator[tuple]:
-    """Cut each extraction pass into its distinct kept lengths: yields
-    ``(idx, block, positive)`` with each cut's checked float32
-    ``(U, T, l, l)`` maps (see :func:`_check_attention`)."""
-    for idx, lengths, attention, positive in batches:
-        for l in np.unique(lengths):
-            rows = np.flatnonzero(lengths == l)
-            block = attention[rows, :, :l, :l]
-            _check_attention(block, kinds)
-            yield idx[rows], block, positive[rows]
+    return unique, inverse, cuts()
 
 
 def extract_attention_bundles(
@@ -186,18 +178,18 @@ def extract_attention_bundles(
     the gold tags, or from the predicted tags when there is no tagged slot;
     "O" joins the negative set only when ``include_outside`` is set.
     """
-    unique, inverse, batches = _extraction(model, utterances, maps, vocab)
+    unique, inverse, cuts = _extraction(model, utterances, maps, vocab)
     analyzed = _analyzed_types(maps, include_outside)
     bundles: list[AttentionBundle | None] = [None] * len(unique)
-    for idx, lengths, attention, positive in batches:
+    for idx, block, positive in cuts:
         negative = (analyzed & ~positive).tolist()
-        for b, (i, n) in enumerate(zip(idx.tolist(), lengths.tolist())):
+        for r, i in enumerate(idx.tolist()):
             bundles[i] = AttentionBundle(
-                tokens=list(unique[i].tokens[:n]),
-                # views into the batch; the bundle copies and checks them
-                matrices=dict(zip(maps.slot_types, attention[b, :, :n, :n])),
-                positive_types=frozenset(compress(maps.slot_types, positive[b].tolist())),
-                negative_types=frozenset(compress(maps.slot_types, negative[b])),
+                tokens=list(unique[i].tokens[: block.shape[-1]]),
+                # views into the checked cut; the bundle copies and checks them
+                matrices=dict(zip(maps.slot_types, block[r])),
+                positive_types=frozenset(compress(maps.slot_types, positive[r].tolist())),
+                negative_types=frozenset(compress(maps.slot_types, negative[r])),
             )
     return [bundles[i] for i in inverse]
 
@@ -409,21 +401,21 @@ def topk_entropy_analysis(
     the result equals :func:`entropy_report_from_bundles` over
     :func:`extract_attention_bundles`, without building the bundles.
 
-    Each extraction pass is cut into its distinct kept lengths, and each
-    cut's analyzed maps are scored as one float64 stack. ``k_list`` and
-    ``granularity`` are checked before any inference runs.
+    Each length cut's analyzed maps are scored as one float64 stack.
+    ``k_list``, ``granularity`` and the analyzed types are checked before
+    any inference runs.
     """
     _check_topk(k_list, granularity)
     if not corpus:
         raise ValueError("no utterances to analyze")
-    unique, inverse, batches = _extraction(model, corpus, maps, vocab)
+    if not _analyzed_types(maps, False).any():  # "O" is never positive
+        raise ValueError("no positive slot types anywhere in the corpus")
     analyzed = _by_name(maps, _analyzed_types(maps, include_outside))
+    unique, inverse, cuts = _extraction(model, corpus, maps, vocab)
     n_pos = np.zeros(len(unique), dtype=np.intp)
     pos = np.full((len(unique), len(k_list)), np.nan)
     neg = np.full((len(unique), len(k_list)), np.nan)
-    for idx, block, positive in _length_cuts(batches, maps.slot_types):
-        if not len(analyzed):
-            continue
+    for idx, block, positive in cuts:
         in_order = positive[:, analyzed]  # (U, A), types in name order
         # per row: positive types first, then negative, each in name order
         types = analyzed[np.argsort(~in_order, axis=1, kind="stable")]
@@ -526,26 +518,33 @@ def consistency_analysis(
 
     Pairs are scored grouped by length: one :func:`_row_cosines` call per
     length over the selected (pair, type) maps only, then each pair's mean
-    over its types in name order."""
+    over its types in name order. Unequal lengths and label maps with no
+    slot type besides "O" are refused before any inference runs."""
     n = len(pairs)
-    unique, inverse, batches = _extraction(
+    unique, inverse, cuts = _extraction(
         model, [p[0] for p in pairs] + [p[1] for p in pairs], maps, vocab)
-    length = np.zeros(len(unique), dtype=np.intp)
-    row = np.zeros(len(unique), dtype=np.intp)  # position in its length's stack
-    positive = np.zeros((len(unique), maps.n_slot_types), dtype=bool)
-    blocks: dict[int, list[np.ndarray]] = {}
-    for idx, block, pos in _length_cuts(batches, maps.slot_types):
-        same = blocks.setdefault(block.shape[-1], [])
-        length[idx] = block.shape[-1]
-        row[idx] = sum(map(len, same)) + np.arange(len(idx))
-        positive[idx] = pos
-        same.append(block)
+    length = np.array([min(u.length, model.config.max_len) for u in unique], dtype=np.intp)
     a, b = inverse[:n], inverse[n:]
     unequal = np.flatnonzero(length[a] != length[b])
     if unequal.size:
         i = unequal[0]
         raise ValueError(f"pair {i}: lengths differ ({length[a[i]]} vs {length[b[i]]}); "
                          "a modification pair must keep the token count")
+    if n and not _analyzed_types(maps, False).any():
+        raise ValueError("no slot types to compare")
+
+    # one stack per length, where each distinct utterance's row is its rank
+    # among that length's; the parameters' dtype keeps the maps unrounded
+    order = np.argsort(length, kind="stable")
+    lengths, first, count = np.unique(length[order], return_index=True, return_counts=True)
+    row = np.empty_like(length)
+    row[order] = np.arange(len(order)) - np.repeat(first, count)
+    stacks = {l: np.empty((c, maps.n_slot_types, l, l), model.params.dtype)
+              for l, c in zip(lengths.tolist(), count.tolist())}
+    positive = np.zeros((len(unique), maps.n_slot_types), dtype=bool)
+    for idx, block, pos in cuts:
+        stacks[block.shape[-1]][row[idx]] = block
+        positive[idx] = pos
 
     chosen = positive[a]
     chosen[~chosen.any(axis=1)] = _analyzed_types(maps, False)
@@ -553,16 +552,11 @@ def consistency_analysis(
     pair, col = np.nonzero(chosen[:, by_name])  # each pair's types in name order
     kind = by_name[col]
     counts = np.bincount(pair, minlength=n)
-    if not counts.all():
-        raise ValueError("no slot types to compare")
     cosines = np.empty(len(pair))
-    for l, same in blocks.items():
+    for l, stack in stacks.items():  # each length is some pair's, and every pair has a type
         sel = np.flatnonzero(length[a[pair]] == l)
-        if sel.size:
-            stack = np.concatenate(same) if len(same) > 1 else same[0]
-            x, y = (stack[row[side[pair[sel]]], kind[sel]].astype(np.float64)
-                    for side in (a, b))
-            cosines[sel] = _row_cosines(x, y)
+        x, y = (stack[row[side[pair[sel]]], kind[sel]].astype(np.float64) for side in (a, b))
+        cosines[sel] = _row_cosines(x, y)
     starts = np.cumsum(counts) - counts
     scores = np.empty(n)
     for c in np.unique(counts):  # a C-contiguous (G, c) mean per type count

@@ -311,7 +311,7 @@ def _network(
 
 
 def _dropout_masks(
-    batch: Batch, config: ModelConfig, params: ParamSet, rng: np.random.Generator | None
+    batch: Batch, config: ModelConfig, params: ParamSet, rng: np.random.Generator
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """A training pass's two dropout masks over the whole batch, drawn in
     the order the one-graph pass draws them: the embedding mask
@@ -331,11 +331,11 @@ def forward(
     batch: Batch,
     config: ModelConfig,
     params: ParamSet,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardOutput:
     """Run the network over the padded batch and return the mean-over-batch
-    losses against the batch's gold labels.
+    losses against the batch's gold labels. Dropout runs exactly when
+    ``rng`` is given.
 
     When splitting the batch by length saves more than ``SPLIT_MIN_SAVED``
     padded positions per extra pass (:func:`split_by_length`), the
@@ -346,7 +346,7 @@ def forward(
     one-graph losses up to float rounding. Otherwise the one graph runs."""
     B = batch.size
     n_type_cells = int(batch.lengths.sum()) * config.n_slot_types
-    keeps = _dropout_masks(batch, config, params, rng) if training else (None, None)
+    keeps = (None, None) if rng is None else _dropout_masks(batch, config, params, rng)
     groups = split_by_length(batch.lengths, SPLIT_MIN_SAVED, B)
     terms = []
     for idx in groups:
@@ -415,9 +415,8 @@ class JointModel:
         if rng is not None:
             self.params.allocate(dtype)
 
-    def forward(self, batch: Batch, training: bool = False,
-                rng: np.random.Generator | None = None) -> ForwardOutput:
-        return forward(batch, self.config, self.params, training, rng)
+    def forward(self, batch: Batch, rng: np.random.Generator | None = None) -> ForwardOutput:
+        return forward(batch, self.config, self.params, rng)
 
     def infer(self, batch: Batch) -> Outputs:
         return infer(batch, self.config, self.params)

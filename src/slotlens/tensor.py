@@ -442,7 +442,7 @@ def dropout_mask(
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None:
-        raise ValueError("dropout in training mode requires a seeded rng")
+        raise ValueError("dropout requires a seeded rng")
     lengths = np.asarray(lengths, dtype=np.intp)
     keep = np.zeros(shape, dtype=bool)
     # row-major order of the valid rows is utterance by utterance

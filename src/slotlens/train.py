@@ -153,7 +153,7 @@ def train_model(
             # overflow shows up as a non-finite loss or gradient, which the
             # checks below report; numpy need not warn about it first
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = model.forward(batch, training=True, rng=dropout_rng)
+                out = model.forward(batch, rng=dropout_rng)
                 total = out.loss_total.item()
                 if not np.isfinite(total):
                     raise TrainingDivergedError(

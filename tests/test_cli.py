@@ -12,7 +12,8 @@ from conftest import edited_copy, rewrite_manifest, table_edit
 from slotlens import cli, optim, train
 from slotlens.checkpoint import load_checkpoint
 from slotlens.cli import main, parse_config_file
-from slotlens.data import load_corpus, write_corpus, Utterance
+from slotlens.data import (INTENT_FILE, TAGS_FILE, TOKENS_FILE, load_corpus,
+                           write_corpus, Utterance)
 from slotlens.explain import extract_attentions
 from slotlens.train import RunConfig
 
@@ -457,6 +458,52 @@ class TestExplain:
         assert passes == []
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_slash_in_a_corpus_tag_is_one_data_error_line(self, capsys, tmp_path):
+        """A slot type names its heatmap file, so a corpus tag whose type
+        holds "/" is refused where the corpus is read."""
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / TOKENS_FILE).write_text("fly to boston\n" * 2, encoding="utf-8")
+        (bad / TAGS_FILE).write_text("O O B-city\nO O B-x/../../../esc\n", encoding="utf-8")
+        (bad / INTENT_FILE).write_text("book_flight\n" * 2, encoding="utf-8")
+        rc = main(["train", "--train", str(bad), "--out", str(tmp_path / "run"), *TINY])
+        assert rc == 1
+        assert capsys.readouterr().err == ("data error: utterance 2: tag 'B-x/../../../esc' "
+                                           "at position 2: slot type has a '/'\n")
+        assert not (tmp_path / "run").exists()
+
+    @staticmethod
+    def slashed_checkpoint(trained_dir, tmp_path):
+        """The trained checkpoint with its type "city" renamed to one that
+        climbs three directories."""
+        def rename(manifest):
+            maps = manifest["label_maps"]
+            maps["slot_types"] = [t.replace("city", "x/../../../esc") for t in maps["slot_types"]]
+            maps["bio_labels"] = [t.replace("city", "x/../../../esc") for t in maps["bio_labels"]]
+
+        path = Path(shutil.copy(trained_dir / "checkpoint.ckpt", tmp_path / "slashed.ckpt"))
+        return rewrite_manifest(path, rename)
+
+    def test_slash_in_a_checkpoint_slot_type_is_one_checkpoint_error_line(
+            self, corpus_dir, trained_dir, capsys, tmp_path):
+        path = self.slashed_checkpoint(trained_dir, tmp_path)
+        rc = main(["eval", "--checkpoint", str(path), "--data", str(corpus_dir / "test")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"checkpoint error: {path}: invalid label maps or vocab: "
+                              "slot types may not contain '/'")
+        assert err.count("\n") == 1 and "x/../../../esc" in err
+
+    def test_writes_nothing_outside_out(self, trained_dir, capsys, tmp_path):
+        path = self.slashed_checkpoint(trained_dir, tmp_path)
+        work = tmp_path / "work"
+        rc = main(["explain", "--checkpoint", str(path), "--text", "fly to boston",
+                   "--out", str(work / "a" / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("checkpoint error:")
+        assert not work.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["slashed.ckpt"]
 
     def test_empty_text_is_an_error(self, trained_dir, capsys, tmp_path):
         rc = main(["explain", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),

@@ -27,6 +27,7 @@ from slotlens.explain import (
 )
 from slotlens.model import JointModel, ModelConfig
 from slotlens.synth import default_grammar, generate_synthetic_corpus, modification_pairs
+from slotlens.train import RunConfig, train_model
 
 
 def uniform_bundle(l=4, types=("city", "day"), positive=("city",)):
@@ -158,6 +159,20 @@ def synthetic_pairs_setting():
         d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_positions=30,
     ), rng=np.random.default_rng(1))
     return model, modification_pairs(corpus, g, seed=5), maps, vocab
+
+
+def outside_only_setting():
+    """A small random model whose label maps hold no slot type but "O"."""
+    corpus = [Utterance(["hello", "there"], "greet", ["O", "O"]),
+              Utterance(["rain", "in", "denver"], "get_weather", ["O", "O", "O"])]
+    maps = build_label_maps(corpus)
+    vocab = Vocab.build(corpus)
+    model = JointModel(ModelConfig(
+        vocab_size=len(vocab), n_intents=maps.n_intents,
+        n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels,
+        d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12, max_positions=10,
+    ), rng=np.random.default_rng(0))
+    return model, corpus, maps, vocab
 
 
 class TestEntropy:
@@ -584,6 +599,25 @@ class TestBatchedExtraction:
         assert consistency_analysis(model, [], maps, vocab).pairs == []
         assert calls == []
 
+    def test_pair_of_unequal_lengths_is_refused_before_any_pass(self, monkeypatch):
+        model, corpus, maps, vocab = small_setting()
+        longer = Utterance(corpus[0].tokens + ["today"], corpus[0].intent,
+                           corpus[0].bio_tags + ["O"])
+        calls = count_passes(monkeypatch)
+        with pytest.raises(ValueError, match="^pair 1: lengths differ \\(4 vs 5\\); a "
+                           "modification pair must keep the token count$"):
+            consistency_analysis(model, [(corpus[1], corpus[1], "same"), (corpus[0], longer,
+                                                                          "slot")], maps, vocab)
+        assert calls == []
+
+    def test_maps_without_slot_types_are_refused_before_any_pass(self, monkeypatch):
+        model, corpus, maps, vocab = outside_only_setting()
+        calls = count_passes(monkeypatch)
+        with pytest.raises(ValueError, match="^no slot types to compare$"):
+            consistency_analysis(model, [(corpus[0], corpus[0], "same")], maps, vocab)
+        assert calls == []
+        assert consistency_analysis(model, [], maps, vocab).pairs == []
+
     def test_pair_of_unequal_lengths_needs_alignment(self):
         model, corpus, maps, vocab = small_setting()
         longer = Utterance(corpus[0].tokens + ["today"], corpus[0].intent,
@@ -667,6 +701,20 @@ class TestScoringFromBatches:
         want = per_pair_consistency_reference(bundles[: len(pairs)], bundles[len(pairs) :])
         assert [p.score for p in report.pairs] == want  # exactly
         assert report.pairs[-1].score == pytest.approx(1.0)
+
+    def test_float64_model_is_scored_from_unrounded_maps(self):
+        """A float64 model's maps reach the cosines as they are: a float32
+        stack would move the scores away from the float64 bundles'."""
+        small, _, maps, vocab = small_setting(max_positions=48)
+        model = JointModel(small.config, rng=np.random.default_rng(0), dtype=np.float64)
+        originals = long_corpus()
+        pairs = [(u, Utterance(["denver"] + u.tokens[1:], u.intent, u.bio_tags), "slot")
+                 for u in originals]
+        report = consistency_analysis(model, pairs, maps, vocab)
+        bundles = extract_attention_bundles(
+            model, [p[0] for p in pairs] + [p[1] for p in pairs], maps, vocab)
+        want = per_pair_consistency_reference(bundles[: len(pairs)], bundles[len(pairs) :])
+        assert [p.score for p in report.pairs] == want  # exactly
 
     @pytest.mark.parametrize("granularity", ["matrix", "rows"])
     def test_length_stacked_means_match_per_utterance_loop(self, granularity):
@@ -806,6 +854,18 @@ class TestEntropyReport:
         with pytest.raises(ValueError, match="no utterances"):
             entropy_report_from_bundles([], [100])
 
+    @pytest.mark.parametrize("include_outside", [False, True])
+    def test_maps_without_slot_types_are_refused_before_any_pass(self, monkeypatch,
+                                                                 include_outside):
+        """Label maps holding only "O" leave no type that can be positive,
+        whatever the model's maps look like."""
+        model, corpus, maps, vocab = outside_only_setting()
+        calls = count_passes(monkeypatch)
+        with pytest.raises(ValueError, match="^no positive slot types anywhere in the corpus$"):
+            topk_entropy_analysis(model, corpus, [100], maps, vocab,
+                                  include_outside=include_outside)
+        assert calls == []
+
     def test_model_level_analysis_row_structure(self):
         model, corpus, maps, vocab = small_setting()
         report = topk_entropy_analysis(model, corpus, [5, 10, 100], maps, vocab)
@@ -942,6 +1002,55 @@ class TestConsistency:
         lines = report.to_tsv().strip().split("\n")
         assert lines[0] == "pair_id\tcategory\tscore"
         assert lines[1] == "0\tslot-only\t0.9"
+
+
+
+# README ("Inference path"): reports from differently batched runs agree to this
+REBATCHED_DEVIATION = 2e-7
+
+
+@pytest.fixture(scope="module")
+def desk_run():
+    """The desk benchmark's shape: a default-grammar corpus of 200 training
+    and 100 held-out utterances from seed 1000, a 2-epoch model trained on
+    it, and the held-out set's modification pairs."""
+    grammar = default_grammar()
+    train_seed, heldout_seed, pairs_seed = np.random.SeedSequence(1000).generate_state(3)
+    train = generate_synthetic_corpus(int(train_seed), 200, grammar)
+    heldout = generate_synthetic_corpus(int(heldout_seed), 100, grammar)
+    maps = build_label_maps(train + heldout)
+    vocab = Vocab.build(train)
+    model = train_model(train, maps, vocab, RunConfig(seed=1000, epochs=2)).model
+    pairs = modification_pairs(heldout, grammar, int(pairs_seed))
+    return model, heldout, pairs, maps, vocab
+
+
+class TestRebatchedReports:
+    """Running the same inputs in other passes moves float32 rounding
+    only: every score and entry stays within ``REBATCHED_DEVIATION``."""
+
+    def test_consistency_in_25_pair_chunks_matches_the_whole_set(self, desk_run):
+        model, _, pairs, maps, vocab = desk_run
+        whole = consistency_analysis(model, pairs, maps, vocab).pairs
+        chunks = [p for i in range(0, len(pairs), 25)
+                  for p in consistency_analysis(model, pairs[i : i + 25], maps, vocab).pairs]
+        assert len(pairs) > 100
+        assert [p.category for p in chunks] == [p.category for p in whole]
+        np.testing.assert_allclose([p.score for p in chunks], [p.score for p in whole],
+                                   rtol=0, atol=REBATCHED_DEVIATION)
+
+    @pytest.mark.parametrize("granularity", ["matrix", "rows"])
+    def test_analysis_in_reverse_order_matches_the_given_order(self, desk_run, granularity):
+        model, heldout, _, maps, vocab = desk_run
+        k_list = [5, 10, 100]
+        given, reverse = (topk_entropy_analysis(model, corpus, k_list, maps, vocab, granularity)
+                          for corpus in (heldout, heldout[::-1]))
+        for got, want in zip(reverse.rows, given.rows, strict=True):
+            assert (got.k, got.n_pos_utterances, got.n_neg_utterances) == (
+                want.k, want.n_pos_utterances, want.n_neg_utterances)
+            np.testing.assert_allclose([got.pos_entropy, got.neg_entropy, got.diff],
+                                       [want.pos_entropy, want.neg_entropy, want.diff],
+                                       rtol=0, atol=REBATCHED_DEVIATION)
 
 
 class TestHeatmap:

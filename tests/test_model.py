@@ -331,7 +331,7 @@ class TestSlotTypeHeads:
             return real(cls, data, parents, op, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "_node", classmethod(spy))
-        out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        out = model.forward(batch, rng=np.random.default_rng(0))
         model.params.zero_grads()
         backward(out.loss_total)
         assert ops == made
@@ -348,7 +348,7 @@ class TestSlotTypeHeads:
         real = tensor_module._unbroadcast
         monkeypatch.setattr(tensor_module, "_unbroadcast",
                             lambda grad, shape: formed.append(grad.shape) or real(grad, shape))
-        out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        out = model.forward(batch, rng=np.random.default_rng(0))
         model.params.zero_grads()
         backward(out.loss_total)
         assert formed and maps_shape not in formed
@@ -466,18 +466,22 @@ class TestForwardShapes:
     def test_every_flag_combination_trains_one_step(self, flags):
         kw = dict(zip(ABLATION_FLAGS, flags))
         model, batch, _, _ = make_model(**kw)
-        out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        out = model.forward(batch, rng=np.random.default_rng(0))
         model.params.zero_grads()
         backward(out.loss_total)
         adam_step(model.params, lr=1e-3)
         assert np.isfinite(out.loss_total.item())
 
     def test_training_with_dropout_needs_a_seeded_rng(self):
+        """A dropout mask needs an rng, and ``forward`` without one runs no
+        dropout: its losses at rate 0.1 are those of the same model at 0."""
         model, batch, _, _ = make_model(dropout_rate=0.1)
         with pytest.raises(ValueError, match="requires a seeded rng"):
-            model.forward(batch, training=True)
-        model, batch, _, _ = make_model(dropout_rate=0.0)
-        assert np.isfinite(model.forward(batch, training=True).loss_total.item())
+            dropout_mask((batch.size, batch.max_len, model.config.d), 0.1, None, batch.lengths)
+        plain, _, _, _ = make_model(dropout_rate=0.0)
+        got, want = model.forward(batch), plain.forward(batch)
+        for term in ("loss_intent", "loss_type", "loss_slot", "loss_total"):
+            assert getattr(got, term).item() == getattr(want, term).item()
 
 
 class TestAblationStructure:
@@ -709,7 +713,7 @@ def assert_split_matches_one_graph(model, batch):
     it splits ``batch`` into, against one graph over the whole batch, to
     1e-12 in float64, with both sides drawing from equally seeded rngs."""
     split_rng, one_rng = np.random.default_rng(11), np.random.default_rng(11)
-    out = model.forward(batch, training=True, rng=split_rng)
+    out = model.forward(batch, rng=split_rng)
     model.params.zero_grads()
     backward(out.loss_total)
     split_grads = model.params.grad.copy()
