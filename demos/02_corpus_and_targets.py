@@ -1,16 +1,14 @@
-"""The three-file corpus format, BIO validation, and the per-type binary
-target matrix that supervises the slot-type attentions."""
+"""The three-file corpus format, BIO validation, and each token's slot-type
+target, whose one-hot supervises the slot-type attentions."""
 
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from slotlens import (
     Vocab,
     build_label_maps,
     default_grammar,
-    generate_aux_targets,
+    encode_batch,
     generate_synthetic_corpus,
     load_corpus,
     write_corpus,
@@ -35,12 +33,12 @@ print(f"slot types  {maps.slot_types}")
 print(f"bio labels  {maps.bio_labels}")
 print(f"vocabulary  {len(vocab)} entries (pad/unk reserved)")
 
-# one row per token, one column per slot type; exactly one 1 per row,
-# and the O column is the complement of the others
+# each token's slot-type target: the index of its tag's type (-1 marks
+# padding); the type generator's binary targets are its one-hot, so every
+# token is a positive for exactly one type, O for the non-slot tokens
 u = corpus[0]
-targets = generate_aux_targets(u.bio_tags, maps)
-print(f"\naux targets for: {' '.join(u.tokens)}")
-print(f"columns: {maps.slot_types}")
-for token, tag, row in zip(u.tokens, u.bio_tags, targets):
-    print(f"  {token:12s} {tag:10s} {row.astype(int)}")
-assert np.array_equal(targets.sum(axis=1), np.ones(len(u.tokens)))
+types = encode_batch([u], maps, vocab).type_targets[0]
+print(f"\ntype targets for: {' '.join(u.tokens)}")
+for token, tag, t in zip(u.tokens, u.bio_tags, types):
+    print(f"  {token:12s} {tag:10s} {t} ({maps.slot_types[t]})")
+assert [maps.slot_types[t] for t in types] == [tag[2:] or "O" for tag in u.bio_tags]

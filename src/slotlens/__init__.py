@@ -22,7 +22,6 @@ from .data import (
     build_label_maps,
     encode_batch,
     extract_spans,
-    generate_aux_targets,
     load_corpus,
     span_f1,
     spans_to_bio,
@@ -96,7 +95,6 @@ __all__ = [
     "build_label_maps",
     "encode_batch",
     "extract_spans",
-    "generate_aux_targets",
     "load_corpus",
     "span_f1",
     "spans_to_bio",

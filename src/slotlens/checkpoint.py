@@ -25,18 +25,23 @@ built around that buffer; load again for an independent model.
 
 Older files held the type generator as eight tensors per slot type
 (``type_gen.t{i}.*``). An index derived from the config maps each of
-those tensors to its elements in the current arenas; a version 3 load
-builds none.
+those tensors to its elements in the current arenas, and one permutation
+by it, applied to the parameter and moment arenas alike, puts an older
+blob in the current order; a version 3 load builds no index.
 
 - ``FORMAT_VERSION`` 2 files have the version 3 layout in every other
-  respect. They pass the same length and CRC checks, then one index
-  permutation, applied to the parameter and moment arenas alike, puts
-  them in the current order.
-- ``FORMAT_VERSION`` 1 files (no trailer, and a per-tensor table of
-  names, shapes, dtypes and byte offsets into the blob) are read by the
-  table reader, including tables that list only some moments. The table
-  must name exactly the tensors the config gives, in their shapes; each
-  entry is then copied from its offset straight into place.
+  respect, and pass the same length and CRC checks before the
+  permutation.
+- ``FORMAT_VERSION`` 1 files have no trailer, and a manifest with a
+  per-tensor table of names, shapes, dtypes and byte offsets and Adam
+  moment lists where later versions hold ``dtype`` and ``optimizer``.
+  Every version 1 writer made one table for a config: the tensors in
+  sorted-name order, back to back from offset 0 in one dtype, with
+  moments of every parameter or of none. That is the version 2 blob
+  without its trailer, so the reader builds that table and those lists
+  for the file's config, refuses a file whose own differ, and reads the
+  blob as it reads version 2, with no checksum to check. There is no
+  table reader.
 
 A re-save writes version 3.
 """
@@ -50,7 +55,6 @@ import os
 import weakref
 import zlib
 from dataclasses import MISSING, asdict, dataclass, fields
-from operator import itemgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -153,20 +157,11 @@ def _require_keys(table, keys: tuple[str, ...], path, where: str) -> None:
 _LABEL_KEYS = ("intents", "slot_types", "bio_labels")
 _DTYPES = ("float16", "float32", "float64")
 _LE_DTYPES = {name: np.dtype(name).newbyteorder("<") for name in _DTYPES}
-_ENTRY_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
-_entry_fields = itemgetter("name", "shape", "dtype", "offset", "nbytes")
 
 
 def _check(ok: bool, path, where: str, value, expected: str) -> None:
     if not ok:
         raise CheckpointFormatError(f"{path}: {where} is {value!r:.80}, expected {expected}")
-
-
-def _entry_error(path, entry: dict, key: str, expected: str) -> CheckpointFormatError:
-    """The error for one key of a ``params`` entry, built only on failure:
-    a load checks every key of every tensor."""
-    return CheckpointFormatError(f"{path}: params entry {entry['name']!r} key {key!r} "
-                                 f"is {entry[key]!r:.80}, expected {expected}")
 
 
 def _is_count(value) -> bool:
@@ -203,68 +198,6 @@ def _config_from_manifest(raw_config, path) -> ModelConfig:
         return ModelConfig(**raw_config)
     except ValueError as e:
         raise CheckpointFormatError(f"{path}: invalid config: {e}") from e
-
-
-def _check_table(manifest, path, blob_len: int) -> None:
-    """Check a version 1 manifest's per-tensor table and optimizer entry,
-    naming the first bad key: that every tensor lies in the ``blob_len``
-    bytes of the blob and has the byte count its shape and dtype take,
-    and that every moment the optimizer lists is stored."""
-    _require_keys(manifest, ("params", "config", "label_maps", "vocab"), path, "manifest")
-    _check(isinstance(manifest["params"], list), path, "manifest key 'params'",
-           manifest["params"], "a list")
-    count = "a non-negative integer"
-    for entry in manifest["params"]:
-        if type(entry) is not dict or not entry.keys() >= _ENTRY_KEYS:
-            _require_keys(entry, ("name", "shape", "dtype", "offset", "nbytes"), path,
-                          "params entry")
-        name, shape, dtype, offset, nbytes = _entry_fields(entry)
-        _check(type(name) is str, path, "params entry key 'name'", name, "a string")
-        if dtype not in _DTYPES:
-            raise _entry_error(path, entry, "dtype", "one of " + ", ".join(_DTYPES))
-        if type(shape) is not list or not all(map(_is_count, shape)):
-            raise _entry_error(path, entry, "shape", "a list of non-negative integers")
-        if not _is_count(offset):
-            raise _entry_error(path, entry, "offset", count)
-        if not _is_count(nbytes):
-            raise _entry_error(path, entry, "nbytes", count)
-        if offset + nbytes > blob_len:
-            raise CheckpointCorruptError(f"{path}: tensor {name!r} extends past end of file")
-        want = math.prod(shape) * _LE_DTYPES[dtype].itemsize
-        if nbytes != want:
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r} has {nbytes} bytes "
-                f"but shape {tuple(shape)} of {dtype} takes {want}"
-            )
-    end, last = 0, None
-    for entry in sorted(manifest["params"], key=itemgetter("offset", "nbytes")):
-        if entry["offset"] < end:
-            raise CheckpointFormatError(
-                f"{path}: params entry {entry['name']!r} key 'offset' is {entry['offset']}, "
-                f"inside tensor {last!r}, which ends at {end}"
-            )
-        end, last = entry["offset"] + entry["nbytes"], entry["name"]
-    _check_labels(manifest, path)
-    optimizer = manifest.get("optimizer")
-    if optimizer:
-        _require_keys(optimizer, ("step_count", "m", "v"), path, "optimizer")
-        _check_step_count(optimizer, path)
-        stored = {entry["name"] for entry in manifest["params"]}
-        for kind in ("m", "v"):
-            names = optimizer[kind]
-            _check(_is_str_list(names) and len(set(names)) == len(names), path,
-                   f"optimizer key {kind!r}", names, "a list of distinct strings")
-            for name in names:
-                if f"adam.{kind}.{name}" not in stored:
-                    raise CheckpointFormatError(
-                        f"{path}: optimizer key {kind!r} names {name!r}, "
-                        f"which has no stored 'adam.{kind}.' tensor"
-                    )
-
-
-def _check_step_count(optimizer: dict, path) -> None:
-    _check(_is_count(optimizer["step_count"]), path, "optimizer key 'step_count'",
-           optimizer["step_count"], "a non-negative integer")
 
 
 def _check_labels(manifest, path) -> None:
@@ -310,38 +243,46 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointFormatError(f"{path}: manifest is not a JSON object")
 
         version = manifest.get("format_version")
-        if version == 1:
-            return _load_table(f, path, manifest, len(head) + manifest_len, size)
-        if version not in (2, FORMAT_VERSION):
+        if version not in (1, 2, FORMAT_VERSION):
             raise CheckpointVersionError(f"{path}: file format version {version}, "
                                          f"this reader reads versions 1 to {FORMAT_VERSION}")
-        return _load_derived(f, path, manifest, head + raw, size, per_type=version == 2)
+        return _load_derived(f, path, manifest, head + raw, size, version)
 
 
-def _load_derived(f, path, manifest: dict, header: bytes, size: int,
-                  per_type: bool) -> Checkpoint:
+def _load_derived(f, path, manifest: dict, header: bytes, size: int, version: int
+                  ) -> Checkpoint:
     """Read the blob after ``header`` (the magic, the manifest length and
     the manifest) in the layout the manifest's config, dtype and optimizer
-    entry give, and check the file's CRC32 before anything else. A
-    ``per_type`` (version 2) blob holds the type generator's tensors per
-    slot type, and is restacked once it has passed the check."""
-    _require_keys(manifest, ("config", "dtype", "optimizer"), path, "manifest")
+    entry give, check the file's CRC32 before anything else, and build the
+    :class:`Checkpoint` whose ``model`` is built around the buffer read:
+    its rows are the model's arenas, ``m``, ``v`` and ``data``, or ``data``
+    alone. A version 1 file gives its dtype and optimizer entry through
+    :func:`_v1_fields` and has no CRC32 to check. Versions 1 and 2 hold
+    the type generator's tensors per slot type, and are restacked once
+    read."""
+    _require_keys(manifest, ("config", "params" if version == 1 else "dtype", "optimizer"),
+                  path, "manifest")
     config = _config_from_manifest(manifest["config"], path)
+    model = JointModel(config, rng=None)
+    shapes = model.params.shapes()
+    index = _per_type_index(shapes, config.n_slot_types) if version != FORMAT_VERSION else None
+    if version == 1:
+        manifest = {**manifest, **_v1_fields(manifest, path, index)}
     _check(manifest["dtype"] in _DTYPES, path, "manifest key 'dtype'", manifest["dtype"],
            "one of " + ", ".join(_DTYPES))
     dtype = _LE_DTYPES[manifest["dtype"]]
     o = manifest["optimizer"]
     if o is not None:
         _require_keys(o, ("step_count", "moments"), path, "optimizer")
-        _check_step_count(o, path)
+        _check(_is_count(o["step_count"]), path, "optimizer key 'step_count'",
+               o["step_count"], "a non-negative integer")
         _check(type(o["moments"]) is bool, path, "optimizer key 'moments'", o["moments"],
                "true or false")
-    model = JointModel(config, rng=None)
-    shapes = model.params.shapes()
     total = sum(map(math.prod, shapes.values()))
     n_arenas = 3 if o and o["moments"] else 1
     nbytes = n_arenas * total * dtype.itemsize
-    end = len(header) + nbytes + _TRAILER
+    trailer = bytearray(_TRAILER if version != 1 else 0)
+    end = len(header) + nbytes + len(trailer)
     if size != end:
         where = "extends past end of file" if size < end else "is followed by extra bytes"
         raise CheckpointCorruptError(f"{path}: tensor data {where}: the file has {size} "
@@ -352,18 +293,86 @@ def _load_derived(f, path, manifest: dict, header: bytes, size: int,
     buf = np.ndarray((n_arenas, total), dtype, _spare.pop(nbytes, None) or bytearray(nbytes))
     weakref.finalize(buf, _keep, buf.base)
     blob = memoryview(buf).cast("B")
-    trailer = bytearray(_TRAILER)
-    if f.readinto(blob) != len(blob) or f.readinto(trailer) != _TRAILER:
+    if f.readinto(blob) != len(blob) or f.readinto(trailer) != len(trailer):
         raise CheckpointCorruptError(f"{path}: blob ended while being read")
-    if zlib.crc32(blob, zlib.crc32(header)) != int.from_bytes(trailer, "little"):
+    if trailer and zlib.crc32(blob, zlib.crc32(header)) != int.from_bytes(trailer, "little"):
         raise CheckpointCorruptError(f"{path}: checksum mismatch, the file is damaged")
 
     _require_keys(manifest, ("label_maps", "vocab"), path, "manifest")
     _check_labels(manifest, path)
     maps, vocab = _labels_and_vocab(manifest, path)
-    if per_type:
-        buf = _restack(buf, _per_type_index(shapes, config.n_slot_types))
-    return _checkpoint(path, manifest, model, maps, vocab, buf, o and o["step_count"])
+    _check_sizes(path, config, maps, vocab)
+    if index is not None:
+        buf = _restack(buf, index)
+    model.params.allocate(dtype, dict(zip(("m", "v", "data")[-n_arenas:], buf)))
+    model.params.step_count = o["step_count"] if o else 0
+    return Checkpoint(config=config, label_maps=maps, vocab=vocab, model=model,
+                      metadata=manifest.get("metadata", {}), path=path)
+
+
+def _v1_fields(manifest: dict, path, index: dict[str, np.ndarray]) -> dict:
+    """The ``dtype`` and ``optimizer`` entries that describe a version 1
+    file's blob, once its per-tensor table and moment lists are those a
+    version 1 writer made for its config: the tensors ``index`` names, and
+    with moments (as the ``m`` list says) their ``adam.m.`` and ``adam.v.``
+    moments, back to back from offset 0 in sorted-name order, in the dtype
+    of the table's first entry. That is the version 2 blob without its
+    trailer, since every parameter name sorts after ``adam.v.``."""
+    table, o = manifest["params"], manifest["optimizer"]
+    _check(isinstance(table, list) and len(table) > 0, path, "manifest key 'params'", table,
+           "a non-empty list")
+    _require_keys(table[0], ("dtype",), path, "params entry 0")
+    dtype = table[0]["dtype"]
+    _check(dtype in _DTYPES, path, "params entry 0 key 'dtype'", dtype,
+           "one of " + ", ".join(_DTYPES))
+    names = []
+    if o is not None:
+        _require_keys(o, ("step_count", "m", "v"), path, "optimizer")
+        names = sorted(index) if o["m"] else []
+        for kind in "mv":
+            _check_written(path, f"optimizer key {kind!r}", o[kind], names)
+    made, at = [], 0
+    for prefix in ("adam.m.", "adam.v.", "") if names else ("",):
+        for name in sorted(index):
+            nbytes = index[name].size * _LE_DTYPES[dtype].itemsize
+            made.append({"dtype": dtype, "name": prefix + name, "nbytes": nbytes,
+                         "offset": at, "shape": list(index[name].shape)})
+            at += nbytes
+    _check_written(path, "params", table, made)
+    return {"dtype": dtype,
+            "optimizer": o and {"step_count": o["step_count"], "moments": bool(names)}}
+
+
+def _check_written(path, where: str, value, made: list) -> None:
+    """Refuse ``value``, the list at ``where`` in a version 1 manifest,
+    unless it is ``made``, the list a version 1 writer put there, its
+    objects' keys in any order. Values compare by ``repr``, so 8.0 and
+    true are not 8 and 1. The error names the first entry, and key of an
+    object entry, that differs."""
+    def differs(at: str, got, want) -> CheckpointFormatError:
+        return CheckpointFormatError(
+            f"{path}: {at} is {got!r:.80}, a version 1 writer made {want!r:.80}")
+
+    if repr(value) == repr(made):  # a writer's file, keys in its order
+        return
+    if not isinstance(value, list):
+        raise differs(where, value, made)
+    for i, (got, want) in enumerate(zip(value, made)):
+        at = f"{where} entry {i}"
+        if isinstance(want, dict):
+            _require_keys(got, tuple(want), path, at)
+            for key in want:
+                if repr(got[key]) != repr(want[key]):
+                    raise differs(f"{at} key {key!r}", got[key], want[key])
+            if len(got) > len(want):
+                raise differs(f"the key list of {at}", sorted(got), sorted(want))
+        elif repr(got) != repr(want):
+            raise differs(at, got, want)
+    if len(value) > len(made):
+        raise differs(f"{where} entry {len(made)}", value[len(made)], "none")
+    if len(value) < len(made):
+        raise CheckpointFormatError(f"{path}: {where} has {len(value)} entries, "
+                                    f"a version 1 writer made {len(made)}")
 
 
 def _check_sizes(path, config: ModelConfig, maps: LabelMaps, vocab: Vocab) -> None:
@@ -374,25 +383,6 @@ def _check_sizes(path, config: ModelConfig, maps: LabelMaps, vocab: Vocab) -> No
         if (value := getattr(config, key)) != stored:
             raise CheckpointFormatError(f"{path}: config key {key!r} is {value}, but the "
                                         f"stored vocab and label maps give {stored}")
-
-
-def _checkpoint(path, manifest: dict, model: JointModel, maps, vocab, buf: np.ndarray,
-                step_count: int | None) -> Checkpoint:
-    """The :class:`Checkpoint` whose ``model``, declared but not allocated,
-    is built around ``buf``: its rows are the model's arenas, ``m``, ``v``
-    and ``data``, or ``data`` alone."""
-    _check_sizes(path, model.config, maps, vocab)
-    arenas = dict(zip(("m", "v", "data") if len(buf) == 3 else ("data",), buf))
-    model.params.allocate(buf.dtype, arenas)
-    model.params.step_count = step_count or 0
-    return Checkpoint(
-        config=model.config,
-        label_maps=maps,
-        vocab=vocab,
-        model=model,
-        metadata=manifest.get("metadata", {}),
-        path=path,
-    )
 
 
 def _per_type_index(shapes: dict[str, tuple[int, ...]], n_types: int) -> dict[str, np.ndarray]:
@@ -430,51 +420,6 @@ def _restack(buf: np.ndarray, index: dict[str, np.ndarray]) -> np.ndarray:
     out = np.empty_like(buf)
     out[:, np.concatenate([index[n].ravel() for n in sorted(index)])] = buf
     return out
-
-
-def _load_table(f, path, manifest: dict, blob_start: int, size: int) -> Checkpoint:
-    """Read a version 1 file, whose manifest addresses every tensor through
-    its per-tensor table. The table must name, in one dtype, the tensors
-    the config gives in their shapes and moments of them; each is copied
-    from its offset straight to its place in the current arenas, and
-    moments the table leaves out stay zero."""
-    _check_table(manifest, path, size - blob_start)
-    config = _config_from_manifest(manifest["config"], path)
-    maps, vocab = _labels_and_vocab(manifest, path)
-    entries = manifest["params"]
-    names = {e["name"] for e in entries}
-    if len(names) < len(entries):
-        raise CheckpointFormatError(f"{path}: manifest key 'params' repeats a tensor name")
-    dtypes = sorted({e["dtype"] for e in entries})
-    if len(dtypes) > 1:
-        raise CheckpointFormatError(f"{path}: tensors mix dtypes {dtypes}")
-    o = manifest.get("optimizer") or None
-    moments = {f"adam.{kind}.{n}": (kind, n) for kind in "mv" for n in o[kind]} if o else {}
-    model = JointModel(config, rng=None)
-    index = _per_type_index(model.params.shapes(), config.n_slot_types)
-    params = names - moments.keys()
-    if params != index.keys():
-        raise CheckpointFormatError(
-            f"{path}: parameter names disagree with config: missing "
-            f"{sorted(index.keys() - params)}, extra {sorted(params - index.keys())}"
-        )
-    kinds = ("m", "v", "data") if moments else ("data",)
-    dtype = _LE_DTYPES[dtypes[0]]
-    buf = np.zeros((len(kinds), sum(i.size for i in index.values())), dtype)
-    blob = f.read(size - blob_start)
-    if len(blob) != size - blob_start:
-        raise CheckpointCorruptError(f"{path}: blob ended while being read")
-    for entry in entries:
-        kind, name = moments.get(entry["name"], ("data", entry["name"]))
-        shape, want = tuple(entry["shape"]), getattr(index.get(name), "shape", "not stored")
-        if shape != want:
-            raise CheckpointFormatError(
-                f"{path}: tensor {entry['name']!r} has shape {shape}, "
-                + (f"its config gives {want}" if kind == "data"
-                   else f"but parameter {name!r} is {want}"))
-        buf[kinds.index(kind), index[name]] = np.frombuffer(
-            blob, dtype, math.prod(shape), entry["offset"]).reshape(shape)
-    return _checkpoint(path, manifest, model, maps, vocab, buf, o and o["step_count"])
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> JointModel:

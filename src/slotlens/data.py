@@ -1,5 +1,5 @@
-"""Corpus handling: BIO-tagged utterances, label inventories, auxiliary
-binary targets, batching, and exact-span-match evaluation.
+"""Corpus handling: BIO-tagged utterances, label inventories, batching
+(with each token's slot-type target), and exact-span-match evaluation.
 
 Corpus format: a directory holding three parallel line-aligned UTF-8 files,
 one utterance per line, tokens/tags single-space separated:
@@ -44,22 +44,22 @@ class UnknownLabelError(ValueError):
     """A label outside the known inventories."""
 
 
-def validate_bio(tags: list[str], where: str = "") -> None:
+def validate_bio(tags: list[str]) -> None:
     """Check that every tag is O, B-x or I-x with a non-empty type x free of
     "/", and that every I-x is preceded by B-x or I-x of the same type."""
     prev = OUTSIDE
     for i, tag in enumerate(tags):
         if tag != OUTSIDE and not (tag.startswith("B-") or tag.startswith("I-")):
-            raise BioValidationError(f"{where}unknown tag {tag!r} at position {i}")
+            raise BioValidationError(f"unknown tag {tag!r} at position {i}")
         if tag in ("B-", "I-"):
-            raise BioValidationError(f"{where}tag {tag!r} at position {i} has an empty slot type")
+            raise BioValidationError(f"tag {tag!r} at position {i} has an empty slot type")
         if "/" in tag:
-            raise BioValidationError(f"{where}tag {tag!r} at position {i}: slot type has a '/'")
+            raise BioValidationError(f"tag {tag!r} at position {i}: slot type has a '/'")
         if tag.startswith("I-"):
             kind = tag[2:]
             if prev not in (f"B-{kind}", f"I-{kind}"):
                 raise BioValidationError(
-                    f"{where}I-{kind} at position {i} without an open {kind} span"
+                    f"I-{kind} at position {i} without an open {kind} span"
                 )
         prev = tag
 
@@ -218,8 +218,10 @@ def load_corpus(path: str | Path) -> list[Utterance]:
             )
         if not tokens:
             raise CorpusFormatError(f"line {lineno}: empty utterance")
-        validate_bio(tags, where=f"utterance {lineno}: ")
-        corpus.append(Utterance(tokens=tokens, intent=intent.strip(), bio_tags=tags))
+        try:
+            corpus.append(Utterance(tokens=tokens, intent=intent.strip(), bio_tags=tags))
+        except BioValidationError as e:
+            raise BioValidationError(f"utterance {lineno}: {e}") from None
     return corpus
 
 
@@ -280,29 +282,6 @@ def check_labels(corpus: list[Utterance], maps: LabelMaps, max_len: int | None =
         for tag in u.bio_tags[:max_len]:
             if tag not in maps.bio_index:
                 raise UnknownLabelError(f"{where}utterance {n}: unknown BIO label {tag!r}")
-
-
-# auxiliary binary targets ----------------------------------------------------
-
-
-def _bio_ids(tags: list[str], maps: LabelMaps) -> list[int]:
-    """The BIO index of each tag, or UnknownLabelError naming the first
-    tag ``maps`` does not hold."""
-    try:
-        return [maps.bio_index[tag] for tag in tags]
-    except KeyError as e:
-        raise UnknownLabelError(f"unknown BIO label {e.args[0]!r}") from None
-
-
-def generate_aux_targets(bio_tags: list[str], maps: LabelMaps) -> np.ndarray:
-    """Per-token binary membership matrix (l x |T|), one column per slot type.
-
-    A non-O column has 1 exactly where the tag is B-x or I-x of that type;
-    the O column has 1 exactly at non-slot tokens.
-    """
-    out = np.zeros((len(bio_tags), maps.n_slot_types), dtype=np.float32)
-    out[np.arange(len(bio_tags)), maps.bio_type_column[_bio_ids(bio_tags, maps)]] = 1.0
-    return out
 
 
 # batching --------------------------------------------------------------------
@@ -374,7 +353,10 @@ def encode_batch(
         if u.intent not in maps.intent_index:
             raise UnknownLabelError(f"unknown intent label {u.intent!r}")
         intent_targets[b] = maps.intent_index[u.intent]
-        slot_targets[b, :n] = _bio_ids(u.bio_tags[:n], maps)
+        try:
+            slot_targets[b, :n] = [maps.bio_index[tag] for tag in u.bio_tags[:n]]
+        except KeyError as e:
+            raise UnknownLabelError(f"unknown BIO label {e.args[0]!r}") from None
     return Batch(
         token_ids=token_ids,
         lengths=lengths,

@@ -23,7 +23,6 @@ from slotlens.data import (
     Vocab,
     build_label_maps,
     encode_batch,
-    generate_aux_targets,
     span_f1,
     write_corpus,
 )
@@ -126,10 +125,14 @@ def test_02_aux_targets_match_independent_oracle():
                 tags.append(f"I-{open_type}")
         return tags
 
+    fuzzed = [random_valid_bio(int(rng.integers(1, 13))) for _ in range(1000)]
+    batch = encode_batch([Utterance(["w"] * len(tags), "i", tags) for tags in fuzzed],
+                         maps, Vocab([]))
+    # the binary targets forward trains the slot-type generator on
+    targets = (batch.type_targets[..., None] == np.arange(maps.n_slot_types))
     checked = 0
-    for _ in range(1000):
-        tags = random_valid_bio(int(rng.integers(1, 13)))
-        got = generate_aux_targets(tags, maps)
+    for tags, row in zip(fuzzed, targets.astype(np.float32)):
+        got = row[: len(tags)]
         # independent rule: token i belongs to type x iff tagged B-x or I-x,
         # and to O iff tagged O
         want = np.zeros((len(tags), maps.n_slot_types), dtype=np.float32)
@@ -139,6 +142,7 @@ def test_02_aux_targets_match_independent_oracle():
         assert np.array_equal(got, want)
         union = np.max(np.delete(got, o_col, axis=1), axis=1)
         assert np.array_equal(got[:, o_col], 1.0 - union)
+        assert not row[len(tags) :].any()  # padding is no type's target
         checked += 1
     assert verdict(2, "auxiliary targets match a per-position oracle",
                    checked == 1000, f"{checked} fuzzed BIO sequences")
@@ -285,7 +289,7 @@ def test_08_loss_identities():
     exact_sum = out.loss_total.item() == 0.5 * li + 0.25 * lt + 2.0 * ls
 
     # pooled-BCE divisor: sum of lengths times |T| (here (4+4)*4 = 32)
-    targets = np.stack([generate_aux_targets(u.bio_tags, maps) for u in corpus])
+    targets = (batch.type_targets[..., None] == np.arange(maps.n_slot_types)).astype(float)
     logits = model.infer(batch)[1]
     p = 1.0 / (1.0 + np.exp(-logits))
     cells = -(targets * np.log(p) + (1 - targets) * np.log(1 - p))

@@ -1,12 +1,14 @@
 """The flat arenas behind a ParamSet: whole-arena Adam, views that stay
 views, and a checkpoint load that draws no initialisation."""
 
+import re
+
 import numpy as np
 import pytest
-from conftest import V1_FIXTURE, rewrite_manifest
+from conftest import rewrite_manifest
 
 from slotlens import encoder, model as model_mod, optim
-from slotlens.checkpoint import load_checkpoint, save_checkpoint
+from slotlens.checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from slotlens.data import Vocab, build_label_maps, encode_batch
 from slotlens.model import JointModel, ModelConfig
 from slotlens.optim import ParamSet, adam_step
@@ -180,12 +182,11 @@ def test_optimizer_entry_before_any_step_lists_no_moments(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_partial_moments_load_as_zero_and_resave_in_full(tmp_path, v1_copy):
-    """A hand-made version 1 file may list only some moments; the rest load
-    as zero, and a re-save writes every moment."""
-    ckpt = load_checkpoint(V1_FIXTURE)
-    maps, vocab = ckpt.label_maps, ckpt.vocab
-    model = ckpt.model
+def test_partial_moments_are_refused(v1_copy):
+    """No version 1 writer made a table with the moments of some parameters
+    and not others: the per-tensor writer's ``adam_step`` gave every
+    parameter its moments at once, and the arena writer stored whole
+    arenas. A file with such a table is refused."""
     kept = "slot.w"
 
     def keep_one_moment(manifest):
@@ -194,14 +195,9 @@ def test_partial_moments_load_as_zero_and_resave_in_full(tmp_path, v1_copy):
                               if not e["name"].startswith("adam.") or e["name"].endswith(kept)]
 
     path = rewrite_manifest(v1_copy, keep_one_moment)
-    restored = load_checkpoint(path).model
-    state = restored.params.optimizer_state()
-    want = model.params.optimizer_state()
-    np.testing.assert_array_equal(state["m"][kept], want["m"][kept])
-    assert not state["v"]["slot.b"].any()
-    resaved = load_checkpoint(save_checkpoint(tmp_path / "r.ckpt", restored, maps, vocab,
-                                              include_optimizer=True))
-    assert sorted(resaved.model.params.optimizer_state()["m"]) == sorted(model.params.names())
+    with pytest.raises(CheckpointFormatError, match=re.escape(
+            "optimizer key 'm' entry 0 is 'slot.w', a version 1 writer made 'cross.k.b'")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("n_types", [5, 13])

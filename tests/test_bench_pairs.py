@@ -150,3 +150,30 @@ def test_a_dirty_checkout_is_named_by_the_hash_of_its_edits(tmp_path, monkeypatc
     assert bench_pairs.diff_sha256() not in (first, second, with_new)
     code.write_text("x = 1\n")  # no tracked edit left, one untracked file
     assert bench_pairs.diff_sha256() not in (None, first, second, with_new)
+
+
+def test_the_change_side_is_head_with_the_checkouts_src(tmp_path, monkeypatch):
+    """Both sides are extracted the same way; the change side's ``src/`` is
+    the checkout's, so it runs the code ``diff_sha256`` names."""
+    repo, change = tmp_path / "repo", tmp_path / "change"
+    (repo / "src").mkdir(parents=True)
+    git = throwaway_git(repo)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "notes.txt").write_text("committed\n")
+    (repo / "src" / "m.py").write_text("x = 1\n")
+    (repo / "src" / "gone.py").write_text("g = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "notes.txt").write_text("edited\n")
+    (repo / "src" / "m.py").write_text("x = 2\n")
+    (repo / "src" / "new.py").write_text("y = 1\n")
+    (repo / "src" / "gone.py").unlink()
+    (repo / "src" / "__pycache__").mkdir()
+    (repo / "src" / "__pycache__" / "m.pyc").write_bytes(b"")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.extract_change(change)
+    files = sorted(p.relative_to(change).as_posix() for p in change.rglob("*") if p.is_file())
+    assert files == [".gitignore", "notes.txt", "src/m.py", "src/new.py"]
+    assert (change / "src" / "m.py").read_text() == "x = 2\n"
+    assert (change / "notes.txt").read_text() == "committed\n"

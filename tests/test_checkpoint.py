@@ -240,7 +240,8 @@ class TestErrorKinds:
 
     def test_config_param_mismatch_detected(self, tmp_path):
         """A version 1 table that leaves out one parameter, its moments and
-        their bytes disagrees with the config it carries."""
+        their bytes is not the table a version 1 writer made for the config
+        it carries."""
         manifest, arrays = stored_arrays(FIXTURE)
         load_checkpoint(write_v1(tmp_path / "whole.ckpt", manifest, arrays))
         for kind in "mv":
@@ -249,7 +250,8 @@ class TestErrorKinds:
             del arrays[name]
         path = write_v1(tmp_path / "m.ckpt", manifest, arrays)
         with pytest.raises(CheckpointFormatError, match=re.escape(
-                "parameter names disagree with config: missing ['slot.w'], extra []")):
+                "optimizer key 'm' entry 42 is 'slot_out.ll.b', a version 1 writer made "
+                "'slot.w'")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["params", "config", "label_maps", "vocab", "dtype",
@@ -333,7 +335,7 @@ class TestErrorKinds:
         (table_edit(lambda m: m["params"][1].update(offset=m["params"][0]["offset"])),
          "key 'offset'"),
         (table_edit(lambda m: m["params"][2].update(offset=m["params"][1]["offset"] + 4)),
-         "inside tensor"),
+         re.escape("params entry 2 key 'offset' is 36, a version 1 writer made 288")),
         (lambda m: m.update(vocab=m["vocab"][2:]), "start of manifest key 'vocab'"),
         (lambda m: m.update(vocab=m["vocab"][::-1]), "start of manifest key 'vocab'"),
         (lambda m: m["optimizer"].pop("step_count"), "no 'step_count' key"),
@@ -346,13 +348,14 @@ class TestErrorKinds:
          "'no.such.param'"),
         (lambda m: m.update(optimizer=[1]), "optimizer is not a JSON object"),
         (table_edit(lambda m: m["params"][-1].update(name=m["params"][-2]["name"])),
-         "repeats a tensor name"),
+         "params entry 260 key 'name' is 'type_gen.t4.v.b'"),
         (table_edit(lambda m: m["params"][-1].update(
             dtype="float16", shape=[m["params"][-1]["nbytes"] // 2])),
-         "tensors mix dtypes"),
-        (table_edit(_transpose_a_moment), "but parameter"),
+         re.escape("params entry 260 key 'dtype' is 'float16', a version 1 writer made 'float32'")),
+        (table_edit(_transpose_a_moment),
+         re.escape("params entry 3 key 'shape' is [8, 5], a version 1 writer made [5, 8]")),
         (table_edit(_move_a_moment_to_no_parameter), re.escape(
-            "tensor 'adam.m.no.such' has shape (8, 9), but parameter 'no.such' is not stored")),
+            "optimizer key 'm' entry 42 is 'no.such', a version 1 writer made 'slot.w'")),
     ], ids=["same-offset", "inside", "no-reserved-tokens", "reserved-tokens-moved",
             "no-step-count", "negative-step-count", "string-step-count", "string-m",
             "repeated-v", "m-without-tensor", "list-optimizer", "repeated-name",
@@ -609,6 +612,50 @@ class TestFormatVersion1Fixture:
         assert model.params.step_count == manifest["optimizer"]["step_count"]
         assert metadata == manifest["metadata"]
         assert_stores(model, arrays, atol=RETRAINED_DEVIATION)
+
+
+class TestFormatVersion1Writers:
+    """Every version 1 writer made one table for a config (see
+    :func:`write_v1`): the tensors in sorted-name order from offset 0 in one
+    dtype, with the moments of every parameter or of none. Such files load
+    through the version 2 blob reader."""
+
+    @pytest.mark.parametrize("case", ["no-optimizer", "no-step-yet", "moments", "float64"])
+    def test_a_written_file_resaves_as_a_version_3_save_of_its_model(self, setting,
+                                                                      tmp_path, case):
+        corpus, maps, vocab, trained = setting
+        model = JointModel(trained.config, rng=3,
+                           dtype=np.float64 if case == "float64" else np.float32)
+        if case in ("moments", "float64"):
+            model.params.zero_grads()
+            backward(model.forward(encode_batch(corpus[:4], maps, vocab)).loss_total)
+            adam_step(model.params, lr=1e-3)
+        state = model.params.optimizer_state()
+        arrays = per_type(model.params.state_dict(), model.config)
+        names = sorted(arrays) if model.params.m is not None else []
+        for kind in "mv":
+            arrays.update((f"adam.{kind}.{name}", arr)
+                          for name, arr in per_type(state[kind], model.config).items())
+        optimizer = (None if case == "no-optimizer"
+                     else {"step_count": state["step_count"], "m": names, "v": names})
+        manifest = {"format_version": 1, "config": dataclasses.asdict(model.config),
+                    "label_maps": {"intents": maps.intents, "slot_types": maps.slot_types,
+                                   "bio_labels": maps.bio_labels},
+                    "vocab": vocab.id_to_token, "optimizer": optimizer,
+                    "metadata": {"case": case}}
+        path = write_v1(tmp_path / "v1.ckpt", manifest, arrays)
+        keep = optimizer is not None
+        want = save_checkpoint(tmp_path / "v3.ckpt", model, maps, vocab,
+                               metadata={"case": case}, include_optimizer=keep)
+        ckpt = load_checkpoint(path)
+        got = save_checkpoint(tmp_path / "resaved.ckpt", ckpt.model, ckpt.label_maps,
+                              ckpt.vocab, metadata=ckpt.metadata, include_optimizer=keep)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_bytes_after_the_blob_are_refused(self, v1_copy):
+        v1_copy.write_bytes(v1_copy.read_bytes() + bytes(4))
+        with pytest.raises(CheckpointCorruptError, match="extra bytes"):
+            load_checkpoint(v1_copy)
 
 
 # The fixtures' writers formed each slot type's logits from its attended

@@ -27,7 +27,6 @@ from slotlens.data import (
     build_label_maps,
     encode_batch,
     extract_spans,
-    generate_aux_targets,
     load_corpus,
     split_by_length,
     span_f1,
@@ -127,6 +126,15 @@ class TestLoadCorpus:
                            match="utterance 1: tag 'B-' at position 2 has an empty slot type"):
             load_corpus(d)
 
+    def test_each_utterance_is_validated_once(self, tmp_path, monkeypatch):
+        corpus = synth.generate_synthetic_corpus(seed=3, n=20)
+        write_corpus(corpus, tmp_path / "c")
+        calls = []
+        real = data.validate_bio
+        monkeypatch.setattr(data, "validate_bio", lambda tags: calls.append(tags) or real(tags))
+        assert load_corpus(tmp_path / "c") == corpus
+        assert calls == [u.bio_tags for u in corpus]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="seq.in"):
             load_corpus(tmp_path)
@@ -201,16 +209,24 @@ class TestLabelMaps:
             assert [index[x] for x in seq] == list(range(len(seq)))
 
 
+def aux_targets(tags, maps):
+    """The binary targets ``forward`` trains the slot-type generator on for
+    one utterance tagged ``tags``: the one-hot of its batch's
+    ``type_targets``, one row per token and one column per slot type."""
+    batch = encode_batch([Utterance(["w"] * len(tags), maps.intents[0], tags)], maps, Vocab([]))
+    return (batch.type_targets[0, :, None] == np.arange(maps.n_slot_types)).astype(np.float32)
+
+
 class TestAuxTargets:
     def test_single_slot_token(self):
         maps = LabelMaps(["x"], ["O", "city"], ["B-city", "I-city", "O"])
-        out = generate_aux_targets(["O", "O", "O", "B-city"], maps)
+        out = aux_targets(["O", "O", "O", "B-city"], maps)
         np.testing.assert_array_equal(out[:, maps.slot_type_index["city"]], [0, 0, 0, 1])
         np.testing.assert_array_equal(out[:, maps.slot_type_index["O"]], [1, 1, 1, 0])
 
     def test_all_outside(self):
         maps = LabelMaps(["x"], ["O", "city"], ["B-city", "I-city", "O"])
-        out = generate_aux_targets(["O", "O"], maps)
+        out = aux_targets(["O", "O"], maps)
         np.testing.assert_array_equal(out[:, maps.slot_type_index["O"]], [1, 1])
         np.testing.assert_array_equal(out[:, maps.slot_type_index["city"]], [0, 0])
 
@@ -218,7 +234,7 @@ class TestAuxTargets:
         maps = build_label_maps(
             [Utterance(["a", "b"], "x", ["B-city", "B-day"])]
         )
-        out = generate_aux_targets(["B-city", "I-city", "O"], maps)
+        out = aux_targets(["B-city", "I-city", "O"], maps)
         np.testing.assert_array_equal(out[:, maps.slot_type_index["city"]], [1, 1, 0])
         np.testing.assert_array_equal(out[:, maps.slot_type_index["day"]], [0, 0, 0])
         np.testing.assert_array_equal(out[:, maps.slot_type_index["O"]], [0, 0, 1])
@@ -226,7 +242,7 @@ class TestAuxTargets:
     def test_unknown_tag_rejected(self):
         maps = LabelMaps(["x"], ["O", "city"], ["B-city", "I-city", "O"])
         with pytest.raises(UnknownLabelError, match="day"):
-            generate_aux_targets(["B-day"], maps)
+            aux_targets(["B-day"], maps)
 
     def test_fuzz_against_per_position_oracle(self):
         """1000 random valid sequences: each row re-derived independently."""
@@ -238,7 +254,7 @@ class TestAuxTargets:
         for _ in range(1000):
             length = int(rng.integers(1, 12))
             tags = random_valid_bio(rng, length, all_types)
-            out = generate_aux_targets(tags, maps)
+            out = aux_targets(tags, maps)
             for i, tag in enumerate(tags):
                 expected = np.zeros(maps.n_slot_types)
                 kind = "O" if tag == "O" else tag[2:]
@@ -336,8 +352,6 @@ class TestEncodeBatch:
         assert maps.bio_type_column.tolist() == [1, 1, 0]
         with pytest.raises(UnknownLabelError, match="unknown BIO label 'B-day'"):
             encode_batch([Utterance(["a", "b"], "x", ["O", "B-day"])], maps, Vocab([]))
-        with pytest.raises(UnknownLabelError, match="unknown BIO label 'B-day'"):
-            generate_aux_targets(["O", "B-day"], maps)
 
     def test_empty_batch_rejected(self, setting):
         _, maps, vocab = setting

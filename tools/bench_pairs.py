@@ -3,9 +3,11 @@
     python3 tools/bench_pairs.py --base <rev> --workload infer-desk \
         --seeds 4100-4109 --out BENCH_<n>.json
 
-The base side runs from the files of ``<rev>`` (``git archive``) in a
-temporary directory, removed when the runs end; the change side runs from
-this checkout as it stands. Each seed runs the benchmark command of
+The base side runs from the files of ``<rev>``, and the change side from
+those of HEAD with ``src/`` as this checkout holds it, uncommitted edits
+and untracked files included. Both are extracted the same way
+(``git archive``) into one temporary directory, removed when the runs
+end, so neither side runs from the checkout itself. Each seed runs the benchmark command of
 ``BENCHMARK.json`` with ``--trace 0`` once per side, one run at a time,
 at the benchmark's own run length, and which side goes first alternates
 from seed to seed. The output holds, per end-to-end metric, each side's
@@ -63,6 +65,28 @@ def diff_sha256() -> str | None:
         data = (ROOT / path.decode()).read_bytes()
         h.update(b"\0%s\0%d\0%s" % (path, len(data), data))
     return h.hexdigest()
+
+
+def extract(rev: str, dest: Path) -> None:
+    """The files of ``rev``, from ``git archive``, at ``dest``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def extract_change(dest: Path) -> None:
+    """HEAD's files at ``dest``, with ``src/`` replaced by the checkout's:
+    the code :func:`diff_sha256` names."""
+    extract("HEAD", dest)
+    shutil.rmtree(dest / "src", ignore_errors=True)
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard", "--", "src"], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        if (ROOT / name).is_file():  # a deleted tracked file stays listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -169,14 +193,11 @@ def main(argv=None) -> int:
 
     command, seconds = manifest["command"], manifest["run_seconds"]
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    base_dir = tmp / "base"
+    checkouts = {side: tmp / side for side in SIDES}
     runs = []
     try:
-        archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(base_dir, filter="data")
-        checkouts = {"base": base_dir, "change": ROOT}
+        extract(base_sha, checkouts["base"])
+        extract_change(checkouts["change"])
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
