@@ -14,12 +14,15 @@ from slotlens.tensor import (
     transpose,
 )
 
-# a tiny two-layer computation over learnable leaves
+# a tiny two-layer computation over learnable leaves: declare each one,
+# then allocate the set once, which draws them in declaration order
 params = ParamSet()
 rng = np.random.default_rng(0)
-w1 = params.add("w1", rng.normal(size=(4, 6)))
-b1 = params.add("b1", np.zeros(6))
-w2 = params.add("w2", rng.normal(size=(6, 3)))
+params.declare("w1", (4, 6), lambda: rng.normal(size=(4, 6)))
+params.declare("b1", (6,), 0.0)
+params.declare("w2", (6, 3), lambda: rng.normal(size=(6, 3)))
+params.allocate(np.float64)
+w1, b1, w2 = params["w1"], params["b1"], params["w2"]
 
 x = Tensor(rng.normal(size=(5, 4)))  # constant input, no gradient
 

@@ -299,7 +299,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     tokens = args.text.split()
     if not tokens:
         raise ValueError("utterance text is empty")
-    wanted = args.types if args.types else maps.slot_types
+    wanted = list(dict.fromkeys(args.types or maps.slot_types))
     unknown = [t for t in wanted if t not in maps.slot_types]
     if unknown:
         raise ValueError(
@@ -320,6 +320,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
             head = f"\n{t}\t{i}\t".replace("%", "%%")
             rows.append((head + head.join(cols)) % tuple(weights))
     write_report("type\ti\tj\tweight" + "".join(rows) + "\n", out / "bundle.tsv")
+    if bundle.length < len(tokens):
+        print(f"truncated the text from {len(tokens)} to {bundle.length} tokens "
+              f"(max_len {ckpt.config.max_len})")
     print(f"wrote {len(wanted)} heatmaps and bundle.tsv to {out}")
     return 0
 

@@ -56,16 +56,18 @@ class Param(Tensor):
 class ParamSet:
     """Ordered map from parameter path to leaf tensor, plus Adam state.
 
-    Parameter names are unique.  Parameters are declared with a shape and an
-    initialiser and then allocated together (:meth:`allocate`); :meth:`add`
-    does both for one parameter.  The optimizer's step count is shared by
-    all parameters in the set; the moment arenas are allocated on the first
-    :func:`adam_step`, or given to :meth:`allocate`.
+    Parameter names are unique.  Every parameter is declared with a shape
+    and an initialiser, and then the set is allocated once
+    (:meth:`allocate`); a set that is allocated takes no more parameters.
+    The optimizer's step count is shared by all parameters in the set; the
+    moment arenas are allocated on the first :func:`adam_step`, or given
+    to :meth:`allocate`.
     """
 
     def __init__(self):
+        self._shapes: dict[str, tuple[int, ...]] = {}  # declaration order
+        self._inits: list = []  # until allocation, in declaration order
         self._params: dict[str, Param] = {}  # declaration order
-        self._pending: dict[str, tuple[tuple[int, ...], object]] = {}
         self._starts: dict[str, int] = {}  # arena offset, in sorted-name order
         self.dtype: np.dtype | None = None
         self.data = self.grad = self.m = self.v = None
@@ -73,80 +75,60 @@ class ParamSet:
         self.step_count = 0
 
     def declare(self, name: str, shape: tuple[int, ...], init) -> None:
-        """Register a parameter for the next :meth:`allocate`.  ``init`` is
-        its value (an array or a fill value) or a function of no arguments
-        returning it, called only if that allocation initialises (it is
-        not given arenas)."""
-        if name in self._params or name in self._pending:
+        """Register a parameter for :meth:`allocate`.  ``init`` is its value
+        (an array or a fill value) or a function of no arguments returning
+        it, called only if the allocation initialises (it is not given
+        arenas)."""
+        if self.data is not None:
+            raise ValueError(f"cannot declare {name!r}: the parameter set is already allocated")
+        if name in self._shapes:
             raise ValueError(f"duplicate parameter name: {name}")
-        self._pending[name] = (tuple(shape), init)
-
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        """Register and allocate one parameter holding ``data``."""
-        data = np.asarray(data)
-        self.declare(name, data.shape, data)
-        if self.dtype is not None:
-            self.allocate(self.dtype)
-        else:
-            self.allocate(data.dtype if data.dtype.kind == "f" else np.float32)
-        return self._params[name]
+        self._shapes[name] = tuple(shape)
+        self._inits.append(init)
 
     def allocate(self, dtype=np.float32, arenas: dict[str, np.ndarray] | None = None) -> None:
-        """Lay every parameter out in arenas of ``dtype`` (see :func:`arena_layout`).
-
-        Allocated parameters keep their tensors, values, gradients and
-        moments.  Declared ones are set from their initialisers in
+        """Lay every declared parameter out in arenas of ``dtype`` (see
+        :func:`arena_layout`) and set each from its initialiser, in
         declaration order, so seeded draws do not depend on the layout.
         Given ``arenas`` (``data``, and ``m`` and ``v`` if there are
         moments, each one flat array of the layout's length and ``dtype``),
         the set is built around them instead and initialises nothing.
+        A set is allocated once.
         """
+        if self.data is not None:
+            raise ValueError("the parameter set is already allocated")
         dtype = np.dtype(dtype)
-        if self.dtype is not None and self.dtype != dtype:
-            raise ValueError(f"parameter dtype {dtype} differs from the set's {self.dtype}")
-        starts, total = arena_layout(self.shapes())
-        kept = [np.arange(starts[n], starts[n] + t.size) for n, t in sorted(self._params.items())]
-        kept = np.concatenate(kept) if kept else slice(0, 0)
+        starts, total = arena_layout(self._shapes)
         given = arenas or {}
         for key in ("data", "grad", "m", "v"):
-            old, new = getattr(self, key), given.get(key)
-            if new is None and (old is not None or key in ("data", "grad")):
-                new = np.zeros(total, dtype)
-                if old is not None:
-                    new[kept] = old
-            elif new is not None and (new.dtype != dtype or new.shape != (total,)):
-                raise ValueError(f"arena {key!r} holds {new.size} {new.dtype} values, "
+            arena = given.get(key)
+            if arena is None and key in ("data", "grad"):
+                arena = np.zeros(total, dtype)
+            elif arena is not None and (arena.dtype != dtype or arena.shape != (total,)):
+                raise ValueError(f"arena {key!r} holds {arena.size} {arena.dtype} values, "
                                  f"the parameters take {total} {dtype}")
-            setattr(self, key, new)
-        self.dtype, self._starts, self._work = dtype, starts, None
-        for name, t in self._params.items():
-            t._grads, t._start = self.grad, starts[name]
-            t.data = t._segment(self.data)
-            if t.grad is not None:
-                t.grad = t._segment(self.grad)
-        pending, self._pending = self._pending, {}
-        for name, (shape, _) in pending.items():
+            setattr(self, key, arena)
+        self.dtype, self._starts = dtype, starts
+        for (name, shape), init in zip(self._shapes.items(), self._inits):
             start = starts[name]
             t = Param(self.data[start : start + math.prod(shape)].reshape(shape),
                       requires_grad=True)
             t._grads, t._start = self.grad, start
+            if arenas is None:
+                t.data[...] = init() if callable(init) else init
             self._params[name] = t
-        if arenas is None:
-            for name, (_, init) in pending.items():
-                self._params[name].data[...] = init() if callable(init) else init
+        self._inits = []
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
-        """Every registered parameter's shape, allocated or only declared."""
-        shapes = {n: t.shape for n, t in self._params.items()}
-        shapes.update((n, shape) for n, (shape, _) in self._pending.items())
-        return shapes
+        """Every declared parameter's shape, in declaration order."""
+        return dict(self._shapes)
 
     def names(self) -> list[str]:
-        """Every registered name, allocated or only declared."""
-        return [*self._params, *self._pending]
+        """Every declared name, in declaration order."""
+        return list(self._shapes)
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())

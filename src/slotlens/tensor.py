@@ -6,7 +6,9 @@ operation (parents + backward closure).  Calling :func:`backward` on a
 scalar tensor walks the graph in reverse topological order and accumulates
 ``dLoss/dLeaf`` into every reachable leaf that has ``requires_grad`` set.
 
-The op set is deliberately small: exactly the primitives the network needs.
+The op set is deliberately small: the primitives the network needs, plus
+``mul`` and ``sum_all``, which only hand-built graphs use (tests, the
+autodiff demo).
 Float32 is the training dtype; float64 graphs are supported for gradient
 checking (the dtype of a graph is inherited from its leaves).  Inside
 :func:`no_grad` the same ops record no graph, for inference.

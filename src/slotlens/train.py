@@ -223,6 +223,8 @@ def evaluate(
         raise ValueError("cannot evaluate an empty corpus")
     if max_len is None:
         max_len = model.config.max_len
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     correct = 0
     gold_spans, pred_spans = [], []
     whole = encode_batch(corpus, maps, vocab, max_len)

@@ -1,19 +1,33 @@
-"""Shared checkpoint-file helpers: the committed fixtures, the per-type
-names older fixtures store, and a manifest editor. Test modules import
-them as ``from conftest import ...``."""
+"""Shared test helpers: a hand-built parameter set, and for checkpoint
+files the committed fixtures, the per-type names older fixtures store,
+and a manifest editor. Test modules import them as
+``from conftest import ...``."""
 
 import json
 import shutil
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from slotlens.optim import ParamSet
 
 DATA = Path(__file__).parent / "data"
 V1_FIXTURE = DATA / "v1_tiny_with_optimizer.ckpt"
 V2_FIXTURE = DATA / "v2_tiny_with_optimizer.ckpt"
 V3_FIXTURE = DATA / "v3_tiny_with_optimizer.ckpt"
 V3_RECIPE = DATA / "v3_recipe.ckpt"
+
+
+def param_set(arrays: dict, dtype=np.float64) -> ParamSet:
+    """A parameter set declaring each of ``arrays`` (name -> value), in
+    order, and allocated once in ``dtype``."""
+    params = ParamSet()
+    for name, value in arrays.items():
+        params.declare(name, np.shape(value), value)
+    params.allocate(dtype)
+    return params
 
 
 def per_type(state, config):

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import rewrite_manifest
+from conftest import param_set, rewrite_manifest
 
 from slotlens import encoder, model as model_mod, optim
 from slotlens.checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
@@ -85,9 +85,7 @@ def test_whole_arena_adam_matches_per_parameter_loop_bit_for_bit(dtype):
 
 
 def test_arena_takes_the_sets_dtype_and_sorted_name_order():
-    ps = ParamSet()
-    ps.add("z", np.ones(2))
-    ps.add("a", np.zeros((2, 2)))
+    ps = param_set({"z": np.ones(2), "a": np.zeros((2, 2))})
     assert ps.data.dtype == np.float64 and ps.data.size == 6
     assert list(ps.layout()) == [("a", 0), ("z", 4)]
     np.testing.assert_array_equal(ps.data, [0, 0, 0, 0, 1, 1])
@@ -118,15 +116,35 @@ def test_parameters_and_gradients_stay_views_through_every_state_change(tmp_path
 
 
 def test_backward_binds_an_unbound_gradient_to_its_segment():
-    ps = ParamSet()
-    w = ps.add("w", np.array([1.0, 2.0]))
-    ps.add("u", np.array([5.0]))
+    ps = param_set({"w": np.array([1.0, 2.0]), "u": np.array([5.0])})
+    w = ps["w"]
     backward(sum_all(mul(w, w)))
     np.testing.assert_array_equal(w.grad, [2.0, 4.0])
     assert np.shares_memory(w.grad, ps.grad)
     assert ps["u"].grad is None
     with pytest.raises(ValueError, match="'u'"):
         adam_step(ps, lr=0.1)
+
+
+def test_a_built_or_loaded_model_gains_no_parameter(tmp_path):
+    """A model's arenas are its config's layout: neither a built model nor
+    a loaded one takes a parameter or a second layout, so every checkpoint
+    it saves loads."""
+    corpus, maps, vocab, config = tiny_config()
+    model = JointModel(config, rng=1)
+    path = save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab, include_optimizer=True)
+    restored = load_checkpoint(path).model
+    for params in (model.params, restored.params):
+        assert not hasattr(params, "add")
+        with pytest.raises(ValueError, match="^cannot declare 'zz.extra': the parameter set "
+                                             "is already allocated$"):
+            params.declare("zz.extra", (3,), 0.0)
+        with pytest.raises(ValueError, match="^the parameter set is already allocated$"):
+            params.allocate(params.dtype)
+        assert "zz.extra" not in params.names()
+    again = save_checkpoint(tmp_path / "again.ckpt", restored, maps, vocab,
+                            include_optimizer=True)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_model_from_checkpoint_draws_no_initialisation(tmp_path, monkeypatch):

@@ -436,6 +436,16 @@ class TestExplain:
         lines = (out / "bundle.tsv").read_text().splitlines()
         assert len(lines) == 1 + 5 * 3 * 3
 
+    def test_a_type_named_twice_is_rendered_once(self, trained_dir, capsys, tmp_path):
+        out = tmp_path / "twice"
+        rc = main(["explain", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                   "--text", "fly to boston", "--types", "city", "day", "city",
+                   "--out", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.glob("attention_*.html")) == \
+            ["attention_city.html", "attention_day.html"]
+        assert capsys.readouterr().out == f"wrote 2 heatmaps and bundle.tsv to {out}\n"
+
     def test_unknown_type_lists_valid_ones(self, trained_dir, capsys, tmp_path):
         rc = main(["explain", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
                    "--text", "fly to boston", "--types", "bogus",
@@ -562,6 +572,15 @@ class TestShortMaxLen:
         assert main(["explain", "--checkpoint", ckpt, "--text", text, "--out", str(out)]) == 0
         lines = (out / "bundle.tsv").read_text().splitlines()
         assert len(lines) == 1 + 5 * 8 * 8
+
+    def test_explain_says_it_truncated_the_text(self, short_run, capsys, tmp_path):
+        text = " ".join(load_corpus(short_run / "long")[0].tokens)
+        out = tmp_path / "ex"
+        assert main(["explain", "--checkpoint", str(short_run / "checkpoint.ckpt"),
+                     "--text", text, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "truncated the text from 11 to 8 tokens (max_len 8)",
+            f"wrote 5 heatmaps and bundle.tsv to {out}"]
 
 
 class TestAnalyze:

@@ -1,23 +1,23 @@
 """Tests for the finite-difference gradient checker."""
 
 import numpy as np
+from conftest import param_set
 
 from slotlens.gradcheck import finite_diff_check, relative_error
-from slotlens.optim import ParamSet
 from slotlens.tensor import Tensor, add, mul, scale, sum_all
 
 
 def test_quadratic_is_exact_for_central_differences():
-    ps = ParamSet()
-    w = ps.add("w", np.array([1.0, -2.0, 3.0], dtype=np.float64))
+    ps = param_set({"w": np.array([1.0, -2.0, 3.0], dtype=np.float64)})
+    w = ps["w"]
     report = finite_diff_check(lambda: sum_all(mul(w, w)), ps, h=1e-4, tol=1e-9)
     assert report.passed
     assert report.max_rel_err < 1e-9
 
 
 def test_constant_function_passes_with_zero_error():
-    ps = ParamSet()
-    w = ps.add("w", np.array([5.0], dtype=np.float64))
+    ps = param_set({"w": np.array([5.0], dtype=np.float64)})
+    w = ps["w"]
     report = finite_diff_check(lambda: scale(sum_all(mul(w, 0.0)), 1.0), ps, h=1e-5, tol=1e-4)
     assert report.passed
     assert report.max_rel_err == 0.0
@@ -26,8 +26,8 @@ def test_constant_function_passes_with_zero_error():
 def test_report_flags_wrong_gradients():
     # sabotage: evaluate w*w but a constant shifted version so the graph's
     # gradient (2w) disagrees with finite differences of the actual callable
-    ps = ParamSet()
-    w = ps.add("w", np.array([2.0], dtype=np.float64))
+    ps = param_set({"w": np.array([2.0], dtype=np.float64)})
+    w = ps["w"]
     calls = {"n": 0}
 
     def f():
@@ -41,9 +41,9 @@ def test_report_flags_wrong_gradients():
 
 def test_nan_gradient_fails_the_audit():
     """NaN compares false with every bound, so it must not slip past as 'no error'."""
-    ps = ParamSet()
-    a = ps.add("a", np.array([1.0, 2.0], dtype=np.float64))
-    b = ps.add("b", np.array([3.0], dtype=np.float64))
+    ps = param_set({"a": np.array([1.0, 2.0], dtype=np.float64),
+                    "b": np.array([3.0], dtype=np.float64)})
+    a, b = ps["a"], ps["b"]
 
     def nan_backward(x):
         out = Tensor._node(x.data.copy(), (x,), "nan_backward")
@@ -58,9 +58,9 @@ def test_nan_gradient_fails_the_audit():
 
 
 def test_report_format_lists_every_parameter():
-    ps = ParamSet()
-    a = ps.add("layer.a", np.array([1.0], dtype=np.float64))
-    b = ps.add("layer.b", np.array([2.0], dtype=np.float64))
+    ps = param_set({"layer.a": np.array([1.0], dtype=np.float64),
+                    "layer.b": np.array([2.0], dtype=np.float64)})
+    a, b = ps["layer.a"], ps["layer.b"]
     report = finite_diff_check(lambda: sum_all(add(mul(a, a), mul(b, b))), ps)
     text = report.format()
     assert "layer.a" in text and "layer.b" in text

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import per_type
+from conftest import param_set, per_type
 
 from slotlens import model as model_module
 from slotlens import tensor as tensor_module
@@ -169,9 +169,8 @@ class TestIntentHead:
 
     def test_matches_matvec_oracle(self):
         rng = np.random.default_rng(0)
-        params = ParamSet()
-        params.add("intent.w", rng.standard_normal((6, 3)))
-        params.add("intent.b", rng.standard_normal(3))
+        params = param_set({"intent.w": rng.standard_normal((6, 3)),
+                            "intent.b": rng.standard_normal(3)})
         u_c = rand_tensor(rng, 6)
         got = intent_head(u_c, params).data
         want = u_c.data @ params["intent.w"].data + params["intent.b"].data
@@ -283,12 +282,11 @@ class TestSlotTypeHeads:
             np.testing.assert_allclose(g.data[0, :, i], float(i))
 
     def test_single_type_degenerates_to_binary_tagger(self):
-        params = ParamSet()
         rng = np.random.default_rng(0)
-        params.add("type_gen.v.w", rng.standard_normal((8, 4)))
-        params.add("type_gen.v.b", rng.standard_normal(4))
-        params.add("type_gen.head.w", rng.standard_normal((1, 4, 1)))
-        params.add("type_gen.head.b", rng.standard_normal(1))
+        params = param_set({"type_gen.v.w": rng.standard_normal((8, 4)),
+                            "type_gen.v.b": rng.standard_normal(4),
+                            "type_gen.head.w": rng.standard_normal((1, 4, 1)),
+                            "type_gen.head.b": rng.standard_normal(1)})
         config = ModelConfig(vocab_size=5, n_intents=2, n_slot_types=1,
                              n_bio_labels=1, d=8, d_h=4)
         u = rand_tensor(rng, (1, 3, 8))

@@ -2,30 +2,40 @@
 
 import numpy as np
 import pytest
+from conftest import param_set
 
 from slotlens.optim import ParamSet, adam_step, xavier_uniform
 from slotlens.tensor import Tensor, backward, mul, sum_all
 
 
 def _single_param(value, name="w"):
-    ps = ParamSet()
-    ps.add(name, np.asarray(value, dtype=np.float64))
-    return ps
+    return param_set({name: np.asarray(value, dtype=np.float64)})
 
 
 class TestParamSet:
     def test_duplicate_name_rejected(self):
-        ps = _single_param([1.0])
+        ps = ParamSet()
+        ps.declare("w", (1,), 1.0)
         with pytest.raises(ValueError, match="duplicate"):
-            ps.add("w", np.zeros(2))
+            ps.declare("w", (2,), 0.0)
 
     def test_size_by_prefix(self):
-        ps = ParamSet()
-        ps.add("a.x", np.zeros((2, 3)))
-        ps.add("a.y", np.zeros(4))
-        ps.add("b.z", np.zeros(5))
+        ps = param_set({"a.x": np.zeros((2, 3)), "a.y": np.zeros(4), "b.z": np.zeros(5)})
         assert ps.size() == 15
         assert ps.size("a.") == 10
+
+    def test_second_allocation_refused(self):
+        ps = _single_param([1.0])
+        with pytest.raises(ValueError, match="^the parameter set is already allocated$"):
+            ps.allocate(np.float64)
+        assert ps["w"].data.tolist() == [1.0]
+
+    def test_declaration_after_allocation_refused(self):
+        ps = _single_param([1.0])
+        with pytest.raises(ValueError, match="cannot declare 'u': the parameter set is "
+                                             "already allocated"):
+            ps.declare("u", (3,), 0.0)
+        assert ps.names() == ["w"] and ps.data.size == 1
 
 
 class TestAdam:
@@ -61,8 +71,7 @@ class TestAdam:
 
     def test_identical_sets_make_identical_updates(self):
         def build():
-            ps = ParamSet()
-            ps.add("w", np.linspace(-1, 1, 6).reshape(2, 3))
+            ps = param_set({"w": np.linspace(-1, 1, 6).reshape(2, 3)})
             ps.zero_grads()
             ps["w"].grad[:] = np.arange(6, dtype=np.float32).reshape(2, 3)
             return ps
@@ -76,8 +85,7 @@ class TestAdam:
         np.testing.assert_array_equal(a["w"].data, b["w"].data)
 
     def test_missing_gradient_names_parameter(self):
-        ps = ParamSet()
-        ps.add("encoder.w", np.zeros(2))
+        ps = param_set({"encoder.w": np.zeros(2)})
         with pytest.raises(ValueError, match="encoder.w"):
             adam_step(ps, lr=0.1)
 
@@ -89,9 +97,7 @@ class TestAdam:
         np.testing.assert_array_equal(ps["w"].grad, 0.0)
 
     def test_step_count_shared_across_parameters(self):
-        ps = ParamSet()
-        ps.add("a", np.zeros(2))
-        ps.add("b", np.zeros(3))
+        ps = param_set({"a": np.zeros(2), "b": np.zeros(3)})
         ps.zero_grads()
         adam_step(ps, lr=0.1)
         adam_step(ps, lr=0.1)

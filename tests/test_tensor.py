@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import param_set
 
 from slotlens import tensor as T
 from slotlens.gradcheck import finite_diff_check
@@ -497,13 +498,12 @@ def _random_composed_loss(params: ParamSet, seed: int):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_composed_graphs_match_finite_differences(seed):
     rng = np.random.default_rng(100 + seed)
-    params = ParamSet()
     d = 6
-    params.add("emb", rng.normal(size=(7, d)).astype(np.float64))
-    params.add("w1", rng.normal(size=(d, d)).astype(np.float64))
-    params.add("b1", rng.normal(size=d).astype(np.float64))
-    params.add("w2", rng.normal(size=(2, d // 2, 3)).astype(np.float64))
-    params.add("gain", np.ones(d, dtype=np.float64))
-    params.add("bias", np.zeros(d, dtype=np.float64))
+    params = param_set({"emb": rng.normal(size=(7, d)).astype(np.float64),
+                        "w1": rng.normal(size=(d, d)).astype(np.float64),
+                        "b1": rng.normal(size=d).astype(np.float64),
+                        "w2": rng.normal(size=(2, d // 2, 3)).astype(np.float64),
+                        "gain": np.ones(d, dtype=np.float64),
+                        "bias": np.zeros(d, dtype=np.float64)})
     report = finite_diff_check(_random_composed_loss(params, seed), params, h=1e-5, tol=1e-4)
     assert report.passed, report.format()

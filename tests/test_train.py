@@ -349,6 +349,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"batch size must be at least 1, got {batch_size}"):
             evaluate(model, corpus, maps, vocab, batch_size=batch_size)
 
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_max_len_below_one_rejected_before_any_pass(self, corpus_setting, monkeypatch,
+                                                        max_len):
+        """Where 0 failed inside the network with every position masked."""
+        corpus, maps, vocab = corpus_setting
+        model = train_model(corpus, maps, vocab, tiny_run(epochs=0)).model
+        monkeypatch.setattr(train, "encode_batch", None)
+        with pytest.raises(ValueError, match=f"^max_len must be at least 1, got {max_len}$"):
+            evaluate(model, corpus, maps, vocab, max_len=max_len)
+
     def test_hand_built_confusion_fixture(self, corpus_setting):
         """3 utterances with known confusions give hand-computed metrics."""
         corpus, maps, vocab = corpus_setting
