@@ -345,20 +345,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     base = _run_config_from_args(args)
+    for mode in args.modes:
+        if mode != "full" and mode not in ABLATION_FLAGS:
+            raise ValueError(
+                f"unknown ablation mode {mode!r}; valid: full, " + ", ".join(ABLATION_FLAGS)
+            )
     corpus, maps, vocab, dev, test = _load_training_data(base)
     eval_corpus = test if test is not None else corpus
     eval_name = "test" if test is not None else "train"
     rows = []
     for mode in args.modes:
-        if mode == "full":
-            run = base
-        elif mode in ABLATION_FLAGS:
-            run = replace(base, **{mode: True})
-        else:
-            raise ValueError(
-                f"unknown ablation mode {mode!r}; valid: full, "
-                + ", ".join(ABLATION_FLAGS)
-            )
+        run = base if mode == "full" else replace(base, **{mode: True})
         result = train_model(corpus, maps, vocab, run, dev_corpus=dev)
         metrics = evaluate(result.model, eval_corpus, maps, vocab,
                            batch_size=run.batch_size)

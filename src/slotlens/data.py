@@ -465,6 +465,25 @@ def extract_spans(bio_seq: list[str]) -> set[Span]:
     return spans
 
 
+def span_keys(ids: np.ndarray, maps: LabelMaps) -> set[int]:
+    """One integer key per span of an (N, L) array of BIO label ids, -1 at
+    pad, read with :func:`extract_spans`' relaxed-start rule; keys of two
+    arrays of one shape are equal exactly when row, type, start and end
+    agree. The rows, each padded with -1 on both sides, are read as one
+    sequence: a span starts at a token inside a span that is B-x or of
+    another type than the one before, and ends where the next position
+    does not continue it; the k-th start pairs with the k-th end."""
+    outside = maps.slot_type_index[OUTSIDE]
+    flat = np.pad(ids, ((0, 0), (1, 1)), constant_values=-1).ravel()
+    kind = np.append(maps.bio_type_column, outside)[flat]
+    begins = np.array([tag.startswith("B-") for tag in maps.bio_labels] + [False])
+    cut = begins[flat[1:]] | (kind[1:] != kind[:-1])
+    starts = np.flatnonzero((kind[1:] != outside) & cut) + 1
+    ends = np.flatnonzero((kind[:-1] != outside) & cut)
+    return set(((starts * ids.shape[1] + ends - starts) * maps.n_slot_types
+                + kind[starts]).tolist())
+
+
 def spans_to_bio(spans: set[Span], length: int) -> list[str]:
     """Render spans back to a BIO sequence of ``length`` tokens."""
     tags = [OUTSIDE] * length

@@ -387,18 +387,6 @@ def infer(batch: Batch, config: ModelConfig, params: ParamSet) -> Outputs:
     return tuple(None if t is None else t.data for t in outputs)
 
 
-def predict(
-    batch: Batch, config: ModelConfig, params: ParamSet
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Argmax decoding; ties break toward the lower index."""
-    intent_logits, _, _, slot_logits = infer(batch, config, params)
-    slots = [
-        slot_logits[b, : int(batch.lengths[b])].argmax(axis=1)
-        for b in range(batch.size)
-    ]
-    return intent_logits.argmax(axis=1), slots
-
-
 class JointModel:
     """Bundles a configuration with its parameter set."""
 
@@ -421,8 +409,11 @@ class JointModel:
     def infer(self, batch: Batch) -> Outputs:
         return infer(batch, self.config, self.params)
 
-    def predict(self, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:
-        return predict(batch, self.config, self.params)
+    def predict(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+        """Argmax decoding: intent ids (B,) and BIO label ids (B, L), -1 at
+        pad as in ``Batch.slot_targets``; ties break toward the lower index."""
+        intent_logits, _, _, slot_logits = self.infer(batch)
+        return intent_logits.argmax(axis=1), np.where(batch.mask, slot_logits.argmax(axis=2), -1)
 
     def n_params(self, prefix: str = "") -> int:
         return self.params.size(prefix)

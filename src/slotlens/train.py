@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import (
-    SPLIT_MIN_SAVED, LabelMaps, Utterance, Vocab, encode_batch, extract_spans,
-    split_by_length, span_f1,
+    SPLIT_MIN_SAVED, LabelMaps, Utterance, Vocab, encode_batch, span_f1, span_keys,
+    split_by_length,
 )
 from .model import JointModel, ModelConfig
 from .optim import adam_step
@@ -213,7 +213,8 @@ def evaluate(
     max_len: int | None = None,
     batch_size: int = 32,
 ) -> Metrics:
-    """Intent accuracy plus exact-span-match micro precision/recall/F1.
+    """Intent accuracy plus exact-span-match micro precision/recall/F1 over
+    the spans :func:`span_keys` reads from the gold and predicted label ids.
 
     Utterances are truncated to ``max_len`` tokens, by default the longest
     the model takes (``config.max_len``), encoded once and run in length
@@ -225,22 +226,13 @@ def evaluate(
         max_len = model.config.max_len
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    correct = 0
-    gold_spans, pred_spans = [], []
     whole = encode_batch(corpus, maps, vocab, max_len)
+    intents, slots = np.empty_like(whole.intent_targets), np.full_like(whole.slot_targets, -1)
     for idx in split_by_length(whole.lengths, SPLIT_MIN_SAVED, batch_size):
-        intents, slots = model.predict(whole.rows(idx))
-        correct += int((intents == whole.intent_targets[idx]).sum())
-        for i, tags in zip(idx.tolist(), slots):
-            gold_spans.append(extract_spans(corpus[i].bio_tags[: whole.lengths[i]]))
-            pred_spans.append(extract_spans([maps.bio_labels[j] for j in tags]))
-    p, r, f1 = span_f1(gold_spans, pred_spans)
-    return Metrics(
-        intent_accuracy=correct / len(corpus),
-        slot_precision=p,
-        slot_recall=r,
-        slot_f1=f1,
-    )
+        sub = whole.rows(idx)
+        intents[idx], slots[idx, : sub.max_len] = model.predict(sub)
+    return Metrics(int((intents == whole.intent_targets).sum()) / len(corpus),
+                   *span_f1([span_keys(whole.slot_targets, maps)], [span_keys(slots, maps)]))
 
 
 def curve_to_tsv(curve: list[EpochStats]) -> str:

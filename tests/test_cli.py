@@ -658,6 +658,33 @@ class TestAblate:
         assert err.startswith("usage error:")
         assert "half_aux" in err
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_unknown_mode_refused_before_any_training(self, corpus_dir, capsys, tmp_path,
+                                                      monkeypatch, where):
+        """An unknown mode after known ones trains no model first, whether
+        the modes come from ``--modes`` or from a config file."""
+        calls = []
+
+        def never(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("train_model ran")
+
+        monkeypatch.setattr(cli, "train_model", never)
+        argv = ["ablate", "--train", str(corpus_dir / "train"), "--out", str(tmp_path / "x"),
+                *TINY]
+        if where == "flag":
+            argv += ["--modes", "full", "no_aux_loss", "bogus"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("modes=full bogus\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "usage error: unknown ablation mode 'bogus'; valid: full, "
+            + ", ".join(cli.ABLATION_FLAGS) + "\n")
+        assert not (tmp_path / "x").exists()
+
 
 class TestGradcheck:
     def test_passes_and_writes_report(self, capsys, tmp_path):

@@ -10,6 +10,9 @@ in exit 0 or in exactly one categorized stderr line with exit 1, and so
 must ``train`` with each numeric flag at a value from ``FLAG_VALUES``.
 Corpus files with a seeded defect must end in exit 1 and exactly one
 ``data error:`` line. None may end in an uncaught exception.
+
+Random and hand-picked arrays of BIO label ids, padded, must read the same
+slot spans through ``span_keys`` as through ``extract_spans`` per row.
 """
 
 import math
@@ -23,7 +26,10 @@ from conftest import V1_FIXTURE, V2_FIXTURE, rewrite_manifest
 
 from slotlens import optim
 from slotlens.cli import ERROR_CATEGORIES, main
-from slotlens.data import INTENT_FILE, TAGS_FILE, TOKENS_FILE
+from slotlens.data import (
+    INTENT_FILE, TAGS_FILE, TOKENS_FILE, LabelMaps, Utterance, Vocab, encode_batch,
+    extract_spans, span_f1, span_keys,
+)
 from slotlens.train import RunConfig
 
 CATEGORIES = {category for _, category in ERROR_CATEGORIES}
@@ -351,3 +357,76 @@ def test_damaged_corpus_fails_in_one_line(setting, capsys, tmp_path, command, ki
         rc = main(["train", "--train", train, *(["--test", test] if test else []),
                    "--out", str(tmp_path / "run"), *TINY_FLAGS])
     assert_one_line(rc, capsys.readouterr(), {"data error"})
+
+
+# label inventories in an order where "O" is neither first nor last, so no
+# reading may assume a position for it
+SPAN_MAPS = LabelMaps(intents=["ask"], slot_types=["city", "O", "day"],
+                      bio_labels=["I-day", "B-city", "O", "I-city", "B-day"])
+
+
+def span_counts(gold_ids, pred_ids):
+    """(gold spans, predicted spans, matches, P/R/F1) read by ``span_keys``
+    and by the oracle, ``extract_spans`` of each row's unpadded labels."""
+    def rows(ids):
+        return [extract_spans([SPAN_MAPS.bio_labels[j] for j in row if j >= 0]) for row in ids]
+
+    gold, pred = rows(gold_ids), rows(pred_ids)
+    oracle = (sum(map(len, gold)), sum(map(len, pred)),
+              sum(len(g & p) for g, p in zip(gold, pred)), span_f1(gold, pred))
+    g, p = span_keys(gold_ids, SPAN_MAPS), span_keys(pred_ids, SPAN_MAPS)
+    return (len(g), len(p), len(g & p), span_f1([g], [p])), oracle
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_span_keys_match_extract_spans_on_random_label_ids(case):
+    """Random, mostly invalid, label ids with padded row ends (some rows
+    all pad) count the same spans and matches as the oracle."""
+    rng = np.random.default_rng([case, 27])
+    for _ in range(50):
+        n, width = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+        lengths = rng.integers(0, width + 1, n)
+        pad = np.arange(width) >= lengths[:, None]
+        gold, pred = (np.where(pad, -1, rng.integers(0, SPAN_MAPS.n_bio_labels, (n, width)))
+                      for _ in range(2))
+        read, oracle = span_counts(gold, pred)
+        assert read == oracle
+
+
+@pytest.mark.parametrize("gold,pred", [
+    ("O I-city I-city", "B-city I-city O"),             # I-x after O opens a span
+    ("B-city I-city I-city", "B-city I-day I-city"),    # I-y inside an x run
+    ("B-city I-city O", "B-city B-city O"),             # B-x after B-x
+    ("B-day B-day B-day", "B-day I-day B-day"),
+    ("O O B-city", "O O I-city"),                       # spans ending a row
+    ("I-day O O", "B-day O O"),                         # spans starting a row
+    ("B-city I-city pad", "B-city I-city pad"),         # pad ends a span
+    ("B-city pad pad", "I-city pad pad"),
+    ("pad pad pad", "pad pad pad"),
+])
+def test_span_keys_match_extract_spans_on_edge_cases(gold, pred):
+    """Each case as one row, and as the middle row of three beside rows
+    whose spans touch it in the flat reading."""
+    def ids(text):
+        return np.array([SPAN_MAPS.bio_index.get(t, -1) for t in text.split()])
+
+    edge = ids("I-city I-city I-city")
+    for stack in ([ids(gold)], [ids(pred)]), ([edge, ids(gold), edge], [edge, ids(pred), edge]):
+        read, oracle = span_counts(*map(np.stack, stack))
+        assert read == oracle
+        assert read[0] >= 1 or gold.startswith("pad")
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 5])
+def test_span_keys_read_gold_cut_at_max_len(max_len):
+    """Gold spans that ``max_len`` cuts short end at the cut, as the oracle
+    reads the kept tags."""
+    corpus = [Utterance(tags.split(), "ask", tags.split()) for tags in (
+        "B-city I-city I-city O B-day", "O B-day I-day I-day I-day",
+        "B-city B-city I-city", "O O O O B-day I-day")]
+    gold = encode_batch(corpus, SPAN_MAPS, Vocab([]), max_len).slot_targets
+    rows = [extract_spans(u.bio_tags[:max_len]) for u in corpus]
+    keys = span_keys(gold, SPAN_MAPS)
+    assert len(keys) == sum(map(len, rows))
+    assert span_f1([keys], [keys]) == span_f1(rows, rows)
+    assert all(j < 0 for u, row in zip(corpus, gold) for j in row[u.length:])

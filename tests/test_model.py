@@ -17,7 +17,6 @@ from slotlens.model import (
     fusion_cross_attention,
     intent_fusion,
     intent_head,
-    predict,
     slot_head,
     slot_type_attention,
     slot_type_heads,
@@ -627,7 +626,18 @@ class TestPredict:
         intents, slots = model.predict(batch)
         np.testing.assert_array_equal(intents, model.infer(batch)[0].argmax(1))
         for b, s in enumerate(slots):
-            assert len(s) == int(batch.lengths[b])
+            assert len(s[s >= 0]) == int(batch.lengths[b])
+
+    def test_slot_ids_are_one_array_with_pad_as_in_the_targets(self):
+        """(B, L) BIO ids, the slot logits' argmax at kept tokens and -1 at
+        pad, where ``Batch.slot_targets`` holds -1."""
+        model, batch, _, _ = make_model()
+        assert not batch.mask.all()
+        _, slots = model.predict(batch)
+        assert slots.shape == batch.token_ids.shape
+        np.testing.assert_array_equal(slots < 0, batch.slot_targets < 0)
+        np.testing.assert_array_equal(slots[batch.mask],
+                                      model.infer(batch)[3].argmax(2)[batch.mask])
 
     def test_tie_breaks_to_lower_index(self):
         model, batch, _, _ = make_model()
@@ -637,7 +647,7 @@ class TestPredict:
         model.params["slot.b"].data[:] = 0
         intents, slots = model.predict(batch)
         assert (intents == 0).all()
-        assert all((s == 0).all() for s in slots)
+        assert all((s[s >= 0] == 0).all() for s in slots)
 
     def test_batch_permutation_invariance(self):
         model, _, maps, vocab = make_model()

@@ -333,6 +333,29 @@ class TestEvaluate:
         assert m.intent_accuracy == 1.0
         assert m.slot_f1 == 1.0
 
+    def test_spans_are_scored_without_extract_spans(self, corpus_setting, monkeypatch):
+        """``evaluate`` reads spans from the label-id arrays: with the
+        per-utterance reader made to fail it scores as the oracle does,
+        ``extract_spans`` of each utterance's gold and predicted tags."""
+        import slotlens.data as data_module
+
+        corpus, maps, vocab = corpus_setting
+        model = train_model(corpus, maps, vocab, tiny_run(epochs=1, max_len=9)).model
+        batch = encode_batch(corpus, maps, vocab, 9)
+        intents, slots = model.predict(batch)
+        gold, pred = ([data_module.extract_spans([maps.bio_labels[j] for j in row if j >= 0])
+                       for row in ids] for ids in (batch.slot_targets, slots))
+        expected = Metrics(float((intents == batch.intent_targets).mean()),
+                           *data_module.span_f1(gold, pred))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extract_spans called")
+
+        monkeypatch.setattr(data_module, "extract_spans", refuse)
+        monkeypatch.setattr(train, "extract_spans", refuse, raising=False)
+        assert evaluate(model, corpus, maps, vocab, max_len=9, batch_size=7) == expected
+        assert 0 < expected.slot_precision < 1
+
     def test_empty_corpus_rejected(self, corpus_setting):
         _, maps, vocab = corpus_setting
         model = train_model(
