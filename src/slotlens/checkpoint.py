@@ -94,7 +94,6 @@ class Checkpoint:
     vocab: Vocab
     model: JointModel
     metadata: dict
-    path: str | Path
 
 
 def save_checkpoint(
@@ -307,7 +306,7 @@ def _load_derived(f, path, manifest: dict, header: bytes, size: int, version: in
     model.params.allocate(dtype, dict(zip(("m", "v", "data")[-n_arenas:], buf)))
     model.params.step_count = o["step_count"] if o else 0
     return Checkpoint(config=config, label_maps=maps, vocab=vocab, model=model,
-                      metadata=manifest.get("metadata", {}), path=path)
+                      metadata=manifest.get("metadata", {}))
 
 
 def _v1_fields(manifest: dict, path, index: dict[str, np.ndarray]) -> dict:

@@ -235,8 +235,8 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _load_training_data(run: RunConfig):
     """The training corpus, its label maps and vocabulary, and the dev and
-    test corpora (or None), whose labels are checked against those maps
-    before any training runs."""
+    test corpora (or None), which must not be empty and whose labels are
+    checked against those maps before any training runs."""
     corpus = load_corpus(run.train_path)
     maps = build_label_maps(corpus)
     vocab = Vocab.build(corpus)
@@ -244,6 +244,8 @@ def _load_training_data(run: RunConfig):
     test = load_corpus(run.test_path) if run.test_path else None
     for name, path, held_out in (("dev", run.dev_path, dev), ("test", run.test_path, test)):
         if held_out is not None:
+            if not held_out:
+                raise ValueError(f"{name} corpus {path} is empty")
             check_labels(held_out, maps, run.max_len, where=f"{name} corpus {path}: ")
     return corpus, maps, vocab, dev, test
 
@@ -373,6 +375,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     # the loss sums two batches: the first runs as one graph, the second (ten
     # 1-token utterances beside a 12-token one) as two length-sorted sub-batches
     pair = [

@@ -21,18 +21,21 @@ from .data import (SPLIT_MIN_SAVED, LabelMaps, OUTSIDE, Utterance, Vocab, encode
                    rewrite_file, split_by_length)
 from .model import JointModel
 
+# Rows must sum to 1 within this, or within the eps of a coarser map dtype:
+# float16 maps (eps 9.8e-4) drift by 6e-4 to 7e-4, on 47-token rows too.
 ROW_SUM_TOLERANCE = 1e-6
 
 
-def _check_attention(block: np.ndarray, kinds: list[str]) -> None:
-    """Check a ``(..., T, l, l)`` stack of attention maps whose T types
-    ``kinds`` names: every row must sum to 1 within ``ROW_SUM_TOLERANCE``
-    and no weight may be negative. Raises for the first failing type in
-    ``kinds`` order, whichever map of the stack fails."""
+def _check_attention(block: np.ndarray, kinds: list[str], dtype: np.dtype) -> None:
+    """Check a ``(..., T, l, l)`` stack of attention maps computed in
+    ``dtype``, whose T types ``kinds`` names: every row must sum to 1 within
+    the bound above and no weight may be negative. Raises for the first
+    failing type in ``kinds`` order, whichever map of the stack fails."""
+    eps = np.finfo(dtype).eps if dtype.kind == "f" else 0.0
     # written so that NaN fails: max and min carry it, and every comparison
     # with it is False
     drift = np.abs(block.sum(axis=-1, dtype=np.float64) - 1.0).max(axis=-1)
-    rows_ok = drift <= ROW_SUM_TOLERANCE  # (..., T)
+    rows_ok = drift <= max(ROW_SUM_TOLERANCE, eps)  # (..., T)
     signs_ok = block.min(axis=(-2, -1)) >= 0
     if (rows_ok & signs_ok).all():
         return
@@ -71,10 +74,10 @@ class AttentionBundle:
                 raise ValueError(f"{kind} matrix shape {m.shape} for {l} tokens")
         if not self.matrices:
             return
-        # the bundle's own (T, l, l) copy, checked for every type at once
+        # the bundle's own (T, l, l) copy, checked with the bound of the maps' dtype
         block = np.stack(list(self.matrices.values()), dtype=np.float64)
+        _check_attention(block, list(self.matrices), np.result_type(*self.matrices.values()))
         self.matrices = dict(zip(self.matrices, block))
-        _check_attention(block, list(self.matrices))
 
     @property
     def analyzed_types(self) -> frozenset[str]:
@@ -109,14 +112,14 @@ def _extraction(
     utterances: list[Utterance],
     maps: LabelMaps,
     vocab: Vocab,
-) -> tuple[list[Utterance], np.ndarray, Iterator[tuple]]:
+) -> tuple[list[tuple[str, ...]], np.ndarray, Iterator[tuple]]:
     """The extraction loop every attention analysis reads from.
 
     Utterances are truncated to the model's maximum length, and those with
     equal kept tokens and tags run once (the network never reads the
-    intent). Returns the distinct utterances, each caller position's index
-    among them, and a generator that encodes them once and runs one
-    graph-free inference pass per length group (see
+    intent). Returns the distinct utterances' kept token sequences, each
+    caller position's index among them, and a generator that encodes them
+    once and runs one graph-free inference pass per length group (see
     :func:`split_by_length`) of at most ``EXTRACT_CHUNK * max_len // l_max``
     distinct utterances, where ``l_max`` is the longest kept length. It
     yields each pass cut into its distinct kept lengths l, as ``(idx, block,
@@ -132,15 +135,14 @@ def _extraction(
     distinct = dict(zip(keys, utterances))  # one utterance per key, first-seen order
     index = {k: i for i, k in enumerate(distinct)}
     inverse = np.array([index[k] for k in keys], dtype=np.intp)
-    unique = list(distinct.values())
 
     def cuts():
-        if not unique:
+        if not distinct:
             return
         if not model.config.has_aux_network:
             raise ValueError("model was built without the slot-type attention network")
         T, outside = maps.n_slot_types, maps.slot_type_index[OUTSIDE]
-        whole = encode_batch(unique, maps, vocab, max_len)
+        whole = encode_batch(list(distinct.values()), maps, vocab, max_len)
         size = EXTRACT_CHUNK * max_len // int(whole.lengths.max())
         for idx in split_by_length(whole.lengths, SPLIT_MIN_SAVED, size):
             batch = whole.rows(idx)
@@ -157,10 +159,10 @@ def _extraction(
             for l in np.unique(batch.lengths):
                 rows = np.flatnonzero(batch.lengths == l)
                 block = attention[rows, :, :l, :l]
-                _check_attention(block, maps.slot_types)
+                _check_attention(block, maps.slot_types, attention.dtype)
                 yield idx[rows], block, positive[rows, :T]
 
-    return unique, inverse, cuts()
+    return [tokens for tokens, _ in distinct], inverse, cuts()
 
 
 def extract_attention_bundles(
@@ -178,14 +180,14 @@ def extract_attention_bundles(
     the gold tags, or from the predicted tags when there is no tagged slot;
     "O" joins the negative set only when ``include_outside`` is set.
     """
-    unique, inverse, cuts = _extraction(model, utterances, maps, vocab)
+    kept, inverse, cuts = _extraction(model, utterances, maps, vocab)
     analyzed = _analyzed_types(maps, include_outside)
-    bundles: list[AttentionBundle | None] = [None] * len(unique)
+    bundles: list[AttentionBundle | None] = [None] * len(kept)
     for idx, block, positive in cuts:
         negative = (analyzed & ~positive).tolist()
         for r, i in enumerate(idx.tolist()):
             bundles[i] = AttentionBundle(
-                tokens=list(unique[i].tokens[: block.shape[-1]]),
+                tokens=list(kept[i]),
                 # views into the checked cut; the bundle copies and checks them
                 matrices=dict(zip(maps.slot_types, block[r])),
                 positive_types=frozenset(compress(maps.slot_types, positive[r].tolist())),
@@ -289,7 +291,6 @@ class EntropyRow:
 class EntropyReport:
     rows: list[EntropyRow]
     n_utterances: int
-    granularity: str = "matrix"
 
     def to_tsv(self) -> str:
         lines = ["k\tpos_entropy\tneg_entropy\tdiff"]
@@ -336,7 +337,6 @@ def _entropy_report(
     neg: np.ndarray,
     n_utterances: int,
     k_list: list[float],
-    granularity: str,
 ) -> EntropyReport:
     """Average the per-utterance means, one ``(N, len(k_list))`` row per
     utterance that has positive (``pos``) or negative (``neg``) types, in
@@ -357,7 +357,7 @@ def _entropy_report(
         )
         for i, k in enumerate(k_list)
     ]
-    return EntropyReport(rows=rows, n_utterances=n_utterances, granularity=granularity)
+    return EntropyReport(rows=rows, n_utterances=n_utterances)
 
 
 def entropy_report_from_bundles(
@@ -384,8 +384,7 @@ def entropy_report_from_bundles(
                           for t in sorted(bundles[u].positive_types)
                           + sorted(bundles[u].negative_types)])
         pos[us], neg[us] = _entropy_means(stack, n_pos[us], n_neg[us], k_list, granularity)
-    return _entropy_report(pos[n_pos > 0], neg[n_neg > 0], len(bundles), k_list,
-                           granularity)
+    return _entropy_report(pos[n_pos > 0], neg[n_neg > 0], len(bundles), k_list)
 
 
 def topk_entropy_analysis(
@@ -411,10 +410,10 @@ def topk_entropy_analysis(
     if not _analyzed_types(maps, False).any():  # "O" is never positive
         raise ValueError("no positive slot types anywhere in the corpus")
     analyzed = _by_name(maps, _analyzed_types(maps, include_outside))
-    unique, inverse, cuts = _extraction(model, corpus, maps, vocab)
-    n_pos = np.zeros(len(unique), dtype=np.intp)
-    pos = np.full((len(unique), len(k_list)), np.nan)
-    neg = np.full((len(unique), len(k_list)), np.nan)
+    kept, inverse, cuts = _extraction(model, corpus, maps, vocab)
+    n_pos = np.zeros(len(kept), dtype=np.intp)
+    pos = np.full((len(kept), len(k_list)), np.nan)
+    neg = np.full((len(kept), len(k_list)), np.nan)
     for idx, block, positive in cuts:
         in_order = positive[:, analyzed]  # (U, A), types in name order
         # per row: positive types first, then negative, each in name order
@@ -425,8 +424,7 @@ def topk_entropy_analysis(
             stack.reshape(-1, *block.shape[-2:]), n_pos[idx], len(analyzed) - n_pos[idx],
             k_list, granularity)
     n_pos, pos, neg = n_pos[inverse], pos[inverse], neg[inverse]
-    return _entropy_report(pos[n_pos > 0], neg[n_pos < len(analyzed)], len(corpus),
-                           k_list, granularity)
+    return _entropy_report(pos[n_pos > 0], neg[n_pos < len(analyzed)], len(corpus), k_list)
 
 
 # modification consistency -------------------------------------------------------
@@ -521,9 +519,9 @@ def consistency_analysis(
     over its types in name order. Unequal lengths and label maps with no
     slot type besides "O" are refused before any inference runs."""
     n = len(pairs)
-    unique, inverse, cuts = _extraction(
+    kept, inverse, cuts = _extraction(
         model, [p[0] for p in pairs] + [p[1] for p in pairs], maps, vocab)
-    length = np.array([min(u.length, model.config.max_len) for u in unique], dtype=np.intp)
+    length = np.array([len(tokens) for tokens in kept], dtype=np.intp)
     a, b = inverse[:n], inverse[n:]
     unequal = np.flatnonzero(length[a] != length[b])
     if unequal.size:
@@ -533,17 +531,10 @@ def consistency_analysis(
     if n and not _analyzed_types(maps, False).any():
         raise ValueError("no slot types to compare")
 
-    # one stack per length, where each distinct utterance's row is its rank
-    # among that length's; the parameters' dtype keeps the maps unrounded
-    order = np.argsort(length, kind="stable")
-    lengths, first, count = np.unique(length[order], return_index=True, return_counts=True)
-    row = np.empty_like(length)
-    row[order] = np.arange(len(order)) - np.repeat(first, count)
-    stacks = {l: np.empty((c, maps.n_slot_types, l, l), model.params.dtype)
-              for l, c in zip(lengths.tolist(), count.tolist())}
-    positive = np.zeros((len(unique), maps.n_slot_types), dtype=bool)
+    views: dict[int, np.ndarray] = {}  # distinct index -> its checked (T, l, l) maps
+    positive = np.zeros((len(kept), maps.n_slot_types), dtype=bool)
     for idx, block, pos in cuts:
-        stacks[block.shape[-1]][row[idx]] = block
+        views.update(zip(idx.tolist(), block))
         positive[idx] = pos
 
     chosen = positive[a]
@@ -553,10 +544,12 @@ def consistency_analysis(
     kind = by_name[col]
     counts = np.bincount(pair, minlength=n)
     cosines = np.empty(len(pair))
-    for l, stack in stacks.items():  # each length is some pair's, and every pair has a type
+    for l in np.unique(length[a]).tolist():  # every pair has a type
         sel = np.flatnonzero(length[a[pair]] == l)
-        x, y = (stack[row[side[pair[sel]]], kind[sel]].astype(np.float64) for side in (a, b))
-        cosines[sel] = _row_cosines(x, y)
+        both = np.array([views[i][t] for side in (a, b)  # x's maps, then y's
+                         for i, t in zip(side[pair[sel]].tolist(), kind[sel].tolist())],
+                        dtype=np.float64)
+        cosines[sel] = _row_cosines(*np.split(both, 2))
     starts = np.cumsum(counts) - counts
     scores = np.empty(n)
     for c in np.unique(counts):  # a C-contiguous (G, c) mean per type count

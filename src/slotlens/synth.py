@@ -137,6 +137,8 @@ def generate_synthetic_corpus(
     """Sample ``n`` labeled utterances; identical seeds give identical corpora."""
     if n < 1:
         raise ValueError(f"utterance count must be at least 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if grammar is None:
         grammar = default_grammar()
     rng = np.random.default_rng(seed)

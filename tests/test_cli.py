@@ -164,6 +164,33 @@ class TestTrain:
         assert not any((out / name).exists() for name in
                        ("checkpoint.ckpt", "train_curve.tsv", "train_metrics.tsv"))
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("flag", ["--dev", "--test"])
+    def test_empty_held_out_corpus_refused_before_training(self, corpus_dir, capsys,
+                                                           tmp_path, monkeypatch, command,
+                                                           flag):
+        """Three empty files as ``--dev`` or ``--test`` train no model: an
+        empty dev corpus was dropped silently, and an empty test corpus was
+        refused only after training and saving."""
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for name in (TOKENS_FILE, TAGS_FILE, INTENT_FILE):
+            (empty / name).write_text("")
+        calls = []
+
+        def never(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("train_model ran")
+
+        monkeypatch.setattr(cli, "train_model", never)
+        out = tmp_path / "r"
+        rc = main([command, "--train", str(corpus_dir / "train"), flag, str(empty),
+                   "--out", str(out), *TINY])
+        captured = capsys.readouterr()
+        assert rc == 1 and calls == []
+        assert captured.err == f"usage error: {flag[2:]} corpus {empty} is empty\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("word", ["<unk>", "<UNK>", "<Pad>"])
     def test_corpus_holding_a_reserved_token_trains(self, capsys, tmp_path, word):
         write_corpus([Utterance(["fly", word, "boston"], "book_flight", ["O", "O", "B-city"]),
@@ -715,6 +742,28 @@ class TestGradcheck:
         assert captured.err.startswith("usage error:")
         assert captured.err.count("\n") == 1
         assert captured.err.rstrip("\n").endswith(f"got {float(value)}")
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "corpus"],
+        ["gradcheck"],
+        ["train", "--train", "corpus", "--out", "run"],
+    ], ids=["synth", "gradcheck", "train"])
+    def test_negative_seed_is_refused_naming_the_flag(self, capsys, tmp_path, monkeypatch,
+                                                      argv):
+        """Every command with ``--seed`` refuses a negative one in its own
+        words, not numpy's "expected non-negative integer"."""
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "train":
+            main(["synth", "--out", "corpus", "--n", "8"])
+            capsys.readouterr()
+        assert main([*argv, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: seed must be non-negative, got -1\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+        assert argv[0] != "synth" or not (tmp_path / "corpus").exists()
 
 
 class TestConfigFile:

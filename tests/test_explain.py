@@ -290,6 +290,30 @@ class TestBundle:
                 positive_types=frozenset({"city"}), negative_types=frozenset(),
             )
 
+    @pytest.mark.parametrize("dtype,drift,ok", [
+        (np.float16, 2.0 ** -11, True),
+        (np.float16, 0.1, False),
+        (np.float32, 5e-7, True),
+        (np.float32, 5e-6, False),
+        (np.float64, 5e-6, False),
+    ])
+    def test_row_sum_bound_follows_the_dtype_the_maps_came_in(self, dtype, drift, ok):
+        """float16 maps are held to float16's eps, read before the bundle's
+        float64 copy; float32 and float64 maps to ROW_SUM_TOLERANCE."""
+        m = np.array([[0.5, 0.5 + drift], [0.5, 0.5]], dtype=dtype)
+        assert abs(float(m[0].sum(dtype=np.float64)) - 1 - drift) < drift / 10
+
+        def build():
+            return AttentionBundle(tokens=["a", "b"], matrices={"city": m},
+                                   positive_types=frozenset({"city"}),
+                                   negative_types=frozenset())
+
+        if ok:
+            assert build().matrices["city"].tolist() == m.tolist()
+        else:
+            with pytest.raises(ValueError, match="^city attention rows do not sum to 1$"):
+                build()
+
     @pytest.mark.parametrize("m,message", [
         (np.full((2, 2), np.nan), "city attention rows do not sum to 1"),
         (np.array([[1.5, -0.5], [0.5, 0.5]]), "city attention has negative weights"),
@@ -531,6 +555,43 @@ class TestBatchedExtraction:
             want = np.mean([compare_attention_consistency(ba, bb, t) for t in types])
             assert score.score == pytest.approx(want, abs=1e-6)
 
+    def test_consistency_reads_both_sides_across_passes(self, monkeypatch):
+        """With one utterance per pass, every pair's two sides come from
+        different passes, and the scores are still the per-pair ones."""
+        monkeypatch.setattr(explain_module, "EXTRACT_CHUNK", 1)
+        model, _, maps, vocab = small_setting()
+        originals = mixed_utterances(12, seed=8, lengths=range(6, 10))
+        pairs = [(u, Utterance(["denver"] + u.tokens[1:], u.intent, u.bio_tags), "slot")
+                 for u in originals]
+        distinct = {(tuple(u.tokens), tuple(u.bio_tags)) for p in pairs for u in p[:2]}
+        calls = count_passes(monkeypatch)
+        report = consistency_analysis(model, pairs, maps, vocab)
+        assert calls == [1] * len(distinct) and len(distinct) > len(pairs)
+        for score, (orig, mod, _) in zip(report.pairs, pairs):
+            ba = extract_attentions(model, orig, maps, vocab)
+            bb = extract_attentions(model, mod, maps, vocab)
+            types = sorted(ba.positive_types) or sorted(ba.analyzed_types)
+            want = np.mean([compare_attention_consistency(ba, bb, t) for t in types])
+            assert score.score == pytest.approx(want, abs=1e-12)
+
+    def test_pair_differing_only_past_max_len_is_scored_on_kept_tokens(self):
+        """Sides of 11 and 12 tokens that agree on their first max_len (9)
+        are one kept utterance: the pair is not refused and scores 1."""
+        model, _, maps, vocab = small_setting()
+        max_len = model.config.max_len
+        head = ["fly", "to", "boston", "today", "in", "denver", "rain", "to", "boston"]
+        tags = ["O", "O", "B-city", "B-day", "O", "B-city", "O", "O", "B-city"]
+        assert len(head) == max_len == 9
+        orig = Utterance(head + ["today", "rain"], "book_flight", tags + ["B-day", "O"])
+        mod = Utterance(head + ["hello", "there", "x"], "book_flight", tags + ["O"] * 3)
+        report = consistency_analysis(model, [(orig, mod, "tail")], maps, vocab)
+        assert report.pairs[0].score == pytest.approx(1.0)
+        bundle = extract_attentions(model, orig, maps, vocab)
+        assert bundle.tokens == head
+        want = np.mean([compare_attention_consistency(bundle, bundle, t)
+                        for t in sorted(bundle.positive_types)])
+        assert report.pairs[0].score == want
+
     def test_equal_utterances_run_once_and_share_a_bundle(self, monkeypatch):
         """Equal kept tokens and tags make one row, whatever the intent."""
         model, corpus, maps, vocab = small_setting()
@@ -766,8 +827,8 @@ def corrupting(monkeypatch, model, maps, kind, how):
     def infer(batch):
         intent, aux, attention, slot = real_infer(batch)
         attention = attention.copy()
-        if how == "bad row":
-            attention[:, t, 0, 0] += 0.5
+        if how in ("bad row", "row off by 0.1"):
+            attention[:, t, 0, 0] += 0.5 if how == "bad row" else 0.1
         elif how == "negative weight":
             attention[:, t, 0, :] = 0.0
             attention[:, t, 0, :2] = (1.5, -0.5)
@@ -816,6 +877,55 @@ class TestDamagedAttention:
         assert maps.slot_types.index("day") < maps.slot_types.index("hotel")
         with pytest.raises(ValueError, match="^day attention rows do not sum to 1$"):
             topk_entropy_analysis(model, mixed_utterances(8, lengths=[4]), [100], maps, vocab)
+
+
+class TestFloat16Model:
+    """A float16 model's rows drift from 1 by more than ROW_SUM_TOLERANCE
+    but less than float16's eps, which is the bound they are held to."""
+
+    K_LIST = [5, 10, 100]
+
+    @staticmethod
+    def setting():
+        small, _, maps, vocab = small_setting(max_positions=48)
+        model = JointModel(small.config, rng=np.random.default_rng(0), dtype=np.float16)
+        return model, long_corpus(), maps, vocab
+
+    def test_every_analysis_runs(self):
+        model, corpus, maps, vocab = self.setting()
+        bundles = extract_attention_bundles(model, corpus, maps, vocab)
+        drift = max(np.abs(m.sum(axis=-1) - 1).max() for b in bundles
+                    for m in b.matrices.values())
+        assert explain_module.ROW_SUM_TOLERANCE < drift < np.finfo(np.float16).eps
+        report = topk_entropy_analysis(model, corpus, self.K_LIST, maps, vocab)
+        assert report == entropy_report_from_bundles(bundles, self.K_LIST)
+        pairs = [(u, Utterance(["denver"] + u.tokens[1:], u.intent, u.bio_tags), "slot")
+                 for u in corpus]
+        scores = consistency_analysis(model, pairs, maps, vocab)
+        sides = extract_attention_bundles(
+            model, [p[0] for p in pairs] + [p[1] for p in pairs], maps, vocab)
+        want = per_pair_consistency_reference(sides[: len(pairs)], sides[len(pairs) :])
+        assert [p.score for p in scores.pairs] == want  # exactly
+        bundle = extract_attentions(model, corpus[5], maps, vocab, include_outside=True)
+        assert set(bundle.matrices) == set(maps.slot_types)
+        assert all(m.dtype == np.float64 for m in bundle.matrices.values())
+
+    @pytest.mark.parametrize("how,message", [
+        ("row off by 0.1", "city attention rows do not sum to 1"),
+        ("negative weight", "city attention has negative weights"),
+        ("nan", "city attention rows do not sum to 1"),
+    ])
+    def test_damaged_maps_are_still_refused(self, monkeypatch, how, message):
+        model, corpus, maps, vocab = self.setting()
+        pairs = [(u, u, "self") for u in corpus]
+        corrupting(monkeypatch, model, maps, "city", how)
+        for run in (
+            lambda: topk_entropy_analysis(model, corpus, self.K_LIST, maps, vocab),
+            lambda: consistency_analysis(model, pairs, maps, vocab),
+            lambda: extract_attention_bundles(model, corpus, maps, vocab),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run()
 
 
 class TestEntropyReport:
