@@ -593,13 +593,15 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 _HIGH_DIGITS, _LOW_DIGITS = _digit_words()
 
 
-def _cell_rows(scaled: np.ndarray, m: np.ndarray) -> list[str]:
-    """The heatmap's table cells, one string per row, with opacity from
-    ``scaled`` and hover title from ``m``, each formatted as ``%.6f``.
+def _cell_rows(scaled: np.ndarray, m: np.ndarray) -> list[memoryview] | list[bytes]:
+    """The heatmap's table cells as one ASCII bytes-like chunk per row, with
+    opacity from ``scaled`` and hover title from ``m``, each formatted as
+    ``%.6f``.
 
     Every value in [0, 9.9999995) away from a rounding tie is written as
-    digits into a copy of the fixed-width cell template; a matrix holding
-    any other value is formatted cell by cell.
+    digits into one copy of the fixed-width cell template, whose rows come
+    back as views; a matrix holding any other value is formatted cell by
+    cell.
     """
     n = len(m)
     v = np.empty((n, n, 2))
@@ -613,13 +615,14 @@ def _cell_rows(scaled: np.ndarray, m: np.ndarray) -> list[str]:
             buf = bytearray(_CELL_BYTES * (n * n))
             words = np.ndarray((n, n, 2), "<u8", buffer=buf, offset=_OPACITY_AT,
                                strides=(n * _CELL_WIDTH, _CELL_WIDTH, _TITLE_AT - _OPACITY_AT))
-            high, low = np.divmod(k.astype(np.intp), 1000)
+            low = k.astype(np.intp)
+            high = low // 1000
+            low -= high * 1000
             np.add(_HIGH_DIGITS[high], _LOW_DIGITS[low], out=words)
-            text = buf.decode("ascii")
-            step = n * _CELL_WIDTH
-            return [text[i : i + step] for i in range(0, n * step, step)]
+            cells, step = memoryview(buf), n * _CELL_WIDTH
+            return [cells[i : i + step] for i in range(0, n * step, step)]
     row = _CELL * n
-    return [row % tuple(values) for values in v.reshape(n, 2 * n).tolist()]
+    return [(row % tuple(values)).encode("ascii") for values in v.reshape(n, 2 * n).tolist()]
 
 
 def render_heatmap(bundle: AttentionBundle, slot_type: str, path: str | Path) -> Path:
@@ -635,7 +638,7 @@ def render_heatmap(bundle: AttentionBundle, slot_type: str, path: str | Path) ->
     scaled = m / peak if peak > 0 else m
     esc = [html.escape(t) for t in bundle.tokens]
 
-    parts = [
+    head = "\n".join([
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',
         f"<title>attention: {html.escape(slot_type)}</title>",
@@ -649,18 +652,26 @@ def render_heatmap(bundle: AttentionBundle, slot_type: str, path: str | Path) ->
         f"<h1>slot type: {html.escape(slot_type)}</h1>",
         f"<p>utterance: {' '.join(esc)}</p>",
         "<table>",
-        "<tr><th></th>" + "".join(f"<th>{t}</th>" for t in esc) + "</tr>",
-    ]
+        "<tr><th></th>" + "".join(f"<th>{t}</th>" for t in esc) + "</tr>\n",
+    ])
+    page = [head.encode("utf-8")]
     for token, cells in zip(esc, _cell_rows(scaled, m)):
-        parts.append(f"<tr><th>{token}</th>{cells}</tr>")
-    parts.append("</table></body></html>")
-
-    return write_report("\n".join(parts) + "\n", path)
+        page += [f"<tr><th>{token}</th>".encode("utf-8"), cells, b"</tr>\n"]
+    page.append(b"</table></body></html>\n")
+    return _write(path, b"".join(page))
 
 
 def write_report(text: str, path: str | Path) -> Path:
     """Write ``text`` as UTF-8 to ``path``, creating its directory and
     rewriting an existing file in place."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return rewrite_file(path, [text.encode("utf-8")])
+    return _write(path, text.encode("utf-8"))
+
+
+def _write(path: str | Path, page: bytes) -> Path:
+    """Rewrite ``path`` in place with ``page``; its directory is created
+    only when the open finds it missing."""
+    try:
+        return rewrite_file(path, [page])
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return rewrite_file(path, [page])

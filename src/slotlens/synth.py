@@ -226,6 +226,8 @@ def modification_pairs(
     utterance; utterances with no applicable site for a category are skipped.
     Modifications preserve token count so attention rows align one-to-one.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     pairs = []
     for u in corpus:

@@ -326,25 +326,12 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def _row_max(p: np.ndarray) -> np.ndarray:
-    """``p.max(axis=-1, keepdims=True)`` as a new array, by halving the last
-    axis with ``np.maximum``: at rows of a few dozen entries numpy's
-    ``max`` pays a per-row cost that a few whole-array passes avoid. An odd
-    length folds its last column into column 0. Max is exact in any order,
-    and ``np.maximum`` propagates NaN as ``max`` does."""
-    n = p.shape[-1]
-    if n < 2:
-        return p.max(axis=-1, keepdims=True)
-    h = n // 2
-    m = np.maximum(p[..., :h], p[..., h:2 * h])
-    if n % 2:
-        np.maximum(m[..., :1], p[..., -1:], out=m[..., :1])
-    while h > 1:
-        n, h = h, h // 2
-        np.maximum(m[..., :h], m[..., h:2 * h], out=m[..., :h])
-        if n % 2:
-            np.maximum(m[..., :1], m[..., n - 1:n], out=m[..., :1])
-        m = m[..., :h]
-    return m
+    """``p.max(axis=-1, keepdims=True)`` as a new array, reduced over one
+    contiguous copy with the row axis first: along a short last axis numpy's
+    ``max`` pays a cost per row, along the first it runs across all rows at
+    once. Max is exact in any order and propagates NaN; only the sign of a
+    zero maximum can differ, which subtracting it and ``exp`` do not see."""
+    return np.moveaxis(p, -1, 0).copy().max(axis=0)[..., None]
 
 
 def softmax_masked(x: Tensor, mask, scale: float = 1.0) -> Tensor:

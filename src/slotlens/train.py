@@ -134,6 +134,8 @@ def train_model(
     dropout) are spawned from the seed, so ablation variants sharing a
     seed also share their initial encoder weights where shapes agree.
     """
+    if dev_corpus is not None and not dev_corpus:
+        raise ValueError("dev corpus is empty")
     init_ss, shuffle_ss, dropout_ss = np.random.SeedSequence(run.seed).spawn(3)
     model = JointModel(
         run.model_config(len(vocab), maps), rng=np.random.default_rng(init_ss)
@@ -187,7 +189,7 @@ def train_model(
                  out.loss_slot.item(), total]
             )
         dev_acc = dev_f1 = None
-        if dev_corpus:
+        if dev_corpus is not None:
             dev = evaluate(model, dev_corpus, maps, vocab, batch_size=run.batch_size)
             dev_acc, dev_f1 = dev.intent_accuracy, dev.slot_f1
         curve.append(

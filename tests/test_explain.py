@@ -1253,6 +1253,39 @@ class TestHeatmap:
             reference.write_text(text, encoding="utf-8")
             assert write_report(text, out).read_bytes() == reference.read_bytes()
 
+    def test_bundles_of_several_types_written_back_to_back_match_reference(self, tmp_path):
+        """Every type's page of each bundle, rewritten over the previous
+        bundle's pages in one directory, equals the per-cell reference."""
+        types = ("city", "a&b", "O")
+        for l in (47, 1, 13, 2):
+            rng = np.random.default_rng(l)
+            maps = {}
+            for t in types:
+                m = rng.random((l, l)) ** 3
+                maps[t] = m / m.sum(axis=1, keepdims=True)
+            b = AttentionBundle(escaped_tokens(l), maps, frozenset({"city"}),
+                                frozenset({"a&b", "O"}))
+            for t in types:
+                render_heatmap(b, t, tmp_path / f"attention_{t}.html")
+            for t in types:
+                assert (tmp_path / f"attention_{t}.html").read_bytes() \
+                    == _per_cell_heatmap(b, t), (l, t)
+
+    def test_missing_nested_directory_is_created(self, tmp_path):
+        b = uniform_bundle(3)
+        out = render_heatmap(b, "city", tmp_path / "a" / "b" / "h.html")
+        assert out == tmp_path / "a" / "b" / "h.html"
+        assert out.read_bytes() == _per_cell_heatmap(b, "city")
+        report = write_report("x\n", tmp_path / "c" / "d" / "r.tsv")
+        assert report.read_bytes() == b"x\n"
+
+    def test_shorter_page_rewrites_longer_one_in_place(self, tmp_path):
+        out = tmp_path / "h.html"
+        long_, short = uniform_bundle(47), uniform_bundle(2)
+        inode = render_heatmap(long_, "city", out).stat().st_ino
+        assert render_heatmap(short, "city", out).stat().st_ino == inode
+        assert out.read_bytes() == _per_cell_heatmap(short, "city")
+
     def test_missing_type_errors(self, tmp_path):
         b = uniform_bundle()
         with pytest.raises(ValueError, match="hotel"):

@@ -152,6 +152,12 @@ class TestModifications:
             corpus, g, seed=1
         )
 
+    def test_negative_seed_rejected(self):
+        g = default_grammar()
+        corpus = generate_synthetic_corpus(seed=5, n=3, grammar=g)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            modification_pairs(corpus, g, seed=-1)
+
     def test_unknown_category_rejected(self):
         g = default_grammar()
         u = generate_synthetic_corpus(seed=0, n=1, grammar=g)[0]

@@ -112,7 +112,7 @@ class TestElementary:
 
 
 class TestRowMax:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     def test_equals_numpy_max_with_non_finite_and_signed_zero_entries(self, dtype):
         rng = np.random.default_rng(5)
         specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=dtype)
@@ -127,6 +127,23 @@ class TestRowMax:
             assert got.shape == (6, 3, 1)
             assert np.array_equal(got, p.max(axis=-1, keepdims=True), equal_nan=True), n
             assert not np.shares_memory(got, p)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(32, 5, 13, 13), (2, 13, 47, 47), (1, 13, 40, 40),
+                                       (4, 6), (3, 8, 1)], ids=str)
+    def test_bits_equal_numpy_max(self, shape, dtype):
+        """Odd, even and 1-wide rows, with NaN and -inf entries and one row
+        all -inf, give the bits of ``max`` in the input's dtype."""
+        rng = np.random.default_rng(sum(shape))
+        p = rng.normal(size=shape).astype(dtype)
+        flat = p.reshape(-1, shape[-1])
+        at = rng.integers(0, flat.size, size=max(2, flat.size // 50))
+        flat.reshape(-1)[at[::2]] = np.nan
+        flat.reshape(-1)[at[1::2]] = -np.inf
+        flat[-1] = -np.inf
+        got, want = T._row_max(p), p.max(axis=-1, keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_subtracting_it_in_place_is_safe_at_length_one(self):
         p = np.array([[3.0], [-2.0], [-0.0]])

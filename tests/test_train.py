@@ -160,6 +160,17 @@ class TestTrainModel:
             assert 0.0 <= s.dev_intent_accuracy <= 1.0
             assert s.dev_slot_f1 is not None
 
+    def test_empty_dev_corpus_is_refused_before_any_forward(self, corpus_setting,
+                                                             monkeypatch):
+        corpus, maps, vocab = corpus_setting
+
+        def forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(JointModel, "forward", forward)
+        with pytest.raises(ValueError, match="^dev corpus is empty$"):
+            train_model(corpus, maps, vocab, tiny_run(), dev_corpus=[])
+
     def test_non_finite_gradient_names_the_first_parameter(self, corpus_setting,
                                                            monkeypatch):
         corpus, maps, vocab = corpus_setting
