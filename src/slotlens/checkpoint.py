@@ -139,9 +139,6 @@ def save_checkpoint(
     crc = zlib.crc32(MAGIC)
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     return rewrite_file(path, [*chunks, crc.to_bytes(_TRAILER, "little")], head=MAGIC)
 
 

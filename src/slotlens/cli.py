@@ -34,6 +34,7 @@ from .data import (
     check_labels,
     encode_batch,
     load_corpus,
+    tsv,
     write_corpus,
 )
 from .explain import (
@@ -56,7 +57,7 @@ from .train import (
 )
 
 DEFAULT_K_LIST = [5.0, 10.0, 100.0]
-DEFAULT_ABLATION_MODES = ["full", *ABLATION_FLAGS[:3], ABLATION_FLAGS[4]]
+DEFAULT_ABLATION_MODES = ["full", *(f for f in ABLATION_FLAGS if f != "no_aux_loss")]
 
 ERROR_CATEGORIES: list[tuple[type[Exception], str]] = [
     (CorpusFormatError, "data error"),
@@ -257,7 +258,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if result.truncated:
         print(f"truncated {result.truncated} training utterances to max_len {run.max_len}")
     out = Path(run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         out / "checkpoint.ckpt",
         result.model,
@@ -267,17 +267,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         include_optimizer=args.save_optimizer,
     )
     write_report(curve_to_tsv(result.curve), out / "train_curve.tsv")
-    train_metrics = evaluate(result.model, corpus, maps, vocab,
-                             batch_size=run.batch_size)
-    write_report(metrics_to_tsv(train_metrics), out / "train_metrics.tsv")
-    print(f"train: intent_accuracy={train_metrics.intent_accuracy:.4f} "
-          f"slot_f1={train_metrics.slot_f1:.4f}")
-    if test is not None:
-        test_metrics = evaluate(result.model, test, maps, vocab,
-                                batch_size=run.batch_size)
-        write_report(metrics_to_tsv(test_metrics), out / "test_metrics.tsv")
-        print(f"test: intent_accuracy={test_metrics.intent_accuracy:.4f} "
-              f"slot_f1={test_metrics.slot_f1:.4f}")
+    for name, scored in (("train", corpus), ("test", test)):
+        if scored is not None:
+            metrics = evaluate(result.model, scored, maps, vocab, batch_size=run.batch_size)
+            write_report(metrics_to_tsv(metrics), out / f"{name}_metrics.tsv")
+            print(f"{name}: intent_accuracy={metrics.intent_accuracy:.4f} "
+                  f"slot_f1={metrics.slot_f1:.4f}")
     print(f"checkpoint: {out / 'checkpoint.ckpt'}")
     return 0
 
@@ -312,7 +307,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     bundle = extract_attentions(ckpt.model, utterance, maps, ckpt.vocab,
                                 include_outside=True)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for t in wanted:
         render_heatmap(bundle, t, out / f"attention_{t}.html")
     cols = [f"{j}\t%.10g" for j in range(bundle.length)]
@@ -358,19 +352,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     rows = []
     for mode in args.modes:
         run = base if mode == "full" else replace(base, **{mode: True})
-        result = train_model(corpus, maps, vocab, run, dev_corpus=dev)
-        metrics = evaluate(result.model, eval_corpus, maps, vocab,
-                           batch_size=run.batch_size)
-        rows.append((mode, metrics.intent_accuracy, metrics.slot_f1,
-                     result.model.n_params()))
-    lines = [f"mode\tintent_accuracy\tslot_f1\tn_params\t# scored on {eval_name}"]
-    for mode, acc, f1, n in rows:
-        lines.append(f"{mode}\t{acc:.10g}\t{f1:.10g}\t{n}")
-    out = Path(base.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report("\n".join(lines) + "\n", out / "ablation.tsv")
-    for line in lines:
-        print(line)
+        model = train_model(corpus, maps, vocab, run, dev_corpus=dev).model
+        metrics = evaluate(model, eval_corpus, maps, vocab, batch_size=run.batch_size)
+        rows.append((mode, metrics.intent_accuracy, metrics.slot_f1, model.n_params()))
+    text = tsv(["mode", "intent_accuracy", "slot_f1", "n_params", f"# scored on {eval_name}"],
+               rows)
+    write_report(text, Path(base.output_dir) / "ablation.tsv")
+    print(text, end="")
     return 0
 
 

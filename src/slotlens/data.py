@@ -1,5 +1,7 @@
 """Corpus handling: BIO-tagged utterances, label inventories, batching
-(with each token's slot-type target), and exact-span-match evaluation.
+(with each token's slot-type target), and exact-span-match evaluation;
+plus the output path every report shares: :func:`tsv` formats it and
+:func:`rewrite_file` writes it.
 
 Corpus format: a directory holding three parallel line-aligned UTF-8 files,
 one utterance per line, tokens/tags single-space separated:
@@ -108,7 +110,7 @@ class LabelMaps:
 
     ``slot_types`` contains the literal "O" and no "/"; ``bio_labels`` holds
     exactly "O" plus B-x and I-x for each non-O type x, in any order, so
-    |bio| == 2*(|types|-1) + 1. Neither list repeats an entry.
+    |bio| == 2*(|types|-1) + 1. No list repeats an entry.
     ``bio_type_column`` maps each BIO index to its slot type's index.
     """
 
@@ -126,6 +128,8 @@ class LabelMaps:
         slashed = [t for t in self.slot_types if "/" in t]
         if slashed:
             raise ValueError(f"slot types may not contain '/': {slashed}")
+        if len(set(self.intents)) < len(self.intents):
+            raise ValueError(f"intent inventory repeats an entry: {self.intents}")
         implied = [f"{b}-{t}" for t in self.slot_types if t != OUTSIDE for b in "BI"]
         if (len(set(self.slot_types)) < len(self.slot_types)
                 or sorted(self.bio_labels) != sorted([OUTSIDE, *implied])):
@@ -218,8 +222,11 @@ def load_corpus(path: str | Path) -> list[Utterance]:
             )
         if not tokens:
             raise CorpusFormatError(f"line {lineno}: empty utterance")
+        intent = intent.strip()
+        if not intent:
+            raise CorpusFormatError(f"line {lineno}: empty intent label")
         try:
-            corpus.append(Utterance(tokens=tokens, intent=intent.strip(), bio_tags=tags))
+            corpus.append(Utterance(tokens=tokens, intent=intent, bio_tags=tags))
         except BioValidationError as e:
             raise BioValidationError(f"utterance {lineno}: {e}") from None
     return corpus
@@ -240,9 +247,20 @@ def write_corpus(corpus: list[Utterance], path: str | Path) -> None:
     )
 
 
+def tsv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """Tab-separated lines, ``header`` first, each ending in a newline. A
+    float cell (numpy's included) prints as ``.10g``, None as an empty
+    cell, and anything else as ``str``."""
+    def cell(x) -> str:
+        if isinstance(x, (float, np.floating)):
+            return f"{x:.10g}"
+        return "" if x is None else str(x)
+    return "".join("\t".join(map(cell, row)) + "\n" for row in itertools.chain([header], rows))
+
+
 def rewrite_file(path: str | Path, chunks: Iterable, head: bytes = b"") -> Path:
     """Make ``path`` hold ``head`` followed by the bytes-like ``chunks``,
-    rewriting an existing file in place.
+    rewriting an existing file in place and creating a missing directory.
 
     The file is opened without ``O_TRUNC`` and cut to the written length
     after the write. Truncating to zero first frees the file's blocks, and
@@ -254,7 +272,11 @@ def rewrite_file(path: str | Path, chunks: Iterable, head: bytes = b"") -> Path:
     file whose rewrite did not finish.
     """
     path = Path(path)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         written = 0
         for chunk in itertools.chain([bytes(len(head))], chunks):

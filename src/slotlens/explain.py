@@ -10,7 +10,7 @@ negative minus positive: sharper (lower-entropy) positive types push it up.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import compress
 from pathlib import Path
 from typing import Iterator
@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .data import (SPLIT_MIN_SAVED, LabelMaps, OUTSIDE, Utterance, Vocab, encode_batch,
-                   rewrite_file, split_by_length)
+                   rewrite_file, split_by_length, tsv)
 from .model import JointModel
 
 # Rows must sum to 1 within this, or within the eps of a coarser map dtype:
@@ -293,10 +293,8 @@ class EntropyReport:
     n_utterances: int
 
     def to_tsv(self) -> str:
-        lines = ["k\tpos_entropy\tneg_entropy\tdiff"]
-        for r in self.rows:
-            lines.append(f"{r.k:g}\t{r.pos_entropy:.10g}\t{r.neg_entropy:.10g}\t{r.diff:.10g}")
-        return "\n".join(lines) + "\n"
+        return tsv(["k", "pos_entropy", "neg_entropy", "diff"],
+                   [(f"{r.k:g}", r.pos_entropy, r.neg_entropy, r.diff) for r in self.rows])
 
 
 def _entropy_means(
@@ -497,10 +495,7 @@ class ConsistencyReport:
         return {c: float(np.mean(v)) for c, v in sorted(by_cat.items())}
 
     def to_tsv(self) -> str:
-        lines = ["pair_id\tcategory\tscore"]
-        for p in self.pairs:
-            lines.append(f"{p.pair_id}\t{p.category}\t{p.score:.10g}")
-        return "\n".join(lines) + "\n"
+        return tsv([f.name for f in fields(PairScore)], map(astuple, self.pairs))
 
 
 def consistency_analysis(
@@ -658,20 +653,10 @@ def render_heatmap(bundle: AttentionBundle, slot_type: str, path: str | Path) ->
     for token, cells in zip(esc, _cell_rows(scaled, m)):
         page += [f"<tr><th>{token}</th>".encode("utf-8"), cells, b"</tr>\n"]
     page.append(b"</table></body></html>\n")
-    return _write(path, b"".join(page))
+    return rewrite_file(path, [b"".join(page)])
 
 
 def write_report(text: str, path: str | Path) -> Path:
     """Write ``text`` as UTF-8 to ``path``, creating its directory and
     rewriting an existing file in place."""
-    return _write(path, text.encode("utf-8"))
-
-
-def _write(path: str | Path, page: bytes) -> Path:
-    """Rewrite ``path`` in place with ``page``; its directory is created
-    only when the open finds it missing."""
-    try:
-        return rewrite_file(path, [page])
-    except FileNotFoundError:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return rewrite_file(path, [page])
+    return rewrite_file(path, [text.encode("utf-8")])

@@ -9,13 +9,13 @@ split, when given, is scored per epoch for reporting only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .data import (
     SPLIT_MIN_SAVED, LabelMaps, Utterance, Vocab, encode_batch, span_f1, span_keys,
-    split_by_length,
+    split_by_length, tsv,
 )
 from .model import JointModel, ModelConfig
 from .optim import adam_step
@@ -238,21 +238,8 @@ def evaluate(
 
 
 def curve_to_tsv(curve: list[EpochStats]) -> str:
-    lines = ["epoch\tloss_intent\tloss_type\tloss_slot\tloss_total"
-             "\tdev_intent_accuracy\tdev_slot_f1"]
-    for s in curve:
-        dev_acc = "" if s.dev_intent_accuracy is None else f"{s.dev_intent_accuracy:.10g}"
-        dev_f1 = "" if s.dev_slot_f1 is None else f"{s.dev_slot_f1:.10g}"
-        lines.append(
-            f"{s.epoch}\t{s.loss_intent:.10g}\t{s.loss_type:.10g}"
-            f"\t{s.loss_slot:.10g}\t{s.loss_total:.10g}\t{dev_acc}\t{dev_f1}"
-        )
-    return "\n".join(lines) + "\n"
+    return tsv([f.name for f in fields(EpochStats)], map(astuple, curve))
 
 
 def metrics_to_tsv(metrics: Metrics) -> str:
-    return (
-        "intent_accuracy\tslot_precision\tslot_recall\tslot_f1\n"
-        f"{metrics.intent_accuracy:.10g}\t{metrics.slot_precision:.10g}"
-        f"\t{metrics.slot_recall:.10g}\t{metrics.slot_f1:.10g}\n"
-    )
+    return tsv([f.name for f in fields(Metrics)], [astuple(metrics)])

@@ -68,6 +68,12 @@ class TestRoundTrip:
         for a, b in zip(s_a, s_b):
             np.testing.assert_array_equal(a, b)
 
+    def test_save_creates_missing_nested_directories(self, setting, tmp_path):
+        corpus, maps, vocab, model = setting
+        path = save_checkpoint(tmp_path / "a" / "b" / "m.ckpt", model, maps, vocab)
+        assert path == tmp_path / "a" / "b" / "m.ckpt"
+        assert load_checkpoint(path).label_maps.intents == maps.intents
+
     def test_label_maps_and_vocab_roundtrip(self, setting, tmp_path):
         corpus, maps, vocab, model = setting
         ckpt = load_checkpoint(save_checkpoint(tmp_path / "m.ckpt", model, maps, vocab))
@@ -394,6 +400,27 @@ class TestErrorKinds:
         assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "data")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and err.count("\n") == 1
+
+    def test_repeated_intent_is_refused(self, tmp_path, capsys):
+        """An intent listed twice leaves an id no gold label has, so
+        ``evaluate`` would mis-score the file's model without a word."""
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(V3_FIXTURE.read_bytes())
+
+        def repeat_the_first_intent(manifest):
+            intents = manifest["label_maps"]["intents"]
+            intents[-1] = intents[0]
+
+        rewrite_manifest(path, repeat_the_first_intent)
+        with pytest.raises(CheckpointFormatError,
+                           match="invalid label maps or vocab: intent inventory repeats") as e:
+            load_checkpoint(path)
+        assert str(path) in str(e.value)
+        write_corpus(generate_synthetic_corpus(seed=2, n=12), tmp_path / "data")
+        assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and err.count("\n") == 1
+        assert "invalid label maps or vocab" in err
 
     @pytest.mark.parametrize("key,delta", [("vocab_size", 1), ("n_intents", 1),
                                            ("n_slot_types", -1)])

@@ -201,6 +201,15 @@ class TestTrain:
         vocab = load_checkpoint(tmp_path / "r" / "checkpoint.ckpt").vocab
         assert vocab.id_to_token == ["<pad>", "<unk>", "boston", "fly", "hello"]
 
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_blank_intent_line_is_one_data_error_line(self, capsys, tmp_path, blank):
+        write_corpus([Utterance(["hello"], "greet", ["O"]), Utterance(["bye"], "greet", ["O"])],
+                     tmp_path / "c")
+        (tmp_path / "c" / INTENT_FILE).write_text(f"greet\n{blank}\n", encoding="utf-8")
+        rc = main(["train", "--train", str(tmp_path / "c"), "--out", str(tmp_path / "r"), *TINY])
+        assert (rc, capsys.readouterr().err) == (1, "data error: line 2: empty intent label\n")
+        assert not (tmp_path / "r").exists()
+
     def test_missing_corpus_is_categorized(self, capsys, tmp_path):
         rc = main(["train", "--train", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "r"), *TINY])
@@ -676,6 +685,11 @@ class TestAblate:
         assert full[0] == "full" and cut[0] == "no_aux_network"
         assert int(cut[3]) < int(full[3])
 
+    def test_default_modes_are_every_flag_but_no_aux_loss(self):
+        assert cli.DEFAULT_ABLATION_MODES == [
+            "full", "no_aux_network", "no_cross_attention", "no_intent_concat",
+            "frozen_uniform_type_attention"]
+
     def test_unknown_mode_is_a_usage_error(self, corpus_dir, capsys, tmp_path):
         rc = main(["ablate", "--train", str(corpus_dir / "train"),
                    "--out", str(tmp_path / "x"), *TINY,
@@ -711,6 +725,55 @@ class TestAblate:
             "usage error: unknown ablation mode 'bogus'; valid: full, "
             + ", ".join(cli.ABLATION_FLAGS) + "\n")
         assert not (tmp_path / "x").exists()
+
+
+class TestOutputPath:
+    """Every command creates the directories its ``--out`` path is missing;
+    a regular file in the way is one io error line."""
+
+    def test_train_into_missing_nested_directories(self, corpus_dir, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["train", "--train", str(corpus_dir / "train"),
+                     "--test", str(corpus_dir / "test"), "--out", str(out),
+                     *TINY, "--epochs", "1"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.ckpt", "test_metrics.tsv", "train_curve.tsv", "train_metrics.tsv"]
+
+    def test_ablate_into_missing_nested_directories(self, corpus_dir, capsys, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["ablate", "--train", str(corpus_dir / "train"), "--out", str(out),
+                     *TINY, "--epochs", "1", "--modes", "full"]) == 0
+        text = (out / "ablation.tsv").read_text()
+        assert text.startswith("mode\tintent_accuracy\tslot_f1\tn_params\t# scored on train\n")
+        assert capsys.readouterr().out == text
+
+    def test_eval_into_missing_nested_directories(self, corpus_dir, trained_dir, capsys,
+                                                  tmp_path):
+        out = tmp_path / "a" / "b" / "m.tsv"
+        assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                     "--data", str(corpus_dir / "test"), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("command,out", [
+        ("train", "f"), ("ablate", "f"), ("explain", "f"),
+        ("eval", "f/m.tsv"), ("analyze", "f/e.tsv"),
+    ])
+    def test_regular_file_in_the_way_is_one_io_error_line(self, corpus_dir, trained_dir,
+                                                          capsys, tmp_path, command, out):
+        (tmp_path / "f").write_text("keep")
+        ckpt = str(trained_dir / "checkpoint.ckpt")
+        args = {
+            "train": ["--train", str(corpus_dir / "train"), *TINY, "--epochs", "1"],
+            "ablate": ["--train", str(corpus_dir / "train"), *TINY, "--epochs", "1",
+                       "--modes", "full"],
+            "explain": ["--checkpoint", ckpt, "--text", "fly to boston"],
+            "eval": ["--checkpoint", ckpt, "--data", str(corpus_dir / "test")],
+            "analyze": ["--checkpoint", ckpt, "--data", str(corpus_dir / "test")],
+        }[command]
+        assert main([command, *args, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and err.count("\n") == 1
+        assert (tmp_path / "f").read_text() == "keep"
 
 
 class TestGradcheck:

@@ -32,6 +32,7 @@ from slotlens.data import (
     span_f1,
     spans_to_bio,
     rewrite_file,
+    tsv,
     validate_bio,
     write_corpus,
 )
@@ -139,6 +140,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="seq.in"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("blank", ["", "   "])
+    def test_blank_intent_line_is_refused(self, tmp_path, blank):
+        """Loaded, it would train an intent named "" without a word."""
+        d = make_corpus_dir(tmp_path, ["a b", "c d"], ["O O", "O O"], ["x", blank])
+        with pytest.raises(CorpusFormatError, match="^line 2: empty intent label$"):
+            load_corpus(d)
+
     def test_roundtrip_through_write(self, tmp_path):
         corpus = [
             Utterance(["fly", "to", "new", "york"], "book_flight", ["O", "O", "B-city", "I-city"]),
@@ -198,6 +206,15 @@ class TestLabelMaps:
         else:
             maps = LabelMaps(["x"], slot_types, bio_labels)
             assert maps.bio_type_column.tolist() == columns
+
+    def test_repeated_intent_refused(self):
+        """With "a" twice, id 0 could never be a gold intent id."""
+        with pytest.raises(ValueError, match="intent inventory repeats an entry"):
+            LabelMaps(["a", "a", "b"], ["O"], ["O"])
+
+    def test_empty_intent_name_is_kept(self):
+        """A checkpoint trained on a corpus with a blank intent line still loads."""
+        assert LabelMaps(["", "a"], ["O"], ["O"]).intent_index == {"": 0, "a": 1}
 
     def test_index_maps_bijective(self):
         maps = build_label_maps([Utterance(["a"], "x", ["B-city"])])
@@ -496,6 +513,17 @@ class TestSpanF1:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             span_f1([set()], [set(), set()])
+
+
+class TestTsv:
+    def test_cell_rules(self):
+        rows = [(None, 0.1, np.float64(1 / 3), np.float32(0.1), 7, "x"), (1e-20, 2.0, "", 0)]
+        assert tsv(["a", "b"], rows) == (
+            "a\tb\n"
+            "\t0.1\t0.3333333333\t0.1000000015\t7\tx\n"
+            "1e-20\t2\t\t0\n"
+        )
+        assert tsv(("only",), []) == "only\n"
 
 
 class TestRewriteFile:
