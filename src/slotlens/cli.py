@@ -32,6 +32,7 @@ from .data import (
     Vocab,
     build_label_maps,
     check_labels,
+    check_output_dir,
     encode_batch,
     load_corpus,
     tsv,
@@ -253,6 +254,7 @@ def _load_training_data(run: RunConfig):
 
 def cmd_train(args: argparse.Namespace) -> int:
     run = _run_config_from_args(args)
+    check_output_dir(run.output_dir)
     corpus, maps, vocab, dev, test = _load_training_data(run)
     result = train_model(corpus, maps, vocab, run, dev_corpus=dev)
     if result.truncated:
@@ -278,6 +280,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.out:
+        check_output_dir(Path(args.out).parent)
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.data)
     check_labels(corpus, ckpt.label_maps, ckpt.config.max_len,
@@ -291,6 +295,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    check_output_dir(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     maps = ckpt.label_maps
     tokens = args.text.split()
@@ -324,6 +329,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.out:
+        check_output_dir(Path(args.out).parent)
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.data)
     check_labels(corpus, ckpt.label_maps, ckpt.config.max_len,
@@ -346,6 +353,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"unknown ablation mode {mode!r}; valid: full, " + ", ".join(ABLATION_FLAGS)
             )
+    check_output_dir(base.output_dir)
     corpus, maps, vocab, dev, test = _load_training_data(base)
     eval_corpus = test if test is not None else corpus
     eval_name = "test" if test is not None else "train"

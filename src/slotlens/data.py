@@ -1,7 +1,8 @@
 """Corpus handling: BIO-tagged utterances, label inventories, batching
 (with each token's slot-type target), and exact-span-match evaluation;
-plus the output path every report shares: :func:`tsv` formats it and
-:func:`rewrite_file` writes it.
+plus the output path every report shares: :func:`check_output_dir`
+refuses a directory that cannot be made before any work starts,
+:func:`tsv` formats a report and :func:`rewrite_file` writes it.
 
 Corpus format: a directory holding three parallel line-aligned UTF-8 files,
 one utterance per line, tokens/tags single-space separated:
@@ -13,6 +14,7 @@ one utterance per line, tokens/tags single-space separated:
 
 from __future__ import annotations
 
+import errno
 import itertools
 import math
 import os
@@ -291,6 +293,18 @@ def rewrite_file(path: str | Path, chunks: Iterable, head: bytes = b"") -> Path:
     finally:
         os.close(fd)
     return path
+
+
+def check_output_dir(path: str | Path) -> None:
+    """Raise ``NotADirectoryError`` if directory ``path`` cannot be made
+    because a path on the way is a file: walk up from ``path`` to the first
+    path that exists, and refuse it if it is not a directory. Creates
+    nothing; :func:`rewrite_file` makes the missing directories."""
+    for p in (Path(path), *Path(path).parents):
+        if p.exists():
+            if not p.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(p))
+            return
 
 
 def check_labels(corpus: list[Utterance], maps: LabelMaps, max_len: int | None = None,

@@ -17,11 +17,22 @@ Kernels may update their own fresh arrays in place, under two rules: a
 backward closure never writes into its incoming gradient ``g`` (``add``
 hands one array to both parents), and no op writes into an array a node
 keeps for its backward (``p``, ``xhat``, ``flat``) once the node exists.
+
+:func:`backward` sums every leaf gradient on one worker thread, so leaf
+work can run beside the rest of the backward pass. A closure may return,
+in place of a gradient, a function of no arguments that computes it
+(``affine`` does, for its weight and bias). For a leaf the worker calls
+it, after the closure has returned and while later closures run: it reads
+``g`` and the node's saved arrays then, and the two rules above are what
+keep those arrays unchanged until it does.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+import queue
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -274,7 +285,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def _bw(g):
         g = g.reshape(-1, n)
-        return (g @ w.data.T).reshape(x.data.shape), flat.T @ g, g.sum(axis=0)
+        # the weight and bias gradients are formed on demand, by the leaf
+        # worker when w and b are leaves (see backward)
+        return ((g @ w.data.T).reshape(x.data.shape),
+                lambda: flat.T @ g, lambda: g.sum(axis=0))
 
     return Tensor._node(data.reshape(x.data.shape[:-1] + (n,)), (x, w, b), "affine", _bw)
 
@@ -505,11 +519,93 @@ def binary_cross_entropy(logits: Tensor, targets, n: int, mask=None) -> Tensor:
 # backward engine ------------------------------------------------------------
 
 
+class _LeafSums:
+    """One :func:`backward` call's leaf gradients, summed on the worker:
+    each leaf's contributions are added in the order they arrive, and the
+    sum is added to the leaf's buffer once, at the end."""
+
+    __slots__ = ("sums", "error", "done")
+
+    def __init__(self):
+        self.sums: dict[Tensor, np.ndarray] = {}
+        self.error: BaseException | None = None
+        self.done = threading.Event()
+
+    def add(self, items: list) -> None:
+        """Add one node's ``(leaf, gradient or function forming it)``
+        pairs; after an error, nothing more."""
+        if self.error is not None:
+            return
+        try:
+            sums = self.sums
+            for leaf, pg in items:
+                if callable(pg):
+                    pg = pg()
+                sums[leaf] = sums[leaf] + pg if leaf in sums else pg
+        except BaseException as e:  # raised by backward; a dead worker would hang it
+            self.error = e
+
+    def finish(self, apply: bool) -> None:
+        """Add each sum to its leaf's buffer, if ``apply`` and nothing
+        failed, then release the waiting :func:`backward`."""
+        try:
+            if apply and self.error is None:
+                for leaf, g in self.sums.items():
+                    leaf._accumulate(g)
+        except BaseException as e:
+            self.error = e
+        finally:
+            self.sums = {}
+            self.done.set()
+
+
+_tasks: queue.SimpleQueue | None = None  # the leaf worker's FIFO, once started
+# held while the worker starts: two workers on one queue would break its order
+_starting = threading.Lock()
+
+
+def _work(tasks: queue.SimpleQueue) -> None:
+    while True:
+        method, arg = tasks.get()
+        method(arg)
+
+
+def _leaf_tasks() -> queue.SimpleQueue:
+    """The leaf worker's task queue, starting the worker on first use."""
+    global _tasks
+    with _starting:
+        if _tasks is None:
+            _tasks = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(_tasks,), name="slotlens-leaf-grads",
+                             daemon=True).start()
+        return _tasks
+
+
+def _forget_worker() -> None:
+    """A forked child has no copy of the worker thread, nor of a thread that
+    held the start lock: start both afresh."""
+    global _tasks, _starting
+    _tasks, _starting = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 def backward(loss: Tensor) -> None:
     """Populate leaf gradients of every reachable ``requires_grad`` leaf.
 
     The loss must be scalar.  Leaf gradients accumulate across calls; use
     ``ParamSet.zero_grads`` between steps.
+
+    Interior gradients are formed on the calling thread.  Each node's leaf
+    gradients go to one worker thread in a single task, in the order the
+    nodes are visited; the worker sums them per leaf in that order and
+    adds each sum to its leaf's buffer once, the float sums a sequential
+    pass forms.  A function a closure returns for a leaf's gradient runs
+    on the worker (numpy releases the GIL in its kernels), one returned
+    for an interior node's runs at once.  ``backward`` returns once the
+    worker is done with it, and raises an error the worker met.  An error
+    in a closure or in a leaf's sum leaves every leaf buffer as it was.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -530,19 +626,37 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._parents:
+    tasks, run = _leaf_tasks(), _LeafSums()
+    finished = False
+    try:
+        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        for node in reversed(topo):
+            g = grads.pop(id(node), None)
+            if g is None:
+                continue
+            if not node._parents:  # only the loss itself: leaves enter no grads
+                if node.requires_grad:
+                    tasks.put((run.add, [(node, g)]))
+                continue
+            leaves = []
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
+                if not parent._parents:
+                    leaves.append((parent, pg))
+                    continue
+                if callable(pg):
+                    pg = pg()
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-        elif node.requires_grad:
-            node._accumulate(g)
+            if leaves:
+                tasks.put((run.add, leaves))
+        finished = True
+    finally:
+        tasks.put((run.finish, finished))
+        run.done.wait()
+    if run.error is not None:
+        raise run.error

@@ -15,6 +15,7 @@ from slotlens.cli import main, parse_config_file
 from slotlens.data import (INTENT_FILE, TAGS_FILE, TOKENS_FILE, load_corpus,
                            write_corpus, Utterance)
 from slotlens.explain import extract_attentions
+from slotlens.model import JointModel
 from slotlens.train import RunConfig
 
 
@@ -759,7 +760,15 @@ class TestOutputPath:
         ("eval", "f/m.tsv"), ("analyze", "f/e.tsv"),
     ])
     def test_regular_file_in_the_way_is_one_io_error_line(self, corpus_dir, trained_dir,
-                                                          capsys, tmp_path, command, out):
+                                                          capsys, tmp_path, monkeypatch,
+                                                          command, out):
+        """The refusal comes before any training or inference: both are
+        patched to fail."""
+        def never(*args, **kwargs):
+            raise AssertionError("computed before refusing the output path")
+
+        monkeypatch.setattr(cli, "train_model", never)
+        monkeypatch.setattr(JointModel, "infer", never)
         (tmp_path / "f").write_text("keep")
         ckpt = str(trained_dir / "checkpoint.ckpt")
         args = {

@@ -25,6 +25,7 @@ from slotlens.data import (
     Utterance,
     Vocab,
     build_label_maps,
+    check_output_dir,
     encode_batch,
     extract_spans,
     load_corpus,
@@ -568,6 +569,21 @@ class TestRewriteFile:
             save_checkpoint(tmp_path / "m.ckpt", JointModel(config, rng=0), maps, vocab)
         assert len(flags) == 6
         assert all(f & os.O_CREAT and not f & os.O_TRUNC for f in flags)
+
+
+class TestCheckOutputDir:
+    def test_missing_directories_pass_and_nothing_is_made(self, tmp_path):
+        check_output_dir(tmp_path / "a" / "b")
+        check_output_dir(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("below", ["", "a", "a/b"])
+    def test_the_first_existing_path_that_is_a_file_is_refused(self, tmp_path, below):
+        (tmp_path / "f").write_text("keep")
+        with pytest.raises(NotADirectoryError, match="Not a directory") as e:
+            check_output_dir(tmp_path / "f" / below)
+        assert e.value.filename == str(tmp_path / "f")
+        assert (tmp_path / "f").read_text() == "keep"
 
 
 def reference_encode_batch(utterances, maps, vocab, max_len):

@@ -1,6 +1,14 @@
 """Tests for the autodiff tensor engine: op semantics and gradients."""
 
 import math
+import multiprocessing
+import os
+import queue
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +451,211 @@ class TestBackward:
         loss = T.sum_all(T.mul(x, x))  # d/dx sum(x^2) = 2x
         backward(loss)
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
+
+
+def _within(seconds, fn):
+    """``fn()`` on a helper thread, failing the test if it has not
+    returned after ``seconds``: a backward whose worker stalled would
+    otherwise hang the suite."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as e:
+            out["error"] = e
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"did not return within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out.get("value")
+
+
+class _Deferred(Exception):
+    pass
+
+
+def _raise_deferred():
+    raise _Deferred("raised on the worker")
+
+
+class TestLeafWorker:
+    """Leaf gradients are summed on one worker thread, with the bits of a
+    sequential pass."""
+
+    @staticmethod
+    def shared_weight_graph(seed=0):
+        """One float32 leaf ``w`` feeding two affines and a matmul:
+        ``sum((affine(affine(x, w, b1), w, b2) @ w) * c)``."""
+        rng = np.random.default_rng(seed)
+        leaf = lambda *shape: Tensor(rng.normal(size=shape).astype(np.float32),
+                                     requires_grad=True)
+        x, w, b1, b2 = leaf(7, 5), leaf(5, 5), leaf(5), leaf(5)
+        c = rng.normal(size=(7, 5)).astype(np.float32)
+
+        def loss():
+            h2 = T.affine(T.affine(x, w, b1), w, b2)
+            return T.sum_all(T.mul(T.matmul(h2, w), c))
+
+        return loss, (x, w, b1, b2), c
+
+    def test_two_backwards_match_the_arrival_order_sum_bit_for_bit(self):
+        loss, (x, w, b1, b2), c = self.shared_weight_graph()
+        for _ in range(2):  # no zero_grads in between
+            backward(loss())
+        # the engine visits matmul, then the outer affine, then the inner
+        # one; each leaf's contributions are summed in that order, and the
+        # sum is added to the buffer once per backward
+        h1 = x.data @ w.data + b1.data
+        h2 = h1 @ w.data + b2.data
+        g2 = c @ w.data.T
+        g1 = g2 @ w.data.T
+        contributions = {
+            "x": [g1 @ w.data.T],
+            "w": [h2.T @ c, h1.T @ g2, x.data.T @ g1],
+            "b1": [g1.sum(axis=0)],
+            "b2": [g2.sum(axis=0)],
+        }
+        for name, t in zip(contributions, (x, w, b1, b2)):
+            parts = contributions[name]
+            total = parts[0]
+            for part in parts[1:]:
+                total = total + part
+            assert t.grad.dtype == np.float32
+            assert np.array_equal(t.grad, total + total), name
+        # the order is visible in the bits: summed the other way round, or
+        # added to the buffer one contribution at a time, w's gradient differs
+        first, second, third = contributions["w"]
+        total = first + second + third
+        assert not np.array_equal(total + total, (third + second + first) * 2)
+        assert not np.array_equal(total + total, ((total + first) + second) + third)
+
+    def test_repeated_backwards_under_fast_thread_switching_lose_no_update(self):
+        loss, leaves, _ = self.shared_weight_graph()
+        backward(loss())
+        once = [t.grad.copy() for t in leaves]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _within(60, lambda: [backward(loss()) for _ in range(30)])
+        finally:
+            sys.setswitchinterval(saved)
+        for t, g in zip(leaves, once):
+            want = g.copy()
+            for _ in range(30):
+                want = want + g
+            assert np.array_equal(t.grad, want)
+
+    def test_threads_starting_backward_together_start_one_worker(self, monkeypatch):
+        """The first backwards of several threads start one worker, even
+        when making its queue gives every thread time to get that far."""
+        def workers():
+            return sum(t.name == "slotlens-leaf-grads" for t in threading.enumerate())
+
+        class SlowQueue(queue.SimpleQueue):
+            def __init__(self):
+                time.sleep(0.05)
+
+        want = self.shared_weight_graph()
+        backward(want[0]())
+        graphs = [self.shared_weight_graph() for _ in range(4)]
+        before = workers()
+        monkeypatch.setattr(T.queue, "SimpleQueue", SlowQueue)
+        T._forget_worker()  # as in a fresh process: the next backward starts the worker
+        gate = threading.Barrier(len(graphs))
+
+        def run(loss):
+            gate.wait(30)
+            backward(loss())
+
+        threads = [threading.Thread(target=run, args=(g[0],), daemon=True) for g in graphs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert workers() == before + 1
+        for _, leaves, _ in graphs:
+            for got, ref in zip(leaves, want[1]):
+                assert np.array_equal(got.grad, ref.grad)
+
+    def test_an_error_in_deferred_work_is_raised_and_the_next_backward_is_exact(self):
+        w = Tensor(np.ones(3, np.float32), requires_grad=True)
+        node = Tensor._node(w.data * 2, (w,), "deferred", lambda g: (_raise_deferred,))
+        with pytest.raises(_Deferred, match="raised on the worker"):
+            _within(30, lambda: backward(T.sum_all(node)))
+        assert w.grad is None
+        loss, leaves, _ = self.shared_weight_graph()
+        _within(30, lambda: backward(loss()))
+        want = self.shared_weight_graph()
+        backward(want[0]())
+        for got, ref in zip(leaves, want[1]):
+            assert np.array_equal(got.grad, ref.grad)
+
+    def test_an_error_on_the_calling_thread_leaves_every_buffer_as_it_was(self):
+        loss, (x, w, b1, b2), _ = self.shared_weight_graph()
+        backward(loss())
+        before = [t.grad.copy() for t in (x, w, b1, b2)]
+
+        def boom(g):
+            raise _Deferred("raised by a closure")
+
+        out = Tensor._node(np.zeros((), np.float32), (loss(),), "boom", boom)
+        with pytest.raises(_Deferred, match="by a closure"):
+            _within(30, lambda: backward(out))
+        for t, old in zip((x, w, b1, b2), before):
+            assert np.array_equal(t.grad, old)
+
+    def test_inference_and_evaluation_start_no_thread(self, tmp_path):
+        script = tmp_path / "infer.py"
+        script.write_text(
+            "import threading\n"
+            "from slotlens import synth, tensor\n"
+            "from slotlens.data import Vocab, build_label_maps, encode_batch\n"
+            "from slotlens.model import JointModel, ModelConfig\n"
+            "from slotlens.train import evaluate\n"
+            "corpus = synth.generate_synthetic_corpus(0, 12, synth.default_grammar())\n"
+            "maps, vocab = build_label_maps(corpus), Vocab.build(corpus)\n"
+            "model = JointModel(ModelConfig(vocab_size=len(vocab), n_intents=maps.n_intents,\n"
+            "    n_slot_types=maps.n_slot_types, n_bio_labels=maps.n_bio_labels,\n"
+            "    d=8, d_h=4, n_layers=1, n_heads=2, ffn_dim=12), rng=0)\n"
+            "before = threading.active_count()\n"
+            "model.infer(encode_batch(corpus, maps, vocab))\n"
+            "evaluate(model, corpus, maps, vocab, batch_size=5)\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+            "assert tensor._tasks is None\n"
+        )
+        src = Path(T.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_forked_child_runs_backward(self):
+        loss, leaves, _ = self.shared_weight_graph()
+        backward(loss())  # the parent's worker is running when it forks
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            fresh, child_leaves, _ = self.shared_weight_graph()
+            backward(fresh())
+            send.send([t.grad for t in child_leaves])
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            assert receive.poll(60), "the child's backward did not finish"
+            grads = receive.recv()
+        finally:
+            proc.join(10)
+            if proc.is_alive():
+                proc.kill()
+        assert proc.exitcode == 0
+        for got, t in zip(grads, leaves):
+            assert np.array_equal(got, t.grad)
 
 
 class TestNoGrad:
