@@ -53,7 +53,7 @@ def _check_attention(block: np.ndarray, kinds: list[str], dtype: np.dtype) -> No
 class AttentionBundle:
     """Per-type attention maps for one utterance, split into positive
     types (present in the tags) and negative types (the rest). The bundle
-    keeps its own float64 copy of the matrices."""
+    keeps its own float64 copy of the matrices, read-only."""
 
     tokens: list[str]
     matrices: dict[str, np.ndarray]  # slot type -> (l, l)
@@ -77,7 +77,33 @@ class AttentionBundle:
         # the bundle's own (T, l, l) copy, checked with the bound of the maps' dtype
         block = np.stack(list(self.matrices.values()), dtype=np.float64)
         _check_attention(block, list(self.matrices), np.result_type(*self.matrices.values()))
+        block.flags.writeable = False
         self.matrices = dict(zip(self.matrices, block))
+
+    @classmethod
+    def _of_checked(cls, tokens: list[str], kinds: list[str], block: np.ndarray,
+                    positive: frozenset[str], negative: frozenset[str]) -> AttentionBundle:
+        """A bundle over ``block``, its own float64 ``(T, l, l)`` copy of maps
+        that :func:`_check_attention` has passed, whose T types ``kinds``
+        names, with disjoint positive and negative types among them: nothing
+        is checked again."""
+        block.flags.writeable = False
+        bundle = cls.__new__(cls)
+        bundle.tokens, bundle.matrices = tokens, dict(zip(kinds, block))
+        bundle.positive_types, bundle.negative_types = positive, negative
+        return bundle
+
+    def _page_kit(self, kind: str) -> _PageKit:
+        """What the bundle's heatmap pages share, built on the first page and
+        built again once the tokens differ from the kit's or ``kind``'s map
+        is not the array the kit was built from. The bundle's own copies of
+        the maps are read-only; a map assigned in their place must not be
+        written in place after a page is rendered."""
+        kit = self.__dict__.get("_kit")
+        if kit is None or kit.maps.get(kind) is not self.matrices[kind] \
+                or kit.tokens != self.tokens:
+            kit = self._kit = _PageKit(self.tokens, self.matrices)
+        return kit
 
     @property
     def analyzed_types(self) -> frozenset[str]:
@@ -186,13 +212,10 @@ def extract_attention_bundles(
     for idx, block, positive in cuts:
         negative = (analyzed & ~positive).tolist()
         for r, i in enumerate(idx.tolist()):
-            bundles[i] = AttentionBundle(
-                tokens=list(kept[i]),
-                # views into the checked cut; the bundle copies and checks them
-                matrices=dict(zip(maps.slot_types, block[r])),
-                positive_types=frozenset(compress(maps.slot_types, positive[r].tolist())),
-                negative_types=frozenset(compress(maps.slot_types, negative[r])),
-            )
+            bundles[i] = AttentionBundle._of_checked(
+                list(kept[i]), maps.slot_types, block[r].astype(np.float64),
+                frozenset(compress(maps.slot_types, positive[r].tolist())),
+                frozenset(compress(maps.slot_types, negative[r])))
     return [bundles[i] for i in inverse]
 
 
@@ -526,10 +549,13 @@ def consistency_analysis(
     if n and not _analyzed_types(maps, False).any():
         raise ValueError("no slot types to compare")
 
-    views: dict[int, np.ndarray] = {}  # distinct index -> its checked (T, l, l) maps
+    blocks = []  # each cut's checked (U, T, l, l) maps
+    cut_of = np.empty(len(kept), dtype=np.intp)  # per distinct index: its cut
+    row_of = np.empty(len(kept), dtype=np.intp)  # and its row there
     positive = np.zeros((len(kept), maps.n_slot_types), dtype=bool)
     for idx, block, pos in cuts:
-        views.update(zip(idx.tolist(), block))
+        cut_of[idx], row_of[idx] = len(blocks), np.arange(len(idx))
+        blocks.append(block)
         positive[idx] = pos
 
     chosen = positive[a]
@@ -541,10 +567,13 @@ def consistency_analysis(
     cosines = np.empty(len(pair))
     for l in np.unique(length[a]).tolist():  # every pair has a type
         sel = np.flatnonzero(length[a[pair]] == l)
-        both = np.array([views[i][t] for side in (a, b)  # x's maps, then y's
-                         for i, t in zip(side[pair[sel]].tolist(), kind[sel].tolist())],
-                        dtype=np.float64)
-        cosines[sel] = _row_cosines(*np.split(both, 2))
+        both = np.empty((2, len(sel), l, l))  # x's maps, then y's
+        for out, side in zip(both, (a, b)):
+            us = side[pair[sel]]
+            for c in np.unique(cut_of[us]).tolist():  # one gather per cut
+                at = np.flatnonzero(cut_of[us] == c)
+                out[at] = blocks[c][row_of[us[at]], kind[sel[at]]]
+        cosines[sel] = _row_cosines(*both)
     starts = np.cumsum(counts) - counts
     scores = np.empty(n)
     for c in np.unique(counts):  # a C-contiguous (G, c) mean per type count
@@ -570,6 +599,21 @@ _FIXED_WIDTH_LIMIT = np.float64(9.9999995).view(np.uint64)
 # float64 rounds x * 1e6 (below 1e7) by under 1e-9, so rint matches the exact
 # decimal rounding of "%.6f" unless the product sits this close to a .5 tie
 _TIE_MARGIN = 1e-6
+# a page's head, with the slot type's escaped name in for both %s
+_PAGE_HEAD = "\n".join([
+    "<!DOCTYPE html>",
+    '<html lang="en"><head><meta charset="utf-8">',
+    "<title>attention: %s</title>",
+    "<style>",
+    "body{font:14px monospace;margin:2em}",
+    "table{border-collapse:collapse}",
+    "td{width:2.2em;height:2.2em;border:1px solid #ddd;text-align:center}",
+    "th{padding:2px 8px;font-weight:normal;color:#333}",
+    ".swatch{background-color:rgb(31,119,180)}",
+    "</style></head><body>",
+    "<h1>slot type: %s</h1>",
+    "",
+])
 
 
 def _digit_words() -> tuple[np.ndarray, np.ndarray]:
@@ -588,72 +632,89 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 _HIGH_DIGITS, _LOW_DIGITS = _digit_words()
 
 
-def _cell_rows(scaled: np.ndarray, m: np.ndarray) -> list[memoryview] | list[bytes]:
-    """The heatmap's table cells as one ASCII bytes-like chunk per row, with
-    opacity from ``scaled`` and hover title from ``m``, each formatted as
-    ``%.6f``.
+def _cell_words(v: np.ndarray) -> np.ndarray | None:
+    """For one map as a ``(2, l, l)`` float64 stack of its opacities and its
+    titles, the ``(2, l, l)`` little-endian words of the 8 bytes of
+    ``"%.6f"`` of each value, or None unless every value lies in
+    [0, 9.9999995) and away from a rounding tie."""
+    if v.view(np.uint64).max() >= _FIXED_WIDTH_LIMIT:
+        return None
+    f = v * 1e6
+    k = np.rint(f)
+    f -= k
+    if np.abs(f, out=f).max() >= 0.5 - _TIE_MARGIN:
+        return None
+    low = k.astype(np.intp)
+    high = low // 1000
+    low -= high * 1000
+    words = _HIGH_DIGITS[high]
+    words += _LOW_DIGITS[low]
+    return words
 
-    Every value in [0, 9.9999995) away from a rounding tie is written as
-    digits into one copy of the fixed-width cell template, whose rows come
-    back as views; a matrix holding any other value is formatted cell by
-    cell.
+
+class _PageKit:
+    """What the heatmap pages of one bundle share, each part formed once:
+    the token markup, and the table cells of every map, each map's digits
+    formed in one :func:`_cell_words` pass.
+
+    Cell (i, j) carries the map's weight scaled by the map's maximum as its
+    opacity and the weight itself as its hover title, each formatted as
+    ``%.6f``. A map whose values all lie in [0, 9.9999995), away from a
+    rounding tie, keeps the digits as words that its page writes into one
+    copy of the fixed-width cell template; any other map keeps its rows
+    formatted cell by cell.
     """
-    n = len(m)
-    v = np.empty((n, n, 2))
-    v[..., 0] = scaled
-    v[..., 1] = m
-    if v.view(np.uint64).max() < _FIXED_WIDTH_LIMIT:
-        f = v * 1e6
-        k = np.rint(f)
-        f -= k
-        if np.abs(f, out=f).max() < 0.5 - _TIE_MARGIN:
-            buf = bytearray(_CELL_BYTES * (n * n))
-            words = np.ndarray((n, n, 2), "<u8", buffer=buf, offset=_OPACITY_AT,
-                               strides=(n * _CELL_WIDTH, _CELL_WIDTH, _TITLE_AT - _OPACITY_AT))
-            low = k.astype(np.intp)
-            high = low // 1000
-            low -= high * 1000
-            np.add(_HIGH_DIGITS[high], _LOW_DIGITS[low], out=words)
-            cells, step = memoryview(buf), n * _CELL_WIDTH
-            return [cells[i : i + step] for i in range(0, n * step, step)]
-    row = _CELL * n
-    return [(row % tuple(values)).encode("ascii") for values in v.reshape(n, 2 * n).tolist()]
+
+    def __init__(self, tokens: list[str], matrices: dict[str, np.ndarray]):
+        self.tokens, self.maps = list(tokens), dict(matrices)
+        esc = [html.escape(t) for t in tokens]
+        table = (f"<p>utterance: {' '.join(esc)}</p>\n<table>\n<tr><th></th>"
+                 + "".join(f"<th>{t}</th>" for t in esc) + "</tr>\n")
+        # before each row: the table's start or the previous row's end
+        ends = [table] + ["</tr>\n"] * len(esc)
+        self.joints = [f"{end}<tr><th>{t}</th>".encode("utf-8") for end, t in zip(ends, esc)]
+        self.tail = f"{ends[-1]}</table></body></html>\n".encode("utf-8")
+        n = len(esc)
+        row = _CELL * n
+        self.cells: dict[str, np.ndarray | list[bytes]] = {}
+        for kind, m in matrices.items():
+            v = np.empty((2, n, n))
+            peak = float(m.max())  # the map scaled in its own dtype
+            v[0], v[1] = m / peak if peak > 0 else m, m
+            words = _cell_words(v)
+            self.cells[kind] = words if words is not None else [
+                (row % tuple(cells)).encode("ascii")
+                for cells in v.transpose(1, 2, 0).reshape(n, 2 * n).tolist()]
+
+    def page(self, kind: str) -> bytes:
+        """The HTML page of one type's map."""
+        cells = self.cells[kind]
+        if isinstance(cells, np.ndarray):  # (2, l, l) digit words
+            n = cells.shape[-1]
+            buf = bytearray(_CELL_BYTES) * (n * n)
+            np.ndarray((n, n, 2), "<u8", buffer=buf, offset=_OPACITY_AT,
+                       strides=(n * _CELL_WIDTH, _CELL_WIDTH, _TITLE_AT - _OPACITY_AT)
+                       )[...] = cells.transpose(1, 2, 0)
+            view, step = memoryview(buf), n * _CELL_WIDTH
+            cells = [view[i : i + step] for i in range(0, n * step, step)]
+        name = html.escape(kind)
+        parts = [(_PAGE_HEAD % (name, name)).encode("utf-8")]
+        for joint, row in zip(self.joints, cells):
+            parts += [joint, row]
+        parts.append(self.tail)
+        return b"".join(parts)
 
 
 def render_heatmap(bundle: AttentionBundle, slot_type: str, path: str | Path) -> Path:
     """Write a self-contained HTML heatmap of one type's attention map.
 
     Cell (i, j) opacity encodes weight normalized by the matrix maximum;
-    exact values sit in hover titles. No external resources.
+    exact values sit in hover titles. No external resources. The pages of
+    one bundle share its page kit (see :class:`_PageKit`).
     """
     if slot_type not in bundle.matrices:
         raise ValueError(f"slot type {slot_type!r} missing from bundle")
-    m = bundle.matrices[slot_type]
-    peak = float(m.max())
-    scaled = m / peak if peak > 0 else m
-    esc = [html.escape(t) for t in bundle.tokens]
-
-    head = "\n".join([
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>attention: {html.escape(slot_type)}</title>",
-        "<style>",
-        "body{font:14px monospace;margin:2em}",
-        "table{border-collapse:collapse}",
-        "td{width:2.2em;height:2.2em;border:1px solid #ddd;text-align:center}",
-        "th{padding:2px 8px;font-weight:normal;color:#333}",
-        ".swatch{background-color:rgb(31,119,180)}",
-        "</style></head><body>",
-        f"<h1>slot type: {html.escape(slot_type)}</h1>",
-        f"<p>utterance: {' '.join(esc)}</p>",
-        "<table>",
-        "<tr><th></th>" + "".join(f"<th>{t}</th>" for t in esc) + "</tr>\n",
-    ])
-    page = [head.encode("utf-8")]
-    for token, cells in zip(esc, _cell_rows(scaled, m)):
-        page += [f"<tr><th>{token}</th>".encode("utf-8"), cells, b"</tr>\n"]
-    page.append(b"</table></body></html>\n")
-    return rewrite_file(path, [b"".join(page)])
+    return rewrite_file(path, [bundle._page_kit(slot_type).page(slot_type)])
 
 
 def write_report(text: str, path: str | Path) -> Path:

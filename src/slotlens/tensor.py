@@ -339,13 +339,34 @@ def sum_all(x: Tensor) -> Tensor:
 # normalization, masking, regularization ------------------------------------
 
 
+# Elements per transposed block of _row_max: a buffer that stays in cache
+_ROW_MAX_BLOCK = 1 << 16
+
+
 def _row_max(p: np.ndarray) -> np.ndarray:
-    """``p.max(axis=-1, keepdims=True)`` as a new array, reduced over one
-    contiguous copy with the row axis first: along a short last axis numpy's
-    ``max`` pays a cost per row, along the first it runs across all rows at
-    once. Max is exact in any order and propagates NaN; only the sign of a
-    zero maximum can differ, which subtracting it and ``exp`` do not see."""
-    return np.moveaxis(p, -1, 0).copy().max(axis=0)[..., None]
+    """``p.max(axis=-1, keepdims=True)`` as a new array, reduced with the row
+    axis first: along a short last axis numpy's ``max`` pays a cost per row,
+    along the first it runs across all rows at once. The rows pass through
+    one reused transposed buffer of about ``_ROW_MAX_BLOCK`` elements, two
+    rows or more at a time: numpy reduces a block of one row in another order,
+    and with two or more the bits are those of one transposed copy of the
+    whole input, zero signs included. Max is exact in any order and
+    propagates NaN; only the sign of a zero maximum can differ between
+    orders, which subtracting it and ``exp`` do not see."""
+    n = p.shape[-1]
+    rows = p.reshape(-1, n)
+    out = np.empty(len(rows), dtype=p.dtype)
+    step = max(2, _ROW_MAX_BLOCK // n)
+    buf = np.empty(n * min(len(rows), step + 1), dtype=p.dtype)
+    start = 0
+    while start < len(rows):
+        stop = start + step + (start + step + 1 == len(rows))  # no block of one row
+        block = rows[start:stop]
+        t = buf[: block.size].reshape(n, len(block))
+        np.copyto(t, block.T)
+        t.max(axis=0, out=out[start:stop])
+        start = stop
+    return out.reshape(*p.shape[:-1], 1)
 
 
 def softmax_masked(x: Tensor, mask, scale: float = 1.0) -> Tensor:

@@ -63,6 +63,30 @@ def test_a_side_with_no_correct_run_has_no_entry():
     assert entry["pairs"] == 0
 
 
+def test_unscaled_values_are_summarized_beside_the_scaled_ones():
+    runs = [{**run("base", s, 100.0 + s, 5.0), "unscaled": {"eval.utt_per_s": 90.0 + s,
+                                                            "ckpt.load_ms": 6.0}}
+            for s in range(3)]
+    runs += [{**run("change", s, 100.0 + s, 5.0), "unscaled": {"eval.utt_per_s": 95.0 + s,
+                                                              "ckpt.load_ms": 6.0 + s}}
+             for s in range(3)]
+    entry = bench_pairs.summarize(runs, METRICS)["eval.utt_per_s"]
+    assert entry["wins"] == {"base": 0, "change": 0}  # the scaled values tie
+    unscaled = entry["unscaled"]
+    assert unscaled["base"]["median"] == 91.0 and unscaled["change"]["median"] == 96.0
+    assert unscaled["wins"] == {"base": 0, "change": 3} and unscaled["pairs"] == 3
+    assert unscaled["change_vs_base"] == pytest.approx(5 / 91)
+    # lower is better, and seed 0 ties
+    load = bench_pairs.summarize(runs, METRICS)["ckpt.load_ms"]["unscaled"]
+    assert load["wins"] == {"base": 2, "change": 0}
+
+
+def test_runs_without_unscaled_values_give_no_unscaled_entry():
+    entry = bench_pairs.summarize([run("base", 0, 100.0, 5.0), run("change", 0, 99.0, 5.0)],
+                                  METRICS)["eval.utt_per_s"]
+    assert "unscaled" not in entry
+
+
 @pytest.mark.parametrize("text,seeds", [("4100-4103", [4100, 4101, 4102, 4103]), ("7", [7])])
 def test_seed_ranges_are_inclusive(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
@@ -84,6 +108,24 @@ def test_a_run_records_its_environment_line_and_result(tmp_path):
     assert record["argv"][2:] == ["--workload", "w", "--seed", "3", "--trace", "0"]
     assert record["environment"] == {"numpy": "9.9", "blas_threads": 1}
     assert record["metrics"] == {"eval.utt_per_s": 12.5}
+    assert record["unscaled"] is None  # this run wrote no result file
+    assert record["ok"] is True
+
+
+def test_a_run_records_the_unscaled_metrics_of_its_result_file(tmp_path):
+    """The benchmark writes ``.bench_out/result-<workload>-seed<seed>-trace0.json``;
+    its ``unscaled_metrics`` go into the run's record."""
+    (tmp_path / "run.py").write_text(
+        "import json, pathlib, sys\n"
+        "out = pathlib.Path('.bench_out')\n"
+        "out.mkdir()\n"
+        "name = f'result-{sys.argv[2]}-seed{sys.argv[4]}-trace0.json'\n"
+        "(out / name).write_text(json.dumps({'unscaled_metrics': {'eval.utt_per_s': 11.0}}))\n"
+        "print(json.dumps({'correct': True, 'attempted': 4, 'failed': 0,\n"
+        "                  'metrics': {'eval.utt_per_s': {'value': 12.5}}}))\n")
+    record = bench_pairs.run_once(tmp_path, [sys.executable, "run.py"], "w", 3, timeout=60)
+    assert record["metrics"] == {"eval.utt_per_s": 12.5}
+    assert record["unscaled"] == {"eval.utt_per_s": 11.0}
     assert record["ok"] is True
 
 

@@ -1,3 +1,4 @@
+import copy
 import html
 
 import numpy as np
@@ -335,6 +336,56 @@ class TestBundle:
         source[:] = 0.0
         for m in b.matrices.values():
             np.testing.assert_array_equal(m, np.eye(2))
+
+    @pytest.mark.parametrize("lengths,cuts", [([4], 1), ([2, 5, 3, 5], 3)])
+    def test_extraction_checks_each_cut_once(self, monkeypatch, lengths, cuts):
+        """The bundles are built from the checked cuts: no map is checked a
+        second time."""
+        model, corpus, maps, vocab = small_setting()
+        checked = []
+        real_check = explain_module._check_attention
+
+        def counting_check(block, *args):
+            checked.append(block.shape)
+            return real_check(block, *args)
+
+        monkeypatch.setattr(explain_module, "_check_attention", counting_check)
+        utterances = mixed_utterances(len(lengths), lengths=lengths)
+        if len(utterances) == 1:
+            extract_attentions(model, utterances[0], maps, vocab)
+        else:
+            extract_attention_bundles(model, utterances, maps, vocab)
+        assert len(checked) == cuts
+        assert sorted(shape[-1] for shape in checked) == sorted(set(lengths))
+
+    def test_extracted_bundle_equals_the_checked_public_one(self):
+        model, corpus, maps, vocab = small_setting()
+        for b in extract_attention_bundles(model, corpus, maps, vocab, include_outside=True):
+            public = AttentionBundle(list(b.tokens), dict(b.matrices), b.positive_types,
+                                     b.negative_types)
+            assert (public.tokens, public.positive_types, public.negative_types) == (
+                b.tokens, b.positive_types, b.negative_types)
+            assert list(public.matrices) == list(b.matrices) == maps.slot_types
+            for kind, m in b.matrices.items():
+                assert m.dtype == np.float64
+                assert m.tobytes() == public.matrices[kind].tobytes()
+
+    @pytest.mark.parametrize("poison,message", [
+        (lambda m: np.full_like(m, np.nan), "rows do not sum to 1"),
+        # 1.5 moves from each diagonal cell to its right neighbour: sums hold
+        (lambda m: m + 1.5 * (np.roll(np.eye(len(m)), 1, axis=1) - np.eye(len(m))),
+         "has negative weights"),
+        (lambda m: m * (1 + 1e-5), "rows do not sum to 1"),
+    ], ids=["nan", "negative", "drift"])
+    def test_public_bundle_still_checks_extracted_maps(self, poison, message):
+        """Only the extraction's own cuts skip the second check: the public
+        constructor refuses a poisoned copy of an extracted map."""
+        model, corpus, maps, vocab = small_setting()
+        b = extract_attentions(model, corpus[0], maps, vocab)
+        matrices = dict(b.matrices)
+        matrices["city"] = poison(matrices["city"])
+        with pytest.raises(ValueError, match=f"^city attention {message}$"):
+            AttentionBundle(b.tokens, matrices, b.positive_types, b.negative_types)
 
     def test_extraction_partitions_types(self):
         model, corpus, maps, vocab = small_setting()
@@ -1270,6 +1321,79 @@ class TestHeatmap:
             for t in types:
                 assert (tmp_path / f"attention_{t}.html").read_bytes() \
                     == _per_cell_heatmap(b, t), (l, t)
+
+    @pytest.mark.parametrize("l", [2, 13, 47])
+    @pytest.mark.parametrize("off_grid", ["tie", "wide"])
+    def test_every_page_of_one_bundle_matches_reference_in_any_order(
+            self, tmp_path, monkeypatch, l, off_grid):
+        """One bundle's pages, rendered in forward order, in reverse and once
+        more, equal the per-cell reference, with one map formatted cell by
+        cell beside maps written as digit words; the bundle forms its page
+        kit once."""
+        types = ("city", "a&b", "off", "O", "<day>")
+        rng = np.random.default_rng(l)
+        maps = {}
+        for t in types:
+            m = rng.random((l, l)) ** 3
+            maps[t] = m / m.sum(axis=1, keepdims=True)
+        if off_grid == "tie":  # 1/128 prints at a .5 tie: it passes the bundle's checks
+            maps["off"] = np.full((l, l), 1 / l)
+            maps["off"][:, 0] = 1 / 128
+            maps["off"][:, -1] += 1 - maps["off"].sum(axis=1)
+        b = AttentionBundle(escaped_tokens(l), maps, frozenset({"city"}),
+                            frozenset({"a&b", "off", "<day>"}))
+        if off_grid == "wide":  # "%.6f" wider than 8 characters, past the bundle's checks
+            b.matrices["off"] = b.matrices["off"] + 10 * np.eye(l)
+        kits = []
+        real_kit = explain_module._PageKit
+
+        def counting_kit(*args):
+            kits.append(args)
+            return real_kit(*args)
+
+        monkeypatch.setattr(explain_module, "_PageKit", counting_kit)
+        for order, where in ((types, "forward"), (types[::-1], "reverse"), (types, "again")):
+            for t in order:
+                out = render_heatmap(b, t, tmp_path / where / f"attention_{t}.html")
+                assert out.read_bytes() == _per_cell_heatmap(b, t), (where, t)
+        assert len(kits) == 1
+        assert {t for t, cells in b._kit.cells.items() if isinstance(cells, list)} \
+            == {"off"}
+
+    def test_pages_follow_a_bundle_changed_after_its_first_page(self, tmp_path):
+        """A map or type assigned anew, new tokens, tokens changed in place
+        and a shallow copy given other maps all render as the per-cell
+        reference; the bundle's own maps cannot be written in place."""
+        l = 5
+        rng = np.random.default_rng(5)
+
+        def random_map():
+            m = rng.random((l, l)) ** 3
+            return m / m.sum(axis=1, keepdims=True)
+
+        b = AttentionBundle(escaped_tokens(l), {"city": random_map(), "O": random_map()},
+                            frozenset({"city"}), frozenset({"O"}))
+
+        def check(bundle):
+            for t in bundle.matrices:
+                out = render_heatmap(bundle, t, tmp_path / f"attention_{t}.html")
+                assert out.read_bytes() == _per_cell_heatmap(bundle, t), t
+
+        check(b)
+        with pytest.raises(ValueError, match="read-only"):
+            b.matrices["city"][0, 0] = 0.5
+        b.matrices["city"] = random_map()
+        check(b)
+        b.matrices["day"] = random_map()
+        check(b)
+        b.tokens = escaped_tokens(l)[::-1]
+        check(b)
+        b.tokens[0] = "<changed>"
+        check(b)
+        c = copy.copy(b)
+        c.matrices = {t: random_map() for t in b.matrices}
+        check(c)
+        check(b)
 
     def test_missing_nested_directory_is_created(self, tmp_path):
         b = uniform_bundle(3)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,37 @@ class TestRowMax:
         got, want = T._row_max(p), p.max(axis=-1, keepdims=True)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 13, 47, T._ROW_MAX_BLOCK + 1])
+    def test_blocks_give_the_bits_of_one_transposed_copy(self, n, dtype):
+        """Row counts on, around and across the block boundary reduce each
+        row in the order one transposed copy of the whole input does: the
+        bits match, zero signs included, with -inf pad keys and NaN rows."""
+        rng = np.random.default_rng(n)
+        step = max(2, T._ROW_MAX_BLOCK // n)
+        for rows in sorted({1, step - 1, step, step + 1, 2 * step + 3} - {0}):
+            p = rng.normal(size=(rows, n)).astype(dtype)
+            p[rng.random(p.shape) < 0.3] = -np.inf  # pad keys
+            p[::7] = -np.inf
+            p[1::11] = np.nan
+            p[2::5] = rng.choice(np.array([0.0, -0.0, -1.0], dtype=dtype), size=(n,))
+            p[3::13] = -0.0
+            want = np.moveaxis(p, -1, 0).copy().max(axis=0)[..., None]
+            got = T._row_max(p.reshape(rows, 1, n))
+            assert got.shape == (rows, 1, 1)
+            assert got.tobytes() == want.tobytes(), rows
+
+    def test_memory_stays_well_below_the_input(self):
+        p = np.random.default_rng(0).random((32, 13, 47, 47))
+        tracemalloc.start()
+        try:
+            got = T._row_max(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, p.max(axis=-1, keepdims=True))
+        assert peak < p.nbytes / 8
 
     def test_subtracting_it_in_place_is_safe_at_length_one(self):
         p = np.array([[3.0], [-2.0], [-0.0]])

@@ -12,8 +12,10 @@ end, so neither side runs from the checkout itself. Each seed runs the benchmark
 at the benchmark's own run length, and which side goes first alternates
 from seed to seed. The output holds, per end-to-end metric, each side's
 median and quartiles and the pairs each side won (a tie counts for
-neither), with every run's raw result and the environment it printed, the
-runs that failed or reported incorrect output, and the command. A change
+neither), the same for the metric's unscaled values (read from each run's
+result file before the temporary directory goes), with every run's raw
+result and the environment it printed, the runs that failed or reported
+incorrect output, and the command. A change
 side with uncommitted edits is recorded as HEAD plus ``diff_sha256``, a
 hash of those edits (see :func:`diff_sha256`).
 
@@ -105,43 +107,71 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median, quartiles and IQR over its
-    correct runs, and the pairs (same seed, both sides correct) each side
-    won in the metric's ``better`` direction; ties count for neither."""
-    ok = {(r["side"], r["seed"]): r["metrics"] for r in runs if r["ok"]}
+def compare(ok: dict, name: str, higher: bool) -> dict:
+    """One metric over ``ok``, the correct runs' values by (side, seed): each
+    side's median, quartiles and IQR, and the pairs (same seed, both sides
+    correct) each side won in the ``higher`` direction; ties count for
+    neither."""
     seeds = sorted({seed for _, seed in ok})
     paired = [s for s in seeds if all((side, s) in ok for side in SIDES)]
+    entry = {}
+    for side in SIDES:
+        values = [ok[side, s][name] for s in seeds if (side, s) in ok]
+        if values:
+            q1, med, q3 = quartiles(values)
+            entry[side] = {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
+                           "n": len(values)}
+    wins = {side: 0 for side in SIDES}
+    for s in paired:
+        base, change = ok["base", s][name], ok["change", s][name]
+        if base != change:
+            wins["change" if (change > base) == higher else "base"] += 1
+    entry["pairs"] = len(paired)
+    entry["wins"] = wins
+    if all(side in entry for side in SIDES):
+        base, change = entry["base"]["median"], entry["change"]["median"]
+        entry["change_vs_base"] = (change - base) / base if base else None
+        entry["median_gap_exceeds_base_iqr"] = abs(change - base) > entry["base"]["iqr"]
+    return entry
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric, :func:`compare` over the scaled values the
+    runs reported, and, as ``unscaled``, over the runs' unscaled values
+    where they recorded them."""
+    ok = {(r["side"], r["seed"]): r["metrics"] for r in runs if r["ok"]}
+    unscaled = {(r["side"], r["seed"]): r["unscaled"] for r in runs
+                if r["ok"] and r.get("unscaled")}
     summary = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
-        entry = {"unit": metric["unit"], "better": metric["better"]}
-        for side in SIDES:
-            values = [ok[side, s][name] for s in seeds if (side, s) in ok]
-            if values:
-                q1, med, q3 = quartiles(values)
-                entry[side] = {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
-                               "n": len(values)}
-        wins = {side: 0 for side in SIDES}
-        for s in paired:
-            base, change = ok["base", s][name], ok["change", s][name]
-            if base != change:
-                wins["change" if (change > base) == higher else "base"] += 1
-        entry["pairs"] = len(paired)
-        entry["wins"] = wins
-        if all(side in entry for side in SIDES):
-            base, change = entry["base"]["median"], entry["change"]["median"]
-            entry["change_vs_base"] = (change - base) / base if base else None
-            entry["median_gap_exceeds_base_iqr"] = abs(change - base) > entry["base"]["iqr"]
+        entry = {"unit": metric["unit"], "better": metric["better"],
+                 **compare(ok, name, higher)}
+        if unscaled:
+            entry["unscaled"] = compare(unscaled, name, higher)
         summary[name] = entry
     return summary
 
 
+def unscaled_metrics(checkout: Path, workload: str, seed: int) -> dict | None:
+    """The ``unscaled_metrics`` of an untraced run's result file, which the
+    benchmark writes to ``.bench_out/`` in ``checkout``: the end-to-end
+    metrics before the speed probe's scaling. None if the file is missing
+    or unreadable."""
+    path = checkout / ".bench_out" / f"result-{workload}-seed{seed}-trace0.json"
+    try:
+        return json.loads(path.read_text(encoding="utf-8")).get("unscaled_metrics")
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
              timeout: float) -> dict:
-    """One untraced benchmark run, with the ``environment`` line it printed;
-    ``ok`` is False when it exited non-zero, printed no result line, or
-    reported failed operations or checks."""
+    """One untraced benchmark run, with the ``environment`` line it printed
+    and the ``unscaled_metrics`` of the result file it wrote under
+    ``.bench_out/`` (None without one); ``ok`` is False when it exited
+    non-zero, printed no result line, or reported failed operations or
+    checks."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--trace", "0"]
     record = {"argv": argv}
     try:
@@ -161,7 +191,8 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
         return {**record, "ok": False, "error": "no result line"}
     record.update(correct=result["correct"], attempted=result["attempted"],
                   failed=result["failed"],
-                  metrics={k: v["value"] for k, v in result["metrics"].items()})
+                  metrics={k: v["value"] for k, v in result["metrics"].items()},
+                  unscaled=unscaled_metrics(checkout, workload, seed))
     record["ok"] = proc.returncode == 0 and result["correct"] and result["failed"] == 0
     return record
 
@@ -226,9 +257,11 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     for name, m in out["metrics"].items():
-        if "base" in m and "change" in m:
-            print(f"{name:28s} {m['base']['median']:12.4f} -> {m['change']['median']:12.4f}"
-                  f"  wins {m['wins']['change']}/{m['pairs']}", file=sys.stderr)
+        for label, e in (("", m), (" unscaled", m.get("unscaled", {}))):
+            if "base" in e and "change" in e:
+                print(f"{name + label:37s} {e['base']['median']:12.4f} -> "
+                      f"{e['change']['median']:12.4f}  wins {e['wins']['change']}/{e['pairs']}",
+                      file=sys.stderr)
     return 0
 
 
